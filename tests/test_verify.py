@@ -1,6 +1,9 @@
 """The law-suite machinery: generators, result records, determinism."""
 
+import io
 import json
+from contextlib import redirect_stdout
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -18,6 +21,7 @@ from symsug import (
     sample_capacity,
     worked_example,
 )
+from symsug.cli import main
 from symsug.verify import iter_interval_members, sample_profile
 from symsug.mobius import ordinal_mobius_interval
 from conftest import WORKED_DOCUMENT
@@ -151,3 +155,45 @@ def test_goldens_law_checks_the_documented_instance():
     goldens = results["worked-example-goldens"]
     assert goldens.status == "pass"
     assert goldens.checks >= 10
+
+
+# -- golden records ---------------------------------------------------------------
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "verify_records.jsonl"
+
+# exhaustive families, sampled ones (two hit the brute-force size note, one
+# takes the sampled branch of floor-ceil-monotone) and the 2000-instance cap
+GOLDEN_FAMILIES = (
+    "--n 1 --levels 1",
+    "--n 2 --levels 2",
+    "--n 2 --levels 3",
+    "--n 3 --levels 1",
+    "--n 3 --levels 2 --samples 30 --seed 5",
+    "--n 4 --levels 3 --samples 15 --seed 9",
+    "--n 5 --levels 2 --samples 5 --seed 11",
+    "--n 2 --levels 5 --samples 40 --seed 3",
+    "--n 1 --levels 1 --samples 2001 "
+    "--law reconstruction-exact --law conjugate-reconstruction",
+)
+
+
+def golden_text() -> str:
+    """Every golden family's ``verify`` output, each after a header line
+    naming its flags.  Regenerate (only when a record is meant to change)
+    with::
+
+        PYTHONPATH=src:tests python -c "from test_verify import *; \\
+            GOLDEN_PATH.write_text(golden_text(), encoding='utf-8')"
+    """
+    parts = []
+    for flags in GOLDEN_FAMILIES:
+        parts.append(json.dumps({"family": flags}) + "\n")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["verify", *flags.split()]) == 0
+        parts.append(out.getvalue())
+    return "".join(parts)
+
+
+def test_verify_records_match_the_golden_file():
+    assert golden_text() == GOLDEN_PATH.read_text(encoding="utf-8")
