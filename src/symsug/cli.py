@@ -81,14 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compute.add_argument("--input", required=True, help="problem file (JSON)")
     compute.add_argument(
-        "--rule",
-        choices=[rule.value for rule in Rule],
-        help=(
-            "fold disambiguation rule; accepted for forward compatibility, "
-            "the defined outputs each fix their own rule"
-        ),
-    )
-    compute.add_argument(
         "--mobius",
         choices=list(MOBIUS_REPRESENTATIVES),
         help="transform representative used by v1 (default: lower)",

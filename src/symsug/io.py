@@ -4,7 +4,8 @@ A problem file is one self-describing JSON document: a scale descriptor,
 an optional player name list, a capacity table keyed by subset strings
 such as ``"{1,3}"``, a profile, and optional run options.  Unit-scale
 values travel as exact text (fractions or terminating decimals); binary
-floats are rejected so that every number survives a round trip.
+floats are rejected so that every number survives a round trip.  No
+object may repeat a key.
 
 Malformed documents raise :class:`ParseError`; documents that parse but
 describe an invalid instance (an off-scale value, a non-monotone
@@ -21,8 +22,6 @@ from typing import Any, Mapping
 
 from .capacity import Capacity, SetFunction, parse_subset_text, subset_text, subsets
 from .integrals import Profile
-from .mobius import RealSetFunction
-from .rules import Rule
 from .scale import (
     OffScaleError,
     ScaleError,
@@ -57,7 +56,6 @@ class ParseError(ValueError):
 class ProblemOptions:
     """Defaults stored inside a problem file; command-line flags win."""
 
-    rule: Rule | None = None
     mobius: str | None = None
     outputs: tuple[str, ...] | None = None
 
@@ -86,7 +84,7 @@ def read_problem(path: str) -> Problem:
 
 def load_problem(text: str) -> Problem:
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
@@ -104,6 +102,16 @@ def load_problem(text: str) -> Problem:
     capacity = _parse_capacity(scale, profile.n, document["capacity"])
     options = _parse_options(document.get("options"))
     return Problem(scale, players, capacity, profile, options)
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    # json.loads would keep the last of repeated keys silently
+    document = dict(pairs)
+    if len(document) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ParseError(f"repeated key {repeated!r}")
+    return document
 
 
 def _parse_scale(raw: Any) -> SymmetricScale:
@@ -205,17 +213,9 @@ def _parse_options(raw: Any) -> ProblemOptions:
         return ProblemOptions()
     if not isinstance(raw, dict):
         raise ParseError("'options' must be an object")
-    unknown = set(raw) - {"rule", "mobius", "outputs"}
+    unknown = set(raw) - {"mobius", "outputs"}
     if unknown:
         raise ParseError(f"unknown options: {', '.join(sorted(unknown))}")
-    rule = None
-    if "rule" in raw:
-        try:
-            rule = Rule(raw["rule"])
-        except ValueError:
-            raise ParseError(
-                f"options.rule must be one of floor, ceil, angle"
-            ) from None
     mobius = raw.get("mobius")
     if mobius is not None and mobius not in MOBIUS_REPRESENTATIVES:
         raise ParseError("options.mobius must be 'lower' or 'upper'")
@@ -230,7 +230,7 @@ def _parse_options(raw: Any) -> ProblemOptions:
         if len(set(items)) != len(items):
             raise ParseError("options.outputs repeats a name")
         outputs = tuple(items)
-    return ProblemOptions(rule=rule, mobius=mobius, outputs=outputs)
+    return ProblemOptions(mobius=mobius, outputs=outputs)
 
 
 # -- record rendering -----------------------------------------------------------
@@ -245,10 +245,6 @@ def fraction_text(value: Fraction) -> str:
 def set_function_record(sf: SetFunction) -> dict[str, str]:
     """A set function as an ordered subset-string table."""
     return {subset_text(mask): str(sf(mask)) for mask in subsets(sf.n)}
-
-
-def real_set_function_record(sf: RealSetFunction) -> dict[str, str]:
-    return {subset_text(mask): fraction_text(sf(mask)) for mask in subsets(sf.n)}
 
 
 def record_line(record: Mapping[str, Any]) -> str:

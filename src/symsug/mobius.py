@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 from .capacity import (
     Capacity,
@@ -20,15 +20,11 @@ from .capacity import (
     covers_of,
     full_set,
     iter_submasks,
-    parse_subset_text,
     subset_members,
-    subset_text,
     subsets,
 )
 from .rules import Rule, fold_sym_max
 from .scale import ScaleError, ScaleValue, sym_max, sym_min
-
-RawNumber = Union[Fraction, int, str]
 
 
 # -- classical transform on rational tables ----------------------------------
@@ -50,28 +46,6 @@ class RealSetFunction:
             raise ValueError(
                 f"table has {len(table)} entries, expected {1 << self.n}"
             )
-
-    @classmethod
-    def from_values(
-        cls, n: int, values: Mapping[Union[str, int], RawNumber] | Sequence[RawNumber]
-    ) -> "RealSetFunction":
-        if isinstance(values, Mapping):
-            size = 1 << n
-            table: list[Fraction | None] = [None] * size
-            for key, raw in values.items():
-                mask = parse_subset_text(key, n) if isinstance(key, str) else key
-                if not isinstance(mask, int) or not 0 <= mask < size:
-                    raise ValueError(f"bad subset key: {key!r}")
-                if table[mask] is not None:
-                    raise ValueError(f"duplicate subset key: {key!r}")
-                table[mask] = Fraction(raw)
-            if table[0] is None:
-                table[0] = Fraction(0)
-            missing = [subset_text(m) for m in range(size) if table[m] is None]
-            if missing:
-                raise ValueError(f"missing subsets: {', '.join(missing)}")
-            return cls(n, tuple(table))  # type: ignore[arg-type]
-        return cls(n, tuple(Fraction(x) for x in values))
 
     def __call__(self, mask: int) -> Fraction:
         return self.table[mask]
@@ -95,25 +69,6 @@ def classical_zeta(m: RealSetFunction) -> RealSetFunction:
     for mask in subsets(m.n):
         table.append(sum(m(sub) for sub in iter_submasks(mask)))
     return RealSetFunction(m.n, tuple(table))
-
-
-def real_capacity_problems(v: RealSetFunction) -> list[str]:
-    """Axiom violations for a rational capacity: boundary values and every
-    non-monotone cover edge."""
-    problems = []
-    if v(0) != 0:
-        problems.append(f"v({{}}) = {v(0)}, expected 0")
-    top = full_set(v.n)
-    if v(top) != 1:
-        problems.append(f"v({subset_text(top)}) = {v(top)}, expected 1")
-    for mask in range(1, 1 << v.n):
-        for below in covers_of(mask):
-            if v.table[below] > v.table[mask]:
-                problems.append(
-                    f"v({subset_text(below)}) = {v.table[below]} exceeds "
-                    f"v({subset_text(mask)}) = {v.table[mask]}"
-                )
-    return problems
 
 
 def real_conjugate(v: RealSetFunction) -> RealSetFunction:

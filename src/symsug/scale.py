@@ -239,15 +239,6 @@ class ScaleValue:
         return self.scale.format(self)
 
 
-def reflect(a: ScaleValue) -> ScaleValue:
-    """The mirror map a -> -a."""
-    return -a
-
-
-def absolute(a: ScaleValue) -> ScaleValue:
-    return abs(a)
-
-
 def sign_of(a: ScaleValue) -> ScaleValue:
     """Sign of ``a`` as an element of the same scale: -1, 0 or 1."""
     if a.sign > 0:
@@ -255,12 +246,6 @@ def sign_of(a: ScaleValue) -> ScaleValue:
     if a.sign < 0:
         return a.scale.minus_one
     return a.scale.zero
-
-
-def negate(a: ScaleValue) -> ScaleValue:
-    """Order-reversing negation of a nonnegative value (see
-    :meth:`SymmetricScale.negate`)."""
-    return a.scale.negate(a)
 
 
 def same_scale(a: ScaleValue, b: ScaleValue) -> SymmetricScale:

@@ -6,12 +6,18 @@ exhaustively from small discrete scales or by seeded sampling.  Results
 are machine-readable records; a law expected to fail (a pinned
 counterexample) reports ``xfail`` when the violation is exhibited and the
 suspicious ``xpass`` when it is not.
+
+A law is registered as data: a name, a kind, a description, a family of
+instances and a predicate that returns a witness text for an instance
+that breaks the law.  :func:`forall` owns the loop, the check count and
+the early exit on the first witness; :func:`exists` is its dual.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
@@ -27,7 +33,6 @@ from .capacity import (
     is_maxitive,
     necessity_measure,
     possibility_measure,
-    subset_members,
     subset_text,
     subsets,
     unanimity,
@@ -132,10 +137,69 @@ class Law:
 
 LAWS: dict[str, Law] = {}
 
+# family(config, rng) -> instances, each a tuple of predicate arguments;
+# ``rng`` is the law's own stream, or None for a law that draws nothing
+Family = Callable[[VerifyConfig, "Random | None"], Iterable[tuple]]
 
-def _law(name: str, kind: str = "holds", description: str = ""):
-    def register(fn: LawFn) -> LawFn:
-        LAWS[name] = Law(name, kind, description, fn)
+
+def forall(
+    family: Iterable, predicate: Callable[..., str | None] | None, cost: int = 1
+) -> tuple[str | None, int, str]:
+    """Check ``predicate(*instance)`` on every instance of ``family``,
+    counting ``cost`` checks per instance, and stop at the first witness
+    it returns.  Without a predicate each instance is a claim: a witness,
+    or None when its check passes.  A family that is a generator may
+    return a note (a cap that bit, a count of distinct instances), which
+    is reported when no witness turns up."""
+    checks = 0
+    instances = iter(family)
+    while True:
+        try:
+            instance = next(instances)
+        except StopIteration as end:
+            return None, checks, end.value or ""
+        checks += cost
+        witness = instance if predicate is None else predicate(*instance)
+        if witness is not None:
+            return witness, checks, ""
+
+
+def exists(
+    family: Iterable, predicate: Callable[..., str | None], missing: str
+) -> tuple[str | None, int, str]:
+    """The dual of :func:`forall`: the first witness found is the note of
+    a success, and finding none fails with ``missing``."""
+    found, checks, _ = forall(family, predicate)
+    if found is None:
+        return missing, checks, ""
+    return None, checks, found
+
+
+def _law(
+    name: str,
+    family: Family | None = None,
+    kind: str = "holds",
+    description: str = "",
+    tag: str | None = None,
+    missing: str | None = None,
+    cost: Callable[[VerifyConfig], int] | None = None,
+):
+    """Register a law over ``family``, drawn from the random stream named
+    ``tag``, and checked by :func:`forall` (by :func:`exists` when the
+    ``missing`` text is given).  The decorated function is the predicate.
+    Without a family it is a generator of claims over the config and the
+    stream instead.  ``cost`` gives the checks one instance counts."""
+
+    def register(fn: Callable) -> Callable:
+        def check(config: VerifyConfig) -> tuple[str | None, int, str]:
+            rng = _rng(config, tag) if tag else None
+            if family is None:
+                return forall(fn(config, rng), None)
+            if missing is not None:
+                return exists(family(config, rng), fn, missing)
+            return forall(family(config, rng), fn, cost(config) if cost else 1)
+
+        LAWS[name] = Law(name, kind, description, check)
         return fn
 
     return register
@@ -182,6 +246,10 @@ def _rng(config: VerifyConfig, tag: str) -> Random:
     return Random(f"{config.seed}:{tag}")
 
 
+def _grades(scale: SymmetricScale, *grades: int) -> tuple[ScaleValue, ...]:
+    return tuple(scale.value(g) for g in grades)
+
+
 def iter_capacities(n: int, scale: SymmetricScale) -> Iterator[Capacity]:
     """Every capacity on n players over a levels scale, by backtracking in
     order of subset size (covers are always assigned first)."""
@@ -195,9 +263,7 @@ def iter_capacities(n: int, scale: SymmetricScale) -> Iterator[Capacity]:
 
     def assign(idx: int) -> Iterator[Capacity]:
         if idx == len(free):
-            yield Capacity(
-                n, scale, tuple(scale.value(g) for g in grades)
-            )
+            yield Capacity(n, scale, _grades(scale, *grades))
             return
         mask = free[idx]
         floor = max((grades[c] for c in covers_of(mask)), default=0)
@@ -209,8 +275,9 @@ def iter_capacities(n: int, scale: SymmetricScale) -> Iterator[Capacity]:
     yield from assign(0)
 
 
-def sample_capacity(rng: Random, n: int, scale: SymmetricScale) -> Capacity:
-    k = scale.levels
+def _monotone_grades(rng: Random, n: int, k: int) -> list[int]:
+    """Seeded grades 0..k per subset, raised to be monotone, with k on the
+    full set."""
     size = 1 << n
     grades = [0] * size
     for mask in range(1, size):
@@ -220,7 +287,12 @@ def sample_capacity(rng: Random, n: int, scale: SymmetricScale) -> Capacity:
             if grades[c] > grades[mask]:
                 grades[mask] = grades[c]
     grades[size - 1] = k
-    return Capacity(n, scale, tuple(scale.value(g) for g in grades))
+    return grades
+
+
+def sample_capacity(rng: Random, n: int, scale: SymmetricScale) -> Capacity:
+    grades = _monotone_grades(rng, n, scale.levels)
+    return Capacity(n, scale, _grades(scale, *grades))
 
 
 def iter_profiles(
@@ -276,29 +348,24 @@ def iter_interval_members(
     has at most ``cap`` corners, otherwise the two bounds plus ``extra``
     seeded draws."""
     scale = interval.lower.scale
-    size = 1 << interval.n
     spans = [
         range(interval.lower(m).signed, interval.upper(m).signed + 1)
-        for m in range(size)
+        for m in range(1 << interval.n)
     ]
     volume = 1
     for span in spans:
         volume *= len(span)
     if volume <= cap:
         for grades in itertools.product(*spans):
-            yield SetFunction(
-                interval.n, scale, tuple(scale.value(g) for g in grades)
-            )
+            yield SetFunction(interval.n, scale, _grades(scale, *grades))
         return
     yield interval.lower
     yield interval.upper
     if rng is None:
         return
     for _ in range(extra):
-        grades = tuple(rng.choice(span) for span in spans)
-        yield SetFunction(
-            interval.n, scale, tuple(scale.value(g) for g in grades)
-        )
+        grades = [rng.choice(span) for span in spans]
+        yield SetFunction(interval.n, scale, _grades(scale, *grades))
 
 
 def _members(
@@ -345,246 +412,223 @@ def worked_example() -> tuple[Capacity, Profile]:
     return v, f
 
 
+# -- families ------------------------------------------------------------------
+
+
+def _once(config: VerifyConfig, rng: Random | None) -> list[tuple]:
+    # the one-element family of a pinned witness, which its predicate builds
+    return [()]
+
+
+def _tuples(arity: int, unambiguous: bool | None = None) -> Family:
+    """Every ``arity``-tuple of scale elements; with ``unambiguous`` set,
+    only those whose plain fold is (or is not) unambiguous."""
+
+    def family(config: VerifyConfig, rng: Random | None):
+        elements = levels_scale(config.levels).signed_values()
+        tuples = itertools.product(elements, repeat=arity)
+        if unambiguous is None:
+            return tuples
+        return (t for t in tuples if is_fold_unambiguous(t) == unambiguous)
+
+    return family
+
+
+def _same_sign_triples(config: VerifyConfig, rng: Random | None):
+    elements = list(levels_scale(config.levels).signed_values())
+    for side in (
+        [a for a in elements if a.sign >= 0],
+        [a for a in elements if a.sign <= 0],
+    ):
+        yield from itertools.product(side, repeat=3)
+
+
+def _candidates(config: VerifyConfig, rng: Random | None):
+    # every element, with all the elements to try it against
+    elements = list(levels_scale(config.levels).signed_values())
+    return ((candidate, elements) for candidate in elements)
+
+
+def _each_rule(family: Family, rules: Sequence[Rule] = tuple(Rule)) -> Family:
+    def expanded(config: VerifyConfig, rng: Random | None):
+        for instance in family(config, rng):
+            for rule in rules:
+                yield (*instance, rule)
+
+    return expanded
+
+
+def _each_capacity(config: VerifyConfig, rng: Random):
+    return ((v,) for v in _capacities(config, rng))
+
+
+def _each_distribution(config: VerifyConfig, rng: Random):
+    return ((pi,) for pi in _distributions(config, rng))
+
+
+def _each_instance(signed: bool) -> Family:
+    return lambda config, rng: _instances(config, rng, signed)
+
+
 # -- scale laws ----------------------------------------------------------------
 
 
 @_law(
     "reflection-involution",
+    _tuples(1),
     description="reflecting twice is the identity on every scale element",
 )
-def _reflection_involution(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    checks = 0
-    for a in scale.signed_values():
-        checks += 1
-        if -(-a) != a:
-            return f"-(-{a}) != {a}", checks, ""
-    return None, checks, ""
+def _reflection_involution(a: ScaleValue):
+    if -(-a) != a:
+        return f"-(-{a}) != {a}"
 
 
 @_law(
     "reflection-de-morgan",
+    _tuples(2),
     description="reflection swaps lattice max and min",
 )
-def _reflection_de_morgan(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
-    checks = 0
-    for a, b in itertools.product(elements, repeat=2):
-        checks += 1
-        if -max(a, b) != min(-a, -b) or -min(a, b) != max(-a, -b):
-            return f"de morgan fails at ({a}, {b})", checks, ""
-    return None, checks, ""
+def _reflection_de_morgan(a: ScaleValue, b: ScaleValue):
+    if -max(a, b) != min(-a, -b) or -min(a, b) != max(-a, -b):
+        return f"de morgan fails at ({a}, {b})"
 
 
 @_law(
     "marichal-forms",
+    _tuples(2),
     description=(
         "sym-max equals sign(a+b)(|a| max |b|) and sym-min equals "
         "sign(ab)(|a| min |b|) on the numeric embedding"
     ),
 )
-def _marichal_forms(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
-    checks = 0
-    for a, b in itertools.product(elements, repeat=2):
-        checks += 1
-        total = a.signed + b.signed
-        sign_sum = (total > 0) - (total < 0)
-        expected_max = sign_sum * max(abs(a.signed), abs(b.signed))
-        product = a.signed * b.signed
-        sign_product = (product > 0) - (product < 0)
-        expected_min = sign_product * min(abs(a.signed), abs(b.signed))
-        if sym_max(a, b).signed != expected_max:
-            return f"sym-max mismatch at ({a}, {b})", checks, ""
-        if sym_min(a, b).signed != expected_min:
-            return f"sym-min mismatch at ({a}, {b})", checks, ""
-    return None, checks, ""
+def _marichal_forms(a: ScaleValue, b: ScaleValue):
+    total = a.signed + b.signed
+    sign_sum = (total > 0) - (total < 0)
+    expected_max = sign_sum * max(abs(a.signed), abs(b.signed))
+    product = a.signed * b.signed
+    sign_product = (product > 0) - (product < 0)
+    expected_min = sign_product * min(abs(a.signed), abs(b.signed))
+    if sym_max(a, b).signed != expected_max:
+        return f"sym-max mismatch at ({a}, {b})"
+    if sym_min(a, b).signed != expected_min:
+        return f"sym-min mismatch at ({a}, {b})"
 
 
-@_law("symmax-commutative", description="a sym-max b = b sym-max a")
-def _symmax_commutative(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
-    checks = 0
-    for a, b in itertools.product(elements, repeat=2):
-        checks += 1
-        if sym_max(a, b) != sym_max(b, a):
-            return f"sym-max not commutative at ({a}, {b})", checks, ""
-    return None, checks, ""
+@_law("symmax-commutative", _tuples(2), description="a sym-max b = b sym-max a")
+def _symmax_commutative(a: ScaleValue, b: ScaleValue):
+    if sym_max(a, b) != sym_max(b, a):
+        return f"sym-max not commutative at ({a}, {b})"
 
 
-@_law("symmin-commutative", description="a sym-min b = b sym-min a")
-def _symmin_commutative(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
-    checks = 0
-    for a, b in itertools.product(elements, repeat=2):
-        checks += 1
-        if sym_min(a, b) != sym_min(b, a):
-            return f"sym-min not commutative at ({a}, {b})", checks, ""
-    return None, checks, ""
+@_law("symmin-commutative", _tuples(2), description="a sym-min b = b sym-min a")
+def _symmin_commutative(a: ScaleValue, b: ScaleValue):
+    if sym_min(a, b) != sym_min(b, a):
+        return f"sym-min not commutative at ({a}, {b})"
 
 
 @_law(
     "zero-neutral-absorbing-unique",
+    _candidates,
+    # a candidate is tried against each of the 2K + 1 elements
+    cost=lambda config: 2 * config.levels + 1,
     description=(
         "0 is the unique neutral element of sym-max and the unique "
         "absorbing element of sym-min, over all candidates"
     ),
 )
-def _zero_neutral_absorbing(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
-    zero = scale.zero
-    checks = 0
-    for candidate in elements:
-        neutral = True
-        absorbing = True
-        for a in elements:
-            checks += 1
-            if sym_max(a, candidate) != a:
-                neutral = False
-            if sym_min(a, candidate) != candidate:
-                absorbing = False
-        if (candidate == zero) != neutral:
-            return f"neutral-element test wrong at {candidate}", checks, ""
-        if (candidate == zero) != absorbing:
-            return f"absorbing-element test wrong at {candidate}", checks, ""
-    return None, checks, ""
+def _zero_neutral_absorbing(candidate: ScaleValue, elements: list[ScaleValue]):
+    is_zero = candidate == candidate.scale.zero
+    if is_zero != all(sym_max(a, candidate) == a for a in elements):
+        return f"neutral-element test wrong at {candidate}"
+    if is_zero != all(sym_min(a, candidate) == candidate for a in elements):
+        return f"absorbing-element test wrong at {candidate}"
 
 
 @_law(
     "one-neutral-absorbing-unique",
+    _candidates,
+    # a candidate is tried against all 2K + 1 elements and the K + 1
+    # nonnegative ones
+    cost=lambda config: 3 * config.levels + 2,
     description=(
         "1 is the unique neutral element of sym-min over all of L, and the "
         "unique element absorbing the whole nonnegative side under sym-max"
     ),
 )
-def _one_neutral_absorbing(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
+def _one_neutral_absorbing(candidate: ScaleValue, elements: list[ScaleValue]):
     nonnegative = [a for a in elements if a.sign >= 0]
-    one = scale.one
-    checks = 0
-    for candidate in elements:
-        neutral = all(sym_min(a, candidate) == a for a in elements)
-        absorbing = all(sym_max(a, candidate) == candidate for a in nonnegative)
-        checks += len(elements) + len(nonnegative)
-        if (candidate == one) != neutral:
-            return f"neutral-element test wrong at {candidate}", checks, ""
-        if (candidate == one) != absorbing:
-            return f"absorbing-element test wrong at {candidate}", checks, ""
-    return None, checks, ""
+    is_one = candidate == candidate.scale.one
+    if is_one != all(sym_min(a, candidate) == a for a in elements):
+        return f"neutral-element test wrong at {candidate}"
+    if is_one != all(sym_max(a, candidate) == candidate for a in nonnegative):
+        return f"absorbing-element test wrong at {candidate}"
 
 
-@_law("opposites-cancel", description="a sym-max (-a) = 0 for every a")
-def _opposites_cancel(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    checks = 0
-    for a in scale.signed_values():
-        checks += 1
-        if sym_max(a, -a) != scale.zero:
-            return f"{a} sym-max -{a} != 0", checks, ""
-    return None, checks, ""
+@_law("opposites-cancel", _tuples(1), description="a sym-max (-a) = 0 for every a")
+def _opposites_cancel(a: ScaleValue):
+    if sym_max(a, -a) != a.scale.zero:
+        return f"{a} sym-max -{a} != 0"
 
 
 @_law(
     "reflection-distributes",
+    _tuples(2),
     description="-(a sym-max b) = (-a) sym-max (-b)",
 )
-def _reflection_distributes(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
-    checks = 0
-    for a, b in itertools.product(elements, repeat=2):
-        checks += 1
-        if -sym_max(a, b) != sym_max(-a, -b):
-            return f"reflection fails at ({a}, {b})", checks, ""
-    return None, checks, ""
+def _reflection_distributes(a: ScaleValue, b: ScaleValue):
+    if -sym_max(a, b) != sym_max(-a, -b):
+        return f"reflection fails at ({a}, {b})"
 
 
 @_law(
     "symmax-conditional-associative",
+    _tuples(3, unambiguous=True),
     description=(
         "both parenthesizations of a sym-max b sym-max c agree whenever "
         "max != -min over the triple"
     ),
 )
-def _symmax_conditional_associative(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
-    checks = 0
-    for a, b, c in itertools.product(elements, repeat=3):
-        if not is_fold_unambiguous((a, b, c)):
-            continue
-        checks += 1
-        if sym_max(sym_max(a, b), c) != sym_max(a, sym_max(b, c)):
-            return f"associativity fails at ({a}, {b}, {c})", checks, ""
-    return None, checks, ""
+def _symmax_conditional_associative(a, b, c):
+    if sym_max(sym_max(a, b), c) != sym_max(a, sym_max(b, c)):
+        return f"associativity fails at ({a}, {b}, {c})"
 
 
 @_law(
     "symmax-nonassociative-witness",
+    _tuples(3, unambiguous=False),
+    missing="no non-associative triple found",
     description=(
         "some triple with max = -min has parenthesizations that disagree"
     ),
 )
-def _symmax_nonassociative_witness(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
-    checks = 0
-    for a, b, c in itertools.product(elements, repeat=3):
-        if is_fold_unambiguous((a, b, c)):
-            continue
-        checks += 1
-        left = sym_max(sym_max(a, b), c)
-        right = sym_max(a, sym_max(b, c))
-        if left != right:
-            return (
-                None,
-                checks,
-                f"witness: ({a}, {b}, {c}) gives {left} vs {right}",
-            )
-    return "no non-associative triple found", checks, ""
+def _symmax_nonassociative_witness(a, b, c):
+    left = sym_max(sym_max(a, b), c)
+    right = sym_max(a, sym_max(b, c))
+    if left != right:
+        return f"witness: ({a}, {b}, {c}) gives {left} vs {right}"
 
 
-@_law("symmin-associative", description="sym-min is associative on all of L")
-def _symmin_associative(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
-    checks = 0
-    for a, b, c in itertools.product(elements, repeat=3):
-        checks += 1
-        if sym_min(sym_min(a, b), c) != sym_min(a, sym_min(b, c)):
-            return f"associativity fails at ({a}, {b}, {c})", checks, ""
-    return None, checks, ""
+@_law(
+    "symmin-associative",
+    _tuples(3),
+    description="sym-min is associative on all of L",
+)
+def _symmin_associative(a, b, c):
+    if sym_min(sym_min(a, b), c) != sym_min(a, sym_min(b, c)):
+        return f"associativity fails at ({a}, {b}, {c})"
 
 
 @_law(
     "symmin-distributive-same-sign",
+    _same_sign_triples,
     description=(
         "sym-min distributes over sym-max on triples drawn from one side "
         "of the scale"
     ),
 )
-def _symmin_distributive(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
-    sides = (
-        [a for a in elements if a.sign >= 0],
-        [a for a in elements if a.sign <= 0],
-    )
-    checks = 0
-    for side in sides:
-        for a, b, c in itertools.product(side, repeat=3):
-            checks += 1
-            left = sym_min(a, sym_max(b, c))
-            right = sym_max(sym_min(a, b), sym_min(a, c))
-            if left != right:
-                return f"distributivity fails at ({a}, {b}, {c})", checks, ""
-    return None, checks, ""
+def _symmin_distributive(a, b, c):
+    if sym_min(a, sym_max(b, c)) != sym_max(sym_min(a, b), sym_min(a, c)):
+        return f"distributivity fails at ({a}, {b}, {c})"
 
 
 # -- rule laws -------------------------------------------------------------
@@ -597,105 +641,96 @@ def _multisets(
         yield from itertools.combinations_with_replacement(elements, size)
 
 
+def _each_multiset(config: VerifyConfig, rng: Random | None):
+    scale = levels_scale(config.levels)
+    for values in _multisets(list(scale.signed_values()), 4):
+        yield scale, values
+
+
+def _unambiguous_multisets(config: VerifyConfig, rng: Random):
+    for scale, values in _each_multiset(config, rng):
+        if is_fold_unambiguous(values):
+            plain = reduce(sym_max, values) if values else scale.zero
+            shuffled = list(values)
+            rng.shuffle(shuffled)
+            yield scale, values, plain, shuffled
+
+
 @_law(
     "rules-agree-when-unambiguous",
+    _each_rule(_unambiguous_multisets),
+    tag="rules-agree",
     description=(
         "floor, ceil and angle all equal the plain fold on unambiguous "
         "multisets, in any order"
     ),
 )
-def _rules_agree(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
-    rng = _rng(config, "rules-agree")
-    checks = 0
-    for values in _multisets(elements, 4):
-        if not is_fold_unambiguous(values):
-            continue
-        if values:
-            plain = reduce(sym_max, values)
-        else:
-            plain = scale.zero
-        shuffled = list(values)
-        rng.shuffle(shuffled)
-        for rule in Rule:
-            checks += 1
-            if fold_sym_max(values, rule, scale=scale) != plain:
-                return f"{rule} != plain fold on {_show(values)}", checks, ""
-            if fold_sym_max(shuffled, rule, scale=scale) != plain:
-                return f"{rule} order-dependent on {_show(values)}", checks, ""
-    return None, checks, ""
+def _rules_agree(scale, values, plain, shuffled, rule):
+    if fold_sym_max(values, rule, scale=scale) != plain:
+        return f"{rule} != plain fold on {_show(values)}"
+    if fold_sym_max(shuffled, rule, scale=scale) != plain:
+        return f"{rule} order-dependent on {_show(values)}"
+
+
+def _reflected_multisets(config: VerifyConfig, rng: Random | None):
+    for scale, values in _each_multiset(config, rng):
+        yield scale, values, tuple(-a for a in values)
 
 
 @_law(
     "fold-reflection-symmetry",
+    _each_rule(_reflected_multisets),
     description="folding the reflected multiset reflects the fold, all rules",
 )
-def _fold_reflection(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
-    checks = 0
-    for values in _multisets(elements, 4):
-        reflected = tuple(-a for a in values)
-        for rule in Rule:
-            checks += 1
-            left = fold_sym_max(reflected, rule, scale=scale)
-            right = -fold_sym_max(values, rule, scale=scale)
-            if left != right:
-                return f"{rule} breaks symmetry on {_show(values)}", checks, ""
-    return None, checks, ""
+def _fold_reflection(scale, values, reflected, rule):
+    if fold_sym_max(reflected, rule, scale=scale) != -fold_sym_max(
+        values, rule, scale=scale
+    ):
+        return f"{rule} breaks symmetry on {_show(values)}"
+
+
+def _reorderings(config: VerifyConfig, rng: Random):
+    for scale, values, rule in _each_rule(_each_multiset)(config, rng):
+        reference = fold_sym_max(values, rule, scale=scale)
+        for _ in range(2):
+            shuffled = list(values)
+            rng.shuffle(shuffled)
+            yield scale, values, rule, reference, shuffled
 
 
 @_law(
     "fold-order-invariance",
+    _reorderings,
+    tag="fold-order",
     description="every rule gives the same fold on any reordering",
 )
-def _fold_order_invariance(config: VerifyConfig):
+def _fold_order_invariance(scale, values, rule, reference, shuffled):
+    if fold_sym_max(shuffled, rule, scale=scale) != reference:
+        return f"{rule} order-dependent on {_show(values)}"
+
+
+def _dominated_pairs(config: VerifyConfig, rng: Random):
     scale = levels_scale(config.levels)
-    elements = list(scale.signed_values())
-    rng = _rng(config, "fold-order")
-    checks = 0
-    for values in _multisets(elements, 4):
-        for rule in Rule:
-            reference = fold_sym_max(values, rule, scale=scale)
-            for _ in range(2):
-                shuffled = list(values)
-                rng.shuffle(shuffled)
-                checks += 1
-                if fold_sym_max(shuffled, rule, scale=scale) != reference:
-                    return f"{rule} order-dependent on {_show(values)}", checks, ""
-    return None, checks, ""
+    if 2 * scale.levels + 1 <= 9:
+        return _dominated_pairs_exhaustive(scale, max_size=4)
+    return _dominated_pairs_sampled(scale, rng, config.samples, max_size=4)
 
 
 @_law(
     "floor-ceil-monotone",
+    _each_rule(_dominated_pairs, (Rule.FLOOR, Rule.CEIL)),
+    tag="floor-ceil",
     description=(
         "raising any entry of a sorted multiset cannot lower the floor or "
         "ceil fold"
     ),
 )
-def _floor_ceil_monotone(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    k = scale.levels
-    checks = 0
-    if 2 * k + 1 <= 9:
-        pairs = _dominated_pairs_exhaustive(scale, max_size=4)
-    else:
-        pairs = _dominated_pairs_sampled(
-            scale, _rng(config, "floor-ceil"), config.samples, max_size=4
-        )
-    for low, high in pairs:
-        for rule in (Rule.FLOOR, Rule.CEIL):
-            checks += 1
-            if fold_sym_max(low, rule, scale=scale) > fold_sym_max(
-                high, rule, scale=scale
-            ):
-                return (
-                    f"{rule} decreases from {_show(low)} to {_show(high)}",
-                    checks,
-                    "",
-                )
-    return None, checks, ""
+def _floor_ceil_monotone(low, high, rule):
+    scale = low[0].scale
+    if fold_sym_max(low, rule, scale=scale) > fold_sym_max(
+        high, rule, scale=scale
+    ):
+        return f"{rule} decreases from {_show(low)} to {_show(high)}"
 
 
 def _dominated_pairs_exhaustive(scale: SymmetricScale, max_size: int):
@@ -727,59 +762,53 @@ def _dominated_pairs_sampled(
         size = rng.randint(1, max_size)
         low = sorted(rng.randint(-k, k) for _ in range(size))
         high = sorted(rng.randint(g, k) for g in low)
-        yield (
-            tuple(scale.value(g) for g in low),
-            tuple(scale.value(g) for g in high),
-        )
+        yield _grades(scale, *low), _grades(scale, *high)
 
 
 @_law(
     "angle-monotonic",
+    _once,
     kind="violates",
     description=(
         "the angle rule is not monotone; the pinned five-element pair "
         "exhibits a strict decrease"
     ),
 )
-def _angle_monotonic(config: VerifyConfig):
+def _angle_monotonic():
     scale = levels_scale(5)
-    low = tuple(scale.value(g) for g in (-5, -5, -1, 2, 5))
-    high = tuple(scale.value(g) for g in (-5, -4, -1, 2, 5))
-    checks = 1
+    low = _grades(scale, -5, -5, -1, 2, 5)
+    high = _grades(scale, -5, -4, -1, 2, 5)
     assert all(a <= b for a, b in zip(low, high))
     left = fold_sym_max(low, Rule.ANGLE)
     right = fold_sym_max(high, Rule.ANGLE)
     if left > right:
         return (
             f"angle fold drops from {left} to {right} although "
-            f"{_show(low)} <= {_show(high)} entrywise",
-            checks,
-            "",
+            f"{_show(low)} <= {_show(high)} entrywise"
         )
-    return None, checks, ""
+
+
+def _fold_identity_cases(config: VerifyConfig, rng: Random | None):
+    """Per rule: the empty multiset, 1, 2 and 5 zeros, and every singleton,
+    each with the fold it must give and the template of its witness."""
+    scale = levels_scale(config.levels)
+    zero = scale.zero
+    for rule in Rule:
+        yield scale, rule, (), zero, "empty {rule} fold is not 0"
+        for count in (1, 2, 5):
+            yield scale, rule, (zero,) * count, zero, "all-zero {rule} fold is not 0"
+        for a in scale.signed_values():
+            yield scale, rule, (a,), a, "singleton {rule} fold breaks at {a}"
 
 
 @_law(
     "fold-identities",
+    _fold_identity_cases,
     description="singleton folds are the element; empty and all-zero folds are 0",
 )
-def _fold_identities(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    checks = 0
-    for rule in Rule:
-        checks += 1
-        if fold_sym_max((), rule, scale=scale) != scale.zero:
-            return f"empty {rule} fold is not 0", checks, ""
-        for count in (1, 2, 5):
-            checks += 1
-            zeros = (scale.zero,) * count
-            if fold_sym_max(zeros, rule, scale=scale) != scale.zero:
-                return f"all-zero {rule} fold is not 0", checks, ""
-        for a in scale.signed_values():
-            checks += 1
-            if fold_sym_max((a,), rule, scale=scale) != a:
-                return f"singleton {rule} fold breaks at {a}", checks, ""
-    return None, checks, ""
+def _fold_identities(scale, rule, values, expected, witness):
+    if fold_sym_max(values, rule, scale=scale) != expected:
+        return witness.format(rule=rule, a=expected)
 
 
 # -- capacity laws ---------------------------------------------------------
@@ -787,16 +816,13 @@ def _fold_identities(config: VerifyConfig):
 
 @_law(
     "conjugate-involution",
+    _each_capacity,
+    tag="conjugate-involution",
     description="conjugating twice returns the original capacity",
 )
-def _conjugate_involution(config: VerifyConfig):
-    rng = _rng(config, "conjugate-involution")
-    checks = 0
-    for v in _capacities(config, rng):
-        checks += 1
-        if conjugate(conjugate(v)).table != v.table:
-            return f"involution fails on {_table(v)}", checks, ""
-    return None, checks, ""
+def _conjugate_involution(v: Capacity):
+    if conjugate(conjugate(v)).table != v.table:
+        return f"involution fails on {_table(v)}"
 
 
 def _distributions(
@@ -807,171 +833,171 @@ def _distributions(
     if config.exhaustive:
         for grades in itertools.product(range(k + 1), repeat=config.n):
             if max(grades) == k:
-                yield tuple(scale.value(g) for g in grades)
+                yield _grades(scale, *grades)
     else:
         for _ in range(config.samples):
             grades = [rng.randint(0, k) for _ in range(config.n)]
             grades[rng.randrange(config.n)] = k
-            yield tuple(scale.value(g) for g in grades)
+            yield _grades(scale, *grades)
+
+
+def _distribution_pairs(config: VerifyConfig, rng: Random):
+    for pi in _distributions(config, rng):
+        upper = possibility_measure(pi)
+        lower = necessity_measure(pi)
+        maxitive = is_maxitive(upper)
+        for a, b in itertools.product(subsets(upper.n), repeat=2):
+            yield pi, maxitive, lower, a, b
 
 
 @_law(
     "possibility-maxitive-necessity-minitive",
+    _distribution_pairs,
+    tag="possibility-maxitive",
     description=(
         "possibility measures join-distribute over unions; their conjugates "
         "meet-distribute over intersections"
     ),
 )
-def _possibility_maxitive(config: VerifyConfig):
-    rng = _rng(config, "possibility-maxitive")
-    checks = 0
+def _possibility_maxitive(pi, maxitive, lower, a, b):
+    if not maxitive:
+        return f"possibility not maxitive for pi={_show(pi)}"
+    if lower(a & b) != min(lower(a), lower(b)):
+        return f"necessity not minitive for pi={_show(pi)}"
+
+
+def _named_capacities(config: VerifyConfig, rng: Random):
+    # (measure, its focal set or None, its distribution or None)
+    scale = levels_scale(config.levels)
+    for b_mask in subsets(config.n):
+        yield unanimity(config.n, b_mask, scale), b_mask, None
     for pi in _distributions(config, rng):
-        upper = possibility_measure(pi)
-        lower = necessity_measure(pi)
-        if not is_maxitive(upper):
-            return f"possibility not maxitive for pi={_show(pi)}", checks, ""
-        for a in subsets(upper.n):
-            for b in subsets(upper.n):
-                checks += 1
-                if lower(a & b) != min(lower(a), lower(b)):
-                    return (
-                        f"necessity not minitive for pi={_show(pi)}",
-                        checks,
-                        "",
-                    )
-    return None, checks, ""
+        yield possibility_measure(pi), None, pi
+        yield necessity_measure(pi), None, pi
 
 
 @_law(
     "named-capacities-valid",
+    _named_capacities,
+    tag="named-capacities",
     description=(
         "unanimity games (all focal sets) and possibility/necessity "
         "measures satisfy the capacity axioms"
     ),
 )
-def _named_capacities_valid(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    rng = _rng(config, "named-capacities")
-    checks = 0
-    for b_mask in subsets(config.n):
-        checks += 1
-        game = unanimity(config.n, b_mask, scale)
-        problems = capacity_problems(game.n, game.scale, game.table)
-        if problems:
-            return f"unanimity on {subset_text(b_mask)}: {problems[0]}", checks, ""
+def _named_capacities_valid(measure: SetFunction, b_mask, pi):
+    problems = capacity_problems(measure.n, measure.scale, measure.table)
+    if problems and pi is None:
+        return f"unanimity on {subset_text(b_mask)}: {problems[0]}"
+    if problems:
+        return f"pi={_show(pi)}: {problems[0]}"
+
+
+def _maxitive_families(config: VerifyConfig, rng: Random):
+    # (measure, the k it is k-maxitive for, its focal set or None, its
+    # distribution or None)
     for pi in _distributions(config, rng):
-        for measure in (possibility_measure(pi), necessity_measure(pi)):
-            checks += 1
-            problems = capacity_problems(measure.n, measure.scale, measure.table)
-            if problems:
-                return f"pi={_show(pi)}: {problems[0]}", checks, ""
-    return None, checks, ""
+        yield possibility_measure(pi), 1, None, pi
+    scale = levels_scale(config.levels)
+    for b_mask in range(1, 1 << config.n):
+        game = unanimity(config.n, b_mask, scale)
+        yield game, b_mask.bit_count(), b_mask, None
 
 
 @_law(
     "k-maxitive-families",
+    _maxitive_families,
+    tag="k-maxitive",
     description=(
         "possibility measures are 1-maxitive; a unanimity game is exactly "
         "|B|-maxitive"
     ),
 )
-def _k_maxitive_families(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    rng = _rng(config, "k-maxitive")
-    checks = 0
-    for pi in _distributions(config, rng):
-        checks += 1
-        if not is_k_maxitive(possibility_measure(pi), 1):
-            return f"possibility not 1-maxitive for pi={_show(pi)}", checks, ""
-    for b_mask in range(1, 1 << config.n):
-        size = b_mask.bit_count()
-        game = unanimity(config.n, b_mask, scale)
-        checks += 1
-        if not is_k_maxitive(game, size):
-            return f"unanimity on {subset_text(b_mask)} not {size}-maxitive", checks, ""
-        if size >= 2 and is_k_maxitive(game, size - 1):
-            return (
-                f"unanimity on {subset_text(b_mask)} wrongly {size - 1}-maxitive",
-                checks,
-                "",
-            )
-    return None, checks, ""
+def _k_maxitive_families(measure, k, b_mask, pi):
+    if pi is not None:
+        if not is_k_maxitive(measure, k):
+            return f"possibility not {k}-maxitive for pi={_show(pi)}"
+    elif not is_k_maxitive(measure, k):
+        return f"unanimity on {subset_text(b_mask)} not {k}-maxitive"
+    elif k >= 2 and is_k_maxitive(measure, k - 1):
+        return f"unanimity on {subset_text(b_mask)} wrongly {k - 1}-maxitive"
 
 
 # -- classical transform laws ------------------------------------------------
 
 
 def _random_rational_table(rng: Random, n: int) -> RealSetFunction:
-    from fractions import Fraction
-
     return RealSetFunction(
         n, tuple(Fraction(rng.randint(-24, 24), 12) for _ in range(1 << n))
     )
 
 
+def _rational_tables(config: VerifyConfig, rng: Random):
+    n = min(config.n, 4)
+    for _ in range(config.samples if not config.exhaustive else 200):
+        yield (_random_rational_table(rng, n),)
+
+
+def _rational_instances(config: VerifyConfig, rng: Random):
+    n = min(config.n, 4)
+    for _ in range(config.samples if not config.exhaustive else 200):
+        grades = _monotone_grades(rng, n, 12)
+        v = RealSetFunction(n, tuple(Fraction(g, 12) for g in grades))
+        yield v, [Fraction(rng.randint(-12, 12), 12) for _ in range(n)]
+
+
 @_law(
     "classical-roundtrip",
+    _rational_tables,
+    tag="classical-roundtrip",
     description="zeta of the alternating-sum transform is the identity",
 )
-def _classical_roundtrip(config: VerifyConfig):
-    rng = _rng(config, "classical-roundtrip")
-    n = min(config.n, 4)
-    checks = 0
-    for _ in range(config.samples if not config.exhaustive else 200):
-        v = _random_rational_table(rng, n)
-        checks += 1
-        if classical_zeta(classical_mobius(v)).table != v.table:
-            return f"roundtrip fails on {v.table}", checks, ""
-        if classical_mobius(classical_zeta(v)).table != v.table:
-            return f"reverse roundtrip fails on {v.table}", checks, ""
-    return None, checks, ""
+def _classical_roundtrip(v: RealSetFunction):
+    if classical_zeta(classical_mobius(v)).table != v.table:
+        return f"roundtrip fails on {v.table}"
+    if classical_mobius(classical_zeta(v)).table != v.table:
+        return f"reverse roundtrip fails on {v.table}"
 
 
 @_law(
     "classical-unanimity-indicator",
+    lambda config, rng: ((config.n, b) for b in range(1, 1 << config.n)),
     description=(
         "the classical transform of a unanimity game is the indicator of "
         "its focal set"
     ),
 )
-def _classical_unanimity(config: VerifyConfig):
-    from fractions import Fraction
-
-    checks = 0
-    for b_mask in range(1, 1 << config.n):
-        table = tuple(
-            Fraction(1) if mask and mask & b_mask == b_mask else Fraction(0)
-            for mask in subsets(config.n)
-        )
-        game = RealSetFunction(config.n, table)
-        transform = classical_mobius(game)
-        checks += 1
-        expected = tuple(
-            Fraction(1) if mask == b_mask else Fraction(0)
-            for mask in subsets(config.n)
-        )
-        if transform.table != expected:
-            return f"indicator fails for B={subset_text(b_mask)}", checks, ""
-    return None, checks, ""
+def _classical_unanimity(n: int, b_mask: int):
+    table = tuple(
+        Fraction(1) if mask and mask & b_mask == b_mask else Fraction(0)
+        for mask in subsets(n)
+    )
+    expected = tuple(
+        Fraction(1) if mask == b_mask else Fraction(0) for mask in subsets(n)
+    )
+    if classical_mobius(RealSetFunction(n, table)).table != expected:
+        return f"indicator fails for B={subset_text(b_mask)}"
 
 
 # -- ordinal transform laws ----------------------------------------------------
 
 
-@_law(
-    "interval-bounds-are-solutions",
-    description="both interval endpoints reproduce the capacity by folding",
-)
-def _interval_bounds(config: VerifyConfig):
-    rng = _rng(config, "interval-bounds")
-    checks = 0
+def _interval_bounds(config: VerifyConfig, rng: Random):
     for v in _capacities(config, rng):
         interval = ordinal_mobius_interval(v)
-        for member in (interval.lower, interval.upper):
-            checks += 1
-            if not is_solution(v, member, Rule.FLOOR):
-                return f"endpoint not a solution on {_table(v)}", checks, ""
-    return None, checks, ""
+        yield v, interval.lower
+        yield v, interval.upper
+
+
+@_law(
+    "interval-bounds-are-solutions",
+    _interval_bounds,
+    tag="interval-bounds",
+    description="both interval endpoints reproduce the capacity by folding",
+)
+def _interval_bounds_are_solutions(v: Capacity, member: SetFunction):
+    if not is_solution(v, member, Rule.FLOOR):
+        return f"endpoint not a solution on {_table(v)}"
 
 
 @lru_cache(maxsize=8)
@@ -999,23 +1025,17 @@ def _zeta_buckets(
 
 @_law(
     "interval-is-solution-set",
+    tag="interval-solution-set",
     description=(
         "the nonnegative solutions of the folding equation are exactly the "
         "grade tables between the interval bounds (independent brute force)"
     ),
 )
-def _interval_is_solution_set(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    rng = _rng(config, "interval-solution-set")
-    size = 1 << config.n
-    if (config.levels + 1) ** size > 2_000_000:
-        return (
-            None,
-            0,
-            "family too large for brute force; nothing checked",
-        )
+def _interval_is_solution_set(config: VerifyConfig, rng: Random):
+    # per distinct capacity: the solution count, each solution, the library
+    if (config.levels + 1) ** (1 << config.n) > 2_000_000:
+        return "family too large for brute force; nothing checked"
     buckets = _zeta_buckets(config.n, config.levels)
-    checks = 0
     seen: set[tuple[int, ...]] = set()
     for v in _capacities(config, rng):
         key = tuple(entry.signed for entry in v.table)
@@ -1029,110 +1049,101 @@ def _interval_is_solution_set(config: VerifyConfig):
         volume = 1
         for lo, hi in zip(lower, upper):
             volume *= hi - lo + 1
-        checks += 1
-        if len(solutions) != volume:
-            return (
-                f"{len(solutions)} solutions but box volume {volume} "
-                f"on {_table(v)}",
-                checks,
-                "",
-            )
+        yield (
+            f"{len(solutions)} solutions but box volume {volume} "
+            f"on {_table(v)}"
+            if len(solutions) != volume
+            else None
+        )
         for m in solutions:
-            checks += 1
-            if not all(lo <= g <= hi for g, lo, hi in zip(m, lower, upper)):
-                return f"solution {m} escapes the box on {_table(v)}", checks, ""
-        checks += 1
-        if not is_solution(v, interval.lower, Rule.FLOOR):
-            return f"library rejects the lower bound on {_table(v)}", checks, ""
-    return None, checks, f"{len(seen)} distinct capacities"
+            inside = all(lo <= g <= hi for g, lo, hi in zip(m, lower, upper))
+            yield None if inside else f"solution {m} escapes the box on {_table(v)}"
+        yield (
+            None
+            if is_solution(v, interval.lower, Rule.FLOOR)
+            else f"library rejects the lower bound on {_table(v)}"
+        )
+    return f"{len(seen)} distinct capacities"
+
+
+def _capacity_lowers(config: VerifyConfig, rng: Random):
+    for v in _capacities(config, rng):
+        yield v, ordinal_mobius_interval(v).lower
 
 
 @_law(
     "canonical-equals-lower",
+    _each_rule(_capacity_lowers, (Rule.FLOOR, Rule.ANGLE)),
+    tag="canonical-lower",
     description=(
         "the canonical transform of a capacity equals the interval lower "
         "bound, under both admissible rules"
     ),
 )
-def _canonical_equals_lower(config: VerifyConfig):
-    rng = _rng(config, "canonical-lower")
-    checks = 0
-    for v in _capacities(config, rng):
-        lower = ordinal_mobius_interval(v).lower
-        for rule in (Rule.FLOOR, Rule.ANGLE):
-            checks += 1
-            if canonical_ordinal_mobius(v, rule).table != lower.table:
-                return f"{rule} canonical != lower on {_table(v)}", checks, ""
-    return None, checks, ""
+def _canonical_equals_lower(v: Capacity, lower: SetFunction, rule: Rule):
+    if canonical_ordinal_mobius(v, rule).table != lower.table:
+        return f"{rule} canonical != lower on {_table(v)}"
 
 
 @_law(
     "even-odd-equals-lower",
+    _each_capacity,
+    tag="even-odd",
     description=(
         "the alternating-parity transform equals the interval lower bound "
         "on capacities"
     ),
 )
-def _even_odd_equals_lower(config: VerifyConfig):
-    rng = _rng(config, "even-odd")
-    checks = 0
-    for v in _capacities(config, rng):
-        checks += 1
-        if even_odd_mobius(v).table != ordinal_mobius_interval(v).lower.table:
-            return f"parity form != lower on {_table(v)}", checks, ""
-    return None, checks, ""
+def _even_odd_equals_lower(v: Capacity):
+    if even_odd_mobius(v).table != ordinal_mobius_interval(v).lower.table:
+        return f"parity form != lower on {_table(v)}"
+
+
+def _member_subsets(conjugated: bool) -> Family:
+    """Every subset under every interval member of each capacity (of its
+    conjugate, if ``conjugated``); the note says when the cap bit."""
+
+    def family(config: VerifyConfig, rng: Random):
+        stream, note = _capped_capacities(config, rng)
+        for v in stream:
+            interval = ordinal_mobius_interval(conjugate(v) if conjugated else v)
+            for member in _members(config, interval, rng):
+                for mask in subsets(v.n):
+                    yield v, member, mask
+        return note
+
+    return family
 
 
 @_law(
     "reconstruction-exact",
+    _member_subsets(conjugated=False),
+    tag="reconstruction",
     description=(
         "weighting unanimity games by any interval member rebuilds the "
         "capacity exactly"
     ),
 )
-def _reconstruction_exact(config: VerifyConfig):
-    rng = _rng(config, "reconstruction")
-    stream, note = _capped_capacities(config, rng)
-    checks = 0
-    for v in stream:
-        interval = ordinal_mobius_interval(v)
-        for member in _members(config, interval, rng):
-            for mask in subsets(v.n):
-                checks += 1
-                if reconstruct(member, mask) != v(mask):
-                    return (
-                        f"reconstruction fails at {subset_text(mask)} "
-                        f"on {_table(v)}",
-                        checks,
-                        "",
-                    )
-    return None, checks, note
+def _reconstruction_exact(v: Capacity, member: SetFunction, mask: int):
+    if reconstruct(member, mask) != v(mask):
+        return f"reconstruction fails at {subset_text(mask)} on {_table(v)}"
 
 
 @_law(
     "conjugate-reconstruction",
+    _member_subsets(conjugated=True),
+    tag="conjugate-reconstruction",
     description=(
         "negating the join of a conjugate transform over the subsets "
         "disjoint from A rebuilds v(A)"
     ),
 )
-def _conjugate_reconstruction(config: VerifyConfig):
-    rng = _rng(config, "conjugate-reconstruction")
-    stream, note = _capped_capacities(config, rng)
-    checks = 0
-    for v in stream:
-        interval = ordinal_mobius_interval(conjugate(v))
-        for member in _members(config, interval, rng):
-            for mask in subsets(v.n):
-                checks += 1
-                if reconstruct_from_conjugate(member, mask) != v(mask):
-                    return (
-                        f"conjugate reconstruction fails at "
-                        f"{subset_text(mask)} on {_table(v)}",
-                        checks,
-                        "",
-                    )
-    return None, checks, note
+def _conjugate_reconstruction(v: Capacity, member: SetFunction, mask: int):
+    if reconstruct_from_conjugate(member, mask) != v(mask):
+        return (
+            f"conjugate reconstruction fails at "
+            f"{subset_text(mask)} on {_table(v)}"
+        )
 
 
 @_law(
@@ -1142,79 +1153,73 @@ def _conjugate_reconstruction(config: VerifyConfig):
         "two-player witness"
     ),
 )
-def _mobius_not_linear(config: VerifyConfig):
+def _mobius_not_linear(config: VerifyConfig, rng: Random | None):
     scale = levels_scale(config.levels)
     g1 = unanimity(2, 0b11, scale)
     g2 = Capacity(
         2, scale, (scale.zero, scale.one, scale.one, scale.one)
     )
     joined = g1.pointwise_sym_max(g2)
-    checks = 1
-    if joined.table != g2.table:
-        return "expected g1 join g2 = g2", checks, ""
+    yield None if joined.table == g2.table else "expected g1 join g2 = g2"
     lower1 = ordinal_mobius_interval(g1).lower
     lower2 = ordinal_mobius_interval(g2).lower
     joined_lower = ordinal_mobius_interval(
         Capacity(2, scale, joined.table)
     ).lower
     mixed = lower1.pointwise_sym_max(lower2)
-    checks += 1
-    if mixed.table == joined_lower.table:
-        return "transform unexpectedly linear on the witness", checks, ""
-    return None, checks, "non-linearity exhibited on the two-player witness"
+    yield (
+        "transform unexpectedly linear on the witness"
+        if mixed.table == joined_lower.table
+        else None
+    )
+    return "non-linearity exhibited on the two-player witness"
 
 
 @_law(
     "possibility-mobius-singletons",
+    _each_distribution,
+    tag="possibility-mobius",
     description=(
         "the closed-form transform of a possibility measure sits on "
         "singletons, equals the interval lower bound, and solves the fold "
         "equation"
     ),
 )
-def _possibility_mobius(config: VerifyConfig):
-    rng = _rng(config, "possibility-mobius")
-    checks = 0
-    for pi in _distributions(config, rng):
-        measure = possibility_measure(pi)
-        closed = mobius_possibility(pi)
-        checks += 1
-        if closed.table != ordinal_mobius_interval(measure).lower.table:
-            return f"closed form != lower for pi={_show(pi)}", checks, ""
-        if not is_solution(measure, closed, Rule.FLOOR):
-            return f"closed form not a solution for pi={_show(pi)}", checks, ""
-        for mask in subsets(measure.n):
-            if mask.bit_count() != 1 and closed(mask).sign != 0:
-                return f"support off singletons for pi={_show(pi)}", checks, ""
-    return None, checks, ""
+def _possibility_mobius(pi: tuple[ScaleValue, ...]):
+    measure = possibility_measure(pi)
+    closed = mobius_possibility(pi)
+    if closed.table != ordinal_mobius_interval(measure).lower.table:
+        return f"closed form != lower for pi={_show(pi)}"
+    if not is_solution(measure, closed, Rule.FLOOR):
+        return f"closed form not a solution for pi={_show(pi)}"
+    for mask in subsets(measure.n):
+        if mask.bit_count() != 1 and closed(mask).sign != 0:
+            return f"support off singletons for pi={_show(pi)}"
 
 
 @_law(
     "necessity-mobius-tails",
+    _each_distribution,
+    tag="necessity-mobius",
     description=(
         "the closed-form transform of a necessity measure sits on a nested "
         "chain of tails, equals the interval lower bound, and solves the "
         "fold equation"
     ),
 )
-def _necessity_mobius(config: VerifyConfig):
-    rng = _rng(config, "necessity-mobius")
-    checks = 0
-    for pi in _distributions(config, rng):
-        measure = necessity_measure(pi)
-        closed = mobius_necessity(pi)
-        checks += 1
-        if closed.table != ordinal_mobius_interval(measure).lower.table:
-            return f"closed form != lower for pi={_show(pi)}", checks, ""
-        if not is_solution(measure, closed, Rule.FLOOR):
-            return f"closed form not a solution for pi={_show(pi)}", checks, ""
-        support = [
-            mask for mask in subsets(measure.n) if closed(mask).sign != 0
-        ]
-        for a, b in itertools.combinations(support, 2):
-            if a & b != a and a & b != b:
-                return f"support not a chain for pi={_show(pi)}", checks, ""
-    return None, checks, ""
+def _necessity_mobius(pi: tuple[ScaleValue, ...]):
+    measure = necessity_measure(pi)
+    closed = mobius_necessity(pi)
+    if closed.table != ordinal_mobius_interval(measure).lower.table:
+        return f"closed form != lower for pi={_show(pi)}"
+    if not is_solution(measure, closed, Rule.FLOOR):
+        return f"closed form not a solution for pi={_show(pi)}"
+    support = [
+        mask for mask in subsets(measure.n) if closed(mask).sign != 0
+    ]
+    for a, b in itertools.combinations(support, 2):
+        if a & b != a and a & b != b:
+            return f"support not a chain for pi={_show(pi)}"
 
 
 # -- integral laws -------------------------------------------------------------
@@ -1222,201 +1227,151 @@ def _necessity_mobius(config: VerifyConfig):
 
 @_law(
     "choquet-forms-agree",
+    _rational_instances,
+    tag="choquet-forms",
     description=(
         "transform form = layer form for the plain integral; transform "
         "form = conjugate split on signed profiles; symmetric transform "
         "form = split form = one-pass form"
     ),
 )
-def _choquet_forms(config: VerifyConfig):
-    from fractions import Fraction
-
-    rng = _rng(config, "choquet-forms")
-    n = min(config.n, 4)
-    count = config.samples if not config.exhaustive else 200
-    checks = 0
-    for _ in range(count):
-        v = _random_rational_capacity(rng, n)
-        m = classical_mobius(v)
-        signed = [Fraction(rng.randint(-12, 12), 12) for _ in range(n)]
-        nonneg = [abs(x) for x in signed]
-        checks += 1
-        if choquet_mobius(m, nonneg) != choquet(v, nonneg):
-            return f"transform != layer form on {v.table}, f={nonneg}", checks, ""
-        if choquet_mobius(m, signed) != choquet_asymmetric(v, signed):
-            return f"transform != asymmetric on {v.table}, f={signed}", checks, ""
-        symmetric = choquet_symmetric(v, signed)
-        if sipos_mobius(m, signed) != symmetric:
-            return f"transform != split form on {v.table}, f={signed}", checks, ""
-        if choquet_symmetric_explicit(v, signed) != symmetric:
-            return f"one-pass != split form on {v.table}, f={signed}", checks, ""
-    return None, checks, ""
-
-
-def _random_rational_capacity(rng: Random, n: int) -> RealSetFunction:
-    from fractions import Fraction
-
-    size = 1 << n
-    grades = [0] * size
-    for mask in range(1, size):
-        grades[mask] = rng.randint(0, 12)
-    for mask in sorted(range(size), key=lambda m: m.bit_count()):
-        for c in covers_of(mask):
-            if grades[c] > grades[mask]:
-                grades[mask] = grades[c]
-    grades[size - 1] = 12
-    return RealSetFunction(n, tuple(Fraction(g, 12) for g in grades))
+def _choquet_forms(v: RealSetFunction, signed: list[Fraction]):
+    m = classical_mobius(v)
+    nonneg = [abs(x) for x in signed]
+    if choquet_mobius(m, nonneg) != choquet(v, nonneg):
+        return f"transform != layer form on {v.table}, f={nonneg}"
+    if choquet_mobius(m, signed) != choquet_asymmetric(v, signed):
+        return f"transform != asymmetric on {v.table}, f={signed}"
+    symmetric = choquet_symmetric(v, signed)
+    if sipos_mobius(m, signed) != symmetric:
+        return f"transform != split form on {v.table}, f={signed}"
+    if choquet_symmetric_explicit(v, signed) != symmetric:
+        return f"one-pass != split form on {v.table}, f={signed}"
 
 
 @_law(
     "choquet-conjugation-symmetry",
+    _rational_instances,
+    tag="choquet-conjugation",
     description=(
         "reflecting the profile negates the asymmetric integral against the "
         "conjugate and negates the symmetric integral in place"
     ),
 )
-def _choquet_conjugation(config: VerifyConfig):
-    from fractions import Fraction
+def _choquet_conjugation(v: RealSetFunction, f: list[Fraction]):
+    neg = [-x for x in f]
+    if choquet_asymmetric(v, neg) != -choquet_asymmetric(real_conjugate(v), f):
+        return f"conjugation fails on {v.table}, f={f}"
+    if choquet_symmetric(v, neg) != -choquet_symmetric(v, f):
+        return f"symmetry fails on {v.table}, f={f}"
 
-    rng = _rng(config, "choquet-conjugation")
-    n = min(config.n, 4)
-    count = config.samples if not config.exhaustive else 200
-    checks = 0
-    for _ in range(count):
-        v = _random_rational_capacity(rng, n)
-        f = [Fraction(rng.randint(-12, 12), 12) for _ in range(n)]
-        neg = [-x for x in f]
-        checks += 1
-        if choquet_asymmetric(v, neg) != -choquet_asymmetric(real_conjugate(v), f):
-            return f"conjugation fails on {v.table}, f={f}", checks, ""
-        if choquet_symmetric(v, neg) != -choquet_symmetric(v, f):
-            return f"symmetry fails on {v.table}, f={f}", checks, ""
-    return None, checks, ""
+
+def _representatives(config: VerifyConfig, rng: Random):
+    for v, f in _instances(config, rng, signed=False):
+        reference = sugeno(v, f)
+        for member in _members(config, ordinal_mobius_interval(v), rng):
+            yield v, f, reference, member
 
 
 @_law(
     "sugeno-mobius-representative-free",
+    _representatives,
+    tag="sugeno-representative",
     description=(
         "the transform form of the plain integral is the same for every "
         "interval member and equals the rank form"
     ),
 )
-def _sugeno_representative_free(config: VerifyConfig):
-    rng = _rng(config, "sugeno-representative")
-    scale = levels_scale(config.levels)
-    checks = 0
-    for v, f in _instances(config, rng, signed=False):
-        reference = sugeno(v, f)
-        interval = ordinal_mobius_interval(v)
-        for member in _members(config, interval, rng):
-            checks += 1
-            if sugeno_mobius(member, f) != reference:
-                return (
-                    f"transform form differs on {_table(v)}, f={_show(f.scores)}",
-                    checks,
-                    "",
-                )
-    return None, checks, ""
+def _sugeno_representative_free(v, f, reference, member):
+    if sugeno_mobius(member, f) != reference:
+        return f"transform form differs on {_at(v, f)}"
 
 
 @_law(
     "symmetric-sugeno-forms-agree",
+    tag="symmetric-forms",
     description=(
         "split definition = one-pass form = three-block transform form, "
         "for every interval member"
     ),
 )
-def _symmetric_forms_agree(config: VerifyConfig):
-    rng = _rng(config, "symmetric-forms")
-    checks = 0
+def _symmetric_forms_agree(config: VerifyConfig, rng: Random):
+    # per instance: the one-pass form, then each interval member
     for v, f in _instances(config, rng, signed=True):
         reference = sugeno_symmetric(v, f)
-        checks += 1
-        if sugeno_symmetric_explicit(v, f) != reference:
-            return (
-                f"one-pass form differs on {_table(v)}, f={_show(f.scores)}",
-                checks,
-                "",
+        yield (
+            None
+            if sugeno_symmetric_explicit(v, f) == reference
+            else f"one-pass form differs on {_at(v, f)}"
+        )
+        for member in _members(config, ordinal_mobius_interval(v), rng):
+            yield (
+                None
+                if sugeno_symmetric_mobius(member, f) == reference
+                else f"three-block form differs on {_at(v, f)}"
             )
-        interval = ordinal_mobius_interval(v)
-        for member in _members(config, interval, rng):
-            checks += 1
-            if sugeno_symmetric_mobius(member, f) != reference:
-                return (
-                    f"three-block form differs on {_table(v)}, "
-                    f"f={_show(f.scores)}",
-                    checks,
-                    "",
-                )
-    return None, checks, ""
 
 
 @_law(
     "mixed-block-vanishes",
+    _each_instance(signed=True),
+    tag="mixed-block",
     description=(
         "the cross-sign block of the three-block transform form is "
         "identically zero"
     ),
 )
-def _mixed_block_vanishes(config: VerifyConfig):
-    rng = _rng(config, "mixed-block")
-    checks = 0
-    for v, f in _instances(config, rng, signed=True):
-        member = ordinal_mobius_interval(v).upper
-        checks += 1
-        if symmetric_mobius_blocks(member, f)[2].sign != 0:
-            return f"mixed block nonzero on {_table(v)}, f={_show(f.scores)}", checks, ""
-    return None, checks, ""
+def _mixed_block_vanishes(v: Capacity, f: Profile):
+    member = ordinal_mobius_interval(v).upper
+    if symmetric_mobius_blocks(member, f)[2].sign != 0:
+        return f"mixed block nonzero on {_at(v, f)}"
+
+
+def _first_difference(verb: str, v: Capacity, f: Profile, clauses) -> str | None:
+    for label, left, right in clauses:
+        if left != right:
+            return f"{label} {verb} on {_at(v, f)}"
+    return None
 
 
 @_law(
     "variants-collapse-on-nonneg",
+    _each_instance(signed=False),
+    tag="variants-collapse",
     description=(
         "on nonnegative profiles the symmetric integral and all three "
         "variants reduce to the plain integral"
     ),
 )
-def _variants_collapse(config: VerifyConfig):
-    rng = _rng(config, "variants-collapse")
-    checks = 0
-    for v, f in _instances(config, rng, signed=False):
-        reference = sugeno(v, f)
-        lower = ordinal_mobius_interval(v).lower
-        checks += 1
-        if sugeno_symmetric(v, f) != reference:
-            return f"split form differs on {_table(v)}, f={_show(f.scores)}", checks, ""
-        if sugeno_variant1(lower, f) != reference:
-            return f"variant 1 differs on {_table(v)}, f={_show(f.scores)}", checks, ""
-        if sugeno_variant2(v, f) != reference:
-            return f"variant 2 differs on {_table(v)}, f={_show(f.scores)}", checks, ""
-        if sugeno_variant3(v, f) != reference:
-            return f"variant 3 differs on {_table(v)}, f={_show(f.scores)}", checks, ""
-    return None, checks, ""
+def _variants_collapse(v: Capacity, f: Profile):
+    reference = sugeno(v, f)
+    lower = ordinal_mobius_interval(v).lower
+    return _first_difference("differs", v, f, (
+        ("split form", sugeno_symmetric(v, f), reference),
+        ("variant 1", sugeno_variant1(lower, f), reference),
+        ("variant 2", sugeno_variant2(v, f), reference),
+        ("variant 3", sugeno_variant3(v, f), reference),
+    ))
 
 
 @_law(
     "integral-symmetry",
+    _each_instance(signed=True),
+    tag="integral-symmetry",
     description=(
         "reflecting the profile negates the symmetric integral and each of "
         "the three variants"
     ),
 )
-def _integral_symmetry(config: VerifyConfig):
-    rng = _rng(config, "integral-symmetry")
-    checks = 0
-    for v, f in _instances(config, rng, signed=True):
-        neg = -f
-        lower = ordinal_mobius_interval(v).lower
-        checks += 1
-        if sugeno_symmetric(v, neg) != -sugeno_symmetric(v, f):
-            return f"split form asymmetric on {_table(v)}, f={_show(f.scores)}", checks, ""
-        if sugeno_variant1(lower, neg) != -sugeno_variant1(lower, f):
-            return f"variant 1 asymmetric on {_table(v)}, f={_show(f.scores)}", checks, ""
-        if sugeno_variant2(v, neg) != -sugeno_variant2(v, f):
-            return f"variant 2 asymmetric on {_table(v)}, f={_show(f.scores)}", checks, ""
-        if sugeno_variant3(v, neg) != -sugeno_variant3(v, f):
-            return f"variant 3 asymmetric on {_table(v)}, f={_show(f.scores)}", checks, ""
-    return None, checks, ""
+def _integral_symmetry(v: Capacity, f: Profile):
+    neg = -f
+    lower = ordinal_mobius_interval(v).lower
+    return _first_difference("asymmetric", v, f, (
+        ("split form", sugeno_symmetric(v, neg), -sugeno_symmetric(v, f)),
+        ("variant 1", sugeno_variant1(lower, neg), -sugeno_variant1(lower, f)),
+        ("variant 2", sugeno_variant2(v, neg), -sugeno_variant2(v, f)),
+        ("variant 3", sugeno_variant3(v, neg), -sugeno_variant3(v, f)),
+    ))
 
 
 def _profile_bumps(f: Profile) -> Iterator[Profile]:
@@ -1429,66 +1384,55 @@ def _profile_bumps(f: Profile) -> Iterator[Profile]:
             yield Profile(f.scale, tuple(scores))
 
 
+def _bumped_instances(config: VerifyConfig, rng: Random):
+    for v, f in _instances(config, rng, signed=True):
+        base_split = sugeno_symmetric(v, f)
+        base_v3 = sugeno_variant3(v, f)
+        for bumped in _profile_bumps(f):
+            yield v, f, base_split, base_v3, bumped
+
+
 @_law(
     "sugeno-symmetric-monotone",
+    _bumped_instances,
+    tag="sugeno-monotone",
     description=(
         "the symmetric integral and variant 3 never decrease when one "
         "score rises one grade"
     ),
 )
-def _sugeno_monotone(config: VerifyConfig):
-    rng = _rng(config, "sugeno-monotone")
-    checks = 0
-    for v, f in _instances(config, rng, signed=True):
-        base_split = sugeno_symmetric(v, f)
-        base_v3 = sugeno_variant3(v, f)
-        for bumped in _profile_bumps(f):
-            checks += 1
-            if sugeno_symmetric(v, bumped) < base_split:
-                return (
-                    f"split form decreases on {_table(v)}, "
-                    f"f={_show(f.scores)} -> {_show(bumped.scores)}",
-                    checks,
-                    "",
-                )
-            if sugeno_variant3(v, bumped) < base_v3:
-                return (
-                    f"variant 3 decreases on {_table(v)}, "
-                    f"f={_show(f.scores)} -> {_show(bumped.scores)}",
-                    checks,
-                    "",
-                )
-    return None, checks, ""
+def _sugeno_monotone(v, f, base_split, base_v3, bumped):
+    if sugeno_symmetric(v, bumped) < base_split:
+        return f"split form decreases on {_at(v, f)} -> {_show(bumped.scores)}"
+    if sugeno_variant3(v, bumped) < base_v3:
+        return f"variant 3 decreases on {_at(v, f)} -> {_show(bumped.scores)}"
 
 
 @_law(
     "variant2-not-monotone",
+    _once,
     kind="violates",
     description=(
         "variant 2 is not monotone: pinned three-player witness where "
         "raising one score strictly lowers the value"
     ),
 )
-def _variant2_not_monotone(config: VerifyConfig):
+def _variant2_not_monotone():
     scale = levels_scale(3)
     one = scale.one
     v = Capacity(
         3, scale, tuple(scale.zero if m == 0 else one for m in subsets(3))
     )
-    low = Profile(scale, tuple(scale.value(g) for g in (-3, 2, 3)))
-    high = Profile(scale, tuple(scale.value(g) for g in (-3, 3, 3)))
-    checks = 1
+    low = Profile(scale, _grades(scale, -3, 2, 3))
+    high = Profile(scale, _grades(scale, -3, 3, 3))
     assert all(a <= b for a, b in zip(low.scores, high.scores))
     before = sugeno_variant2(v, low)
     after = sugeno_variant2(v, high)
     if before > after:
         return (
             f"variant 2 drops from {before} to {after} when "
-            f"{_show(low.scores)} rises to {_show(high.scores)}",
-            checks,
-            "",
+            f"{_show(low.scores)} rises to {_show(high.scores)}"
         )
-    return None, checks, ""
 
 
 def _rank_orders(f: Profile) -> Iterator[list[int]]:
@@ -1519,32 +1463,29 @@ def _rank_terms(v: Capacity, f: Profile, order: Sequence[int]) -> list[ScaleValu
     return terms
 
 
+def _tie_rankings(config: VerifyConfig, rng: Random):
+    for v, f in _instances(config, rng, signed=True):
+        reference = sugeno_symmetric(v, f)
+        for order in itertools.islice(_rank_orders(f), 120):
+            yield v, f, reference, order
+
+
 @_law(
     "floor-tie-order-invariant",
+    _tie_rankings,
+    tag="floor-tie-order",
     description=(
         "the floor fold of the explicit-form terms equals the split "
         "symmetric integral under every ranking of tied scores"
     ),
 )
-def _floor_tie_order_invariant(config: VerifyConfig):
-    rng = _rng(config, "floor-tie-order")
-    checks = 0
-    for v, f in _instances(config, rng, signed=True):
-        reference = sugeno_symmetric(v, f)
-        for order in itertools.islice(_rank_orders(f), 120):
-            checks += 1
-            folded = fold_sym_max(
-                _rank_terms(v, f, order), Rule.FLOOR, scale=v.scale
-            )
-            if folded != reference:
-                return (
-                    f"ranking {[i + 1 for i in order]} gives {folded} "
-                    f"instead of {reference} on {_table(v)}, "
-                    f"f={_show(f.scores)}",
-                    checks,
-                    "",
-                )
-    return None, checks, ""
+def _floor_tie_order_invariant(v, f, reference, order):
+    folded = fold_sym_max(_rank_terms(v, f, order), Rule.FLOOR, scale=v.scale)
+    if folded != reference:
+        return (
+            f"ranking {[i + 1 for i in order]} gives {folded} "
+            f"instead of {reference} on {_at(v, f)}"
+        )
 
 
 @_law(
@@ -1557,34 +1498,31 @@ def _floor_tie_order_invariant(config: VerifyConfig):
         "by the variants)"
     ),
 )
-def _rank_fold_tie_sensitive(config: VerifyConfig):
+def _rank_fold_tie_sensitive(config: VerifyConfig, rng: Random | None):
+    # one claim per ranking; it is exhibited once both folds took two values
     scale = levels_scale(2)
-    v = Capacity(
-        3, scale, tuple(scale.value(g) for g in (0, 1, 0, 2, 2, 2, 2, 2))
-    )
-    f = Profile(scale, tuple(scale.value(g) for g in (-2, -2, 2)))
-    checks = 0
+    v = Capacity(3, scale, _grades(scale, 0, 1, 0, 2, 2, 2, 2, 2))
+    f = Profile(scale, _grades(scale, -2, -2, 2))
     angles = set()
     ceils = set()
     for order in _rank_orders(f):
-        checks += 1
         terms = _rank_terms(v, f, order)
         angles.add(fold_sym_max(terms, Rule.ANGLE, scale=scale))
         ceils.add(fold_sym_max(terms, Rule.CEIL, scale=scale))
-    if len(angles) > 1 and len(ceils) > 1:
-        shown_angle = ", ".join(sorted(str(x) for x in angles))
-        shown_ceil = ", ".join(sorted(str(x) for x in ceils))
-        return (
-            f"rankings of f={_show(f.scores)} on {_table(v)} give angle "
-            f"values {{{shown_angle}}} and ceil values {{{shown_ceil}}}",
-            checks,
-            "",
-        )
-    return None, checks, ""
+        if len(angles) > 1 and len(ceils) > 1:
+            shown_angle = ", ".join(sorted(str(x) for x in angles))
+            shown_ceil = ", ".join(sorted(str(x) for x in ceils))
+            yield (
+                f"rankings of f={_show(f.scores)} on {_table(v)} give angle "
+                f"values {{{shown_angle}}} and ceil values {{{shown_ceil}}}"
+            )
+        else:
+            yield None
 
 
 @_law(
     "rank-ceil-not-monotone",
+    _once,
     kind="violates",
     description=(
         "folding the explicit-form terms under the ceil rule is not "
@@ -1592,70 +1530,52 @@ def _rank_fold_tie_sensitive(config: VerifyConfig):
         "witness (this is why variant 3 folds threshold terms instead)"
     ),
 )
-def _rank_ceil_not_monotone(config: VerifyConfig):
+def _rank_ceil_not_monotone():
     scale = levels_scale(3)
-    v = Capacity(
-        3, scale, tuple(scale.value(g) for g in (0, 0, 1, 3, 1, 1, 1, 3))
-    )
-    low = Profile(scale, tuple(scale.value(g) for g in (-3, 1, -2)))
-    high = Profile(scale, tuple(scale.value(g) for g in (-1, 1, -2)))
+    v = Capacity(3, scale, _grades(scale, 0, 0, 1, 3, 1, 1, 1, 3))
+    low = Profile(scale, _grades(scale, -3, 1, -2))
+    high = Profile(scale, _grades(scale, -1, 1, -2))
     assert all(a <= b for a, b in zip(low.scores, high.scores))
-    checks = 1
     before = fold_sym_max(ranked_terms(v, low)[2], Rule.CEIL, scale=scale)
     after = fold_sym_max(ranked_terms(v, high)[2], Rule.CEIL, scale=scale)
     if before > after:
         return (
             f"the ceil fold drops from {before} to {after} when "
-            f"{_show(low.scores)} rises to {_show(high.scores)}",
-            checks,
-            "",
+            f"{_show(low.scores)} rises to {_show(high.scores)}"
         )
-    return None, checks, ""
+
+
+def _sensitivity_search(config: VerifyConfig, rng: Random):
+    scale = levels_scale(config.levels)
+    for v in iter_capacities(2, scale):
+        for f in iter_profiles(2, scale, signed=True):
+            yield v, f
+    for _ in range(max(config.samples, 200)):
+        v = sample_capacity(rng, 3, scale)
+        yield v, sample_profile(rng, 3, scale, signed=True)
 
 
 @_law(
     "variant1-representative-sensitivity",
+    _sensitivity_search,
     kind="report",
+    tag="variant1-sensitivity",
+    missing="no representative dependence found on the searched families",
     description=(
         "whether variant 1 depends on the interval representative: "
         "deterministic search over two-player (exhaustive) and sampled "
         "three-player instances"
     ),
 )
-def _variant1_sensitivity(config: VerifyConfig):
-    scale = levels_scale(config.levels)
-    rng = _rng(config, "variant1-sensitivity")
-    checks = 0
-
-    def probe(v: Capacity, f: Profile) -> str | None:
-        interval = ordinal_mobius_interval(v)
-        low = sugeno_variant1(interval.lower, f)
-        high = sugeno_variant1(interval.upper, f)
-        if low != high:
-            return (
-                f"representative-dependent: capacity {_table(v)}, "
-                f"f={_show(f.scores)}: lower gives {low}, upper gives {high}"
-            )
-        return None
-
-    for v in iter_capacities(2, scale):
-        for f in iter_profiles(2, scale, signed=True):
-            checks += 1
-            found = probe(v, f)
-            if found:
-                return found, checks, ""
-    for _ in range(max(config.samples, 200)):
-        v = sample_capacity(rng, 3, scale)
-        f = sample_profile(rng, 3, scale, signed=True)
-        checks += 1
-        found = probe(v, f)
-        if found:
-            return found, checks, ""
-    return (
-        "no representative dependence found on the searched families",
-        checks,
-        "",
-    )
+def _variant1_sensitivity(v: Capacity, f: Profile):
+    interval = ordinal_mobius_interval(v)
+    low = sugeno_variant1(interval.lower, f)
+    high = sugeno_variant1(interval.upper, f)
+    if low != high:
+        return (
+            f"representative-dependent: capacity {_table(v)}, "
+            f"f={_show(f.scores)}: lower gives {low}, upper gives {high}"
+        )
 
 
 @_law(
@@ -1665,49 +1585,42 @@ def _variant1_sensitivity(config: VerifyConfig):
         "values exactly"
     ),
 )
-def _worked_example_goldens(config: VerifyConfig):
-    from fractions import Fraction
-
+def _worked_example_goldens(config: VerifyConfig, rng: Random | None):
     v, f = worked_example()
     scale = v.scale
-    checks = 0
-    expectations = []
     interval = ordinal_mobius_interval(v)
-    expectations.append(
-        ("plain integral of gains", sugeno(v, f.positive_part()), Fraction(3, 10))
-    )
-    expectations.append(
-        ("plain integral of losses", sugeno(v, f.negative_part()), Fraction(3, 10))
-    )
-    expectations.append(("symmetric integral", sugeno_symmetric(v, f), Fraction(0)))
-    expectations.append(
-        ("variant 1", sugeno_variant1(interval.lower, f), Fraction(1, 4))
-    )
-    expectations.append(("variant 2", sugeno_variant2(v, f), Fraction(1, 5)))
-    # the threshold terms are (-0.3, 0.3, 0.3); ceil cancels one pair
-    expectations.append(("variant 3", sugeno_variant3(v, f), Fraction(3, 10)))
+    expectations = [
+        ("plain integral of gains", sugeno(v, f.positive_part()), Fraction(3, 10)),
+        ("plain integral of losses", sugeno(v, f.negative_part()), Fraction(3, 10)),
+        ("symmetric integral", sugeno_symmetric(v, f), Fraction(0)),
+        ("variant 1", sugeno_variant1(interval.lower, f), Fraction(1, 4)),
+        ("variant 2", sugeno_variant2(v, f), Fraction(1, 5)),
+        # the threshold terms are (-0.3, 0.3, 0.3); ceil cancels one pair
+        ("variant 3", sugeno_variant3(v, f), Fraction(3, 10)),
+    ]
     for name, got, expected in expectations:
-        checks += 1
-        if got.signed != expected:
-            return f"{name}: got {got}, expected {expected}", checks, ""
-    checks += 1
-    thresholds = tuple(t.signed for t in variant3_terms(v, f))
-    if thresholds != (Fraction(-3, 10), Fraction(3, 10), Fraction(3, 10)):
-        return (
-            f"threshold terms {_show(variant3_terms(v, f))}",
-            checks,
-            "",
+        yield (
+            None
+            if got.signed == expected
+            else f"{name}: got {got}, expected {expected}"
         )
+    thresholds = tuple(t.signed for t in variant3_terms(v, f))
+    yield (
+        None
+        if thresholds == (Fraction(-3, 10), Fraction(3, 10), Fraction(3, 10))
+        else f"threshold terms {_show(variant3_terms(v, f))}"
+    )
     tie = 0b101  # {1,3}
     for mask in subsets(3):
-        checks += 1
         lo, hi = interval.lower(mask), interval.upper(mask)
         if mask == tie:
-            if lo != scale.zero or hi.signed != Fraction(3, 10):
-                return f"interval at {subset_text(mask)} is [{lo}, {hi}]", checks, ""
-        elif lo != hi:
-            return f"interval not degenerate at {subset_text(mask)}", checks, ""
-    return None, checks, ""
+            yield (
+                f"interval at {subset_text(mask)} is [{lo}, {hi}]"
+                if lo != scale.zero or hi.signed != Fraction(3, 10)
+                else None
+            )
+        else:
+            yield f"interval not degenerate at {subset_text(mask)}" if lo != hi else None
 
 
 # -- small formatting helpers ---------------------------------------------------
@@ -1722,3 +1635,7 @@ def _table(v: SetFunction) -> str:
         f"{subset_text(mask)}: {v(mask)}" for mask in subsets(v.n)
     )
     return "{" + entries + "}"
+
+
+def _at(v: SetFunction, f: Profile) -> str:
+    return f"{_table(v)}, f={_show(f.scores)}"

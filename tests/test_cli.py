@@ -67,11 +67,11 @@ def test_compute_is_deterministic(worked_file, capsys):
     first = run(capsys, "compute", "--input", str(worked_file), "--all")
     second = run(capsys, "compute", "--input", str(worked_file), "--all")
     assert first == second
-    # the reserved --rule flag must not change any defined output
+    # each defined output fixes its own fold rule; there is no --rule flag
     with_rule = run(
         capsys, "compute", "--input", str(worked_file), "--all", "--rule", "ceil"
     )
-    assert with_rule == first
+    assert with_rule[0] == 2
 
 
 def test_compute_only_respects_canonical_order(worked_file, capsys):
@@ -143,6 +143,13 @@ def test_malformed_documents_exit_1(tmp_path, capsys):
 
     code, _, err = run(capsys, "compute", "--input", str(tmp_path / "no.json"), "--all")
     assert code == 1 and "cannot read" in err
+
+    twice = '"{1}": "0.9", "{1}": "0.3"'
+    text = json.dumps(WORKED_DOCUMENT).replace('"{1}": "0.3"', twice)
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "compute", "--input", str(path), "--all")
+    assert code == 1
+    assert out == "" and "repeated key" in err
 
 
 def test_invalid_instances_exit_2(tmp_path, capsys):

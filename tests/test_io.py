@@ -10,7 +10,6 @@ from symsug import (
     OffScaleError,
     ParseError,
     Problem,
-    Rule,
     load_problem,
     read_problem,
 )
@@ -35,7 +34,6 @@ def test_documented_instance_round_trips(worked):
     assert problem.n == 3
     assert problem.capacity == v
     assert problem.profile == f
-    assert problem.options.rule is None
     assert problem.options.mobius is None
     assert problem.options.outputs is None
 
@@ -54,13 +52,13 @@ def test_levels_documents_accept_integer_grades():
 
 
 def test_options_parse_and_validate():
-    text = dumps(
-        options={"rule": "floor", "mobius": "lower", "outputs": ["v1", "sugeno_sym"]}
-    )
+    text = dumps(options={"mobius": "lower", "outputs": ["v1", "sugeno_sym"]})
     options = load_problem(text).options
-    assert options.rule is Rule.FLOOR
     assert options.mobius == "lower"
     assert options.outputs == ("v1", "sugeno_sym")
+    # each defined output fixes its own fold rule; there is no rule option
+    with pytest.raises(ParseError, match="unknown options: rule"):
+        load_problem(dumps(options={"rule": "floor", "mobius": "lower"}))
 
 
 def test_labelled_levels_scale():
@@ -115,6 +113,16 @@ def test_capacity_table_rejects_duplicates_and_garbage_keys():
     table["{1,4}"] = "0"
     with pytest.raises(ParseError, match="capacity key"):
         load_problem(dumps(capacity=table))
+
+
+def test_repeated_json_keys_are_parse_errors():
+    # json.loads alone keeps the last value of a repeated key
+    text = dumps().replace('"{1}": "0.3"', '"{1}": "0.9", "{1}": "0.3"')
+    with pytest.raises(ParseError, match=r"repeated key '\{1\}'"):
+        load_problem(text)
+    text = '{"scale": {"kind": "levels", "levels": 3}, ' + dumps()[1:]
+    with pytest.raises(ParseError, match="repeated key 'scale'"):
+        load_problem(text)
 
 
 def test_player_list_validation():
