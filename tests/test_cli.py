@@ -1,11 +1,17 @@
 """Command-line behavior: records, emission order, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 import pytest
 
+from symsug.capacity import full_set, subset_text
 from symsug.cli import main
 from conftest import WORKED_DOCUMENT
 
@@ -288,3 +294,166 @@ def test_console_script_matches_the_library_entry(worked_file, capsys):
     )
     assert completed.returncode == code == 0
     assert completed.stdout == out
+
+
+# -- compute/mobius golden records ---------------------------------------------------
+
+COMPUTE_GOLDEN_PATH = Path(__file__).parent / "golden" / "compute_records.jsonl"
+CORPUS_SIZE = 200
+LABEL_WORDS = ("none", "poor", "weak", "fair", "good", "strong", "great")
+UNIT_DENOMINATORS = (2, 3, 4, 5, 10, 12)
+
+# the output request of document i is REQUESTS[(i // 2) % 8]: extra flags
+# and extra options; --all wins over options.outputs, and `sugeno,choquet`
+# or `choquet_asym` is refused on signed profiles or levels scales
+REQUESTS = (
+    (["--all"], {}),
+    (["--only", "v1"], {}),
+    (["--only", "v3,sugeno_sym"], {}),
+    (["--only", "choquet_asym,v2"], {}),
+    ([], {"outputs": ["mobius_interval", "v3", "v1", "sugeno_sym"]}),
+    (["--all", "--mobius", "upper"], {}),
+    (["--all"], {"mobius": "upper", "outputs": ["v1"]}),
+    (["--only", "sugeno,choquet,v1"], {"mobius": "upper"}),
+)
+
+# one broken document in every 20, at i = 10, 30, ..., 190
+BROKEN = (
+    "json",
+    "float",
+    "missing",
+    "nonmonotone",
+    "offscale",
+    "label",
+    "repeated",
+    "players",
+    "option",
+    "repeated-output",
+)
+
+
+def _grade_text(rng, grade, scale):
+    """A grade in one of the spellings a problem file accepts."""
+    kind, top, labels = scale
+    if kind == "unit":
+        value = Fraction(grade, top)
+        if value.denominator == 1 and rng.random() < 0.3:
+            return int(value)
+        if 100 % top == 0 and rng.random() < 0.7:
+            hundredths = abs(grade) * (100 // top)
+            sign = "-" if grade < 0 else ""
+            return f"{sign}{hundredths // 100}.{hundredths % 100:02d}"
+        return f"{grade}/{top}"
+    if labels is not None:
+        return ("-" if grade < 0 else "") + labels[abs(grade)]
+    return grade if rng.random() < 0.6 else str(grade)
+
+
+def _monotone_grades(rng, n, top):
+    """v({}) = 0, v(N) = top, small sets drawn low; the closure over covers
+    makes ties."""
+    size = 1 << n
+    grades = [rng.randint(0, (top * mask.bit_count() + n - 1) // n) for mask in range(size)]
+    for mask in sorted(range(size), key=int.bit_count):
+        for i in range(n):
+            if mask >> i & 1:
+                grades[mask] = max(grades[mask], grades[mask ^ 1 << i])
+    grades[0], grades[size - 1] = 0, top
+    return grades
+
+
+def corpus_case(i):
+    """Document i of the compute corpus, its compute flags, and the name of
+    the defect planted in it (None for a well-formed request)."""
+    rng = Random(i)
+    n = 7 if i % 40 == 39 else 1 + i % 6
+    kind = ("unit", "levels", "labelled")[(i // 6) % 3]
+    if kind == "unit":
+        top = rng.choice(UNIT_DENOMINATORS)
+        scale, descriptor = ("unit", top, None), {"kind": "unit"}
+    else:
+        top = rng.randint(1, 6)
+        labels = list(LABEL_WORDS[: top + 1]) if kind == "labelled" else None
+        scale = ("levels", top, labels)
+        descriptor = {"kind": "levels", "levels": top}
+        if labels is not None:
+            descriptor["labels"] = labels
+    grades = _monotone_grades(rng, n, top)
+    capacity = {
+        subset_text(mask): _grade_text(rng, g, scale)
+        for mask, g in enumerate(grades)
+        if mask or rng.random() < 0.5
+    }
+    # a pool of two or three magnitudes forces ties and opposite pairs
+    pool = rng.sample(range(top + 1), min(top + 1, rng.choice((2, 3))))
+    signed = (i // 18) % 3 != 0
+    profile = [
+        g * rng.choice((-1, 1)) if signed else g
+        for g in (rng.choice(pool) for _ in range(n))
+    ]
+    flags, options = REQUESTS[(i // 2) % len(REQUESTS)]
+    document = {
+        "scale": descriptor,
+        "capacity": capacity,
+        "profile": [_grade_text(rng, g, scale) for g in profile],
+    }
+    if rng.random() < 0.3:
+        document["players"] = [f"p{j + 1}" for j in range(n)]
+    if options:
+        document["options"] = options
+    defect = BROKEN[i // 20] if i % 20 == 10 else None
+    flags = list(flags)
+    if defect == "float":
+        document["profile"][0] = 0.5
+    elif defect == "missing":
+        del document["capacity"][subset_text(full_set(n))]
+    elif defect == "nonmonotone":
+        document["capacity"][subset_text(1)] = _grade_text(rng, top, scale)
+        document["capacity"][subset_text(full_set(n))] = _grade_text(rng, 0, scale)
+    elif defect == "offscale":
+        document["profile"][-1] = str(top + 1) if kind != "unit" else "3/2"
+    elif defect == "label":
+        document["profile"][0] = "excellent"
+    elif defect == "players":
+        document["players"] = ["only"] * (n + 1)
+    elif defect == "option":
+        document["options"] = {"rule": "angle"}
+    elif defect == "repeated-output":
+        flags = ["--only", "v2,v2"]
+    text = json.dumps(document)
+    if defect == "json":
+        text = text[:-1]
+    elif defect == "repeated":
+        text = text.replace('"profile":', '"scale": {"kind": "unit"}, "profile":')
+    return text, flags, defect
+
+
+def compute_golden_text(tmp_path) -> str:
+    """Each corpus document's `compute` and then `mobius` output, each
+    after a header line with the flags, and followed by the exit code and
+    any stderr.  Regenerate (only when a record is meant to change) with::
+
+        PYTHONPATH=src:tests python -c "import pathlib, tempfile; \\
+            from test_cli import *; \\
+            COMPUTE_GOLDEN_PATH.write_text(compute_golden_text( \\
+                pathlib.Path(tempfile.mkdtemp())), encoding='utf-8')"
+    """
+    parts = []
+    for i in range(CORPUS_SIZE):
+        text, flags, _ = corpus_case(i)
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["compute", *flags], ["mobius"]):
+            parts.append(json.dumps({"doc": i, "argv": argv}) + "\n")
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([argv[0], "--input", str(path), *argv[1:]])
+            parts.append(out.getvalue())
+            parts.append(json.dumps({"exit": code, "stderr": err.getvalue()}) + "\n")
+    return "".join(parts)
+
+
+def test_compute_records_match_the_golden_file(tmp_path):
+    assert compute_golden_text(tmp_path) == COMPUTE_GOLDEN_PATH.read_text(
+        encoding="utf-8"
+    )
