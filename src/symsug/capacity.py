@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .scale import Number, ScaleError, ScaleValue, SymmetricScale, sym_max
+from .scale import ScaleError, ScaleValue, SymmetricScale, sym_max
 
 MAX_PLAYERS = 24  # dense tables; 2**24 entries is the supported ceiling
 

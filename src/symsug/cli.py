@@ -20,9 +20,6 @@ from .integrals import (
     choquet_symmetric,
     sugeno,
     sugeno_symmetric,
-    sugeno_variant1,
-    sugeno_variant2,
-    sugeno_variant3,
     ranked_terms,
     to_real_capacity,
     to_real_profile,
@@ -40,8 +37,8 @@ from .io import (
     set_function_record,
 )
 from .mobius import canonical_ordinal_mobius, ordinal_mobius_interval
-from .rules import Rule
-from .scale import ScaleError
+from .rules import Rule, fold_sym_max
+from .scale import ScaleError, ScaleValue
 from .verify import VerifyConfig, law_names, run_laws
 
 CHOQUET_FAMILY = ("choquet", "choquet_sym", "choquet_asym")
@@ -132,20 +129,18 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- compute ---------------------------------------------------------------
 
 
-def _applicable_outputs(problem: Problem) -> list[str]:
-    names = []
-    on_unit = problem.scale.kind == "unit"
-    nonnegative = problem.profile.is_nonnegative
-    for name in OUTPUT_NAMES:
-        if name in CHOQUET_FAMILY and not on_unit:
-            continue
-        if name in NONNEGATIVE_ONLY and not nonnegative:
-            continue
-        names.append(name)
-    return names
+def _inapplicable(name: str, problem: Problem) -> str | None:
+    """Why output ``name`` is not defined on the instance, or None."""
+    if name in CHOQUET_FAMILY and problem.scale.kind != "unit":
+        return f"{name} needs the unit scale"
+    if name in NONNEGATIVE_ONLY and not problem.profile.is_nonnegative:
+        return f"{name} needs a nonnegative profile"
+    return None
 
 
 def _requested_outputs(problem: Problem, args) -> list[str]:
+    if args.all:
+        return [name for name in OUTPUT_NAMES if not _inapplicable(name, problem)]
     if args.only is not None:
         requested = [name.strip() for name in args.only.split(",")]
         if not all(requested):
@@ -155,21 +150,16 @@ def _requested_outputs(problem: Problem, args) -> list[str]:
             raise ValueError(f"unknown output name: {unknown[0]!r}")
         if len(set(requested)) != len(requested):
             raise ValueError("--only repeats an output name")
-    elif args.all:
-        return _applicable_outputs(problem)
     elif problem.options.outputs is not None:
         requested = list(problem.options.outputs)
     else:
         raise ValueError(
             "pass --all or --only LIST (or set options.outputs in the file)"
         )
-    on_unit = problem.scale.kind == "unit"
-    nonnegative = problem.profile.is_nonnegative
     for name in requested:
-        if name in CHOQUET_FAMILY and not on_unit:
-            raise ScaleError(f"{name} needs the unit scale")
-        if name in NONNEGATIVE_ONLY and not nonnegative:
-            raise ValueError(f"{name} needs a nonnegative profile")
+        reason = _inapplicable(name, problem)
+        if reason:
+            raise ValueError(reason)
     # canonical emission order, independent of request order
     return [name for name in OUTPUT_NAMES if name in requested]
 
@@ -178,57 +168,58 @@ def _cmd_compute(args) -> int:
     problem = read_problem(args.input)
     names = _requested_outputs(problem, args)
     representative = args.mobius or problem.options.mobius or "lower"
-
     v, f = problem.capacity, problem.profile
-    interval = ordinal_mobius_interval(v)
-    member = interval.lower if representative == "lower" else interval.upper
 
-    outputs: dict[str, object] = {}
+    order, split, ranked = ranked_terms(v, f)
+    if "v1" in names or "mobius_interval" in names:
+        interval = ordinal_mobius_interval(v)
+    # the term lists diagnostics.terms shows, in its order; v1 and v2 fold
+    # theirs under the angle rule and v3 under ceil, as sugeno_variant1/2/3 do
+    terms: dict[str, list[ScaleValue]] = {}
+    for name in ("sugeno_sym", "v2"):
+        if name in names:
+            terms[name] = ranked
+    if "v3" in names:
+        terms["v3"] = variant3_terms(v, f)
+    if "v1" in names:
+        member = interval.lower if representative == "lower" else interval.upper
+        terms["v1"] = variant1_terms(member, f)
+    if any(name in CHOQUET_FAMILY for name in names):
+        real_v, real_f = to_real_capacity(v), to_real_profile(f)
+
+    record: dict[str, object] = {}
     for name in names:
         if name == "choquet":
-            outputs[name] = fraction_text(
-                choquet(to_real_capacity(v), to_real_profile(f))
-            )
+            record[name] = fraction_text(choquet(real_v, real_f))
         elif name == "choquet_sym":
-            outputs[name] = fraction_text(
-                choquet_symmetric(to_real_capacity(v), to_real_profile(f))
-            )
+            record[name] = fraction_text(choquet_symmetric(real_v, real_f))
         elif name == "choquet_asym":
-            outputs[name] = fraction_text(
-                choquet_asymmetric(to_real_capacity(v), to_real_profile(f))
-            )
+            record[name] = fraction_text(choquet_asymmetric(real_v, real_f))
         elif name == "sugeno":
-            outputs[name] = str(sugeno(v, f))
+            record[name] = str(sugeno(v, f))
         elif name == "sugeno_sym":
-            outputs[name] = str(sugeno_symmetric(v, f))
-        elif name == "v1":
-            outputs[name] = str(sugeno_variant1(member, f))
-        elif name == "v2":
-            outputs[name] = str(sugeno_variant2(v, f))
+            record[name] = str(sugeno_symmetric(v, f))
+        elif name in ("v1", "v2"):
+            record[name] = str(fold_sym_max(terms[name], Rule.ANGLE, scale=v.scale))
         elif name == "v3":
-            outputs[name] = str(sugeno_variant3(v, f))
+            record[name] = str(fold_sym_max(terms[name], Rule.CEIL, scale=v.scale))
         elif name == "mobius_interval":
-            outputs[name] = {
+            record[name] = {
                 "lower": set_function_record(interval.lower),
                 "upper": set_function_record(interval.upper),
             }
 
-    order, split, terms = ranked_terms(v, f)
     diagnostics: dict[str, object] = {"order": order, "p": split}
-    term_map: dict[str, list[str]] = {}
-    term_texts = [str(t) for t in terms]
-    for name in ("sugeno_sym", "v2"):
-        if name in names:
-            term_map[name] = term_texts
-    if "v3" in names:
-        term_map["v3"] = [str(t) for t in variant3_terms(v, f)]
     if "v1" in names:
-        term_map["v1"] = [str(t) for t in variant1_terms(member, f)]
         diagnostics["mobius"] = representative
-    if term_map:
-        diagnostics["terms"] = term_map
-
-    record: dict[str, object] = dict(outputs)
+    if terms:
+        # sugeno_sym and v2 share the ranked terms: format them once
+        uses_ranked = "sugeno_sym" in terms or "v2" in terms
+        shared = [str(t) for t in ranked] if uses_ranked else []
+        diagnostics["terms"] = {
+            name: shared if listed is ranked else [str(t) for t in listed]
+            for name, listed in terms.items()
+        }
     record["diagnostics"] = diagnostics
     print(record_line(record))
     return 0

@@ -11,9 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence, Union
+from typing import Sequence
 
-from .capacity import Capacity, SetFunction, full_set, subset_members, subsets
+from .capacity import (
+    Capacity,
+    RawValue,
+    SetFunction,
+    _coerce_value,
+    full_set,
+    subset_members,
+)
 from .mobius import RealSetFunction, real_conjugate
 from .rules import Rule, fold_sym_max
 from .scale import (
@@ -24,8 +31,6 @@ from .scale import (
     sym_max,
     sym_min,
 )
-
-RawValue = Union[ScaleValue, int, Fraction, str]
 
 
 @dataclass(frozen=True)
@@ -48,17 +53,7 @@ class Profile:
     def from_values(
         cls, scale: SymmetricScale, values: Sequence[RawValue]
     ) -> "Profile":
-        scores = []
-        for raw in values:
-            if isinstance(raw, ScaleValue):
-                if raw.scale != scale:
-                    raise ScaleError("score belongs to a different scale")
-                scores.append(raw)
-            elif isinstance(raw, str):
-                scores.append(scale.parse(raw))
-            else:
-                scores.append(scale.value(raw))
-        return cls(scale, tuple(scores))
+        return cls(scale, tuple(_coerce_value(scale, raw) for raw in values))
 
     @property
     def n(self) -> int:

@@ -20,7 +20,6 @@ from .capacity import (
     covers_of,
     full_set,
     iter_submasks,
-    subset_members,
     subsets,
 )
 from .rules import Rule, fold_sym_max

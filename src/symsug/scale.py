@@ -122,7 +122,9 @@ class SymmetricScale:
         self._own(a)
         if self.kind == UNIT:
             return _format_fraction(a.signed)
-        text = self._labels()[abs(a.signed)]
+        if self.labels is None:
+            return str(a.signed)
+        text = self.labels[abs(a.signed)]
         return "-" + text if a.sign < 0 else text
 
     def parse(self, text: str) -> ScaleValue:
@@ -142,17 +144,23 @@ class SymmetricScale:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ScaleError(f"bad unit-scale value: {text!r}") from exc
         negative = text.startswith("-")
-        body = text[1:] if negative else text
-        try:
-            grade = self._labels().index(body)
-        except ValueError:
-            raise ScaleError(f"unknown level label: {text!r}") from None
+        grade = self._grade(text[1:] if negative else text)
+        if grade is None:
+            raise ScaleError(f"unknown level label: {text!r}")
         return ScaleValue(self, -grade if negative else grade)
 
-    def _labels(self) -> tuple[str, ...]:
+    def _grade(self, label: str) -> int | None:
+        """The grade a label names: its position among the labels, or on an
+        unlabelled scale the grade written as a canonical ASCII decimal."""
         if self.labels is not None:
-            return self.labels
-        return tuple(str(i) for i in range(self.levels + 1))
+            return self.labels.index(label) if label in self.labels else None
+        if not (label.isascii() and label.isdigit()):
+            return None
+        if len(label) > len(str(self.levels)):
+            # above K or not canonical; also keeps int() under its digit limit
+            return None
+        grade = int(label)
+        return grade if grade <= self.levels and str(grade) == label else None
 
     def _own(self, a: ScaleValue) -> None:
         if a.scale is not self and a.scale != self:

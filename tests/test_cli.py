@@ -324,7 +324,7 @@ BROKEN = (
     "missing",
     "nonmonotone",
     "offscale",
-    "label",
+    "bad-text",
     "repeated",
     "players",
     "option",
@@ -353,7 +353,9 @@ def _monotone_grades(rng, n, top):
     """v({}) = 0, v(N) = top, small sets drawn low; the closure over covers
     makes ties."""
     size = 1 << n
-    grades = [rng.randint(0, (top * mask.bit_count() + n - 1) // n) for mask in range(size)]
+    grades = [
+        rng.randint(0, (top * mask.bit_count() + n - 1) // n) for mask in range(size)
+    ]
     for mask in sorted(range(size), key=int.bit_count):
         for i in range(n):
             if mask >> i & 1:
@@ -363,8 +365,7 @@ def _monotone_grades(rng, n, top):
 
 
 def corpus_case(i):
-    """Document i of the compute corpus, its compute flags, and the name of
-    the defect planted in it (None for a well-formed request)."""
+    """The text of document i of the compute corpus and its compute flags."""
     rng = Random(i)
     n = 7 if i % 40 == 39 else 1 + i % 6
     kind = ("unit", "levels", "labelled")[(i // 6) % 3]
@@ -412,7 +413,7 @@ def corpus_case(i):
         document["capacity"][subset_text(full_set(n))] = _grade_text(rng, 0, scale)
     elif defect == "offscale":
         document["profile"][-1] = str(top + 1) if kind != "unit" else "3/2"
-    elif defect == "label":
+    elif defect == "bad-text":
         document["profile"][0] = "excellent"
     elif defect == "players":
         document["players"] = ["only"] * (n + 1)
@@ -425,7 +426,7 @@ def corpus_case(i):
         text = text[:-1]
     elif defect == "repeated":
         text = text.replace('"profile":', '"scale": {"kind": "unit"}, "profile":')
-    return text, flags, defect
+    return text, flags
 
 
 def compute_golden_text(tmp_path) -> str:
@@ -440,7 +441,7 @@ def compute_golden_text(tmp_path) -> str:
     """
     parts = []
     for i in range(CORPUS_SIZE):
-        text, flags, _ = corpus_case(i)
+        text, flags = corpus_case(i)
         path = tmp_path / f"doc{i}.json"
         path.write_text(text, encoding="utf-8")
         for argv in (["compute", *flags], ["mobius"]):

@@ -68,6 +68,10 @@ def test_profile_validation():
         Profile(L3, ())
     with pytest.raises(ScaleError):
         Profile(L3, (L2.value(1),))
+    f = Profile.from_values(L3, (-2, "1", L3.value(3)))
+    assert [x.signed for x in f.scores] == [-2, 1, 3]
+    with pytest.raises(ScaleError, match="value belongs to a different scale"):
+        Profile.from_values(L3, (L2.value(1),))
     with pytest.raises(ValueError):
         sugeno(make_capacity(L3, (0, 1, 1, 3)), make_profile(L3, (1, 2, 3)))
 

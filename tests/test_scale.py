@@ -77,6 +77,20 @@ def test_labelled_scale_parse_format_roundtrip():
         scale.parse("most")
 
 
+def test_unlabelled_grades_round_trip_on_a_huge_scale():
+    big = levels_scale(10**6)
+    for grade in (0, 1, 10**6, -(10**6)):
+        assert str(big.value(grade)) == str(grade)
+        assert big.parse(str(grade)) == big.value(grade)
+
+
+@pytest.mark.parametrize("text", ["01", "+1", "١", "1000001", "", "-"])
+def test_unlabelled_grades_must_be_canonical_ascii_decimals(text):
+    # ١ is ARABIC-INDIC DIGIT ONE, which int() would accept
+    with pytest.raises(ScaleError, match="unknown level label"):
+        levels_scale(10**6).parse(text)
+
+
 def test_labels_are_presentation_only():
     labelled = levels_scale(2, ("lo", "mid", "hi"))
     assert labelled == levels_scale(2)
