@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .capacity import CapacityError
 from .integrals import (
+    VARIANT_RULES,
     choquet,
     choquet_asymmetric,
     choquet_symmetric,
@@ -41,7 +42,11 @@ from .rules import Rule, fold_sym_max
 from .scale import ScaleError, ScaleValue
 from .verify import VerifyConfig, law_names, run_laws
 
-CHOQUET_FAMILY = ("choquet", "choquet_sym", "choquet_asym")
+CHOQUET_OUTPUTS = {
+    "choquet": choquet,
+    "choquet_sym": choquet_symmetric,
+    "choquet_asym": choquet_asymmetric,
+}
 NONNEGATIVE_ONLY = ("choquet", "sugeno")
 
 
@@ -131,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _inapplicable(name: str, problem: Problem) -> str | None:
     """Why output ``name`` is not defined on the instance, or None."""
-    if name in CHOQUET_FAMILY and problem.scale.kind != "unit":
+    if name in CHOQUET_OUTPUTS and problem.scale.kind != "unit":
         return f"{name} needs the unit scale"
     if name in NONNEGATIVE_ONLY and not problem.profile.is_nonnegative:
         return f"{name} needs a nonnegative profile"
@@ -173,8 +178,7 @@ def _cmd_compute(args) -> int:
     order, split, ranked = ranked_terms(v, f)
     if "v1" in names or "mobius_interval" in names:
         interval = ordinal_mobius_interval(v)
-    # the term lists diagnostics.terms shows, in its order; v1 and v2 fold
-    # theirs under the angle rule and v3 under ceil, as sugeno_variant1/2/3 do
+    # the term lists diagnostics.terms shows, in its order
     terms: dict[str, list[ScaleValue]] = {}
     for name in ("sugeno_sym", "v2"):
         if name in names:
@@ -184,25 +188,20 @@ def _cmd_compute(args) -> int:
     if "v1" in names:
         member = interval.lower if representative == "lower" else interval.upper
         terms["v1"] = variant1_terms(member, f)
-    if any(name in CHOQUET_FAMILY for name in names):
+    if any(name in CHOQUET_OUTPUTS for name in names):
         real_v, real_f = to_real_capacity(v), to_real_profile(f)
 
     record: dict[str, object] = {}
     for name in names:
-        if name == "choquet":
-            record[name] = fraction_text(choquet(real_v, real_f))
-        elif name == "choquet_sym":
-            record[name] = fraction_text(choquet_symmetric(real_v, real_f))
-        elif name == "choquet_asym":
-            record[name] = fraction_text(choquet_asymmetric(real_v, real_f))
+        if name in CHOQUET_OUTPUTS:
+            record[name] = fraction_text(CHOQUET_OUTPUTS[name](real_v, real_f))
         elif name == "sugeno":
             record[name] = str(sugeno(v, f))
         elif name == "sugeno_sym":
             record[name] = str(sugeno_symmetric(v, f))
-        elif name in ("v1", "v2"):
-            record[name] = str(fold_sym_max(terms[name], Rule.ANGLE, scale=v.scale))
-        elif name == "v3":
-            record[name] = str(fold_sym_max(terms[name], Rule.CEIL, scale=v.scale))
+        elif name in VARIANT_RULES:
+            rule = VARIANT_RULES[name]
+            record[name] = str(fold_sym_max(terms[name], rule, scale=v.scale))
         elif name == "mobius_interval":
             record[name] = {
                 "lower": set_function_record(interval.lower),

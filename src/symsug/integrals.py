@@ -14,6 +14,7 @@ from functools import reduce
 from typing import Sequence
 
 from .capacity import (
+    MAX_PLAYERS,
     Capacity,
     RawValue,
     SetFunction,
@@ -45,6 +46,8 @@ class Profile:
         object.__setattr__(self, "scores", scores)
         if not scores:
             raise ValueError("a profile needs at least one player")
+        if len(scores) > MAX_PLAYERS:  # no capacity could match it
+            raise ValueError(f"player count must be in 1..{MAX_PLAYERS}")
         for entry in scores:
             if not isinstance(entry, ScaleValue) or entry.scale != self.scale:
                 raise ScaleError("scores must live on the declared scale")
@@ -126,21 +129,25 @@ def choquet(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     return acc
 
 
+def _gains_losses(
+    v: RealSetFunction, f: Sequence[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """The gains f+ and the losses f- of a signed profile."""
+    scores = _check_real_args(v, f)
+    return [max(x, Fraction(0)) for x in scores], [max(-x, Fraction(0)) for x in scores]
+
+
 def choquet_symmetric(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     """Integrate gains and losses against the same capacity:
     C(f+) - C(f-)."""
-    scores = _check_real_args(v, f)
-    plus = [max(x, Fraction(0)) for x in scores]
-    minus = [max(-x, Fraction(0)) for x in scores]
+    plus, minus = _gains_losses(v, f)
     return choquet(v, plus) - choquet(v, minus)
 
 
 def choquet_asymmetric(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     """Integrate losses against the conjugate capacity:
     C(f+) - C-conjugate(f-)."""
-    scores = _check_real_args(v, f)
-    plus = [max(x, Fraction(0)) for x in scores]
-    minus = [max(-x, Fraction(0)) for x in scores]
+    plus, minus = _gains_losses(v, f)
     return choquet(v, plus) - choquet(real_conjugate(v), minus)
 
 
@@ -253,7 +260,7 @@ def ranked_terms(v: Capacity, f: Profile) -> tuple[list[int], int, list[ScaleVal
     the ranked player ids, the count p of negative scores, and the n terms."""
     _check_pair(v, f)
 
-    def chain(players: list[int], magnitude) -> list[tuple[int, ScaleValue]]:
+    def chain(players: list[int], magnitude) -> list[int]:
         picked = []
         mask = 0
         remaining = list(players)
@@ -263,16 +270,32 @@ def ranked_terms(v: Capacity, f: Profile) -> tuple[list[int], int, list[ScaleVal
             j = min(block, key=lambda i: (v(mask | (1 << i)).signed, i))
             remaining.remove(j)
             mask |= 1 << j
-            picked.append((j, v(mask)))
+            picked.append(j)
         return picked
 
     negatives = [i for i in range(v.n) if f.scores[i].sign < 0]
     others = [i for i in range(v.n) if f.scores[i].sign >= 0]
-    descending = chain(negatives, lambda i: -f.scores[i].signed)
-    ascending = chain(others, lambda i: f.scores[i].signed)[::-1]
-    order = [j for j, _ in descending] + [j for j, _ in ascending]
-    terms = [sym_min(f.scores[j], w) for j, w in descending + ascending]
-    return [j + 1 for j in order], len(negatives), terms
+    order = (
+        chain(negatives, lambda i: -f.scores[i].signed)
+        + chain(others, lambda i: f.scores[i].signed)[::-1]
+    )
+    return [j + 1 for j in order], len(negatives), _rank_terms(v, f, order)
+
+
+def _rank_terms(v: Capacity, f: Profile, order: Sequence[int]) -> list[ScaleValue]:
+    """Explicit-form terms under one ranking of the players (0-based ids,
+    ascending scores, negative block first)."""
+    p = sum(1 for x in f.scores if x.sign < 0)
+    terms = []
+    mask = 0
+    for i in order[:p]:
+        mask |= 1 << i
+        terms.append(sym_min(f.scores[i], v(mask)))
+    upper = full_set(len(order)) ^ mask
+    for i in order[p:]:
+        terms.append(sym_min(f.scores[i], v(upper)))
+        upper ^= 1 << i
+    return terms
 
 
 def sugeno_symmetric_explicit(v: Capacity, f: Profile) -> ScaleValue:
@@ -285,12 +308,21 @@ def sugeno_symmetric_explicit(v: Capacity, f: Profile) -> ScaleValue:
     return sym_max(negative, nonnegative)
 
 
-def _inner_value(f: Profile, mask: int) -> ScaleValue:
-    """min of f+ over A, sym-maxed with the reflected min of f- over A."""
-    zero = f.scale.zero
-    plus = min(max(f.scores[i - 1], zero) for i in subset_members(mask))
-    minus = min(max(-f.scores[i - 1], zero) for i in subset_members(mask))
-    return sym_max(plus, -minus)
+def variant1_terms(m: SetFunction, f: Profile) -> list[ScaleValue]:
+    """All transform terms m(A) meet-sym [min f+ over A sym-max reflected
+    min f- over A], for nonempty A in mask order, block structure
+    ignored."""
+    _check_pair(m, f)
+    if not m.is_nonnegative:
+        raise ValueError("transform representatives are nonnegative")
+    plus, minus = f.positive_part().scores, f.negative_part().scores
+    terms = []
+    for mask in range(1, 1 << m.n):
+        members = subset_members(mask)
+        gain = min(plus[i - 1] for i in members)
+        loss = min(minus[i - 1] for i in members)
+        terms.append(sym_min(m(mask), sym_max(gain, -loss)))
+    return terms
 
 
 def symmetric_mobius_blocks(
@@ -299,27 +331,13 @@ def symmetric_mobius_blocks(
     """The three folds of the transform form of the symmetric integral,
     split by where A sits: inside the nonnegative players, inside the
     negative players, or across both (that block is identically 0)."""
-    _check_pair(m, f)
-    if not m.is_nonnegative:
-        raise ValueError("transform representatives are nonnegative")
-    n_plus = 0
-    for i, x in enumerate(f.scores):
-        if x.sign >= 0:
-            n_plus |= 1 << i
+    n_plus = sum(1 << i for i, x in enumerate(f.scores) if x.sign >= 0)
     n_minus = full_set(m.n) ^ n_plus
-    zero = m.scale.zero
-    inside_plus = zero
-    inside_minus = zero
-    mixed = zero
-    for mask in range(1, 1 << m.n):
-        term = sym_min(m(mask), _inner_value(f, mask))
-        if mask & n_minus == 0:
-            inside_plus = sym_max(inside_plus, term)
-        elif mask & n_plus == 0:
-            inside_minus = sym_max(inside_minus, term)
-        else:
-            mixed = sym_max(mixed, term)
-    return inside_plus, inside_minus, mixed
+    blocks = [m.scale.zero] * 3  # inside f+, inside f-, mixed
+    for mask, term in enumerate(variant1_terms(m, f), 1):
+        block = 0 if mask & n_minus == 0 else 1 if mask & n_plus == 0 else 2
+        blocks[block] = sym_max(blocks[block], term)
+    return tuple(blocks)
 
 
 def sugeno_symmetric_mobius(m: SetFunction, f: Profile) -> ScaleValue:
@@ -329,63 +347,43 @@ def sugeno_symmetric_mobius(m: SetFunction, f: Profile) -> ScaleValue:
     return sym_max(sym_max(inside_plus, inside_minus), mixed)
 
 
-def variant1_terms(m: SetFunction, f: Profile) -> list[ScaleValue]:
-    """All transform terms m(A) meet-sym [min f+ over A sym-max reflected
-    min f- over A], for nonempty A, block structure ignored."""
-    _check_pair(m, f)
-    if not m.is_nonnegative:
-        raise ValueError("transform representatives are nonnegative")
-    return [
-        sym_min(m(mask), _inner_value(f, mask)) for mask in range(1, 1 << m.n)
-    ]
+# the rule each symmetric variant folds its terms under; compute reads it too
+VARIANT_RULES = {"v1": Rule.ANGLE, "v2": Rule.ANGLE, "v3": Rule.CEIL}
 
 
 def sugeno_variant1(m: SetFunction, f: Profile) -> ScaleValue:
     """First alternative symmetric integral: fold every transform term under
     the angle rule instead of splitting into sign-homogeneous blocks."""
-    return fold_sym_max(variant1_terms(m, f), Rule.ANGLE, scale=m.scale)
+    return fold_sym_max(variant1_terms(m, f), VARIANT_RULES["v1"], scale=m.scale)
 
 
 def sugeno_variant2(v: Capacity, f: Profile) -> ScaleValue:
     """Second alternative: fold the explicit-form terms under the angle
     rule.  Not monotone in the profile."""
     _, _, terms = ranked_terms(v, f)
-    return fold_sym_max(terms, Rule.ANGLE, scale=v.scale)
+    return fold_sym_max(terms, VARIANT_RULES["v2"], scale=v.scale)
 
 
 def variant3_terms(v: Capacity, f: Profile) -> list[ScaleValue]:
     """Per-player threshold terms: a player with a positive score gets the
     best value of  y meet v({j : f_j >= y})  over positive thresholds y up
-    to its own score; a negative score gets the reflection of the same
-    quantity computed on {j : f_j <= -y}; a zero score contributes 0.  Terms
-    are listed in player order.  Raising any score can only raise every
-    term, which is what the ceil fold needs to stay monotone; the rank-based
-    terms of :func:`ranked_terms` lack that property."""
+    to its own score, which is S(f+) clipped at that score; a negative
+    score gets the reflection of S(f-) clipped at its magnitude; a zero
+    score contributes 0.  Terms are listed in player order.  Raising any
+    score can only raise every term, which is what the ceil fold needs to
+    stay monotone; the rank-based terms of :func:`ranked_terms` lack that
+    property."""
     _check_pair(v, f)
-    zero = v.scale.zero
-    terms = []
-    for x in f.scores:
-        if x.sign == 0:
-            terms.append(zero)
-            continue
-        cuts = {
-            abs(s.signed)
-            for s in f.scores
-            if s.sign == x.sign and abs(s.signed) <= abs(x.signed)
-        }
-        best = zero
-        for y in cuts:
-            mask = 0
-            for j, s in enumerate(f.scores):
-                if s.sign == x.sign and abs(s.signed) >= y:
-                    mask |= 1 << j
-            best = max(best, min(v.scale.value(y), v(mask)))
-        terms.append(best if x.sign > 0 else -best)
-    return terms
+    plus, minus = f.positive_part(), f.negative_part()
+    gains, losses = sugeno(v, plus), sugeno(v, minus)
+    return [
+        min(gain, gains) if x.sign >= 0 else -min(loss, losses)
+        for x, gain, loss in zip(f.scores, plus.scores, minus.scores)
+    ]
 
 
 def sugeno_variant3(v: Capacity, f: Profile) -> ScaleValue:
     """Third alternative: fold the per-player threshold terms under the
     ceil rule.  Monotone in the profile, which the rank-based ceil fold is
     not, and more discriminating than the floor-based combine."""
-    return fold_sym_max(variant3_terms(v, f), Rule.CEIL, scale=v.scale)
+    return fold_sym_max(variant3_terms(v, f), VARIANT_RULES["v3"], scale=v.scale)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -85,7 +86,9 @@ def read_problem(path: str) -> Problem:
 def load_problem(text: str) -> Problem:
     try:
         document = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ParseError:
+        raise
+    except (ValueError, RecursionError) as exc:  # also digit and depth limits
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ParseError("the problem file must be a JSON object")
@@ -199,7 +202,8 @@ def _parse_capacity(scale: SymmetricScale, n: int, raw: Any) -> Capacity:
         if mask in table:
             raise ParseError(f"capacity repeats the subset {subset_text(mask)}")
         table[mask] = _parse_value(scale, value, f"capacity[{key!r}]")
-    missing = [mask for mask in subsets(n) if mask and mask not in table]
+    # stop at the fifth missing subset: four are shown, a fifth adds "..."
+    missing = list(islice((m for m in range(1, 1 << n) if m not in table), 5))
     if missing:
         shown = ", ".join(subset_text(mask) for mask in missing[:4])
         if len(missing) > 4:

@@ -9,6 +9,7 @@ maximum and minimum, the signed extensions of lattice max/min.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
@@ -17,6 +18,11 @@ Number = Union[int, Fraction]
 
 LEVELS = "levels"
 UNIT = "unit"
+
+# bounds on unit-scale text; formatting a value is quadratic in its digits
+MAX_UNIT_TEXT = 1000  # characters, surrounding whitespace stripped
+MAX_UNIT_EXPONENT = 1000  # magnitude of a decimal exponent
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 
 
 class ScaleError(ValueError):
@@ -135,6 +141,14 @@ class SymmetricScale:
             raise ScaleError(f"expected a string value, got {type(text).__name__}")
         text = text.strip()
         if self.kind == UNIT:
+            exponent = _EXPONENT.search(text)
+            if len(text) > MAX_UNIT_TEXT or (
+                exponent and abs(int(exponent[1])) > MAX_UNIT_EXPONENT
+            ):
+                raise ScaleError(
+                    f"bad unit-scale value: over {MAX_UNIT_TEXT} characters"
+                    f" or an exponent beyond {MAX_UNIT_EXPONENT}"
+                )
             try:
                 return ScaleValue(self, Fraction(text))
             except OffScaleError:
@@ -194,7 +208,9 @@ class ScaleValue:
         else:
             if isinstance(self.signed, float):
                 raise ScaleError("binary floats are not exact; use Fraction")
-            if not isinstance(self.signed, (int, Fraction)):
+            if isinstance(self.signed, bool) or not isinstance(
+                self.signed, (int, Fraction)
+            ):
                 raise ScaleError(
                     f"bad unit-scale value: {type(self.signed).__name__}"
                 )

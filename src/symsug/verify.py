@@ -28,7 +28,6 @@ from .capacity import (
     capacity_problems,
     conjugate,
     covers_of,
-    full_set,
     is_k_maxitive,
     is_maxitive,
     necessity_measure,
@@ -39,6 +38,7 @@ from .capacity import (
 )
 from .integrals import (
     Profile,
+    _rank_terms,
     choquet,
     choquet_asymmetric,
     choquet_mobius,
@@ -325,17 +325,14 @@ def _capacities(config: VerifyConfig, rng: Random) -> Iterator[Capacity]:
 def _instances(
     config: VerifyConfig, rng: Random, signed: bool = True
 ) -> Iterator[tuple[Capacity, Profile]]:
-    scale = levels_scale(config.levels)
-    if config.exhaustive:
-        for v in iter_capacities(config.n, scale):
-            for f in iter_profiles(config.n, scale, signed):
+    # each sampled profile is drawn right after its capacity, on the same
+    # scale object, so that both share its interned grades
+    for v in _capacities(config, rng):
+        if config.exhaustive:
+            for f in iter_profiles(config.n, v.scale, signed):
                 yield v, f
-    else:
-        for _ in range(config.samples):
-            yield (
-                sample_capacity(rng, config.n, scale),
-                sample_profile(rng, config.n, scale, signed),
-            )
+        else:
+            yield v, sample_profile(rng, config.n, v.scale, signed)
 
 
 def iter_interval_members(
@@ -1446,21 +1443,6 @@ def _rank_orders(f: Profile) -> Iterator[list[int]]:
         *(itertools.permutations(block) for block in blocks)
     ):
         yield [i for block in combo for i in block]
-
-
-def _rank_terms(v: Capacity, f: Profile, order: Sequence[int]) -> list[ScaleValue]:
-    """Explicit-form terms under one specific ranking of the players."""
-    p = sum(1 for x in f.scores if x.sign < 0)
-    terms = []
-    mask = 0
-    for i in order[:p]:
-        mask |= 1 << i
-        terms.append(sym_min(f.scores[i], v(mask)))
-    upper = full_set(len(order)) ^ mask
-    for i in order[p:]:
-        terms.append(sym_min(f.scores[i], v(upper)))
-        upper ^= 1 << i
-    return terms
 
 
 def _tie_rankings(config: VerifyConfig, rng: Random):

@@ -157,6 +157,22 @@ def test_malformed_documents_exit_1(tmp_path, capsys):
     assert code == 1
     assert out == "" and "repeated key" in err
 
+    # decoder failures that are not JSONDecodeErrors
+    long_int = json.dumps(WORKED_DOCUMENT).replace('"-1"', "1" * 5000)
+    for text in (long_int, "[" * 100_000 + "]" * 100_000):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "compute", "--input", str(path), "--all")
+        assert code == 1
+        assert out == "" and err.startswith("error: not valid JSON:")
+
+    # unit-scale text past the documented exponent bound
+    document = dict(WORKED_DOCUMENT, profile=["-1", "1e-1000000", "1"])
+    code, out, err = run(
+        capsys, "compute", "--input", write_document(tmp_path, document), "--all"
+    )
+    assert code == 1
+    assert out == "" and "bad unit-scale value" in err
+
 
 def test_invalid_instances_exit_2(tmp_path, capsys):
     table = dict(WORKED_DOCUMENT["capacity"], **{"{1,2}": "0.1"})

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,12 @@ from symsug import (
     classical_mobius,
     fold_sym_max,
     iter_capacities,
+    iter_profiles,
     levels_scale,
     ordinal_mobius_interval,
     real_conjugate,
+    sample_capacity,
+    sample_profile,
     sipos_mobius,
     ranked_terms,
     sugeno,
@@ -33,6 +37,8 @@ from symsug import (
     sugeno_variant1,
     sugeno_variant2,
     sugeno_variant3,
+    sym_max,
+    sym_min,
     symmetric_mobius_blocks,
     to_real_capacity,
     to_real_profile,
@@ -335,3 +341,72 @@ def test_documented_instance_term_multisets(worked):
     lower = ordinal_mobius_interval(v).lower
     v1_terms = sorted(t.signed for t in variant1_terms(lower, f))
     assert F(1, 4) in v1_terms and F(-3, 10) in v1_terms
+
+
+# -- term builders against brute-force references ----------------------------------
+
+
+def _builder_instances():
+    """Every two-player instance on two grades, then seeded three-player ones."""
+    for v in iter_capacities(2, L2):
+        for f in iter_profiles(2, L2, signed=True):
+            yield v, f
+    rng = Random("term-builders")
+    for scale in (L2, L3):
+        for _ in range(150):
+            yield sample_capacity(rng, 3, scale), sample_profile(rng, 3, scale)
+
+
+def _cut_terms(v, f):
+    """Threshold terms by the cut formula: for each player, the best
+    y meet v({j : same sign, |f_j| >= y}) over same-sign cuts y <= |f_i|."""
+    terms = []
+    for x in f.scores:
+        best = v.scale.zero
+        if x.sign != 0:
+            cuts = {
+                abs(s.signed)
+                for s in f.scores
+                if s.sign == x.sign and abs(s.signed) <= abs(x.signed)
+            }
+            for y in cuts:
+                mask = 0
+                for j, s in enumerate(f.scores):
+                    if s.sign == x.sign and abs(s.signed) >= y:
+                        mask |= 1 << j
+                best = max(best, min(v.scale.value(y), v(mask)))
+        terms.append(best if x.sign >= 0 else -best)
+    return terms
+
+
+def _mask_terms(m, f):
+    """(block, term) per nonempty mask, each term computed from its members:
+    block 0 lies inside the nonnegative players, 1 inside the negative ones,
+    2 meets both."""
+    zero = f.scale.zero
+    result = []
+    for mask in range(1, 1 << m.n):
+        scores = [f.scores[i] for i in range(m.n) if mask >> i & 1]
+        plus = min(max(x, zero) for x in scores)
+        minus = min(max(-x, zero) for x in scores)
+        term = sym_min(m(mask), sym_max(plus, -minus))
+        signs = {x.sign < 0 for x in scores}
+        result.append((2 if len(signs) == 2 else int(signs.pop()), term))
+    return result
+
+
+def test_threshold_terms_match_the_cut_formula():
+    for v, f in _builder_instances():
+        assert variant3_terms(v, f) == _cut_terms(v, f), (v.table, f.scores)
+
+
+def test_transform_terms_and_blocks_match_per_mask_terms():
+    for v, f in _builder_instances():
+        interval = ordinal_mobius_interval(v)
+        for member in (interval.lower, interval.upper):
+            expected = _mask_terms(member, f)
+            assert variant1_terms(member, f) == [t for _, t in expected]
+            blocks = [f.scale.zero] * 3
+            for block, term in expected:
+                blocks[block] = sym_max(blocks[block], term)
+            assert symmetric_mobius_blocks(member, f) == tuple(blocks)

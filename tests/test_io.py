@@ -1,6 +1,7 @@
 """Problem-file parsing: strict validation, exact text values, record shape."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from symsug import (
     load_problem,
     read_problem,
 )
+from symsug.capacity import MAX_PLAYERS
 from symsug.io import fraction_text, record_line, set_function_record
 from conftest import WORKED_DOCUMENT
 
@@ -102,6 +104,34 @@ def test_capacity_table_must_cover_every_nonempty_subset():
     table = {k: w for k, w in WORKED_DOCUMENT["capacity"].items() if k != "{1,3}"}
     with pytest.raises(ParseError, match=r"missing \{1,3\}"):
         load_problem(dumps(capacity=table))
+
+
+def test_player_count_is_bounded_before_the_capacity_is_read():
+    def peak_bytes(n, capacity):
+        text = json.dumps(
+            {"scale": {"kind": "unit"}, "capacity": capacity, "profile": ["0"] * n}
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as caught:
+                load_problem(text)
+            return caught.value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # listing all 2**20 missing subsets to report four peaked at about 42 MB
+    error, peak = peak_bytes(20, {})
+    assert str(error) == "capacity is missing {1}, {2}, {1,2}, {3}, ..."
+    assert peak < 1_000_000
+    error, peak = peak_bytes(MAX_PLAYERS + 1, {"{1}": "0"})
+    assert not isinstance(error, ParseError)
+    assert str(error) == f"player count must be in 1..{MAX_PLAYERS}"
+    assert peak < 1_000_000
+
+    table = {k: w for k, w in WORKED_DOCUMENT["capacity"].items() if k != "{1,2,3}"}
+    with pytest.raises(ParseError) as caught:
+        load_problem(dumps(capacity=table))
+    assert str(caught.value) == "capacity is missing {1,2,3}"
 
 
 def test_capacity_table_rejects_duplicates_and_garbage_keys():

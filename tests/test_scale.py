@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symsug import (
+    Capacity,
     OffScaleError,
+    Profile,
     ScaleError,
     ScaleValue,
     levels_scale,
@@ -16,6 +18,7 @@ from symsug import (
     sym_min,
     unit_scale,
 )
+from symsug.scale import MAX_UNIT_EXPONENT, MAX_UNIT_TEXT
 
 UNIT = unit_scale()
 L3 = levels_scale(3)
@@ -66,6 +69,33 @@ def test_levels_values_are_integer_grades():
 def test_unit_values_reject_binary_floats():
     with pytest.raises(ScaleError):
         ScaleValue(UNIT, 0.3)
+
+
+def test_unit_values_reject_booleans():
+    # bool is an int subclass; levels scales and problem files reject it too
+    with pytest.raises(ScaleError, match="bad unit-scale value: bool"):
+        ScaleValue(UNIT, True)
+    with pytest.raises(ScaleError):
+        UNIT.value(False)
+    with pytest.raises(ScaleError):
+        Capacity.from_values(1, UNIT, [0, True])
+    with pytest.raises(ScaleError):
+        Profile.from_values(UNIT, [True])
+
+
+def test_unit_text_is_bounded_before_a_fraction_is_built():
+    at_limit = "0." + "1" * (MAX_UNIT_TEXT - 2)
+    assert UNIT.parse(at_limit) == UNIT.value(Fraction(at_limit))
+    assert UNIT.parse(f" {at_limit} ") == UNIT.parse(at_limit)
+    too_long = f"bad unit-scale value: over {MAX_UNIT_TEXT} characters"
+    with pytest.raises(ScaleError, match=too_long):
+        UNIT.parse(at_limit + "1")
+    tiny = Fraction(1, 10**MAX_UNIT_EXPONENT)
+    assert UNIT.parse(f"1e-{MAX_UNIT_EXPONENT}") == UNIT.value(tiny)
+    assert UNIT.parse(f"-1E-{MAX_UNIT_EXPONENT}") == UNIT.value(-tiny)
+    for text in (f"1e-{MAX_UNIT_EXPONENT + 1}", "1e-1000000", "1e+1_001"):
+        with pytest.raises(ScaleError, match="bad unit-scale value"):
+            UNIT.parse(text)
 
 
 def test_labelled_scale_parse_format_roundtrip():
