@@ -1,41 +1,30 @@
 """Symmetric ordinal aggregation: signed max/min algebra on symmetric
 scales, ordinal Moebius intervals of capacities, and the Choquet and Sugeno
 integral families including the symmetric Sugeno integral and its variants.
+
+The package exports the documented library (the README's "Library API"
+list).  Bitmask helpers, term builders, the law suite and other internals
+are imported from their own modules.
 """
 
 from .scale import (
-    LEVELS,
-    UNIT,
-    Number,
     OffScaleError,
     ScaleError,
     ScaleValue,
     SymmetricScale,
     levels_scale,
-    sign_of,
     sym_max,
     sym_min,
     unit_scale,
 )
-from .rules import Rule, fold_sym_max, is_fold_unambiguous
+from .rules import Rule, fold_sym_max
 from .capacity import (
     Capacity,
     CapacityError,
     SetFunction,
-    capacity_problems,
     conjugate,
-    covers_of,
-    full_set,
-    is_k_maxitive,
-    is_maxitive,
-    iter_submasks,
-    mask_of,
     necessity_measure,
-    parse_subset_text,
     possibility_measure,
-    subset_members,
-    subset_text,
-    subsets,
     unanimity,
 )
 from .mobius import (
@@ -43,15 +32,8 @@ from .mobius import (
     RealSetFunction,
     canonical_ordinal_mobius,
     classical_mobius,
-    classical_zeta,
     even_odd_mobius,
-    is_solution,
-    mobius_necessity,
-    mobius_possibility,
     ordinal_mobius_interval,
-    real_conjugate,
-    reconstruct,
-    reconstruct_from_conjugate,
 )
 from .integrals import (
     Profile,
@@ -59,126 +41,61 @@ from .integrals import (
     choquet_asymmetric,
     choquet_mobius,
     choquet_symmetric,
-    choquet_symmetric_explicit,
     sipos_mobius,
-    ranked_terms,
     sugeno,
-    sugeno_mobius,
     sugeno_symmetric,
     sugeno_symmetric_explicit,
     sugeno_symmetric_mobius,
     sugeno_variant1,
     sugeno_variant2,
     sugeno_variant3,
-    symmetric_mobius_blocks,
     to_real_capacity,
     to_real_profile,
-    variant1_terms,
-    variant3_terms,
 )
-from .verify import (
-    LawResult,
-    VerifyConfig,
-    iter_capacities,
-    iter_profiles,
-    law_names,
-    run_laws,
-    sample_capacity,
-    sample_profile,
-    worked_example,
-)
-from .io import (
-    OUTPUT_NAMES,
-    ParseError,
-    Problem,
-    ProblemOptions,
-    load_problem,
-    read_problem,
-)
+from .io import ParseError, load_problem, read_problem
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LEVELS",
-    "UNIT",
-    "Number",
     "OffScaleError",
     "ScaleError",
     "ScaleValue",
     "SymmetricScale",
     "levels_scale",
-    "sign_of",
     "sym_max",
     "sym_min",
     "unit_scale",
     "Rule",
     "fold_sym_max",
-    "is_fold_unambiguous",
     "Capacity",
     "CapacityError",
     "SetFunction",
-    "capacity_problems",
     "conjugate",
-    "covers_of",
-    "full_set",
-    "is_k_maxitive",
-    "is_maxitive",
-    "iter_submasks",
-    "mask_of",
     "necessity_measure",
-    "parse_subset_text",
     "possibility_measure",
-    "subset_members",
-    "subset_text",
-    "subsets",
     "unanimity",
     "MobiusInterval",
     "RealSetFunction",
     "canonical_ordinal_mobius",
     "classical_mobius",
-    "classical_zeta",
     "even_odd_mobius",
-    "is_solution",
-    "mobius_necessity",
-    "mobius_possibility",
     "ordinal_mobius_interval",
-    "real_conjugate",
-    "reconstruct",
-    "reconstruct_from_conjugate",
     "Profile",
     "choquet",
     "choquet_asymmetric",
     "choquet_mobius",
     "choquet_symmetric",
-    "choquet_symmetric_explicit",
     "sipos_mobius",
-    "ranked_terms",
     "sugeno",
-    "sugeno_mobius",
     "sugeno_symmetric",
     "sugeno_symmetric_explicit",
     "sugeno_symmetric_mobius",
     "sugeno_variant1",
     "sugeno_variant2",
     "sugeno_variant3",
-    "symmetric_mobius_blocks",
     "to_real_capacity",
     "to_real_profile",
-    "variant1_terms",
-    "variant3_terms",
-    "LawResult",
-    "VerifyConfig",
-    "iter_capacities",
-    "iter_profiles",
-    "law_names",
-    "run_laws",
-    "sample_capacity",
-    "sample_profile",
-    "worked_example",
-    "OUTPUT_NAMES",
     "ParseError",
-    "Problem",
-    "ProblemOptions",
     "load_problem",
     "read_problem",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -62,8 +63,9 @@ class SymmetricScale:
                 if len(set(labels)) != len(labels):
                     raise ScaleError("labels must be distinct")
                 for text in labels:
-                    # a leading minus would collide with negative values
-                    if not text or text.startswith("-"):
+                    # a leading minus would collide with negative values,
+                    # and parse strips surrounding whitespace
+                    if not text or text.startswith("-") or text != text.strip():
                         raise ScaleError(f"bad label: {text!r}")
         else:
             if self.levels is not None or self.labels is not None:
@@ -320,9 +322,18 @@ def _format_fraction(q: Fraction) -> str:
         den //= 5
         fives += 1
     if den != 1:
-        return f"{sign}{q.numerator}/{q.denominator}"
+        return f"{sign}{_digits(q.numerator)}/{_digits(q.denominator)}"
     places = max(twos, fives)
     if places == 0:
-        return f"{sign}{q.numerator}"
-    digits = str(q.numerator * 10**places // q.denominator).rjust(places + 1, "0")
+        return f"{sign}{_digits(q.numerator)}"
+    digits = _digits(q.numerator * 10**places // q.denominator).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def _digits(i: int) -> str:
+    """The decimal digits of a nonnegative int.  ``str`` refuses ints past
+    Python's digit limit; ``Decimal`` converts them exactly, without one."""
+    try:
+        return str(i)
+    except ValueError:
+        return str(Decimal(i))

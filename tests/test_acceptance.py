@@ -11,19 +11,16 @@ from fractions import Fraction
 from symsug import (
     Capacity,
     Rule,
-    VerifyConfig,
     fold_sym_max,
     levels_scale,
-    mask_of,
     ordinal_mobius_interval,
-    run_laws,
-    subsets,
     sugeno_symmetric,
     sugeno_variant1,
     sugeno_variant2,
     unit_scale,
-    worked_example,
 )
+from symsug.capacity import mask_of, subsets
+from symsug.verify import VerifyConfig, run_laws, worked_example
 
 ELEMENTARY_LAWS = [
     "reflection-involution",

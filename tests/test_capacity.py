@@ -11,23 +11,25 @@ from symsug import (
     CapacityError,
     ScaleError,
     SetFunction,
-    capacity_problems,
     conjugate,
+    levels_scale,
+    necessity_measure,
+    possibility_measure,
+    unanimity,
+    unit_scale,
+)
+from symsug.capacity import (
+    capacity_problems,
     covers_of,
     full_set,
     is_k_maxitive,
     is_maxitive,
     iter_submasks,
-    levels_scale,
     mask_of,
-    necessity_measure,
     parse_subset_text,
-    possibility_measure,
     subset_members,
     subset_text,
     subsets,
-    unanimity,
-    unit_scale,
 )
 from conftest import make_capacity
 

@@ -4,16 +4,20 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
+from symsug import choquet, load_problem, to_real_capacity, to_real_profile
 from symsug.capacity import full_set, subset_text
 from symsug.cli import main
-from conftest import WORKED_DOCUMENT
+from conftest import WORKED_DOCUMENT, documents, mutated_documents
 
 
 def run(capsys, *argv):
@@ -137,6 +141,32 @@ def test_compute_levels_scale_skips_the_choquet_family(tmp_path, capsys):
     assert record["sugeno_sym"] == "-1"
 
 
+def test_compute_prints_choquet_values_past_the_int_text_limit(tmp_path, capsys):
+    # every input is under 1,000 characters, but the exact value has a
+    # ~3,900-digit numerator over a ~4,400-digit denominator: past the
+    # 4,300 digits Python's str() prints for an int by default
+    d = [10**490 + c for c in (1, 3, 7, 9, 13, 19, 21, 27, 31, 33, 37)]
+    n = 5
+    capacity = {"{}": "0", subset_text(full_set(n)): "1"}
+    for mask in range(1, full_set(n)):
+        size = bin(mask).count("1")
+        big = d[5 + size]
+        capacity[subset_text(mask)] = f"{size * big // 6}/{big}"
+    profile = [f"{i}/{6 * d[i - 1]}" for i in range(1, n + 1)]
+    document = {"scale": {"kind": "unit"}, "capacity": capacity, "profile": profile}
+    assert max(len(text) for text in [*capacity.values(), *profile]) < 1000
+    path = write_document(tmp_path, document)
+    code, out, err = run(capsys, "compute", "--input", path, "--only", "choquet")
+    assert (code, err) == (0, "")
+    numerator, denominator = json.loads(out)["choquet"].split("/")
+    # rebuilt through Decimal: int(text) has the same limit
+    printed = Fraction(Decimal(numerator)) / Fraction(Decimal(denominator))
+    problem = load_problem(json.dumps(document))
+    v, f = to_real_capacity(problem.capacity), to_real_profile(problem.profile)
+    assert len(numerator) > 4300 or len(denominator) > 4300
+    assert printed == choquet(v, f)
+
+
 # -- compute exit codes ---------------------------------------------------------
 
 
@@ -229,6 +259,24 @@ def test_bad_flags_exit_2(worked_file, capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(documents() | mutated_documents())
+def test_compute_all_exits_0_1_or_2_on_any_document(document):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "problem.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["compute", "--all", "--input", str(path)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+        assert "diagnostics" in json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -264,6 +312,7 @@ def test_verify_full_suite_is_deterministic(capsys):
 
 def test_verify_flag_validation(capsys):
     assert run(capsys, "verify", "--law", "no-such-law")[0] == 2
+    assert "angle-monotonic" in run(capsys, "verify", "--law", "no-such-law")[2]
     assert run(capsys, "verify", "--n", "4")[0] == 2  # exhaustive needs n <= 3
     assert run(capsys, "verify", "--n", "0")[0] == 2
     assert run(capsys, "verify", "--levels", "0")[0] == 2

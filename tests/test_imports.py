@@ -1,12 +1,21 @@
-"""Every module-level import in the library is used by its module.
+"""Every module-level import in the library is used by its module, and the
+package exports exactly the README's "Library API" list.
 
-`__init__.py` is left out: it imports names only to re-export them.
+`__init__.py` is left out of the first check: it imports names only to
+re-export them.  The second set of tests pins it instead.
 """
 
 import ast
+import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import symsug
 
 PACKAGE = Path(__file__).parent.parent / "src" / "symsug"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -53,3 +62,64 @@ def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = [name for name in imported_names(tree) if name not in used_names(tree)]
     assert unused == [], f"{path.name} imports but never uses {unused}"
+
+
+# -- the package namespace ------------------------------------------------------
+
+INIT = PACKAGE / "__init__.py"
+README = PACKAGE.parent.parent / "README.md"
+
+
+def modules_after(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``statement``
+    (``-S``: no site hooks, so only the library's own imports count)."""
+    script = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(done.stdout.split())
+
+
+def readme_api() -> dict[str, list[str]]:
+    """The README's "Library API" list: module name -> exported names."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `symsug\.(\w+)`:(.*?)(?=^- |^$|\Z)", section, re.M | re.S)
+    return {module: re.findall(r"`(\w+)`", names) for module, names in bullets}
+
+
+def test_importing_the_package_leaves_out_the_law_suite():
+    loaded = modules_after("import symsug")
+    assert "symsug.integrals" in loaded
+    assert "symsug.verify" not in loaded
+    assert "random" not in loaded
+
+
+def test_the_command_line_still_loads_the_law_suite():
+    assert "symsug.verify" in modules_after("import symsug.cli")
+
+
+def test_init_imports_exactly_what_it_exports():
+    tree = ast.parse(INIT.read_text(encoding="utf-8"))
+    imported = imported_names(tree)
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
+    )
+    assert len(set(imported)) == len(imported)
+    assert len(set(exported)) == len(exported)
+    assert sorted(imported) == sorted(exported)
+
+
+def test_the_readme_lists_the_exports():
+    listed = readme_api()
+    assert [name for names in listed.values() for name in names] == symsug.__all__
+    for module_name, names in listed.items():
+        module = importlib.import_module(f"symsug.{module_name}")
+        for name in names:
+            assert getattr(symsug, name) is getattr(module, name), name

@@ -17,20 +17,12 @@ from symsug import (
     choquet_asymmetric,
     choquet_mobius,
     choquet_symmetric,
-    choquet_symmetric_explicit,
     classical_mobius,
     fold_sym_max,
-    iter_capacities,
-    iter_profiles,
     levels_scale,
     ordinal_mobius_interval,
-    real_conjugate,
-    sample_capacity,
-    sample_profile,
     sipos_mobius,
-    ranked_terms,
     sugeno,
-    sugeno_mobius,
     sugeno_symmetric,
     sugeno_symmetric_explicit,
     sugeno_symmetric_mobius,
@@ -39,12 +31,24 @@ from symsug import (
     sugeno_variant3,
     sym_max,
     sym_min,
-    symmetric_mobius_blocks,
     to_real_capacity,
     to_real_profile,
     unit_scale,
+)
+from symsug.mobius import real_conjugate
+from symsug.integrals import (
+    choquet_symmetric_explicit,
+    ranked_terms,
+    sugeno_mobius,
+    symmetric_mobius_blocks,
     variant1_terms,
     variant3_terms,
+)
+from symsug.verify import (
+    iter_capacities,
+    iter_profiles,
+    sample_capacity,
+    sample_profile,
 )
 from conftest import make_capacity, make_profile
 

@@ -5,18 +5,21 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symsug import (
     CapacityError,
     OffScaleError,
     ParseError,
-    Problem,
+    ScaleError,
+    levels_scale,
     load_problem,
     read_problem,
 )
 from symsug.capacity import MAX_PLAYERS
-from symsug.io import fraction_text, record_line, set_function_record
-from conftest import WORKED_DOCUMENT
+from symsug.io import Problem, fraction_text, record_line, set_function_record
+from conftest import WORKED_DOCUMENT, documents, json_values, mutated_documents
 
 
 def dumps(**overrides):
@@ -262,3 +265,38 @@ def test_record_line_is_deterministic_json():
     assert line == '{"b": "1", "a": {"x": "2"}}'
     assert record_line(record) == line
     assert json.loads(line) == record
+
+
+# -- fuzzed input -----------------------------------------------------------------
+
+# everything load_problem may raise; the command line maps each to exit 1 or 2
+LOAD_ERRORS = (ParseError, ScaleError, CapacityError, ValueError)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents())
+def test_generated_documents_load(document):
+    problem = load_problem(json.dumps(document))
+    assert problem.n == len(document["profile"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values | mutated_documents())
+def test_any_json_raises_only_the_documented_errors(document):
+    try:
+        load_problem(json.dumps(document))
+    except LOAD_ERRORS:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=4), min_size=2, max_size=6, unique=True))
+@example(["0", "\r"])  # parse strips whitespace, so such labels are refused
+def test_every_signed_label_round_trips(labels):
+    try:
+        scale = levels_scale(len(labels) - 1, labels)
+    except ScaleError:
+        return  # a label set the scale refuses is never printed
+    for grade in range(-scale.levels, scale.levels + 1):
+        value = scale.value(grade)
+        assert scale.parse(scale.format(value)) == value

@@ -13,26 +13,27 @@ from symsug import (
     SetFunction,
     canonical_ordinal_mobius,
     classical_mobius,
-    classical_zeta,
     even_odd_mobius,
-    is_solution,
-    iter_capacities,
-    iter_submasks,
     levels_scale,
-    mobius_necessity,
-    mobius_possibility,
     necessity_measure,
     ordinal_mobius_interval,
     possibility_measure,
-    reconstruct,
-    reconstruct_from_conjugate,
     conjugate,
-    subsets,
     unanimity,
     unit_scale,
     RealSetFunction,
-    real_conjugate,
 )
+from symsug.capacity import iter_submasks, subsets
+from symsug.mobius import (
+    classical_zeta,
+    is_solution,
+    mobius_necessity,
+    mobius_possibility,
+    real_conjugate,
+    reconstruct,
+    reconstruct_from_conjugate,
+)
+from symsug.verify import iter_capacities
 from conftest import make_capacity
 
 UNIT = unit_scale()

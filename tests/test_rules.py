@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symsug import (
-    Rule,
-    ScaleError,
-    fold_sym_max,
-    is_fold_unambiguous,
-    levels_scale,
-    sym_max,
-    unit_scale,
-)
+from symsug import Rule, ScaleError, fold_sym_max, levels_scale, sym_max, unit_scale
+from symsug.rules import is_fold_unambiguous
 
 L3 = levels_scale(3)
 L5 = levels_scale(5)

@@ -13,12 +13,11 @@ from symsug import (
     ScaleError,
     ScaleValue,
     levels_scale,
-    sign_of,
     sym_max,
     sym_min,
     unit_scale,
 )
-from symsug.scale import MAX_UNIT_EXPONENT, MAX_UNIT_TEXT
+from symsug.scale import MAX_UNIT_EXPONENT, MAX_UNIT_TEXT, sign_of
 
 UNIT = unit_scale()
 L3 = levels_scale(3)

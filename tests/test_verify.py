@@ -8,21 +8,20 @@ from random import Random
 
 import pytest
 
-from symsug import (
-    Capacity,
+from symsug import Capacity, Profile, levels_scale
+from symsug.cli import main
+from symsug.verify import (
     LawResult,
-    Profile,
     VerifyConfig,
     iter_capacities,
+    iter_interval_members,
     iter_profiles,
     law_names,
-    levels_scale,
     run_laws,
     sample_capacity,
+    sample_profile,
     worked_example,
 )
-from symsug.cli import main
-from symsug.verify import iter_interval_members, sample_profile
 from symsug.mobius import ordinal_mobius_interval
 from conftest import WORKED_DOCUMENT
 
