@@ -310,7 +310,8 @@ def sym_min(a: ScaleValue, b: ScaleValue) -> ScaleValue:
 
 def _format_fraction(q: Fraction) -> str:
     """Render exactly: a terminating decimal when the denominator is
-    2^a * 5^b, the p/q form otherwise."""
+    2^a * 5^b, the p/q form otherwise.  Integers print through ``Decimal``,
+    which is exact and, unlike ``str(int)``, has no digit limit."""
     sign = "-" if q < 0 else ""
     q = abs(q)
     den = q.denominator
@@ -322,18 +323,10 @@ def _format_fraction(q: Fraction) -> str:
         den //= 5
         fives += 1
     if den != 1:
-        return f"{sign}{_digits(q.numerator)}/{_digits(q.denominator)}"
+        return f"{sign}{Decimal(q.numerator)}/{Decimal(q.denominator)}"
     places = max(twos, fives)
     if places == 0:
-        return f"{sign}{_digits(q.numerator)}"
-    digits = _digits(q.numerator * 10**places // q.denominator).rjust(places + 1, "0")
+        return f"{sign}{Decimal(q.numerator)}"
+    digits = str(Decimal(q.numerator * 10**places // q.denominator)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
-
-def _digits(i: int) -> str:
-    """The decimal digits of a nonnegative int.  ``str`` refuses ints past
-    Python's digit limit; ``Decimal`` converts them exactly, without one."""
-    try:
-        return str(i)
-    except ValueError:
-        return str(Decimal(i))
