@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .scale import ScaleError, ScaleValue, SymmetricScale, sym_max
+from .scale import ScaleError, ScaleValue, SymmetricScale, check_scale, sym_max
 
 MAX_PLAYERS = 24  # dense tables; 2**24 entries is the supported ceiling
 
@@ -119,9 +119,7 @@ class SetFunction:
             raise ValueError(
                 f"table has {len(table)} entries, expected {1 << self.n}"
             )
-        for entry in table:
-            if not isinstance(entry, ScaleValue) or entry.scale != self.scale:
-                raise ScaleError("table entries must live on the declared scale")
+        check_scale(self.scale, table)
 
     @classmethod
     def from_values(
@@ -151,8 +149,7 @@ class SetFunction:
 
 def _coerce_value(scale: SymmetricScale, raw: RawValue) -> ScaleValue:
     if isinstance(raw, ScaleValue):
-        if raw.scale != scale:
-            raise ScaleError("value belongs to a different scale")
+        check_scale(scale, (raw,))
         return raw
     if isinstance(raw, str):
         return scale.parse(raw)
@@ -258,9 +255,8 @@ def possibility_measure(pi: Sequence[ScaleValue]) -> Capacity:
     if not pi:
         raise CapacityError("empty distribution")
     scale = pi[0].scale
+    check_scale(scale, pi)
     for p in pi:
-        if p.scale != scale:
-            raise ScaleError("mixed-scale distribution")
         if p.sign < 0:
             raise CapacityError(f"distribution value {p} is negative")
     if max(pi) != scale.one:

@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .capacity import CapacityError
+from .capacity import MAX_PLAYERS, CapacityError
 from .integrals import (
     VARIANT_RULES,
     choquet,
@@ -107,14 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--levels", type=int, default=3, help="grade count K of the levels scale"
     )
-    mode = verify.add_mutually_exclusive_group(required=False)
-    mode.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="enumerate every instance (requires --n at most 3)",
-    )
-    mode.add_argument(
-        "--samples", type=int, help="check this many seeded random instances"
+    verify.add_argument(
+        "--samples",
+        type=int,
+        help="check this many seeded random instances (default: enumerate "
+        "every instance, which needs --n at most 3)",
     )
     verify.add_argument("--seed", type=int, default=0, help="sampling seed")
     verify.add_argument(
@@ -216,12 +213,8 @@ def _cmd_compute(args) -> int:
     if "v1" in names:
         diagnostics["mobius"] = representative
     if terms:
-        # sugeno_sym and v2 share the ranked terms: format them once
-        uses_ranked = "sugeno_sym" in terms or "v2" in terms
-        shared = [str(t) for t in ranked] if uses_ranked else []
         diagnostics["terms"] = {
-            name: shared if listed is ranked else [str(t) for t in listed]
-            for name, listed in terms.items()
+            name: [str(t) for t in listed] for name, listed in terms.items()
         }
     record["diagnostics"] = diagnostics
     print(record_line(record))
@@ -232,8 +225,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be at least 1")
+    if not 1 <= args.n <= MAX_PLAYERS:
+        raise ValueError(f"--n must be in 1..{MAX_PLAYERS}")
     if args.levels < 1:
         raise ValueError("--levels must be at least 1")
     exhaustive = args.samples is None

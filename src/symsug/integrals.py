@@ -29,6 +29,7 @@ from .scale import (
     ScaleError,
     ScaleValue,
     SymmetricScale,
+    check_scale,
     sym_max,
     sym_min,
 )
@@ -48,9 +49,7 @@ class Profile:
             raise ValueError("a profile needs at least one player")
         if len(scores) > MAX_PLAYERS:  # no capacity could match it
             raise ValueError(f"player count must be in 1..{MAX_PLAYERS}")
-        for entry in scores:
-            if not isinstance(entry, ScaleValue) or entry.scale != self.scale:
-                raise ScaleError("scores must live on the declared scale")
+        check_scale(self.scale, scores)
 
     @classmethod
     def from_values(

@@ -78,7 +78,7 @@ def read_problem(path: str) -> Problem:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return load_problem(text)
 
@@ -209,7 +209,9 @@ def _parse_capacity(scale: SymmetricScale, n: int, raw: Any) -> Capacity:
         if len(missing) > 4:
             shown += ", ..."
         raise ParseError(f"capacity is missing {shown}")
-    return Capacity.from_values(n, scale, table)
+    if 0 not in table:
+        table[0] = scale.zero
+    return Capacity(n, scale, tuple(table[mask] for mask in subsets(n)))
 
 
 def _parse_options(raw: Any) -> ProblemOptions:

@@ -20,10 +20,9 @@ angle is not.
 from __future__ import annotations
 
 import enum
-from functools import reduce
 from typing import Iterable
 
-from .scale import ScaleError, ScaleValue, SymmetricScale, sym_max
+from .scale import ScaleError, ScaleValue, SymmetricScale, check_scale, sym_max
 
 
 class Rule(enum.Enum):
@@ -62,54 +61,35 @@ def fold_sym_max(
     is required in that case and otherwise must agree with the values.
     """
     items = list(values)
-    common = _common_scale(items, scale)
+    scale = _common_scale(items, scale)
     if rule is Rule.FLOOR:
-        return _floor(items, common)
-    if rule is Rule.CEIL:
-        return _extremes_removed(items, common, remove_all=False)
-    if rule is Rule.ANGLE:
-        return _extremes_removed(items, common, remove_all=True)
-    raise TypeError(f"unknown rule: {rule!r}")
-
-
-def _floor(items: list[ScaleValue], scale: SymmetricScale) -> ScaleValue:
-    nonneg = [a for a in items if a.sign >= 0]
-    negative = [a for a in items if a.sign < 0]
-    high = max(nonneg) if nonneg else scale.zero
-    low = min(negative) if negative else scale.zero
-    return sym_max(high, low)
-
-
-def _extremes_removed(
-    items: list[ScaleValue], scale: SymmetricScale, remove_all: bool
-) -> ScaleValue:
-    items = sorted(items)
-    while len(items) >= 2:
-        low, high = items[0], items[-1]
-        if high.signed != -low.signed or high.sign == 0:
-            break
-        if remove_all:
-            items = [a for a in items if abs(a.signed) != high.signed]
+        nonneg = [a for a in items if a.sign >= 0]
+        negative = [a for a in items if a.sign < 0]
+        high = max(nonneg) if nonneg else scale.zero
+        low = min(negative) if negative else scale.zero
+        return sym_max(high, low)
+    if rule is not Rule.CEIL and rule is not Rule.ANGLE:
+        raise TypeError(f"unknown rule: {rule!r}")
+    items.sort()
+    while len(items) >= 2 and items[-1].signed == -items[0].signed != 0:
+        if rule is Rule.ANGLE:
+            top = items[-1].signed
+            items = [a for a in items if abs(a.signed) != top]
         else:
-            del items[-1]
-            del items[0]
-    return _plain_fold(items, scale)
-
-
-def _plain_fold(items: list[ScaleValue], scale: SymmetricScale) -> ScaleValue:
+            del items[-1], items[0]
     if not items:
         return scale.zero
-    return reduce(sym_max, items)
+    # an unambiguous multiset folds to its element of largest magnitude
+    low, high = items[0], items[-1]
+    return high if high.signed >= -low.signed else low
 
 
 def _common_scale(
     items: list[ScaleValue], scale: SymmetricScale | None
 ) -> SymmetricScale:
-    for a in items:
-        if scale is None:
-            scale = a.scale
-        elif a.scale != scale:
-            raise ScaleError("mixed-scale fold")
     if scale is None:
-        raise ScaleError("empty fold needs an explicit scale")
+        if not items:
+            raise ScaleError("empty fold needs an explicit scale")
+        scale = items[0].scale
+    check_scale(scale, items)
     return scale

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 Number = Union[int, Fraction]
 
@@ -70,8 +70,11 @@ class SymmetricScale:
         else:
             if self.levels is not None or self.labels is not None:
                 raise ScaleError("unit scale takes no grade count or labels")
-        # per-instance value cache; not a field, so invisible to eq/hash
+        # value cache and top of the positive side: not fields, so eq/hash skip them
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(
+            self, "_top", self.levels if self.kind == LEVELS else Fraction(1)
+        )
 
     # -- canonical elements -------------------------------------------------
 
@@ -82,11 +85,11 @@ class SymmetricScale:
     @property
     def one(self) -> ScaleValue:
         """Top of the positive side."""
-        return self.value(self.levels if self.kind == LEVELS else Fraction(1))
+        return self.value(self._top)
 
     @property
     def minus_one(self) -> ScaleValue:
-        return self.value(-self.levels if self.kind == LEVELS else Fraction(-1))
+        return self.value(-self._top)
 
     def value(self, raw: Number) -> ScaleValue:
         """Wrap a signed exact number as a value on this scale.  Level
@@ -105,12 +108,10 @@ class SymmetricScale:
         """The decreasing involution of the positive side: grade i -> K - i
         on a levels scale, x -> 1 - x on the unit scale.  Only defined for
         nonnegative values."""
-        self._own(a)
+        check_scale(self, (a,))
         if a.sign < 0:
             raise ScaleError("negation is defined on the nonnegative side only")
-        if self.kind == LEVELS:
-            return self.value(self.levels - a.signed)
-        return self.value(1 - a.signed)
+        return self.value(self._top - a.signed)
 
     # -- enumeration (levels scales only) ------------------------------------
 
@@ -127,7 +128,7 @@ class SymmetricScale:
     # -- text format ---------------------------------------------------------
 
     def format(self, a: ScaleValue) -> str:
-        self._own(a)
+        check_scale(self, (a,))
         if self.kind == UNIT:
             return _format_fraction(a.signed)
         if self.labels is None:
@@ -178,10 +179,6 @@ class SymmetricScale:
         grade = int(label)
         return grade if grade <= self.levels and str(grade) == label else None
 
-    def _own(self, a: ScaleValue) -> None:
-        if a.scale is not self and a.scale != self:
-            raise ScaleError("value belongs to a different scale")
-
 
 def unit_scale() -> SymmetricScale:
     return SymmetricScale(UNIT)
@@ -206,7 +203,6 @@ class ScaleValue:
         if self.scale.kind == LEVELS:
             if not isinstance(self.signed, int) or isinstance(self.signed, bool):
                 raise ScaleError("levels scale values are integer grades")
-            bound = self.scale.levels
         else:
             if isinstance(self.signed, float):
                 raise ScaleError("binary floats are not exact; use Fraction")
@@ -217,8 +213,7 @@ class ScaleValue:
                     f"bad unit-scale value: {type(self.signed).__name__}"
                 )
             object.__setattr__(self, "signed", Fraction(self.signed))
-            bound = 1
-        if abs(self.signed) > bound:
+        if abs(self.signed) > self.scale._top:
             raise OffScaleError(f"value {self.signed} lies outside the scale")
 
     # -- structure -----------------------------------------------------------
@@ -245,8 +240,8 @@ class ScaleValue:
     def _comparable(self, other: ScaleValue) -> ScaleValue:
         if not isinstance(other, ScaleValue):
             raise TypeError(f"cannot compare ScaleValue with {type(other).__name__}")
-        if self.scale is not other.scale and self.scale != other.scale:
-            raise ScaleError("values on different scales are not comparable")
+        if self.scale is not other.scale:
+            check_scale(self.scale, (other,))
         return other
 
     def __lt__(self, other: ScaleValue) -> bool:
@@ -274,10 +269,11 @@ def sign_of(a: ScaleValue) -> ScaleValue:
     return a.scale.zero
 
 
-def same_scale(a: ScaleValue, b: ScaleValue) -> SymmetricScale:
-    if a.scale is not b.scale and a.scale != b.scale:
-        raise ScaleError("mixed-scale operation")
-    return a.scale
+def check_scale(scale: SymmetricScale, values: Iterable[ScaleValue]) -> None:
+    """Raise ScaleError unless each of ``values`` is a ScaleValue on ``scale``."""
+    for a in values:
+        if not isinstance(a, ScaleValue) or (a.scale is not scale and a.scale != scale):
+            raise ScaleError("value belongs to a different scale")
 
 
 def sym_max(a: ScaleValue, b: ScaleValue) -> ScaleValue:
@@ -285,10 +281,11 @@ def sym_max(a: ScaleValue, b: ScaleValue) -> ScaleValue:
     absolutely larger operand (the one whose magnitude is max(|a|, |b|)),
     keeping its sign.  Coincides with lattice max when both operands are
     nonnegative."""
-    scale = same_scale(a, b)
+    if b.scale is not a.scale:
+        check_scale(a.scale, (b,))
     x, y = a.signed, b.signed
     if x == -y:
-        return scale.zero
+        return a.scale.zero
     return a if abs(x) > abs(y) else b
 
 
@@ -296,7 +293,8 @@ def sym_min(a: ScaleValue, b: ScaleValue) -> ScaleValue:
     """Symmetric minimum: magnitude min(|a|, |b|), negative exactly when the
     operand signs differ.  Coincides with lattice min when both operands are
     nonnegative."""
-    scale = same_scale(a, b)
+    if b.scale is not a.scale:
+        check_scale(a.scale, (b,))
     x, y = a.signed, b.signed
     mag = min(abs(x), abs(y))
     if (x > 0 and y < 0) or (x < 0 and y > 0):
@@ -305,7 +303,7 @@ def sym_min(a: ScaleValue, b: ScaleValue) -> ScaleValue:
         return a
     if y == mag:
         return b
-    return scale.value(mag)
+    return a.scale.value(mag)
 
 
 def _format_fraction(q: Fraction) -> str:

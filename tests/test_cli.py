@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -204,6 +205,14 @@ def test_malformed_documents_exit_1(tmp_path, capsys):
     assert out == "" and "bad unit-scale value" in err
 
 
+def test_non_utf8_input_is_a_malformed_document(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(WORKED_DOCUMENT).encode("utf-8") + b"\xff")
+    code, out, err = run(capsys, "compute", "--input", str(path), "--all")
+    assert code == 1
+    assert out == "" and err.startswith("error: cannot read")
+
+
 def test_invalid_instances_exit_2(tmp_path, capsys):
     table = dict(WORKED_DOCUMENT["capacity"], **{"{1,2}": "0.1"})
     path = write_document(tmp_path, dict(WORKED_DOCUMENT, capacity=table))
@@ -322,6 +331,14 @@ def test_verify_flag_validation(capsys):
     assert code == 0  # sampled mode lifts the player bound
 
 
+def test_verify_rejects_player_counts_past_the_table_ceiling(capsys):
+    # checked before any law builds a 2**n table
+    argv = ("verify", "--n", "64", "--samples", "1", "--law", "conjugate-involution")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: --n must be in 1..")
+
+
 # -- mobius ----------------------------------------------------------------------
 
 
@@ -354,6 +371,8 @@ def test_console_script_matches_the_library_entry(worked_file, capsys):
     code, out, _ = run(capsys, "compute", "--input", str(worked_file), "--all")
     completed = subprocess.run(
         [sys.executable, "-m", "symsug.cli", "compute", "--input", str(worked_file), "--all"],
+        # the package need not be installed: run the one under test
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
         capture_output=True,
         text=True,
     )

@@ -10,9 +10,13 @@ from symsug import (
     Capacity,
     OffScaleError,
     Profile,
+    Rule,
     ScaleError,
     ScaleValue,
+    SetFunction,
+    fold_sym_max,
     levels_scale,
+    possibility_measure,
     sym_max,
     sym_min,
     unit_scale,
@@ -152,6 +156,27 @@ def test_scales_do_not_mix():
         sym_max(L3.value(1), levels_scale(2).value(1))
     with pytest.raises(ScaleError):
         L3.value(1) < UNIT.value(Fraction(1, 2))
+
+
+L2 = levels_scale(2)
+MIXED_SCALE_SITES = {
+    "sym_max": lambda: sym_max(L2.value(1), L3.value(1)),
+    "sym_min": lambda: sym_min(L2.value(1), L3.value(1)),
+    "<": lambda: L2.value(1) < L3.value(1),
+    "fold_sym_max": lambda: fold_sym_max([L2.value(1), L3.value(1)], Rule.CEIL),
+    "SetFunction": lambda: SetFunction(1, L2, (L2.zero, L3.value(1))),
+    "Profile": lambda: Profile(L2, (L2.value(1), L3.value(1))),
+    "Capacity.from_values": lambda: Capacity.from_values(1, L2, [L2.zero, L3.one]),
+    "possibility_measure": lambda: possibility_measure([L2.one, L3.one]),
+    "format": lambda: L2.format(L3.value(1)),
+    "negate": lambda: L2.negate(L3.value(1)),
+}
+
+
+@pytest.mark.parametrize("site", MIXED_SCALE_SITES)
+def test_every_site_reports_a_mixed_scale_the_same_way(site):
+    with pytest.raises(ScaleError, match="value belongs to a different scale"):
+        MIXED_SCALE_SITES[site]()
 
 
 # -- negation, reflection, sign ------------------------------------------------
