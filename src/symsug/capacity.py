@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .scale import ScaleError, ScaleValue, SymmetricScale, check_scale, sym_max
+from .scale import ScaleError, ScaleValue, SymmetricScale, _scale_of, check_scale, sym_max
 
 MAX_PLAYERS = 24  # dense tables; 2**24 entries is the supported ceiling
 
@@ -61,7 +62,7 @@ def subset_text(mask: int) -> str:
 
 
 def parse_subset_text(text: str, n: int) -> int:
-    body = text.strip()
+    body = text.strip() if isinstance(text, str) else ""
     if not body.startswith("{") or not body.endswith("}"):
         raise ValueError(f"bad subset: {text!r}")
     body = body[1:-1].strip()
@@ -111,26 +112,19 @@ class SetFunction:
     table: tuple[ScaleValue, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_PLAYERS:
-            raise ValueError(f"player count must be in 1..{MAX_PLAYERS}")
-        table = tuple(self.table)
-        object.__setattr__(self, "table", table)
-        if len(table) != 1 << self.n:
-            raise ValueError(
-                f"table has {len(table)} entries, expected {1 << self.n}"
-            )
-        check_scale(self.scale, table)
+        object.__setattr__(self, "table", _dense_table(self.n, self.table))
+        check_scale(self.scale, self.table)
 
     @classmethod
     def from_values(
         cls,
         n: int,
         scale: SymmetricScale,
-        values: Mapping[Union[str, int], RawValue] | Sequence[RawValue],
+        values: Mapping[str, RawValue] | Sequence[RawValue],
     ) -> "SetFunction":
         """Build from a full sequence in mask order, or from a mapping keyed
-        by masks or subset strings.  A mapping may omit the empty set, which
-        then defaults to 0."""
+        by subset strings such as ``"{1,3}"`` only.  The empty set defaults to
+        0; any other missing subset is an error naming at most four of them."""
         return cls(n, scale, _coerce_table(n, scale, values))
 
     def __call__(self, mask: int) -> ScaleValue:
@@ -141,8 +135,7 @@ class SetFunction:
         return all(v.sign >= 0 for v in self.table)
 
     def pointwise_sym_max(self, other: "SetFunction") -> "SetFunction":
-        if self.n != other.n or self.scale != other.scale:
-            raise ScaleError("mismatched set functions")
+        _check_pair(self, other)
         table = tuple(sym_max(a, b) for a, b in zip(self.table, other.table))
         return SetFunction(self.n, self.scale, table)
 
@@ -159,28 +152,66 @@ def _coerce_value(scale: SymmetricScale, raw: RawValue) -> ScaleValue:
 def _coerce_table(
     n: int,
     scale: SymmetricScale,
-    values: Mapping[Union[str, int], RawValue] | Sequence[RawValue],
+    values: Mapping[str, RawValue] | Sequence[RawValue],
 ) -> tuple[ScaleValue, ...]:
-    size = 1 << n
     if isinstance(values, Mapping):
-        table: list[ScaleValue | None] = [None] * size
-        for key, raw in values.items():
-            mask = parse_subset_text(key, n) if isinstance(key, str) else key
-            if not isinstance(mask, int) or not 0 <= mask < size:
-                raise ValueError(f"bad subset key: {key!r}")
-            if table[mask] is not None:
-                raise ValueError(f"duplicate subset key: {key!r}")
-            table[mask] = _coerce_value(scale, raw)
-        if table[0] is None:
-            table[0] = scale.zero
-        missing = [subset_text(m) for m in range(size) if table[m] is None]
-        if missing:
-            raise ValueError(f"missing subsets: {', '.join(missing)}")
-        return tuple(table)  # type: ignore[arg-type]
-    entries = list(values)
-    if len(entries) != size:
-        raise ValueError(f"expected {size} values, got {len(entries)}")
-    return tuple(_coerce_value(scale, raw) for raw in entries)
+        return _read_subset_table(
+            n, scale, values, lambda key, raw: _coerce_value(scale, raw)
+        )
+    return tuple(_coerce_value(scale, raw) for raw in values)
+
+
+def _read_subset_table(
+    n: int,
+    scale: SymmetricScale,
+    entries: Mapping[str, Any],
+    coerce: Callable[[str, Any], ScaleValue],
+    error: type[ValueError] = ValueError,
+) -> tuple[ScaleValue, ...]:
+    """The dense table of a mapping from subset strings to values, each
+    coerced by ``coerce(key, value)``; the empty set defaults to 0.  Bad,
+    repeated or missing keys raise ``error``, naming at most four missing."""
+    _check_players(n)
+    table: dict[int, ScaleValue] = {}
+    for key, raw in entries.items():
+        try:
+            mask = parse_subset_text(key, n)
+        except ValueError as exc:
+            raise error(f"capacity key {key!r}: {exc}") from exc
+        if mask in table:
+            raise error(f"capacity repeats the subset {subset_text(mask)}")
+        table[mask] = coerce(key, raw)
+    missing = list(islice((m for m in range(1, 1 << n) if m not in table), 5))
+    if missing:
+        shown = ", ".join(subset_text(mask) for mask in missing[:4])
+        if len(missing) > 4:
+            shown += ", ..."
+        raise error(f"capacity is missing {shown}")
+    if 0 not in table:
+        table[0] = scale.zero
+    return tuple(table[mask] for mask in subsets(n))
+
+
+def _check_players(n: int) -> None:
+    if not isinstance(n, int) or not 1 <= n <= MAX_PLAYERS:
+        raise ValueError(f"player count must be in 1..{MAX_PLAYERS}")
+
+
+def _dense_table(n: int, table: Iterable) -> tuple:
+    """``table`` as a tuple, checked to hold one entry per subset of {1..n}."""
+    _check_players(n)
+    table = tuple(table)
+    if len(table) != 1 << n:
+        raise ValueError(f"table has {len(table)} entries, expected {1 << n}")
+    return table
+
+
+def _check_pair(a: Any, b: Any) -> None:
+    """Raise unless two tables or profiles have the same players and scale."""
+    if a.n != b.n:
+        raise ValueError(f"player counts differ: {a.n} and {b.n}")
+    if a.scale != b.scale:
+        raise ScaleError("value belongs to a different scale")
 
 
 # -- capacities --------------------------------------------------------------
@@ -201,7 +232,7 @@ class Capacity(SetFunction):
         cls,
         n: int,
         scale: SymmetricScale,
-        values: Mapping[Union[str, int], RawValue] | Sequence[RawValue],
+        values: Mapping[str, RawValue] | Sequence[RawValue],
     ) -> "Capacity":
         return cls(n, scale, _coerce_table(n, scale, values))
 
@@ -254,8 +285,7 @@ def possibility_measure(pi: Sequence[ScaleValue]) -> Capacity:
     ``pi`` on players with max value 1."""
     if not pi:
         raise CapacityError("empty distribution")
-    scale = pi[0].scale
-    check_scale(scale, pi)
+    scale = _scale_of(pi)
     for p in pi:
         if p.sign < 0:
             raise CapacityError(f"distribution value {p} is negative")

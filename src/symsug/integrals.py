@@ -14,10 +14,11 @@ from functools import reduce
 from typing import Sequence
 
 from .capacity import (
-    MAX_PLAYERS,
     Capacity,
     RawValue,
     SetFunction,
+    _check_pair,
+    _check_players,
     _coerce_value,
     full_set,
     subset_members,
@@ -45,10 +46,7 @@ class Profile:
     def __post_init__(self) -> None:
         scores = tuple(self.scores)
         object.__setattr__(self, "scores", scores)
-        if not scores:
-            raise ValueError("a profile needs at least one player")
-        if len(scores) > MAX_PLAYERS:  # no capacity could match it
-            raise ValueError(f"player count must be in 1..{MAX_PLAYERS}")
+        _check_players(len(scores))  # past the ceiling no capacity could match
         check_scale(self.scale, scores)
 
     @classmethod
@@ -75,13 +73,6 @@ class Profile:
 
     def __neg__(self) -> "Profile":
         return Profile(self.scale, tuple(-x for x in self.scores))
-
-
-def _check_pair(v: SetFunction, f: Profile) -> None:
-    if f.n != v.n:
-        raise ValueError(f"profile has {f.n} players, capacity has {v.n}")
-    if f.scale != v.scale:
-        raise ScaleError("profile and capacity live on different scales")
 
 
 # -- rational conversions (Choquet side) ---------------------------------------

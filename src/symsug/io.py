@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .capacity import Capacity, SetFunction, parse_subset_text, subset_text, subsets
+from .capacity import Capacity, SetFunction, _read_subset_table, subset_text, subsets
 from .integrals import Profile
 from .scale import (
     OffScaleError,
@@ -193,25 +192,11 @@ def _parse_players(raw: Any, n: int) -> tuple[str, ...] | None:
 def _parse_capacity(scale: SymmetricScale, n: int, raw: Any) -> Capacity:
     if not isinstance(raw, dict):
         raise ParseError("'capacity' must map subset strings to scale values")
-    table: dict[int, ScaleValue] = {}
-    for key, value in raw.items():
-        try:
-            mask = parse_subset_text(key, n)
-        except ValueError as exc:
-            raise ParseError(f"capacity key {key!r}: {exc}") from exc
-        if mask in table:
-            raise ParseError(f"capacity repeats the subset {subset_text(mask)}")
-        table[mask] = _parse_value(scale, value, f"capacity[{key!r}]")
-    # stop at the fifth missing subset: four are shown, a fifth adds "..."
-    missing = list(islice((m for m in range(1, 1 << n) if m not in table), 5))
-    if missing:
-        shown = ", ".join(subset_text(mask) for mask in missing[:4])
-        if len(missing) > 4:
-            shown += ", ..."
-        raise ParseError(f"capacity is missing {shown}")
-    if 0 not in table:
-        table[0] = scale.zero
-    return Capacity(n, scale, tuple(table[mask] for mask in subsets(n)))
+
+    def parse(key: str, value: Any) -> ScaleValue:
+        return _parse_value(scale, value, f"capacity[{key!r}]")
+
+    return Capacity(n, scale, _read_subset_table(n, scale, raw, parse, ParseError))
 
 
 def _parse_options(raw: Any) -> ProblemOptions:

@@ -17,13 +17,15 @@ from typing import Sequence
 from .capacity import (
     Capacity,
     SetFunction,
+    _check_pair,
+    _dense_table,
     covers_of,
     full_set,
     iter_submasks,
     subsets,
 )
 from .rules import Rule, fold_sym_max
-from .scale import ScaleError, ScaleValue, sym_max, sym_min
+from .scale import ScaleValue, _scale_of, sym_max, sym_min
 
 
 # -- classical transform on rational tables ----------------------------------
@@ -37,14 +39,8 @@ class RealSetFunction:
     table: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("player count must be positive")
-        table = tuple(Fraction(x) for x in self.table)
+        table = tuple(Fraction(x) for x in _dense_table(self.n, self.table))
         object.__setattr__(self, "table", table)
-        if len(table) != 1 << self.n:
-            raise ValueError(
-                f"table has {len(table)} entries, expected {1 << self.n}"
-            )
 
     def __call__(self, mask: int) -> Fraction:
         return self.table[mask]
@@ -95,8 +91,7 @@ class MobiusInterval:
         return self.lower.n
 
     def contains(self, m: SetFunction) -> bool:
-        if m.n != self.n or m.scale != self.lower.scale:
-            raise ScaleError("mismatched set function")
+        _check_pair(self.lower, m)
         return all(
             self.lower(mask) <= m(mask) <= self.upper(mask)
             for mask in subsets(self.n)
@@ -124,8 +119,7 @@ def ordinal_mobius_interval(v: Capacity) -> MobiusInterval:
 def is_solution(v: Capacity, m: SetFunction, rule: Rule) -> bool:
     """True when folding m over the subsets of each A under ``rule``
     reproduces v(A).  m may take negative values."""
-    if m.n != v.n or m.scale != v.scale:
-        raise ScaleError("mismatched set function")
+    _check_pair(v, m)
     for mask in subsets(v.n):
         folded = fold_sym_max(
             (m(sub) for sub in iter_submasks(mask)), rule, scale=v.scale
@@ -197,7 +191,7 @@ def mobius_possibility(pi: Sequence[ScaleValue]) -> SetFunction:
     """Lower transform of the possibility measure built on ``pi``: the
     distribution itself on singletons, 0 elsewhere.  Holds for any
     distribution, ties and zeros included."""
-    scale = pi[0].scale
+    scale = _scale_of(pi)
     zero = scale.zero
     n = len(pi)
     table = [zero] * (1 << n)
@@ -212,7 +206,7 @@ def mobius_necessity(pi: Sequence[ScaleValue]) -> SetFunction:
     position k carries n(pi_(k)) when pi_(k) < pi_(k+1) (taking pi_(0) = 0,
     so the full set carries 1 unless some pi vanishes); a tie kills the
     strict jump and the tail carries 0."""
-    scale = pi[0].scale
+    scale = _scale_of(pi)
     n = len(pi)
     order = sorted(range(n), key=lambda i: pi[i].signed)
     table = [scale.zero] * (1 << n)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from typing import Iterable
 
-from .scale import ScaleError, ScaleValue, SymmetricScale, check_scale, sym_max
+from .scale import ScaleError, ScaleValue, SymmetricScale, _scale_of, check_scale, sym_max
 
 
 class Rule(enum.Enum):
@@ -90,6 +90,6 @@ def _common_scale(
     if scale is None:
         if not items:
             raise ScaleError("empty fold needs an explicit scale")
-        scale = items[0].scale
+        return _scale_of(items)
     check_scale(scale, items)
     return scale

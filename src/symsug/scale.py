@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Number = Union[int, Fraction]
 
@@ -153,7 +153,7 @@ class SymmetricScale:
                     f" or an exponent beyond {MAX_UNIT_EXPONENT}"
                 )
             try:
-                return ScaleValue(self, Fraction(text))
+                return self.value(Fraction(text))
             except OffScaleError:
                 # well-formed but out of range: a validation error, not a
                 # syntax error
@@ -164,7 +164,7 @@ class SymmetricScale:
         grade = self._grade(text[1:] if negative else text)
         if grade is None:
             raise ScaleError(f"unknown level label: {text!r}")
-        return ScaleValue(self, -grade if negative else grade)
+        return self.value(-grade if negative else grade)
 
     def _grade(self, label: str) -> int | None:
         """The grade a label names: its position among the labels, or on an
@@ -260,15 +260,6 @@ class ScaleValue:
         return self.scale.format(self)
 
 
-def sign_of(a: ScaleValue) -> ScaleValue:
-    """Sign of ``a`` as an element of the same scale: -1, 0 or 1."""
-    if a.sign > 0:
-        return a.scale.one
-    if a.sign < 0:
-        return a.scale.minus_one
-    return a.scale.zero
-
-
 def check_scale(scale: SymmetricScale, values: Iterable[ScaleValue]) -> None:
     """Raise ScaleError unless each of ``values`` is a ScaleValue on ``scale``."""
     for a in values:
@@ -276,13 +267,25 @@ def check_scale(scale: SymmetricScale, values: Iterable[ScaleValue]) -> None:
             raise ScaleError("value belongs to a different scale")
 
 
+def _scale_of(values: Sequence[ScaleValue]) -> SymmetricScale:
+    """The scale of a non-empty sequence of values, checked to be shared
+    by all of them; a raw number raises ScaleError."""
+    scale = getattr(values[0], "scale", None)
+    check_scale(scale, values)
+    return scale
+
+
 def sym_max(a: ScaleValue, b: ScaleValue) -> ScaleValue:
     """Symmetric maximum: 0 if the operands are opposites, otherwise the
     absolutely larger operand (the one whose magnitude is max(|a|, |b|)),
     keeping its sign.  Coincides with lattice max when both operands are
     nonnegative."""
-    if b.scale is not a.scale:
-        check_scale(a.scale, (b,))
+    try:
+        mixed = b.scale is not a.scale
+    except AttributeError:  # a raw number
+        mixed = True
+    if mixed:
+        _scale_of((a, b))
     x, y = a.signed, b.signed
     if x == -y:
         return a.scale.zero
@@ -293,8 +296,12 @@ def sym_min(a: ScaleValue, b: ScaleValue) -> ScaleValue:
     """Symmetric minimum: magnitude min(|a|, |b|), negative exactly when the
     operand signs differ.  Coincides with lattice min when both operands are
     nonnegative."""
-    if b.scale is not a.scale:
-        check_scale(a.scale, (b,))
+    try:
+        mixed = b.scale is not a.scale
+    except AttributeError:  # a raw number
+        mixed = True
+    if mixed:
+        _scale_of((a, b))
     x, y = a.signed, b.signed
     mag = min(abs(x), abs(y))
     if (x > 0 and y < 0) or (x < 0 and y > 0):

@@ -77,6 +77,9 @@ def test_interval_is_exactly_the_brute_force_solution_set(k):
             )
         }
         assert solutions == boxed
+        for combo in itertools.product(list(scale.nonnegative_values()), repeat=4):
+            m = SetFunction(2, scale, combo)
+            assert is_solution(v, m, Rule.FLOOR) == interval.contains(m)
 
 
 def test_interval_on_a_three_player_capacity():

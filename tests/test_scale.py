@@ -16,12 +16,17 @@ from symsug import (
     SetFunction,
     fold_sym_max,
     levels_scale,
+    necessity_measure,
+    ordinal_mobius_interval,
     possibility_measure,
+    sugeno,
     sym_max,
     sym_min,
     unit_scale,
 )
-from symsug.scale import MAX_UNIT_EXPONENT, MAX_UNIT_TEXT, sign_of
+from symsug.mobius import is_solution, mobius_necessity, mobius_possibility
+from symsug.rules import is_fold_unambiguous
+from symsug.scale import MAX_UNIT_EXPONENT, MAX_UNIT_TEXT
 
 UNIT = unit_scale()
 L3 = levels_scale(3)
@@ -170,6 +175,32 @@ MIXED_SCALE_SITES = {
     "possibility_measure": lambda: possibility_measure([L2.one, L3.one]),
     "format": lambda: L2.format(L3.value(1)),
     "negate": lambda: L2.negate(L3.value(1)),
+    # two containers on different scales
+    "integral": lambda: sugeno(
+        Capacity.from_values(1, L2, [0, 2]), Profile.from_values(L3, [1])
+    ),
+    "pointwise_sym_max": lambda: SetFunction.from_values(1, L2, [0, 1]).pointwise_sym_max(
+        SetFunction.from_values(1, L3, [0, 1])
+    ),
+    "MobiusInterval.contains": lambda: ordinal_mobius_interval(
+        Capacity.from_values(1, L2, [0, 2])
+    ).contains(SetFunction.from_values(1, L3, [0, 2])),
+    "is_solution": lambda: is_solution(
+        Capacity.from_values(1, L2, [0, 2]),
+        SetFunction.from_values(1, L3, [0, 2]),
+        Rule.FLOOR,
+    ),
+    # raw numbers passed as values
+    "sym_max(raw, value)": lambda: sym_max(1, L2.value(1)),
+    "sym_max(value, raw)": lambda: sym_max(L2.value(1), 1),
+    "sym_min(raw, value)": lambda: sym_min(1, L2.value(1)),
+    "sym_min(value, raw)": lambda: sym_min(L2.value(1), 1),
+    "fold_sym_max(raw)": lambda: fold_sym_max([1, 2], Rule.CEIL),
+    "is_fold_unambiguous(raw)": lambda: is_fold_unambiguous([1, 2]),
+    "possibility_measure(raw)": lambda: possibility_measure([2, 1]),
+    "necessity_measure(raw)": lambda: necessity_measure([2, 1]),
+    "mobius_possibility(raw)": lambda: mobius_possibility([2, 1]),
+    "mobius_necessity(raw)": lambda: mobius_necessity([2, 1]),
 }
 
 
@@ -198,8 +229,6 @@ def test_reflection_is_an_involution(a):
 @given(grades())
 def test_absolute_and_sign(a):
     assert abs(a).signed == abs(a.signed)
-    assert sign_of(a) in (a.scale.minus_one, a.scale.zero, a.scale.one)
-    assert sym_min(sign_of(a), a.scale.one).sign == a.sign
 
 
 # -- the symmetric maximum -----------------------------------------------------
