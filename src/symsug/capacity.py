@@ -280,12 +280,17 @@ def unanimity(n: int, b_mask: int, scale: SymmetricScale) -> Capacity:
     return Capacity(n, scale, table)
 
 
+def _distribution_scale(pi: Sequence[ScaleValue]) -> SymmetricScale:
+    """The scale of a distribution on players, which must not be empty."""
+    if not pi:
+        raise CapacityError("empty distribution")
+    return _scale_of(pi)
+
+
 def possibility_measure(pi: Sequence[ScaleValue]) -> Capacity:
     """The maxitive capacity A -> max of ``pi`` over A, for a distribution
     ``pi`` on players with max value 1."""
-    if not pi:
-        raise CapacityError("empty distribution")
-    scale = _scale_of(pi)
+    scale = _distribution_scale(pi)
     for p in pi:
         if p.sign < 0:
             raise CapacityError(f"distribution value {p} is negative")

@@ -5,6 +5,13 @@ Output is line-delimited JSON, one record per result, in a fixed order;
 identical inputs (and seed) produce byte-identical output.  Exit codes:
 0 success, 1 malformed input document, 2 invalid flags or an instance
 that fails validation.
+
+On the unit scale, ``compute`` and ``mobius`` evaluate the Sugeno side
+(the Sugeno integrals, the three variants, the transform interval and the
+canonical forms) on the ranks of the values the instance uses, through
+:meth:`Problem.ranked`.  That is exact, since those outputs depend only on
+order, signs and opposites, and the ranked scale prints every grade as the
+value it stands for.  The Choquet family stays on rationals.
 """
 
 from __future__ import annotations
@@ -174,7 +181,7 @@ def _cmd_compute(args) -> int:
     problem = read_problem(args.input)
     names = _requested_outputs(problem, args)
     representative = args.mobius or problem.options.mobius or "lower"
-    v, f = problem.capacity, problem.profile
+    v, f = problem.ranked()
 
     order, split, ranked = ranked_terms(v, f)
     if "v1" in names or "mobius_interval" in names:
@@ -190,7 +197,8 @@ def _cmd_compute(args) -> int:
         member = interval.lower if representative == "lower" else interval.upper
         terms["v1"] = variant1_terms(member, f)
     if any(name in CHOQUET_OUTPUTS for name in names):
-        real_v, real_f = to_real_capacity(v), to_real_profile(f)
+        real_v = to_real_capacity(problem.capacity)
+        real_f = to_real_profile(problem.profile)
 
     record: dict[str, object] = {}
     for name in names:
@@ -250,8 +258,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mobius(args) -> int:
-    problem = read_problem(args.input)
-    interval = ordinal_mobius_interval(problem.capacity)
+    capacity, _ = read_problem(args.input).ranked()
+    interval = ordinal_mobius_interval(capacity)
     print(
         record_line(
             {
@@ -262,7 +270,7 @@ def _cmd_mobius(args) -> int:
         )
     )
     for rule in (Rule.FLOOR, Rule.ANGLE):
-        canonical = canonical_ordinal_mobius(problem.capacity, rule)
+        canonical = canonical_ordinal_mobius(capacity, rule)
         print(
             record_line(
                 {

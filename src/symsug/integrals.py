@@ -30,6 +30,7 @@ from .scale import (
     ScaleError,
     ScaleValue,
     SymmetricScale,
+    _exact,
     check_scale,
     sym_max,
     sym_min,
@@ -96,7 +97,7 @@ def to_real_profile(f: Profile) -> tuple[Fraction, ...]:
 
 
 def _check_real_args(v: RealSetFunction, f: Sequence[Fraction]) -> list[Fraction]:
-    scores = [Fraction(x) for x in f]
+    scores = [_exact(x) for x in f]
     if len(scores) != v.n:
         raise ValueError(f"profile has {len(scores)} players, capacity has {v.n}")
     return scores

@@ -23,6 +23,7 @@ from typing import Any, Mapping
 from .capacity import Capacity, SetFunction, _read_subset_table, subset_text, subsets
 from .integrals import Profile
 from .scale import (
+    UNIT,
     OffScaleError,
     ScaleError,
     ScaleValue,
@@ -71,6 +72,36 @@ class Problem:
     @property
     def n(self) -> int:
         return self.profile.n
+
+    def ranked(self) -> tuple[Capacity, Profile]:
+        """The capacity and profile on an order-isomorphic levels scale.
+
+        On the unit scale, the distinct magnitudes the instance uses, with 0
+        and 1, are 0 = q0 < ... < qK = 1, and each value +-qi becomes the
+        grade +-i of ``levels_scale(K)`` labelled with the text of each qi.
+        So every value prints exactly as before, and grades are interned
+        ints instead of Fractions.  The Sugeno integrals, the fold rules and
+        the ordinal Moebius forms depend only on order, signs and opposites,
+        so they give the same values on either scale.  The map does not
+        preserve x -> 1 - x: ``SymmetricScale.negate``, ``conjugate`` and
+        the necessity measure are not valid on the ranked scale.
+        Levels-scale problems come back unchanged."""
+        v, f = self.capacity, self.profile
+        if self.scale.kind != UNIT:
+            return v, f
+        # the entries of a capacity are nonnegative and include 0 and 1
+        magnitudes = sorted(
+            {x.signed for x in v.table}.union(abs(x.signed) for x in f.scores)
+        )
+        rank = {q: i for i, q in enumerate(magnitudes)}
+        labels = tuple(map(_format_fraction, magnitudes))
+        scale = levels_scale(len(magnitudes) - 1, labels)
+        table = tuple(scale.value(rank[x.signed]) for x in v.table)
+        scores = tuple(
+            scale.value(rank[x.signed] if x.signed >= 0 else -rank[-x.signed])
+            for x in f.scores
+        )
+        return Capacity(v.n, scale, table), Profile(scale, scores)
 
 
 def read_problem(path: str) -> Problem:

@@ -19,13 +19,14 @@ from .capacity import (
     SetFunction,
     _check_pair,
     _dense_table,
+    _distribution_scale,
     covers_of,
     full_set,
     iter_submasks,
     subsets,
 )
 from .rules import Rule, fold_sym_max
-from .scale import ScaleValue, _scale_of, sym_max, sym_min
+from .scale import ScaleValue, _exact, sym_max, sym_min
 
 
 # -- classical transform on rational tables ----------------------------------
@@ -39,7 +40,7 @@ class RealSetFunction:
     table: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        table = tuple(Fraction(x) for x in _dense_table(self.n, self.table))
+        table = tuple(_exact(x) for x in _dense_table(self.n, self.table))
         object.__setattr__(self, "table", table)
 
     def __call__(self, mask: int) -> Fraction:
@@ -191,7 +192,7 @@ def mobius_possibility(pi: Sequence[ScaleValue]) -> SetFunction:
     """Lower transform of the possibility measure built on ``pi``: the
     distribution itself on singletons, 0 elsewhere.  Holds for any
     distribution, ties and zeros included."""
-    scale = _scale_of(pi)
+    scale = _distribution_scale(pi)
     zero = scale.zero
     n = len(pi)
     table = [zero] * (1 << n)
@@ -206,7 +207,7 @@ def mobius_necessity(pi: Sequence[ScaleValue]) -> SetFunction:
     position k carries n(pi_(k)) when pi_(k) < pi_(k+1) (taking pi_(0) = 0,
     so the full set carries 1 unless some pi vanishes); a tie kills the
     strict jump and the tail carries 0."""
-    scale = _scale_of(pi)
+    scale = _distribution_scale(pi)
     n = len(pi)
     order = sorted(range(n), key=lambda i: pi[i].signed)
     table = [scale.zero] * (1 << n)

@@ -204,15 +204,13 @@ class ScaleValue:
             if not isinstance(self.signed, int) or isinstance(self.signed, bool):
                 raise ScaleError("levels scale values are integer grades")
         else:
-            if isinstance(self.signed, float):
-                raise ScaleError("binary floats are not exact; use Fraction")
             if isinstance(self.signed, bool) or not isinstance(
-                self.signed, (int, Fraction)
+                self.signed, (int, Fraction, float)
             ):
                 raise ScaleError(
                     f"bad unit-scale value: {type(self.signed).__name__}"
                 )
-            object.__setattr__(self, "signed", Fraction(self.signed))
+            object.__setattr__(self, "signed", _exact(self.signed))
         if abs(self.signed) > self.scale._top:
             raise OffScaleError(f"value {self.signed} lies outside the scale")
 
@@ -258,6 +256,16 @@ class ScaleValue:
 
     def __str__(self) -> str:
         return self.scale.format(self)
+
+
+def _exact(x) -> Fraction:
+    """``x`` as a Fraction; a binary float raises ScaleError, since its
+    value is almost never the decimal it was written as."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise ScaleError("binary floats are not exact; use Fraction")
+    return Fraction(x)
 
 
 def check_scale(scale: SymmetricScale, values: Iterable[ScaleValue]) -> None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from symsug import (
     Capacity,
     Profile,
+    RealSetFunction,
     Rule,
     ScaleError,
     choquet,
@@ -109,6 +110,21 @@ def test_choquet_needs_the_unit_scale():
         to_real_capacity(make_capacity(L2, (0, 1, 1, 2)))
     with pytest.raises(ScaleError):
         to_real_profile(make_profile(L2, (1, 1)))
+
+
+def test_the_choquet_side_rejects_binary_floats():
+    # Fraction(0.3) would be 5404319552844595/18014398509481984
+    with pytest.raises(ScaleError, match="binary floats are not exact"):
+        RealSetFunction(1, (0, 0.5))
+    v = RealSetFunction(1, (0, 1))
+    for integral in (
+        choquet, choquet_symmetric, choquet_asymmetric, choquet_symmetric_explicit,
+        choquet_mobius, sipos_mobius,
+    ):
+        with pytest.raises(ScaleError, match="binary floats are not exact"):
+            integral(v, [0.3])
+    # exact inputs still convert
+    assert choquet(RealSetFunction(1, (0, "1")), [F(3, 10)]) == F(3, 10)
 
 
 def rational_capacities(n=2):

@@ -12,12 +12,21 @@ from symsug import (
     CapacityError,
     OffScaleError,
     ParseError,
+    Rule,
     ScaleError,
+    canonical_ordinal_mobius,
     levels_scale,
     load_problem,
+    ordinal_mobius_interval,
     read_problem,
+    sugeno,
+    sugeno_symmetric,
+    sugeno_variant1,
+    sugeno_variant2,
+    sugeno_variant3,
 )
-from symsug.capacity import MAX_PLAYERS
+from symsug.capacity import MAX_PLAYERS, subset_text
+from symsug.integrals import ranked_terms
 from symsug.io import Problem, fraction_text, record_line, set_function_record
 from conftest import WORKED_DOCUMENT, documents, json_values, mutated_documents
 
@@ -300,3 +309,89 @@ def test_every_signed_label_round_trips(labels):
     for grade in range(-scale.levels, scale.levels + 1):
         value = scale.value(grade)
         assert scale.parse(scale.format(value)) == value
+
+
+# -- the ranked scale of compute and mobius ------------------------------------------
+
+
+@st.composite
+def irregular_unit_documents(draw):
+    """A unit-scale document with one to five players whose values come from
+    2 to 40 irregularly spaced magnitudes, 0 and 1 included, and whose
+    signed profile has ties and opposite pairs on purpose."""
+    n = draw(st.integers(1, 5))
+    inner = draw(
+        st.lists(
+            st.fractions(0, 1, max_denominator=997).filter(lambda q: 0 < q < 1),
+            max_size=38,
+            unique=True,
+        )
+    )
+    pool = sorted({Fraction(0), Fraction(1), *inner})
+    full = (1 << n) - 1
+    table = [Fraction(0)] * (full + 1)
+    for mask in range(1, full + 1):
+        drawn = Fraction(1) if mask == full else draw(st.sampled_from(pool))
+        below = [table[mask & ~(1 << i)] for i in range(n) if mask >> i & 1]
+        table[mask] = max([drawn, *below])
+    scores = []
+    for _ in range(n):
+        how = draw(st.sampled_from(("fresh", "tie", "opposite")))
+        if how == "fresh" or not scores:
+            scores.append(draw(st.sampled_from(pool)) * draw(st.sampled_from((1, -1))))
+        else:
+            earlier = draw(st.sampled_from(scores))
+            scores.append(earlier if how == "tie" else -earlier)
+    return {
+        "scale": {"kind": "unit"},
+        "capacity": {subset_text(m): str(table[m]) for m in range(full + 1)},
+        "profile": [str(x) for x in scores],
+    }
+
+
+def _sugeno_side(v, f):
+    """The text of every Sugeno-side value compute and mobius print."""
+    interval = ordinal_mobius_interval(v)
+    order, p, terms = ranked_terms(v, f)
+    texts = {
+        "sugeno_sym": str(sugeno_symmetric(v, f)),
+        "v1_lower": str(sugeno_variant1(interval.lower, f)),
+        "v1_upper": str(sugeno_variant1(interval.upper, f)),
+        "v2": str(sugeno_variant2(v, f)),
+        "v3": str(sugeno_variant3(v, f)),
+        "order": (order, p),
+        "terms": [str(t) for t in terms],
+        "lower": set_function_record(interval.lower),
+        "upper": set_function_record(interval.upper),
+        "floor": set_function_record(canonical_ordinal_mobius(v, Rule.FLOOR)),
+        "angle": set_function_record(canonical_ordinal_mobius(v, Rule.ANGLE)),
+    }
+    if f.is_nonnegative:
+        texts["sugeno"] = str(sugeno(v, f))
+    return texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(irregular_unit_documents())
+def test_the_ranked_scale_prints_what_the_unit_scale_computes(document):
+    problem = load_problem(json.dumps(document))
+    v, f = problem.ranked()
+    assert v.scale.kind == "levels" and f.scale is v.scale
+    assert [str(x) for x in v.table] == [str(x) for x in problem.capacity.table]
+    assert [str(x) for x in f.scores] == [str(x) for x in problem.profile.scores]
+    assert _sugeno_side(v, f) == _sugeno_side(problem.capacity, problem.profile)
+
+
+def test_levels_problems_are_not_ranked_again():
+    for labels in (None, ["bad", "ok", "good"]):
+        grade = (lambda g: "-" * (g < 0) + labels[abs(g)]) if labels else int
+        document = {
+            "scale": {"kind": "levels", "levels": 2, "labels": labels},
+            "capacity": {"{1}": grade(1), "{2}": grade(1), "{1,2}": grade(2)},
+            "profile": [grade(-1), grade(2)],
+        }
+        if labels is None:
+            del document["scale"]["labels"]
+        problem = load_problem(json.dumps(document))
+        v, f = problem.ranked()
+        assert v is problem.capacity and f is problem.profile

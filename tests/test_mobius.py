@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from symsug import (
     Capacity,
+    CapacityError,
     Rule,
     SetFunction,
     canonical_ordinal_mobius,
@@ -183,6 +184,12 @@ def test_necessity_transform_sits_on_tails_with_tie_gaps():
     # a tie kills the strict jump above the tied position
     tied = [UNIT.value(Fraction(3, 5))] * 2 + [UNIT.one]
     assert mobius_necessity(tied)(0b110) == UNIT.zero
+
+
+def test_transforms_of_an_empty_distribution_raise_the_capacity_error():
+    for transform in (mobius_possibility, mobius_necessity, possibility_measure):
+        with pytest.raises(CapacityError, match="empty distribution"):
+            transform([])
 
 
 # -- classical (additive) transform -----------------------------------------------
