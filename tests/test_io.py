@@ -383,15 +383,15 @@ def test_the_ranked_scale_prints_what_the_unit_scale_computes(document):
 
 
 def test_levels_problems_are_not_ranked_again():
-    for labels in (None, ["bad", "ok", "good"]):
-        grade = (lambda g: "-" * (g < 0) + labels[abs(g)]) if labels else int
+    for scale in (
+        {"kind": "levels", "levels": 2},
+        {"kind": "levels", "levels": 2, "labels": ["bad", "ok", "good"]},
+    ):
         document = {
-            "scale": {"kind": "levels", "levels": 2, "labels": labels},
-            "capacity": {"{1}": grade(1), "{2}": grade(1), "{1,2}": grade(2)},
-            "profile": [grade(-1), grade(2)],
+            "scale": scale,
+            "capacity": {"{1}": 1, "{2}": 1, "{1,2}": 2},
+            "profile": [-1, 2],
         }
-        if labels is None:
-            del document["scale"]["labels"]
         problem = load_problem(json.dumps(document))
         v, f = problem.ranked()
         assert v is problem.capacity and f is problem.profile
