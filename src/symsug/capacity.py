@@ -70,15 +70,19 @@ def parse_subset_text(text: str, n: int) -> int:
         return 0
     members = []
     for part in body.split(","):
-        part = part.strip()
         if not part.isdigit():
-            raise ValueError(f"bad subset member {part!r} in {text!r}")
+            part = part.strip()
+            if not part.isdigit():
+                raise ValueError(f"bad subset member {part!r} in {text!r}")
         members.append(int(part))
-    if any(i < 1 or i > n for i in members):
-        raise ValueError(f"subset {text!r} has members outside 1..{n}")
-    if len(set(members)) != len(members):
+    mask = 0
+    for i in members:
+        if not 1 <= i <= n:
+            raise ValueError(f"subset {text!r} has members outside 1..{n}")
+        mask |= 1 << (i - 1)
+    if mask.bit_count() != len(members):
         raise ValueError(f"subset {text!r} repeats a member")
-    return mask_of(members, n)
+    return mask
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
@@ -237,25 +241,47 @@ class Capacity(SetFunction):
         return cls(n, scale, _coerce_table(n, scale, values))
 
 
+def _trusted_capacity(
+    n: int, scale: SymmetricScale, table: tuple[ScaleValue, ...]
+) -> Capacity:
+    """A capacity built with no checks, for a dense table of values on
+    ``scale`` that is the image of a checked capacity under a map known to
+    keep the axioms, such as a strictly increasing map fixing 0 and 1."""
+    capacity = object.__new__(Capacity)
+    for name, value in (("n", n), ("scale", scale), ("table", table)):
+        object.__setattr__(capacity, name, value)
+    return capacity
+
+
 def capacity_problems(
     n: int, scale: SymmetricScale, table: Sequence[ScaleValue]
 ) -> list[str]:
     """Every axiom violation in the table, as human-readable strings:
-    negativity, bad boundary values, and each non-monotone cover edge."""
+    negativity, bad boundary values, and each non-monotone cover edge.
+    The entries are values on ``scale``, as :class:`SetFunction` checks."""
+    # exact numbers compare as cross-multiplied numerators and denominators,
+    # which is Fraction's own comparison without its per-call dispatch
+    signed = [entry.signed for entry in table]
+    nums = [x.numerator for x in signed]
+    dens = [x.denominator for x in signed]
     problems = []
-    for mask, entry in enumerate(table):
-        if entry.sign < 0:
-            problems.append(f"v({subset_text(mask)}) = {entry} is negative")
-    if table[0] != scale.zero:
+    for mask, num in enumerate(nums):
+        if num < 0:
+            problems.append(f"v({subset_text(mask)}) = {table[mask]} is negative")
+    if nums[0] != 0:
         problems.append(f"v({{}}) = {table[0]}, expected {scale.zero}")
     top = full_set(n)
-    if table[top] != scale.one:
+    if signed[top] != scale.one.signed:
         problems.append(f"v({subset_text(top)}) = {table[top]}, expected {scale.one}")
-    for mask in range(1, len(table)):
-        for below in covers_of(mask):
-            if table[below] > table[mask]:
+    for mask in range(1, len(nums)):
+        num, den = nums[mask], dens[mask]
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if nums[mask ^ bit] * den > num * dens[mask ^ bit]:
                 problems.append(
-                    f"v({subset_text(below)}) = {table[below]} exceeds "
+                    f"v({subset_text(mask ^ bit)}) = {table[mask ^ bit]} exceeds "
                     f"v({subset_text(mask)}) = {table[mask]}"
                 )
     return problems

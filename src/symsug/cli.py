@@ -11,7 +11,11 @@ On the unit scale, ``compute`` and ``mobius`` evaluate the Sugeno side
 canonical forms) on the ranks of the values the instance uses, through
 :meth:`Problem.ranked`.  That is exact, since those outputs depend only on
 order, signs and opposites, and the ranked scale prints every grade as the
-value it stands for.  The Choquet family stays on rationals.
+value it stands for.  The Choquet family stays on rationals.  The capacity
+is validated once, on loading: the ranked capacity is its image under a
+strictly increasing map that fixes 0 and sends 1 to the top grade, which
+keeps the capacity axioms, so it is not checked again.  The variant folds
+run on the grades' signed numbers and wrap each result once.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .io import (
     set_function_record,
 )
 from .mobius import canonical_ordinal_mobius, ordinal_mobius_interval
-from .rules import Rule, fold_sym_max
+from .rules import Rule, _fold_signed
 from .scale import ScaleError, ScaleValue
 from .verify import VerifyConfig, law_names, run_laws
 
@@ -209,8 +213,8 @@ def _cmd_compute(args) -> int:
         elif name == "sugeno_sym":
             record[name] = str(sugeno_symmetric(v, f))
         elif name in VARIANT_RULES:
-            rule = VARIANT_RULES[name]
-            record[name] = str(fold_sym_max(terms[name], rule, scale=v.scale))
+            folded = _fold_signed([t.signed for t in terms[name]], VARIANT_RULES[name])
+            record[name] = str(v.scale.value(folded))
         elif name == "mobius_interval":
             record[name] = {
                 "lower": set_function_record(interval.lower),

@@ -304,15 +304,31 @@ def variant1_terms(m: SetFunction, f: Profile) -> list[ScaleValue]:
     min f- over A], for nonempty A in mask order, block structure
     ignored."""
     _check_pair(m, f)
-    if not m.is_nonnegative:
+    weights = [x.signed for x in m.table]
+    if any(w < 0 for w in weights):
         raise ValueError("transform representatives are nonnegative")
-    plus, minus = f.positive_part().scores, f.negative_part().scores
+    scores = [x.signed for x in f.scores]
+    value, zero = m.scale.value, m.scale.zero
+    # min f+ and min f- over each mask, from the mask without its lowest
+    # member; the empty mask holds the top, which every min lies under
+    top = m.scale.one.signed
+    gains, losses = [top], [top]
     terms = []
     for mask in range(1, 1 << m.n):
-        members = subset_members(mask)
-        gain = min(plus[i - 1] for i in members)
-        loss = min(minus[i - 1] for i in members)
-        terms.append(sym_min(m(mask), sym_max(gain, -loss)))
+        low = mask & -mask
+        x = scores[low.bit_length() - 1]
+        gain = min(gains[mask ^ low], x if x > 0 else 0)
+        loss = min(losses[mask ^ low], -x if x < 0 else 0)
+        gains.append(gain)
+        losses.append(loss)
+        # m(A) sym-min (gain sym-max -loss), where m(A) >= 0
+        w = weights[mask]
+        if gain > loss:
+            terms.append(value(min(w, gain)))
+        elif loss > gain:
+            terms.append(value(-min(w, loss)))
+        else:
+            terms.append(zero)
     return terms
 
 

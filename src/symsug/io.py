@@ -16,11 +16,20 @@ line maps the former to exit code 1 and the latter to exit code 2.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Mapping
 
-from .capacity import Capacity, SetFunction, _read_subset_table, subset_text, subsets
+from .capacity import (
+    Capacity,
+    SetFunction,
+    _read_subset_table,
+    _trusted_capacity,
+    subset_text,
+    subsets,
+)
 from .integrals import Profile
 from .scale import (
     UNIT,
@@ -85,23 +94,30 @@ class Problem:
         so they give the same values on either scale.  The map does not
         preserve x -> 1 - x: ``SymmetricScale.negate``, ``conjugate`` and
         the necessity measure are not valid on the ranked scale.
-        Levels-scale problems come back unchanged."""
+        Levels-scale problems come back unchanged.
+
+        The ranked capacity is not validated again.  The rank map is
+        strictly increasing and sends 0 to 0 and 1 to K, so it keeps every
+        entry nonnegative, both boundary values and every cover inequality
+        of the capacity that was validated on loading."""
         v, f = self.capacity, self.profile
         if self.scale.kind != UNIT:
             return v, f
+        # values parsed from the same text are one object, so each object
+        # is ranked once, keyed by id: the Fractions are slow to hash
+        signed = {id(x): x.signed for x in (*v.table, *f.scores)}
         # the entries of a capacity are nonnegative and include 0 and 1
-        magnitudes = sorted(
-            {x.signed for x in v.table}.union(abs(x.signed) for x in f.scores)
-        )
+        magnitudes = sorted(set(map(abs, signed.values())))
         rank = {q: i for i, q in enumerate(magnitudes)}
         labels = tuple(map(_format_fraction, magnitudes))
         scale = levels_scale(len(magnitudes) - 1, labels)
-        table = tuple(scale.value(rank[x.signed]) for x in v.table)
-        scores = tuple(
-            scale.value(rank[x.signed] if x.signed >= 0 else -rank[-x.signed])
-            for x in f.scores
-        )
-        return Capacity(v.n, scale, table), Profile(scale, scores)
+        grade = {
+            key: scale.value(rank[x] if x >= 0 else -rank[-x])
+            for key, x in signed.items()
+        }
+        table = tuple(grade[id(x)] for x in v.table)
+        scores = tuple(grade[id(x)] for x in f.scores)
+        return _trusted_capacity(v.n, scale, table), Profile(scale, scores)
 
 
 def read_problem(path: str) -> Problem:
@@ -141,8 +157,8 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     # json.loads would keep the last of repeated keys silently
     document = dict(pairs)
     if len(document) < len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for key in keys if keys.count(key) > 1)
+        counts = Counter(key for key, _ in pairs)
+        repeated = next(key for key, _ in pairs if counts[key] > 1)
         raise ParseError(f"repeated key {repeated!r}")
     return document
 
@@ -224,7 +240,16 @@ def _parse_capacity(scale: SymmetricScale, n: int, raw: Any) -> Capacity:
     if not isinstance(raw, dict):
         raise ParseError("'capacity' must map subset strings to scale values")
 
+    # capacities repeat few values many times; only text is memoised, so
+    # True, 1 and 1.0 cannot share an entry, and errors are never stored
+    parsed: dict[str, ScaleValue] = {}
+
     def parse(key: str, value: Any) -> ScaleValue:
+        if type(value) is str:
+            hit = parsed.get(value)
+            if hit is None:
+                hit = parsed[value] = _parse_value(scale, value, f"capacity[{key!r}]")
+            return hit
         return _parse_value(scale, value, f"capacity[{key!r}]")
 
     return Capacity(n, scale, _read_subset_table(n, scale, raw, parse, ParseError))
@@ -266,7 +291,17 @@ def fraction_text(value: Fraction) -> str:
 
 def set_function_record(sf: SetFunction) -> dict[str, str]:
     """A set function as an ordered subset-string table."""
-    return {subset_text(mask): str(sf(mask)) for mask in subsets(sf.n)}
+    texts: dict[Any, str] = {}  # tables repeat few values; format each once
+    for x in sf.table:
+        if x.signed not in texts:
+            texts[x.signed] = str(x)
+    return dict(zip(_subset_keys(sf.n), [texts[x.signed] for x in sf.table]))
+
+
+@lru_cache(maxsize=1)
+def _subset_keys(n: int) -> tuple[str, ...]:
+    """The subset strings of {1..n} in mask order, built once per n."""
+    return tuple(map(subset_text, subsets(n)))
 
 
 def record_line(record: Mapping[str, Any]) -> str:

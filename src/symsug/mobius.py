@@ -20,12 +20,11 @@ from .capacity import (
     _check_pair,
     _dense_table,
     _distribution_scale,
-    covers_of,
     full_set,
     iter_submasks,
     subsets,
 )
-from .rules import Rule, fold_sym_max
+from .rules import Rule, _fold_signed, fold_sym_max
 from .scale import ScaleValue, _exact, sym_max, sym_min
 
 
@@ -104,13 +103,13 @@ def ordinal_mobius_interval(v: Capacity) -> MobiusInterval:
     v itself; the lower bound keeps v(A) where v strictly exceeds v on every
     cover A minus {i} and is 0 elsewhere."""
     zero = v.scale.zero
-    lower = []
-    for mask in subsets(v.n):
-        value = v(mask)
-        if all(v(below) < value for below in covers_of(mask)):
-            lower.append(value)
-        else:
-            lower.append(zero)
+    signed = [x.signed for x in v.table]
+    bits = [1 << i for i in range(v.n)]
+    lower = [zero]  # the empty set has no cover, and v is 0 there
+    for mask in range(1, 1 << v.n):
+        # the covers are nonnegative, so their floor fold is their max
+        below = max([signed[mask ^ bit] for bit in bits if mask & bit])
+        lower.append(v.table[mask] if signed[mask] > below else zero)
     return MobiusInterval(
         lower=SetFunction(v.n, v.scale, tuple(lower)),
         upper=SetFunction(v.n, v.scale, v.table),
@@ -136,12 +135,14 @@ def canonical_ordinal_mobius(g: SetFunction, rule: Rule) -> SetFunction:
     admits no solution in general and is rejected."""
     if rule is Rule.CEIL:
         raise ValueError("the ceil rule has no canonical transform")
+    signed = [x.signed for x in g.table]
+    bits = [1 << i for i in range(g.n)]
+    value = g.scale.value
     table = []
-    for mask in subsets(g.n):
-        below = fold_sym_max(
-            (g(b) for b in covers_of(mask)), rule, scale=g.scale
-        )
-        table.append(sym_max(g(mask), -below))
+    for mask, x in enumerate(signed):
+        y = _fold_signed([signed[mask ^ bit] for bit in bits if mask & bit], rule)
+        # x sym-max -y
+        table.append(value(0 if x == y else x if abs(x) > abs(y) else -y))
     return SetFunction(g.n, g.scale, tuple(table))
 
 

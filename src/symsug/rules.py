@@ -22,7 +22,15 @@ from __future__ import annotations
 import enum
 from typing import Iterable
 
-from .scale import ScaleError, ScaleValue, SymmetricScale, _scale_of, check_scale, sym_max
+from .scale import (
+    Number,
+    ScaleError,
+    ScaleValue,
+    SymmetricScale,
+    _scale_of,
+    check_scale,
+    sym_max,
+)
 
 
 class Rule(enum.Enum):
@@ -82,6 +90,37 @@ def fold_sym_max(
     # an unambiguous multiset folds to its element of largest magnitude
     low, high = items[0], items[-1]
     return high if high.signed >= -low.signed else low
+
+
+def _fold_signed(values: Iterable[Number], rule: Rule) -> Number:
+    """:func:`fold_sym_max` on the signed numbers of a multiset's values,
+    with the same floor, ceil and angle semantics; the empty fold is 0.
+    The kernels fold raw grades through this and wrap the result once."""
+    items = list(values)
+    if rule is Rule.FLOOR:
+        high = max((x for x in items if x >= 0), default=0)
+        low = min((x for x in items if x < 0), default=0)
+        if high == -low:
+            return 0
+        return high if high > -low else low
+    if rule is not Rule.CEIL and rule is not Rule.ANGLE:
+        raise TypeError(f"unknown rule: {rule!r}")
+    if not items:
+        return 0
+    low, high = min(items), max(items)
+    if high == -low != 0:
+        items.sort()
+        while len(items) >= 2 and items[-1] == -items[0] != 0:
+            if rule is Rule.ANGLE:
+                top = items[-1]
+                items = [x for x in items if x != top and x != -top]
+            else:
+                del items[-1], items[0]
+        if not items:
+            return 0
+        low, high = items[0], items[-1]
+    # an unambiguous multiset folds to its element of largest magnitude
+    return high if high >= -low else low
 
 
 def _common_scale(

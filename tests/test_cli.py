@@ -97,6 +97,22 @@ def test_compute_only_respects_canonical_order(worked_file, capsys):
     assert list(record["diagnostics"]["terms"]) == ["sugeno_sym", "v3"]
 
 
+def test_compute_validates_the_capacity_once(worked_file, capsys, monkeypatch):
+    import symsug.capacity
+
+    calls = []
+    check = symsug.capacity.capacity_problems
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(symsug.capacity, "capacity_problems", counted)
+    code, _, _ = run(capsys, "compute", "--input", str(worked_file), "--all")
+    assert code == 0
+    assert len(calls) == 1  # on loading; the ranked capacity is not checked again
+
+
 def test_compute_upper_representative(worked_file, capsys):
     code, out, _ = run(
         capsys,

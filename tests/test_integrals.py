@@ -367,14 +367,16 @@ def test_documented_instance_term_multisets(worked):
 
 
 def _builder_instances():
-    """Every two-player instance on two grades, then seeded three-player ones."""
+    """Every two-player instance on two grades, then seeded three- and
+    five-player ones."""
     for v in iter_capacities(2, L2):
         for f in iter_profiles(2, L2, signed=True):
             yield v, f
     rng = Random("term-builders")
-    for scale in (L2, L3):
-        for _ in range(150):
-            yield sample_capacity(rng, 3, scale), sample_profile(rng, 3, scale)
+    for n, count in ((3, 150), (5, 40)):
+        for scale in (L2, L3):
+            for _ in range(count):
+                yield sample_capacity(rng, n, scale), sample_profile(rng, n, scale)
 
 
 def _cut_terms(v, f):

@@ -1,6 +1,7 @@
 """Problem-file parsing: strict validation, exact text values, record shape."""
 
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from symsug import (
     sugeno_variant2,
     sugeno_variant3,
 )
-from symsug.capacity import MAX_PLAYERS, subset_text
+from symsug.capacity import MAX_PLAYERS, capacity_problems, subset_text
 from symsug.integrals import ranked_terms
 from symsug.io import Problem, fraction_text, record_line, set_function_record
 from conftest import WORKED_DOCUMENT, documents, json_values, mutated_documents
@@ -165,6 +166,42 @@ def test_repeated_json_keys_are_parse_errors():
     text = '{"scale": {"kind": "levels", "levels": 3}, ' + dumps()[1:]
     with pytest.raises(ParseError, match="repeated key 'scale'"):
         load_problem(text)
+
+
+def test_a_repeated_key_at_the_end_of_a_large_capacity_is_found_quickly():
+    # naming the repeated key once took time quadratic in the key count
+    n = 15
+    entries = [f'"{subset_text(mask)}": "0"' for mask in range(1 << n)]
+    entries.append(f'"{subset_text((1 << n) - 1)}": "1"')
+    text = (
+        '{"scale": {"kind": "unit"}, "profile": ' + json.dumps(["0"] * n)
+        + ', "capacity": {' + ", ".join(entries) + "}}"
+    )
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as caught:
+        load_problem(text)
+    assert time.perf_counter() - start < 2
+    assert str(caught.value) == f"repeated key {subset_text((1 << n) - 1)!r}"
+
+
+def test_the_first_key_repeated_in_document_order_is_named():
+    text = dumps().replace(
+        '"{1}": "0.3"', '"{1}": "0.3", "{2}": "0.25", "{1}": "0.3"'
+    )
+    with pytest.raises(ParseError, match=r"repeated key '\{1\}'"):
+        load_problem(text)
+
+
+def test_capacity_values_parsed_from_one_text_are_one_value():
+    problem = load_problem(dumps())
+    table = problem.capacity.table
+    assert table[0b001] is table[0b101]  # both "0.3"
+    # a bad text is reported at its first key every time it is read
+    capacity = dict(WORKED_DOCUMENT["capacity"], **{"{2}": "x", "{3}": "x"})
+    for _ in range(2):
+        with pytest.raises(ParseError) as caught:
+            load_problem(dumps(capacity=capacity))
+        assert str(caught.value) == "capacity['{2}']: bad unit-scale value: 'x'"
 
 
 def test_player_list_validation():
@@ -377,6 +414,8 @@ def test_the_ranked_scale_prints_what_the_unit_scale_computes(document):
     problem = load_problem(json.dumps(document))
     v, f = problem.ranked()
     assert v.scale.kind == "levels" and f.scale is v.scale
+    # the ranked capacity is built unchecked, so check it here
+    assert capacity_problems(v.n, v.scale, v.table) == []
     assert [str(x) for x in v.table] == [str(x) for x in problem.capacity.table]
     assert [str(x) for x in f.scores] == [str(x) for x in problem.profile.scores]
     assert _sugeno_side(v, f) == _sugeno_side(problem.capacity, problem.profile)

@@ -4,11 +4,11 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsug import Rule, ScaleError, fold_sym_max, levels_scale, sym_max, unit_scale
-from symsug.rules import is_fold_unambiguous
+from symsug.rules import _fold_signed, is_fold_unambiguous
 
 L3 = levels_scale(3)
 L5 = levels_scale(5)
@@ -142,3 +142,35 @@ def test_floor_and_ceil_rise_with_the_multiset(values):
 def test_singleton_fold_is_identity():
     for rule in Rule:
         assert fold_sym_max([L3.value(-2)], rule) == L3.value(-2)
+
+
+# -- the signed-number fold the kernels use ---------------------------------------
+
+
+@st.composite
+def tied_multisets(draw):
+    """A scale and up to eight of its values, with ties and opposite pairs
+    forced by copying or reflecting earlier draws."""
+    scale = draw(st.sampled_from((L3, L5, UNIT)))
+    if scale is UNIT:
+        fresh = st.fractions(-1, 1, max_denominator=6).map(scale.value)
+    else:
+        fresh = st.integers(-scale.levels, scale.levels).map(scale.value)
+    values = []
+    for _ in range(draw(st.integers(0, 8))):
+        how = draw(st.sampled_from(("fresh", "tie", "opposite")))
+        if how == "fresh" or not values:
+            values.append(draw(fresh))
+        else:
+            earlier = draw(st.sampled_from(values))
+            values.append(earlier if how == "tie" else -earlier)
+    return scale, values
+
+
+@settings(max_examples=500)
+@given(tied_multisets())
+def test_the_signed_fold_matches_the_scale_value_fold(drawn):
+    scale, values = drawn
+    for rule in Rule:
+        expected = fold_sym_max(values, rule, scale=scale).signed
+        assert _fold_signed([a.signed for a in values], rule) == expected
