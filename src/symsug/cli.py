@@ -16,6 +16,13 @@ is validated once, on loading: the ranked capacity is its image under a
 strictly increasing map that fixes 0 and sends 1 to the top grade, which
 keeps the capacity axioms, so it is not checked again.  The variant folds
 run on the grades' signed numbers and wrap each result once.
+
+``mobius`` prints the canonical floor and angle tables from the
+interval's lower bound, computed and rendered once.  That is exact: the
+command only holds a capacity validated on loading, and on a capacity the
+canonical form under either rule is the lower bound (the law
+``canonical-equals-lower``, which checks it against
+:func:`canonical_ordinal_mobius`).
 """
 
 from __future__ import annotations
@@ -43,12 +50,13 @@ from .io import (
     OUTPUT_NAMES,
     ParseError,
     Problem,
+    _value_texts,
     fraction_text,
     read_problem,
     record_line,
     set_function_record,
 )
-from .mobius import canonical_ordinal_mobius, ordinal_mobius_interval
+from .mobius import ordinal_mobius_interval
 from .rules import Rule, _fold_signed
 from .scale import ScaleError, ScaleValue
 from .verify import VerifyConfig, law_names, run_laws
@@ -225,8 +233,9 @@ def _cmd_compute(args) -> int:
     if "v1" in names:
         diagnostics["mobius"] = representative
     if terms:
+        texts: dict[object, str] = {}  # the lists share most of their terms
         diagnostics["terms"] = {
-            name: [str(t) for t in listed] for name, listed in terms.items()
+            name: _value_texts(listed, texts) for name, listed in terms.items()
         }
     record["diagnostics"] = diagnostics
     print(record_line(record))
@@ -264,25 +273,21 @@ def _cmd_verify(args) -> int:
 def _cmd_mobius(args) -> int:
     capacity, _ = read_problem(args.input).ranked()
     interval = ordinal_mobius_interval(capacity)
+    lower = set_function_record(interval.lower)
     print(
         record_line(
             {
                 "transform": "interval",
-                "lower": set_function_record(interval.lower),
+                "lower": lower,
                 "upper": set_function_record(interval.upper),
             }
         )
     )
+    # the capacity was validated on loading, and the canonical form of a
+    # capacity under either rule is the interval's lower bound
     for rule in (Rule.FLOOR, Rule.ANGLE):
-        canonical = canonical_ordinal_mobius(capacity, rule)
         print(
-            record_line(
-                {
-                    "transform": "canonical",
-                    "rule": rule.value,
-                    "table": set_function_record(canonical),
-                }
-            )
+            record_line({"transform": "canonical", "rule": rule.value, "table": lower})
         )
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .capacity import (
     Capacity,
@@ -23,7 +23,7 @@ from .capacity import (
     full_set,
     subset_members,
 )
-from .mobius import RealSetFunction, real_conjugate
+from .mobius import RealSetFunction
 from .rules import Rule, fold_sym_max
 from .scale import (
     UNIT,
@@ -109,12 +109,21 @@ def choquet(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     scores = _check_real_args(v, f)
     if any(x < 0 for x in scores):
         raise ValueError("plain Choquet integral needs nonnegative scores")
-    order = sorted(range(v.n), key=scores.__getitem__)
+    return _upper_chain_sum(scores, v)
+
+
+def _upper_chain_sum(
+    scores: Sequence[Fraction], weight: Callable[[int], Fraction]
+) -> Fraction:
+    """The layer increments of nonnegative scores, each weighted by
+    ``weight`` of the upper set of players at or above it; ``weight`` is
+    read on those n masks only."""
+    order = sorted(range(len(scores)), key=scores.__getitem__)
     acc = Fraction(0)
     previous = Fraction(0)
-    upper = full_set(v.n)
+    upper = full_set(len(scores))
     for i in order:
-        acc += (scores[i] - previous) * v(upper)
+        acc += (scores[i] - previous) * weight(upper)
         previous = scores[i]
         upper ^= 1 << i
     return acc
@@ -137,9 +146,13 @@ def choquet_symmetric(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
 
 def choquet_asymmetric(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     """Integrate losses against the conjugate capacity:
-    C(f+) - C-conjugate(f-)."""
+    C(f+) - C-conjugate(f-).  The conjugate A -> 1 - v(complement of A) is
+    read on the upper sets of the losses' chain only, not tabulated."""
     plus, minus = _gains_losses(v, f)
-    return choquet(v, plus) - choquet(real_conjugate(v), minus)
+    top = full_set(v.n)
+    return _upper_chain_sum(plus, v) - _upper_chain_sum(
+        minus, lambda upper: 1 - v(top ^ upper)
+    )
 
 
 def choquet_symmetric_explicit(

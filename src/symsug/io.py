@@ -20,15 +20,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .capacity import (
     Capacity,
     SetFunction,
     _read_subset_table,
     _trusted_capacity,
-    subset_text,
-    subsets,
 )
 from .integrals import Profile
 from .scale import (
@@ -291,17 +289,27 @@ def fraction_text(value: Fraction) -> str:
 
 def set_function_record(sf: SetFunction) -> dict[str, str]:
     """A set function as an ordered subset-string table."""
-    texts: dict[Any, str] = {}  # tables repeat few values; format each once
-    for x in sf.table:
+    return dict(zip(_subset_keys(sf.n), _value_texts(sf.table, {})))
+
+
+def _value_texts(values: Sequence[ScaleValue], texts: dict[Any, str]) -> list[str]:
+    """The text of each value, formatting each distinct value once.
+    ``texts`` maps the signed numbers of values on the same scale to the
+    texts already formatted, and gains the new ones."""
+    for x in values:
         if x.signed not in texts:
             texts[x.signed] = str(x)
-    return dict(zip(_subset_keys(sf.n), [texts[x.signed] for x in sf.table]))
+    return [texts[x.signed] for x in values]
 
 
 @lru_cache(maxsize=1)
 def _subset_keys(n: int) -> tuple[str, ...]:
-    """The subset strings of {1..n} in mask order, built once per n."""
-    return tuple(map(subset_text, subsets(n)))
+    """The subset strings of {1..n} in mask order, built once per n: the
+    masks with highest member i are the earlier masks with i added."""
+    bodies = [""]
+    for i in range(1, n + 1):
+        bodies += [f"{body},{i}" if body else str(i) for body in bodies]
+    return tuple(f"{{{body}}}" for body in bodies)
 
 
 def record_line(record: Mapping[str, Any]) -> str:

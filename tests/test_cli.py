@@ -14,10 +14,20 @@ from random import Random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symsug import choquet, load_problem, to_real_capacity, to_real_profile
+from symsug import (
+    Rule,
+    canonical_ordinal_mobius,
+    choquet,
+    load_problem,
+    read_problem,
+    to_real_capacity,
+    to_real_profile,
+)
 from symsug.capacity import full_set, subset_text
 from symsug.cli import main
+from symsug.io import set_function_record
 from conftest import WORKED_DOCUMENT, documents, mutated_documents
 
 
@@ -31,6 +41,23 @@ def write_document(tmp_path, document, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(document), encoding="utf-8")
     return str(path)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls to ``module.name`` made through every symsug module
+    that holds it, including those that imported it by name."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for loaded in list(sys.modules.values()):
+        holder = getattr(loaded, "__name__", "")
+        if holder.split(".")[0] == "symsug" and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, counted)
+    return calls
 
 
 # -- compute -----------------------------------------------------------------
@@ -111,6 +138,15 @@ def test_compute_validates_the_capacity_once(worked_file, capsys, monkeypatch):
     code, _, _ = run(capsys, "compute", "--input", str(worked_file), "--all")
     assert code == 0
     assert len(calls) == 1  # on loading; the ranked capacity is not checked again
+
+
+def test_compute_tabulates_no_conjugate(worked_file, capsys, monkeypatch):
+    import symsug.mobius
+
+    calls = count_calls(monkeypatch, symsug.mobius, "real_conjugate")
+    code, out, _ = run(capsys, "compute", "--input", str(worked_file), "--all")
+    assert code == 0 and "choquet_asym" in json.loads(out)
+    assert calls == []  # choquet_asym reads the conjugate on its chain only
 
 
 def test_compute_upper_representative(worked_file, capsys):
@@ -371,6 +407,38 @@ def test_mobius_prints_interval_and_canonical_forms(worked_file, capsys):
     assert floor_record["table"] == interval["lower"]
     assert angle_record["rule"] == "angle"
     assert angle_record["table"]["{}"] == "0"
+
+
+def test_mobius_computes_the_interval_once(worked_file, capsys, monkeypatch):
+    import symsug.mobius
+
+    intervals = count_calls(monkeypatch, symsug.mobius, "ordinal_mobius_interval")
+    canonicals = count_calls(monkeypatch, symsug.mobius, "canonical_ordinal_mobius")
+    code, out, _ = run(capsys, "mobius", "--input", str(worked_file))
+    assert code == 0 and len(out.splitlines()) == 3
+    assert len(intervals) == 1
+    assert canonicals == []  # both canonical tables are the lower bound
+
+
+@pytest.mark.parametrize("kind", ["unit", "levels"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mobius_canonical_records_match_their_definition(kind, data):
+    document = data.draw(documents().filter(lambda d: d["scale"]["kind"] == kind))
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "problem.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["mobius", "--input", str(path)]) == 0
+        v = read_problem(str(path)).ranked()[0]
+    floor_record, angle_record = map(json.loads, out.getvalue().splitlines()[1:])
+    for record, rule in ((floor_record, Rule.FLOOR), (angle_record, Rule.ANGLE)):
+        assert record == {
+            "transform": "canonical",
+            "rule": rule.value,
+            "table": set_function_record(canonical_ordinal_mobius(v, rule)),
+        }
 
 
 def test_mobius_exit_codes(tmp_path, capsys):

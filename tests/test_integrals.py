@@ -177,6 +177,32 @@ def test_choquet_reflection_identities(v, f):
     assert choquet_asymmetric(v, neg) == -choquet_asymmetric(real_conjugate(v), f)
 
 
+@st.composite
+def real_tables_and_profiles(draw):
+    """Any rational table on 1 to 6 players, monotone or not, with a profile
+    drawn from a few values so that ties and zeros are common; one profile
+    in four is all negative."""
+    n = draw(st.integers(1, 6))
+    fractions = st.fractions(-2, 2, max_denominator=6)
+    table = tuple(draw(st.lists(fractions, min_size=1 << n, max_size=1 << n)))
+    pool = draw(st.lists(fractions, min_size=1, max_size=3)) + [Fraction(0)]
+    scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if draw(st.integers(0, 3)) == 0:
+        scores = [-abs(x) - 1 for x in scores]
+    return RealSetFunction(n, table), scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_tables_and_profiles())
+def test_asymmetric_choquet_matches_its_conjugate_definition(case):
+    v, f = case
+    plus = [max(x, 0) for x in f]
+    minus = [max(-x, 0) for x in f]
+    assert choquet_asymmetric(v, f) == choquet(v, plus) - choquet(
+        real_conjugate(v), minus
+    )
+
+
 def test_documented_instance_choquet_values(worked):
     v, f = worked
     real_v = to_real_capacity(v)

@@ -26,9 +26,15 @@ from symsug import (
     sugeno_variant2,
     sugeno_variant3,
 )
-from symsug.capacity import MAX_PLAYERS, capacity_problems, subset_text
+from symsug.capacity import MAX_PLAYERS, capacity_problems, subset_text, subsets
 from symsug.integrals import ranked_terms
-from symsug.io import Problem, fraction_text, record_line, set_function_record
+from symsug.io import (
+    Problem,
+    _subset_keys,
+    fraction_text,
+    record_line,
+    set_function_record,
+)
 from conftest import WORKED_DOCUMENT, documents, json_values, mutated_documents
 
 
@@ -303,6 +309,11 @@ def test_set_function_record_is_mask_ordered(worked):
         "{1,2,3}",
     ]
     assert record["{2,3}"] == "0.6"
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_subset_keys_match_the_subset_text_of_each_mask(n):
+    assert _subset_keys(n) == tuple(map(subset_text, subsets(n)))
 
 
 def test_record_line_is_deterministic_json():
