@@ -127,14 +127,7 @@ def test_compute_only_respects_canonical_order(worked_file, capsys):
 def test_compute_validates_the_capacity_once(worked_file, capsys, monkeypatch):
     import symsug.capacity
 
-    calls = []
-    check = symsug.capacity.capacity_problems
-
-    def counted(*args):
-        calls.append(args)
-        return check(*args)
-
-    monkeypatch.setattr(symsug.capacity, "capacity_problems", counted)
+    calls = count_calls(monkeypatch, symsug.capacity, "capacity_problems")
     code, _, _ = run(capsys, "compute", "--input", str(worked_file), "--all")
     assert code == 0
     assert len(calls) == 1  # on loading; the ranked capacity is not checked again
