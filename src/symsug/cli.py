@@ -14,8 +14,8 @@ order, signs and opposites, and the ranked scale prints every grade as the
 value it stands for.  The Choquet family stays on rationals.  The capacity
 is validated once, on loading: the ranked capacity is its image under a
 strictly increasing map that fixes 0 and sends 1 to the top grade, which
-keeps the capacity axioms, so it is not checked again.  The variant folds
-run on the grades' signed numbers and wrap each result once.
+keeps the capacity axioms, so it is not checked again.  The variants fold
+the term lists their diagnostics show through :func:`fold_sym_max`.
 
 ``mobius`` prints the canonical floor and angle tables from the
 interval's lower bound, computed and rendered once.  That is exact: the
@@ -57,7 +57,7 @@ from .io import (
     set_function_record,
 )
 from .mobius import ordinal_mobius_interval
-from .rules import Rule, _fold_signed
+from .rules import Rule, fold_sym_max
 from .scale import ScaleError, ScaleValue
 from .verify import VerifyConfig, law_names, run_laws
 
@@ -221,8 +221,8 @@ def _cmd_compute(args) -> int:
         elif name == "sugeno_sym":
             record[name] = str(sugeno_symmetric(v, f))
         elif name in VARIANT_RULES:
-            folded = _fold_signed([t.signed for t in terms[name]], VARIANT_RULES[name])
-            record[name] = str(v.scale.value(folded))
+            folded = fold_sym_max(terms[name], VARIANT_RULES[name], scale=v.scale)
+            record[name] = str(folded)
         elif name == "mobius_interval":
             record[name] = {
                 "lower": set_function_record(interval.lower),
@@ -259,7 +259,7 @@ def _cmd_verify(args) -> int:
         n=args.n,
         levels=args.levels,
         exhaustive=exhaustive,
-        samples=args.samples if args.samples is not None else 500,
+        samples=VerifyConfig.samples if exhaustive else args.samples,
         seed=args.seed,
     )
     for result in run_laws(config, args.law):

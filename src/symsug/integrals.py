@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Sequence
 
 from .capacity import (
@@ -303,13 +302,10 @@ def _rank_terms(v: Capacity, f: Profile, order: Sequence[int]) -> list[ScaleValu
 
 
 def sugeno_symmetric_explicit(v: Capacity, f: Profile) -> ScaleValue:
-    """One-pass form of the symmetric Sugeno integral: fold the negative
-    block and the nonnegative block separately, then combine."""
-    _, p, terms = ranked_terms(v, f)
-    zero = v.scale.zero
-    negative = reduce(sym_max, terms[:p], zero)
-    nonnegative = reduce(sym_max, terms[p:], zero)
-    return sym_max(negative, nonnegative)
+    """One-pass form of the symmetric Sugeno integral: the floor fold of
+    the explicit terms, which folds the negative block and the nonnegative
+    block separately, then combines."""
+    return fold_sym_max(ranked_terms(v, f)[2], Rule.FLOOR, scale=v.scale)
 
 
 def variant1_terms(m: SetFunction, f: Profile) -> list[ScaleValue]:

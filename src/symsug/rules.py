@@ -12,6 +12,9 @@ are provided:
 * ``angle``: delete every occurrence of such a maximal opposite pair, again
   until the multiset is unambiguous.
 
+Every rule leaves two partial results, and the fold is their symmetric
+maximum.  One kernel computes them on signed numbers for every fold.
+
 All three agree with the plain fold on unambiguous multisets, are invariant
 under reordering, and commute with reflection.  Floor and ceil are monotone;
 angle is not.
@@ -70,57 +73,40 @@ def fold_sym_max(
     """
     items = list(values)
     scale = _common_scale(items, scale)
-    if rule is Rule.FLOOR:
-        nonneg = [a for a in items if a.sign >= 0]
-        negative = [a for a in items if a.sign < 0]
-        high = max(nonneg) if nonneg else scale.zero
-        low = min(negative) if negative else scale.zero
-        return sym_max(high, low)
-    if rule is not Rule.CEIL and rule is not Rule.ANGLE:
-        raise TypeError(f"unknown rule: {rule!r}")
-    items.sort()
-    while len(items) >= 2 and items[-1].signed == -items[0].signed != 0:
-        if rule is Rule.ANGLE:
-            top = items[-1].signed
-            items = [a for a in items if abs(a.signed) != top]
-        else:
-            del items[-1], items[0]
-    if not items:
-        return scale.zero
-    # an unambiguous multiset folds to its element of largest magnitude
-    low, high = items[0], items[-1]
-    return high if high.signed >= -low.signed else low
+    low, high = _survivors([a.signed for a in items], rule)
+    return sym_max(scale.value(high), scale.value(low))
 
 
 def _fold_signed(values: Iterable[Number], rule: Rule) -> Number:
-    """:func:`fold_sym_max` on the signed numbers of a multiset's values,
-    with the same floor, ceil and angle semantics; the empty fold is 0.
-    The kernels fold raw grades through this and wrap the result once."""
-    items = list(values)
-    if rule is Rule.FLOOR:
-        high = max((x for x in items if x >= 0), default=0)
-        low = min((x for x in items if x < 0), default=0)
-        if high == -low:
-            return 0
-        return high if high > -low else low
-    if rule is not Rule.CEIL and rule is not Rule.ANGLE:
-        raise TypeError(f"unknown rule: {rule!r}")
-    if not items:
+    """:func:`fold_sym_max` on the signed numbers of a multiset's values;
+    the empty fold is 0.  The kernels fold raw grades through this and
+    wrap the result once."""
+    low, high = _survivors(values, rule)
+    if high == -low:
         return 0
-    low, high = min(items), max(items)
-    if high == -low != 0:
-        items.sort()
-        while len(items) >= 2 and items[-1] == -items[0] != 0:
+    return high if high > -low else low
+
+
+def _survivors(items: Iterable[Number], rule: Rule) -> tuple[Number, Number]:
+    """The two partial results ``rule`` leaves of a multiset of signed
+    numbers, as ``(low, high)``; the fold is their symmetric maximum.  They
+    are the least and greatest elements left of the multiset with a 0
+    added.  Floor deletes nothing, so they are the meet of the negative part
+    and the join of the nonnegative part, 0 for an empty part.  Ceil and
+    angle delete opposite extremes until the extremes are not opposite;
+    they never delete the 0, which changes no fold and is what is left
+    when everything else cancels."""
+    if not isinstance(rule, Rule):
+        raise TypeError(f"unknown rule: {rule!r}")
+    items = sorted([0, *items])
+    if rule is not Rule.FLOOR:
+        while items[-1] == -items[0] != 0:
             if rule is Rule.ANGLE:
                 top = items[-1]
                 items = [x for x in items if x != top and x != -top]
             else:
                 del items[-1], items[0]
-        if not items:
-            return 0
-        low, high = items[0], items[-1]
-    # an unambiguous multiset folds to its element of largest magnitude
-    return high if high >= -low else low
+    return items[0], items[-1]
 
 
 def _common_scale(

@@ -51,7 +51,7 @@ class SymmetricScale:
         if self.kind not in (LEVELS, UNIT):
             raise ScaleError(f"unknown scale kind: {self.kind!r}")
         if self.kind == LEVELS:
-            if not isinstance(self.levels, int) or self.levels < 1:
+            if type(self.levels) is not int or self.levels < 1:
                 raise ScaleError("levels scale needs a positive grade count")
             if self.labels is not None:
                 labels = tuple(self.labels)

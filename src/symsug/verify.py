@@ -85,6 +85,10 @@ from .scale import (
 # an exhaustive sub-enumeration is replaced by endpoint-plus-sampled
 # checking above this many combinations
 GRID_LIMIT = 4096
+# the largest multiset the rule laws fold
+MULTISET_SIZE = 4
+# the most capacities a sampled Choquet-side law draws
+CAPACITY_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -375,15 +379,15 @@ def _members(
 
 
 def _capped_capacities(
-    config: VerifyConfig, rng: Random, cap: int = 2000
+    config: VerifyConfig, rng: Random
 ) -> tuple[Iterator[Capacity], str]:
     """The usual capacity stream, but bounded in sampling mode; the note
     says so whenever the cap bites."""
-    if config.exhaustive or config.samples <= cap:
+    if config.exhaustive or config.samples <= CAPACITY_CAP:
         return _capacities(config, rng), ""
     return (
-        itertools.islice(_capacities(config, rng), cap),
-        f"sampled instances capped at {cap}",
+        itertools.islice(_capacities(config, rng), CAPACITY_CAP),
+        f"sampled instances capped at {CAPACITY_CAP}",
     )
 
 
@@ -631,16 +635,14 @@ def _symmin_distributive(a, b, c):
 # -- rule laws -------------------------------------------------------------
 
 
-def _multisets(
-    elements: Sequence[ScaleValue], max_size: int
-) -> Iterator[tuple[ScaleValue, ...]]:
-    for size in range(max_size + 1):
+def _multisets(elements: Sequence[ScaleValue]) -> Iterator[tuple[ScaleValue, ...]]:
+    for size in range(MULTISET_SIZE + 1):
         yield from itertools.combinations_with_replacement(elements, size)
 
 
 def _each_multiset(config: VerifyConfig, rng: Random | None):
     scale = levels_scale(config.levels)
-    for values in _multisets(list(scale.signed_values()), 4):
+    for values in _multisets(list(scale.signed_values())):
         yield scale, values
 
 
@@ -709,8 +711,8 @@ def _fold_order_invariance(scale, values, rule, reference, shuffled):
 def _dominated_pairs(config: VerifyConfig, rng: Random):
     scale = levels_scale(config.levels)
     if 2 * scale.levels + 1 <= 9:
-        return _dominated_pairs_exhaustive(scale, max_size=4)
-    return _dominated_pairs_sampled(scale, rng, config.samples, max_size=4)
+        return _dominated_pairs_exhaustive(scale)
+    return _dominated_pairs_sampled(scale, rng, config.samples)
 
 
 @_law(
@@ -730,9 +732,9 @@ def _floor_ceil_monotone(low, high, rule):
         return f"{rule} decreases from {_show(low)} to {_show(high)}"
 
 
-def _dominated_pairs_exhaustive(scale: SymmetricScale, max_size: int):
+def _dominated_pairs_exhaustive(scale: SymmetricScale):
     k = scale.levels
-    for size in range(1, max_size + 1):
+    for size in range(1, MULTISET_SIZE + 1):
         for low in itertools.combinations_with_replacement(
             scale.signed_values(), size
         ):
@@ -751,12 +753,10 @@ def _dominated_pairs_exhaustive(scale: SymmetricScale, max_size: int):
                 yield low, high
 
 
-def _dominated_pairs_sampled(
-    scale: SymmetricScale, rng: Random, count: int, max_size: int
-):
+def _dominated_pairs_sampled(scale: SymmetricScale, rng: Random, count: int):
     k = scale.levels
     for _ in range(count):
-        size = rng.randint(1, max_size)
+        size = rng.randint(1, MULTISET_SIZE)
         low = sorted(rng.randint(-k, k) for _ in range(size))
         high = sorted(rng.randint(g, k) for g in low)
         yield _grades(scale, *low), _grades(scale, *high)
@@ -929,15 +929,20 @@ def _random_rational_table(rng: Random, n: int) -> RealSetFunction:
     )
 
 
+def _rational_draws(config: VerifyConfig) -> Iterator[int]:
+    """The player count of each rational draw; rationals cannot be
+    enumerated, so exhaustive mode draws 200 instances."""
+    count = 200 if config.exhaustive else config.samples
+    return itertools.repeat(min(config.n, 4), count)
+
+
 def _rational_tables(config: VerifyConfig, rng: Random):
-    n = min(config.n, 4)
-    for _ in range(config.samples if not config.exhaustive else 200):
+    for n in _rational_draws(config):
         yield (_random_rational_table(rng, n),)
 
 
 def _rational_instances(config: VerifyConfig, rng: Random):
-    n = min(config.n, 4)
-    for _ in range(config.samples if not config.exhaustive else 200):
+    for n in _rational_draws(config):
         grades = _monotone_grades(rng, n, 12)
         v = RealSetFunction(n, tuple(Fraction(g, 12) for g in grades))
         yield v, [Fraction(rng.randint(-12, 12), 12) for _ in range(n)]

@@ -1,5 +1,6 @@
-"""Every module-level import in the library is used by its module, and the
-package exports exactly the README's "Library API" list.
+"""Every module-level import in the library is used by its module, every
+private helper is read somewhere in the package, and the package exports
+exactly the README's "Library API" list.
 
 `__init__.py` is left out of the first check: it imports names only to
 re-export them.  The second set of tests pins it instead.
@@ -62,6 +63,39 @@ def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = [name for name in imported_names(tree) if name not in used_names(tree)]
     assert unused == [], f"{path.name} imports but never uses {unused}"
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The module-level private functions, classes and constants that have
+    no decorator (a decorator may register a function it never names)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.decorator_list:
+                names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                names += [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if name[:1] == "_" and name[:2] != "__"]
+
+
+def test_every_private_helper_is_read_somewhere_in_the_package():
+    """A helper that nothing reads is dead code, such as a kernel left
+    behind when its callers moved to another one."""
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = [name for tree in trees for name in private_definitions(tree)]
+    assert len(defined) > 50  # the scan sees the helpers
+    orphans = [name for name in defined if name not in read]
+    assert orphans == [], f"private helpers nothing reads: {orphans}"
 
 
 # -- the package namespace ------------------------------------------------------

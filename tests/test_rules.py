@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symsug import Rule, ScaleError, fold_sym_max, levels_scale, sym_max, unit_scale
@@ -144,7 +144,39 @@ def test_singleton_fold_is_identity():
         assert fold_sym_max([L3.value(-2)], rule) == L3.value(-2)
 
 
-# -- the signed-number fold the kernels use ---------------------------------------
+def test_an_unknown_rule_is_a_type_error():
+    with pytest.raises(TypeError, match="unknown rule"):
+        fold_sym_max([L3.value(1)], "ceil")
+    with pytest.raises(TypeError, match="unknown rule"):
+        _fold_signed([1], "ceil")
+
+
+# -- both folds against the fold written on scale values --------------------------
+
+
+def _reference_fold(values, rule, scale):
+    """The fold by its definition, on scale values: floor splits by sign,
+    ceil deletes one maximal opposite pair at a time, angle deletes every
+    copy of it, and what is left folds unambiguously."""
+    items = list(values)
+    if rule is Rule.FLOOR:
+        nonneg = [a for a in items if a.sign >= 0]
+        negative = [a for a in items if a.sign < 0]
+        high = max(nonneg) if nonneg else scale.zero
+        low = min(negative) if negative else scale.zero
+        return sym_max(high, low)
+    items.sort()
+    while len(items) >= 2 and items[-1].signed == -items[0].signed != 0:
+        if rule is Rule.ANGLE:
+            top = items[-1].signed
+            items = [a for a in items if abs(a.signed) != top]
+        else:
+            del items[-1], items[0]
+    if not items:
+        return scale.zero
+    # an unambiguous multiset folds to its element of largest magnitude
+    low, high = items[0], items[-1]
+    return high if high.signed >= -low.signed else low
 
 
 @st.composite
@@ -169,8 +201,11 @@ def tied_multisets(draw):
 
 @settings(max_examples=500)
 @given(tied_multisets())
+@example((L3, []))
+@example((UNIT, []))
 def test_the_signed_fold_matches_the_scale_value_fold(drawn):
     scale, values = drawn
     for rule in Rule:
-        expected = fold_sym_max(values, rule, scale=scale).signed
-        assert _fold_signed([a.signed for a in values], rule) == expected
+        expected = _reference_fold(values, rule, scale)
+        assert fold_sym_max(values, rule, scale=scale) == expected
+        assert _fold_signed([a.signed for a in values], rule) == expected.signed

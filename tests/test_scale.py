@@ -74,6 +74,13 @@ def test_levels_values_are_integer_grades():
         ScaleValue(L3, True)
 
 
+@pytest.mark.parametrize("levels", [True, False, 0, -1, 2.0, "3"])
+def test_levels_scale_needs_a_positive_int_grade_count(levels):
+    # bool is an int subclass, but `"levels": true` is no grade count
+    with pytest.raises(ScaleError, match="needs a positive grade count"):
+        levels_scale(levels)
+
+
 def test_unit_values_reject_binary_floats():
     with pytest.raises(ScaleError):
         ScaleValue(UNIT, 0.3)
