@@ -50,7 +50,7 @@ def subset_members(mask: int) -> tuple[int, ...]:
 def mask_of(members: Iterable[int], n: int) -> int:
     mask = 0
     for i in members:
-        if not isinstance(i, int) or not 1 <= i <= n:
+        if type(i) is not int or not 1 <= i <= n:
             raise ValueError(f"player {i!r} is not in 1..{n}")
         mask |= 1 << (i - 1)
     return mask
@@ -70,10 +70,9 @@ def parse_subset_text(text: str, n: int) -> int:
         return 0
     members = []
     for part in body.split(","):
-        if not part.isdigit():
-            part = part.strip()
-            if not part.isdigit():
-                raise ValueError(f"bad subset member {part!r} in {text!r}")
+        part = part.strip()
+        if not (part.isascii() and part.isdigit()):
+            raise ValueError(f"bad subset member {part!r} in {text!r}")
         members.append(int(part))
     mask = 0
     for i in members:
@@ -197,7 +196,7 @@ def _read_subset_table(
 
 
 def _check_players(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_PLAYERS:
+    if type(n) is not int or not 1 <= n <= MAX_PLAYERS:
         raise ValueError(f"player count must be in 1..{MAX_PLAYERS}")
 
 
@@ -297,6 +296,7 @@ def conjugate(v: Capacity) -> Capacity:
 def unanimity(n: int, b_mask: int, scale: SymmetricScale) -> Capacity:
     """The game that is 1 exactly on the nonempty supersets of ``b_mask``.
     For the empty ``b_mask`` this is 1 on every nonempty subset."""
+    _check_players(n)
     if not 0 <= b_mask < (1 << n):
         raise ValueError("focal set outside the player set")
     table = tuple(
@@ -307,9 +307,11 @@ def unanimity(n: int, b_mask: int, scale: SymmetricScale) -> Capacity:
 
 
 def _distribution_scale(pi: Sequence[ScaleValue]) -> SymmetricScale:
-    """The scale of a distribution on players, which must not be empty."""
+    """The scale of a distribution on players, which must not be empty;
+    its player count is checked before any table is built."""
     if not pi:
         raise CapacityError("empty distribution")
+    _check_players(len(pi))
     return _scale_of(pi)
 
 

@@ -14,8 +14,11 @@ order, signs and opposites, and the ranked scale prints every grade as the
 value it stands for.  The Choquet family stays on rationals.  The capacity
 is validated once, on loading: the ranked capacity is its image under a
 strictly increasing map that fixes 0 and sends 1 to the top grade, which
-keeps the capacity axioms, so it is not checked again.  The variants fold
-the term lists their diagnostics show through :func:`fold_sym_max`.
+keeps the capacity axioms, so it is not checked again.  Every Sugeno
+output folds a term list through :func:`fold_sym_max` under its rule in
+``integrals.FOLD_RULES``, which the library reads too; ``sugeno_sym``
+and ``sugeno`` fold the explicit-form terms, which is exact by the law
+``symmetric-sugeno-forms-agree``.
 
 ``mobius`` prints the canonical floor and angle tables from the
 interval's lower bound, computed and rendered once.  That is exact: the
@@ -33,12 +36,10 @@ from typing import Sequence
 
 from .capacity import MAX_PLAYERS, CapacityError
 from .integrals import (
-    VARIANT_RULES,
+    FOLD_RULES,
     choquet,
     choquet_asymmetric,
     choquet_symmetric,
-    sugeno,
-    sugeno_symmetric,
     ranked_terms,
     to_real_capacity,
     to_real_profile,
@@ -58,7 +59,7 @@ from .io import (
 )
 from .mobius import ordinal_mobius_interval
 from .rules import Rule, fold_sym_max
-from .scale import ScaleError, ScaleValue
+from .scale import ScaleError
 from .verify import VerifyConfig, law_names, run_laws
 
 CHOQUET_OUTPUTS = {
@@ -199,10 +200,7 @@ def _cmd_compute(args) -> int:
     if "v1" in names or "mobius_interval" in names:
         interval = ordinal_mobius_interval(v)
     # the term lists diagnostics.terms shows, in its order
-    terms: dict[str, list[ScaleValue]] = {}
-    for name in ("sugeno_sym", "v2"):
-        if name in names:
-            terms[name] = ranked
+    terms = {name: ranked for name in ("sugeno_sym", "v2") if name in names}
     if "v3" in names:
         terms["v3"] = variant3_terms(v, f)
     if "v1" in names:
@@ -216,13 +214,10 @@ def _cmd_compute(args) -> int:
     for name in names:
         if name in CHOQUET_OUTPUTS:
             record[name] = fraction_text(CHOQUET_OUTPUTS[name](real_v, real_f))
-        elif name == "sugeno":
-            record[name] = str(sugeno(v, f))
-        elif name == "sugeno_sym":
-            record[name] = str(sugeno_symmetric(v, f))
-        elif name in VARIANT_RULES:
-            folded = fold_sym_max(terms[name], VARIANT_RULES[name], scale=v.scale)
-            record[name] = str(folded)
+        elif name in FOLD_RULES:
+            # sugeno is defined on nonnegative profiles, where it is sugeno_sym
+            listed = ranked if name == "sugeno" else terms[name]
+            record[name] = str(fold_sym_max(listed, FOLD_RULES[name], scale=v.scale))
         elif name == "mobius_interval":
             record[name] = {
                 "lower": set_function_record(interval.lower),

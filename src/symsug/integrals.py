@@ -301,11 +301,18 @@ def _rank_terms(v: Capacity, f: Profile, order: Sequence[int]) -> list[ScaleValu
     return terms
 
 
+# the rule each Sugeno output folds its terms under; compute reads it too
+FOLD_RULES = {
+    "sugeno": Rule.FLOOR, "sugeno_sym": Rule.FLOOR,
+    "v1": Rule.ANGLE, "v2": Rule.ANGLE, "v3": Rule.CEIL,
+}
+
+
 def sugeno_symmetric_explicit(v: Capacity, f: Profile) -> ScaleValue:
     """One-pass form of the symmetric Sugeno integral: the floor fold of
     the explicit terms, which folds the negative block and the nonnegative
     block separately, then combines."""
-    return fold_sym_max(ranked_terms(v, f)[2], Rule.FLOOR, scale=v.scale)
+    return fold_sym_max(ranked_terms(v, f)[2], FOLD_RULES["sugeno_sym"], scale=v.scale)
 
 
 def variant1_terms(m: SetFunction, f: Profile) -> list[ScaleValue]:
@@ -363,21 +370,17 @@ def sugeno_symmetric_mobius(m: SetFunction, f: Profile) -> ScaleValue:
     return sym_max(sym_max(inside_plus, inside_minus), mixed)
 
 
-# the rule each symmetric variant folds its terms under; compute reads it too
-VARIANT_RULES = {"v1": Rule.ANGLE, "v2": Rule.ANGLE, "v3": Rule.CEIL}
-
-
 def sugeno_variant1(m: SetFunction, f: Profile) -> ScaleValue:
     """First alternative symmetric integral: fold every transform term under
     the angle rule instead of splitting into sign-homogeneous blocks."""
-    return fold_sym_max(variant1_terms(m, f), VARIANT_RULES["v1"], scale=m.scale)
+    return fold_sym_max(variant1_terms(m, f), FOLD_RULES["v1"], scale=m.scale)
 
 
 def sugeno_variant2(v: Capacity, f: Profile) -> ScaleValue:
     """Second alternative: fold the explicit-form terms under the angle
     rule.  Not monotone in the profile."""
     _, _, terms = ranked_terms(v, f)
-    return fold_sym_max(terms, VARIANT_RULES["v2"], scale=v.scale)
+    return fold_sym_max(terms, FOLD_RULES["v2"], scale=v.scale)
 
 
 def variant3_terms(v: Capacity, f: Profile) -> list[ScaleValue]:
@@ -402,4 +405,4 @@ def sugeno_variant3(v: Capacity, f: Profile) -> ScaleValue:
     """Third alternative: fold the per-player threshold terms under the
     ceil rule.  Monotone in the profile, which the rank-based ceil fold is
     not, and more discriminating than the floor-based combine."""
-    return fold_sym_max(variant3_terms(v, f), VARIANT_RULES["v3"], scale=v.scale)
+    return fold_sym_max(variant3_terms(v, f), FOLD_RULES["v3"], scale=v.scale)

@@ -99,14 +99,19 @@ def _survivors(items: Iterable[Number], rule: Rule) -> tuple[Number, Number]:
     if not isinstance(rule, Rule):
         raise TypeError(f"unknown rule: {rule!r}")
     items = sorted([0, *items])
+    # what is left is items[low:high + 1]; the 0 stops both indices
+    low, high = 0, len(items) - 1
     if rule is not Rule.FLOOR:
-        while items[-1] == -items[0] != 0:
+        while items[high] == -items[low] != 0:
             if rule is Rule.ANGLE:
-                top = items[-1]
-                items = [x for x in items if x != top and x != -top]
+                top = items[high]
+                while items[high] == top:
+                    high -= 1
+                while items[low] == -top:
+                    low += 1
             else:
-                del items[-1], items[0]
-    return items[0], items[-1]
+                low, high = low + 1, high - 1
+    return items[low], items[high]
 
 
 def _common_scale(

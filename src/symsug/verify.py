@@ -7,10 +7,11 @@ are machine-readable records; a law expected to fail (a pinned
 counterexample) reports ``xfail`` when the violation is exhibited and the
 suspicious ``xpass`` when it is not.
 
-A law is registered as data: a name, a kind, a description, a family of
-instances and a predicate that returns a witness text for an instance
-that breaks the law.  :func:`forall` owns the loop, the check count and
-the early exit on the first witness; :func:`exists` is its dual.
+A law is registered as data: a name, a kind, a family of instances and a
+predicate that returns a witness text for an instance that breaks the
+law; the predicate's docstring states the law.  :func:`forall` owns the
+loop, the check count and the early exit on the first witness;
+:func:`exists` is its dual.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .capacity import (
     Capacity,
     SetFunction,
+    _check_players,
     capacity_problems,
     conjugate,
     covers_of,
@@ -135,7 +137,6 @@ LawFn = Callable[[VerifyConfig], tuple[str | None, int, str]]
 class Law:
     name: str
     kind: str
-    description: str
     fn: LawFn
 
 
@@ -183,16 +184,16 @@ def _law(
     name: str,
     family: Family | None = None,
     kind: str = "holds",
-    description: str = "",
     tag: str | None = None,
     missing: str | None = None,
     cost: Callable[[VerifyConfig], int] | None = None,
 ):
     """Register a law over ``family``, drawn from the random stream named
     ``tag``, and checked by :func:`forall` (by :func:`exists` when the
-    ``missing`` text is given).  The decorated function is the predicate.
-    Without a family it is a generator of claims over the config and the
-    stream instead.  ``cost`` gives the checks one instance counts."""
+    ``missing`` text is given).  The decorated function is the predicate,
+    and its docstring states the law.  Without a family it is a generator
+    of claims over the config and the stream instead.  ``cost`` gives the
+    checks one instance counts."""
 
     def register(fn: Callable) -> Callable:
         def check(config: VerifyConfig) -> tuple[str | None, int, str]:
@@ -203,7 +204,7 @@ def _law(
                 return exists(family(config, rng), fn, missing)
             return forall(family(config, rng), fn, cost(config) if cost else 1)
 
-        LAWS[name] = Law(name, kind, description, check)
+        LAWS[name] = Law(name, kind, check)
         return fn
 
     return register
@@ -257,6 +258,7 @@ def _grades(scale: SymmetricScale, *grades: int) -> tuple[ScaleValue, ...]:
 def iter_capacities(n: int, scale: SymmetricScale) -> Iterator[Capacity]:
     """Every capacity on n players over a levels scale, by backtracking in
     order of subset size (covers are always assigned first)."""
+    _check_players(n)
     k = scale.levels
     size = 1 << n
     free = sorted(
@@ -295,6 +297,7 @@ def _monotone_grades(rng: Random, n: int, k: int) -> list[int]:
 
 
 def sample_capacity(rng: Random, n: int, scale: SymmetricScale) -> Capacity:
+    _check_players(n)
     grades = _monotone_grades(rng, n, scale.levels)
     return Capacity(n, scale, _grades(scale, *grades))
 
@@ -326,17 +329,23 @@ def _capacities(config: VerifyConfig, rng: Random) -> Iterator[Capacity]:
             yield sample_capacity(rng, config.n, scale)
 
 
+def _each_interval(config: VerifyConfig, rng: Random):
+    # the interval draws nothing from the rng, so no draw moves
+    for v in _capacities(config, rng):
+        yield v, ordinal_mobius_interval(v)
+
+
 def _instances(
     config: VerifyConfig, rng: Random, signed: bool = True
-) -> Iterator[tuple[Capacity, Profile]]:
+) -> Iterator[tuple[Capacity, MobiusInterval, Profile]]:
     # each sampled profile is drawn right after its capacity, on the same
     # scale object, so that both share its interned grades
-    for v in _capacities(config, rng):
+    for v, interval in _each_interval(config, rng):
         if config.exhaustive:
             for f in iter_profiles(config.n, v.scale, signed):
-                yield v, f
+                yield v, interval, f
         else:
-            yield v, sample_profile(rng, config.n, v.scale, signed)
+            yield v, interval, sample_profile(rng, config.n, v.scale, signed)
 
 
 def iter_interval_members(
@@ -474,35 +483,24 @@ def _each_instance(signed: bool) -> Family:
 # -- scale laws ----------------------------------------------------------------
 
 
-@_law(
-    "reflection-involution",
-    _tuples(1),
-    description="reflecting twice is the identity on every scale element",
-)
+@_law("reflection-involution", _tuples(1))
 def _reflection_involution(a: ScaleValue):
+    """Reflecting twice is the identity on every scale element."""
     if -(-a) != a:
         return f"-(-{a}) != {a}"
 
 
-@_law(
-    "reflection-de-morgan",
-    _tuples(2),
-    description="reflection swaps lattice max and min",
-)
+@_law("reflection-de-morgan", _tuples(2))
 def _reflection_de_morgan(a: ScaleValue, b: ScaleValue):
+    """Reflection swaps lattice max and min."""
     if -max(a, b) != min(-a, -b) or -min(a, b) != max(-a, -b):
         return f"de morgan fails at ({a}, {b})"
 
 
-@_law(
-    "marichal-forms",
-    _tuples(2),
-    description=(
-        "sym-max equals sign(a+b)(|a| max |b|) and sym-min equals "
-        "sign(ab)(|a| min |b|) on the numeric embedding"
-    ),
-)
+@_law("marichal-forms", _tuples(2))
 def _marichal_forms(a: ScaleValue, b: ScaleValue):
+    """sym-max equals sign(a+b)(|a| max |b|) and sym-min equals sign(ab)(|a|
+    min |b|) on the numeric embedding."""
     total = a.signed + b.signed
     sign_sum = (total > 0) - (total < 0)
     expected_max = sign_sum * max(abs(a.signed), abs(b.signed))
@@ -515,14 +513,16 @@ def _marichal_forms(a: ScaleValue, b: ScaleValue):
         return f"sym-min mismatch at ({a}, {b})"
 
 
-@_law("symmax-commutative", _tuples(2), description="a sym-max b = b sym-max a")
+@_law("symmax-commutative", _tuples(2))
 def _symmax_commutative(a: ScaleValue, b: ScaleValue):
+    """a sym-max b = b sym-max a."""
     if sym_max(a, b) != sym_max(b, a):
         return f"sym-max not commutative at ({a}, {b})"
 
 
-@_law("symmin-commutative", _tuples(2), description="a sym-min b = b sym-min a")
+@_law("symmin-commutative", _tuples(2))
 def _symmin_commutative(a: ScaleValue, b: ScaleValue):
+    """a sym-min b = b sym-min a."""
     if sym_min(a, b) != sym_min(b, a):
         return f"sym-min not commutative at ({a}, {b})"
 
@@ -532,12 +532,10 @@ def _symmin_commutative(a: ScaleValue, b: ScaleValue):
     _candidates,
     # a candidate is tried against each of the 2K + 1 elements
     cost=lambda config: 2 * config.levels + 1,
-    description=(
-        "0 is the unique neutral element of sym-max and the unique "
-        "absorbing element of sym-min, over all candidates"
-    ),
 )
 def _zero_neutral_absorbing(candidate: ScaleValue, elements: list[ScaleValue]):
+    """0 is the unique neutral element of sym-max and the unique absorbing
+    element of sym-min, over all candidates."""
     is_zero = candidate == candidate.scale.zero
     if is_zero != all(sym_max(a, candidate) == a for a in elements):
         return f"neutral-element test wrong at {candidate}"
@@ -551,12 +549,10 @@ def _zero_neutral_absorbing(candidate: ScaleValue, elements: list[ScaleValue]):
     # a candidate is tried against all 2K + 1 elements and the K + 1
     # nonnegative ones
     cost=lambda config: 3 * config.levels + 2,
-    description=(
-        "1 is the unique neutral element of sym-min over all of L, and the "
-        "unique element absorbing the whole nonnegative side under sym-max"
-    ),
 )
 def _one_neutral_absorbing(candidate: ScaleValue, elements: list[ScaleValue]):
+    """1 is the unique neutral element of sym-min over all of L, and the unique
+    element absorbing the whole nonnegative side under sym-max."""
     nonnegative = [a for a in elements if a.sign >= 0]
     is_one = candidate == candidate.scale.one
     if is_one != all(sym_min(a, candidate) == a for a in elements):
@@ -565,31 +561,24 @@ def _one_neutral_absorbing(candidate: ScaleValue, elements: list[ScaleValue]):
         return f"absorbing-element test wrong at {candidate}"
 
 
-@_law("opposites-cancel", _tuples(1), description="a sym-max (-a) = 0 for every a")
+@_law("opposites-cancel", _tuples(1))
 def _opposites_cancel(a: ScaleValue):
+    """a sym-max (-a) = 0 for every a."""
     if sym_max(a, -a) != a.scale.zero:
         return f"{a} sym-max -{a} != 0"
 
 
-@_law(
-    "reflection-distributes",
-    _tuples(2),
-    description="-(a sym-max b) = (-a) sym-max (-b)",
-)
+@_law("reflection-distributes", _tuples(2))
 def _reflection_distributes(a: ScaleValue, b: ScaleValue):
+    """-(a sym-max b) = (-a) sym-max (-b)."""
     if -sym_max(a, b) != sym_max(-a, -b):
         return f"reflection fails at ({a}, {b})"
 
 
-@_law(
-    "symmax-conditional-associative",
-    _tuples(3, unambiguous=True),
-    description=(
-        "both parenthesizations of a sym-max b sym-max c agree whenever "
-        "max != -min over the triple"
-    ),
-)
+@_law("symmax-conditional-associative", _tuples(3, unambiguous=True))
 def _symmax_conditional_associative(a, b, c):
+    """Both parenthesizations of a sym-max b sym-max c agree whenever max !=
+    -min over the triple."""
     if sym_max(sym_max(a, b), c) != sym_max(a, sym_max(b, c)):
         return f"associativity fails at ({a}, {b}, {c})"
 
@@ -598,36 +587,26 @@ def _symmax_conditional_associative(a, b, c):
     "symmax-nonassociative-witness",
     _tuples(3, unambiguous=False),
     missing="no non-associative triple found",
-    description=(
-        "some triple with max = -min has parenthesizations that disagree"
-    ),
 )
 def _symmax_nonassociative_witness(a, b, c):
+    """Some triple with max = -min has parenthesizations that disagree."""
     left = sym_max(sym_max(a, b), c)
     right = sym_max(a, sym_max(b, c))
     if left != right:
         return f"witness: ({a}, {b}, {c}) gives {left} vs {right}"
 
 
-@_law(
-    "symmin-associative",
-    _tuples(3),
-    description="sym-min is associative on all of L",
-)
+@_law("symmin-associative", _tuples(3))
 def _symmin_associative(a, b, c):
+    """sym-min is associative on all of L."""
     if sym_min(sym_min(a, b), c) != sym_min(a, sym_min(b, c)):
         return f"associativity fails at ({a}, {b}, {c})"
 
 
-@_law(
-    "symmin-distributive-same-sign",
-    _same_sign_triples,
-    description=(
-        "sym-min distributes over sym-max on triples drawn from one side "
-        "of the scale"
-    ),
-)
+@_law("symmin-distributive-same-sign", _same_sign_triples)
 def _symmin_distributive(a, b, c):
+    """sym-min distributes over sym-max on triples drawn from one side of the
+    scale."""
     if sym_min(a, sym_max(b, c)) != sym_max(sym_min(a, b), sym_min(a, c)):
         return f"distributivity fails at ({a}, {b}, {c})"
 
@@ -659,12 +638,10 @@ def _unambiguous_multisets(config: VerifyConfig, rng: Random):
     "rules-agree-when-unambiguous",
     _each_rule(_unambiguous_multisets),
     tag="rules-agree",
-    description=(
-        "floor, ceil and angle all equal the plain fold on unambiguous "
-        "multisets, in any order"
-    ),
 )
 def _rules_agree(scale, values, plain, shuffled, rule):
+    """Floor, ceil and angle all equal the plain fold on unambiguous multisets,
+    in any order."""
     if fold_sym_max(values, rule, scale=scale) != plain:
         return f"{rule} != plain fold on {_show(values)}"
     if fold_sym_max(shuffled, rule, scale=scale) != plain:
@@ -676,12 +653,9 @@ def _reflected_multisets(config: VerifyConfig, rng: Random | None):
         yield scale, values, tuple(-a for a in values)
 
 
-@_law(
-    "fold-reflection-symmetry",
-    _each_rule(_reflected_multisets),
-    description="folding the reflected multiset reflects the fold, all rules",
-)
+@_law("fold-reflection-symmetry", _each_rule(_reflected_multisets))
 def _fold_reflection(scale, values, reflected, rule):
+    """Folding the reflected multiset reflects the fold, all rules."""
     if fold_sym_max(reflected, rule, scale=scale) != -fold_sym_max(
         values, rule, scale=scale
     ):
@@ -701,9 +675,9 @@ def _reorderings(config: VerifyConfig, rng: Random):
     "fold-order-invariance",
     _reorderings,
     tag="fold-order",
-    description="every rule gives the same fold on any reordering",
 )
 def _fold_order_invariance(scale, values, rule, reference, shuffled):
+    """Every rule gives the same fold on any reordering."""
     if fold_sym_max(shuffled, rule, scale=scale) != reference:
         return f"{rule} order-dependent on {_show(values)}"
 
@@ -719,12 +693,10 @@ def _dominated_pairs(config: VerifyConfig, rng: Random):
     "floor-ceil-monotone",
     _each_rule(_dominated_pairs, (Rule.FLOOR, Rule.CEIL)),
     tag="floor-ceil",
-    description=(
-        "raising any entry of a sorted multiset cannot lower the floor or "
-        "ceil fold"
-    ),
 )
 def _floor_ceil_monotone(low, high, rule):
+    """Raising any entry of a sorted multiset cannot lower the floor or ceil
+    fold."""
     scale = low[0].scale
     if fold_sym_max(low, rule, scale=scale) > fold_sym_max(
         high, rule, scale=scale
@@ -766,12 +738,10 @@ def _dominated_pairs_sampled(scale: SymmetricScale, rng: Random, count: int):
     "angle-monotonic",
     _once,
     kind="violates",
-    description=(
-        "the angle rule is not monotone; the pinned five-element pair "
-        "exhibits a strict decrease"
-    ),
 )
 def _angle_monotonic():
+    """The angle rule is not monotone; the pinned five-element pair exhibits a
+    strict decrease."""
     scale = levels_scale(5)
     low = _grades(scale, -5, -5, -1, 2, 5)
     high = _grades(scale, -5, -4, -1, 2, 5)
@@ -798,12 +768,9 @@ def _fold_identity_cases(config: VerifyConfig, rng: Random | None):
             yield scale, rule, (a,), a, "singleton {rule} fold breaks at {a}"
 
 
-@_law(
-    "fold-identities",
-    _fold_identity_cases,
-    description="singleton folds are the element; empty and all-zero folds are 0",
-)
+@_law("fold-identities", _fold_identity_cases)
 def _fold_identities(scale, rule, values, expected, witness):
+    """Singleton folds are the element; empty and all-zero folds are 0."""
     if fold_sym_max(values, rule, scale=scale) != expected:
         return witness.format(rule=rule, a=expected)
 
@@ -815,9 +782,9 @@ def _fold_identities(scale, rule, values, expected, witness):
     "conjugate-involution",
     _each_capacity,
     tag="conjugate-involution",
-    description="conjugating twice returns the original capacity",
 )
 def _conjugate_involution(v: Capacity):
+    """Conjugating twice returns the original capacity."""
     if conjugate(conjugate(v)).table != v.table:
         return f"involution fails on {_table(v)}"
 
@@ -851,12 +818,10 @@ def _distribution_pairs(config: VerifyConfig, rng: Random):
     "possibility-maxitive-necessity-minitive",
     _distribution_pairs,
     tag="possibility-maxitive",
-    description=(
-        "possibility measures join-distribute over unions; their conjugates "
-        "meet-distribute over intersections"
-    ),
 )
 def _possibility_maxitive(pi, maxitive, lower, a, b):
+    """Possibility measures join-distribute over unions; their conjugates
+    meet-distribute over intersections."""
     if not maxitive:
         return f"possibility not maxitive for pi={_show(pi)}"
     if lower(a & b) != min(lower(a), lower(b)):
@@ -877,12 +842,10 @@ def _named_capacities(config: VerifyConfig, rng: Random):
     "named-capacities-valid",
     _named_capacities,
     tag="named-capacities",
-    description=(
-        "unanimity games (all focal sets) and possibility/necessity "
-        "measures satisfy the capacity axioms"
-    ),
 )
 def _named_capacities_valid(measure: SetFunction, b_mask, pi):
+    """Unanimity games (all focal sets) and possibility/necessity measures
+    satisfy the capacity axioms."""
     problems = capacity_problems(measure.n, measure.scale, measure.table)
     if problems and pi is None:
         return f"unanimity on {subset_text(b_mask)}: {problems[0]}"
@@ -905,12 +868,10 @@ def _maxitive_families(config: VerifyConfig, rng: Random):
     "k-maxitive-families",
     _maxitive_families,
     tag="k-maxitive",
-    description=(
-        "possibility measures are 1-maxitive; a unanimity game is exactly "
-        "|B|-maxitive"
-    ),
 )
 def _k_maxitive_families(measure, k, b_mask, pi):
+    """Possibility measures are 1-maxitive; a unanimity game is exactly
+    |B|-maxitive."""
     if pi is not None:
         if not is_k_maxitive(measure, k):
             return f"possibility not {k}-maxitive for pi={_show(pi)}"
@@ -952,9 +913,9 @@ def _rational_instances(config: VerifyConfig, rng: Random):
     "classical-roundtrip",
     _rational_tables,
     tag="classical-roundtrip",
-    description="zeta of the alternating-sum transform is the identity",
 )
 def _classical_roundtrip(v: RealSetFunction):
+    """Zeta of the alternating-sum transform is the identity."""
     if classical_zeta(classical_mobius(v)).table != v.table:
         return f"roundtrip fails on {v.table}"
     if classical_mobius(classical_zeta(v)).table != v.table:
@@ -964,12 +925,10 @@ def _classical_roundtrip(v: RealSetFunction):
 @_law(
     "classical-unanimity-indicator",
     lambda config, rng: ((config.n, b) for b in range(1, 1 << config.n)),
-    description=(
-        "the classical transform of a unanimity game is the indicator of "
-        "its focal set"
-    ),
 )
 def _classical_unanimity(n: int, b_mask: int):
+    """The classical transform of a unanimity game is the indicator of its
+    focal set."""
     table = tuple(
         Fraction(1) if mask and mask & b_mask == b_mask else Fraction(0)
         for mask in subsets(n)
@@ -984,20 +943,17 @@ def _classical_unanimity(n: int, b_mask: int):
 # -- ordinal transform laws ----------------------------------------------------
 
 
-def _interval_bounds(config: VerifyConfig, rng: Random):
-    for v in _capacities(config, rng):
-        interval = ordinal_mobius_interval(v)
-        yield v, interval.lower
-        yield v, interval.upper
-
-
 @_law(
     "interval-bounds-are-solutions",
-    _interval_bounds,
+    lambda config, rng: (
+        (v, bound)
+        for v, interval in _each_interval(config, rng)
+        for bound in (interval.lower, interval.upper)
+    ),
     tag="interval-bounds",
-    description="both interval endpoints reproduce the capacity by folding",
 )
 def _interval_bounds_are_solutions(v: Capacity, member: SetFunction):
+    """Both interval endpoints reproduce the capacity by folding."""
     if not is_solution(v, member, Rule.FLOOR):
         return f"endpoint not a solution on {_table(v)}"
 
@@ -1025,15 +981,10 @@ def _zeta_buckets(
     return buckets
 
 
-@_law(
-    "interval-is-solution-set",
-    tag="interval-solution-set",
-    description=(
-        "the nonnegative solutions of the folding equation are exactly the "
-        "grade tables between the interval bounds (independent brute force)"
-    ),
-)
+@_law("interval-is-solution-set", tag="interval-solution-set")
 def _interval_is_solution_set(config: VerifyConfig, rng: Random):
+    """The nonnegative solutions of the folding equation are exactly the grade
+    tables between the interval bounds (independent brute force)."""
     # per distinct capacity: the solution count, each solution, the library
     if (config.levels + 1) ** (1 << config.n) > 2_000_000:
         return "family too large for brute force; nothing checked"
@@ -1068,36 +1019,27 @@ def _interval_is_solution_set(config: VerifyConfig, rng: Random):
     return f"{len(seen)} distinct capacities"
 
 
-def _capacity_lowers(config: VerifyConfig, rng: Random):
-    for v in _capacities(config, rng):
-        yield v, ordinal_mobius_interval(v).lower
-
-
 @_law(
     "canonical-equals-lower",
-    _each_rule(_capacity_lowers, (Rule.FLOOR, Rule.ANGLE)),
+    _each_rule(_each_interval, (Rule.FLOOR, Rule.ANGLE)),
     tag="canonical-lower",
-    description=(
-        "the canonical transform of a capacity equals the interval lower "
-        "bound, under both admissible rules"
-    ),
 )
-def _canonical_equals_lower(v: Capacity, lower: SetFunction, rule: Rule):
-    if canonical_ordinal_mobius(v, rule).table != lower.table:
+def _canonical_equals_lower(v: Capacity, interval: MobiusInterval, rule: Rule):
+    """The canonical transform of a capacity equals the interval lower bound,
+    under both admissible rules."""
+    if canonical_ordinal_mobius(v, rule).table != interval.lower.table:
         return f"{rule} canonical != lower on {_table(v)}"
 
 
 @_law(
     "even-odd-equals-lower",
-    _each_capacity,
+    _each_interval,
     tag="even-odd",
-    description=(
-        "the alternating-parity transform equals the interval lower bound "
-        "on capacities"
-    ),
 )
-def _even_odd_equals_lower(v: Capacity):
-    if even_odd_mobius(v).table != ordinal_mobius_interval(v).lower.table:
+def _even_odd_equals_lower(v: Capacity, interval: MobiusInterval):
+    """The alternating-parity transform equals the interval lower bound on
+    capacities."""
+    if even_odd_mobius(v).table != interval.lower.table:
         return f"parity form != lower on {_table(v)}"
 
 
@@ -1121,12 +1063,10 @@ def _member_subsets(conjugated: bool) -> Family:
     "reconstruction-exact",
     _member_subsets(conjugated=False),
     tag="reconstruction",
-    description=(
-        "weighting unanimity games by any interval member rebuilds the "
-        "capacity exactly"
-    ),
 )
 def _reconstruction_exact(v: Capacity, member: SetFunction, mask: int):
+    """Weighting unanimity games by any interval member rebuilds the capacity
+    exactly."""
     if reconstruct(member, mask) != v(mask):
         return f"reconstruction fails at {subset_text(mask)} on {_table(v)}"
 
@@ -1135,12 +1075,10 @@ def _reconstruction_exact(v: Capacity, member: SetFunction, mask: int):
     "conjugate-reconstruction",
     _member_subsets(conjugated=True),
     tag="conjugate-reconstruction",
-    description=(
-        "negating the join of a conjugate transform over the subsets "
-        "disjoint from A rebuilds v(A)"
-    ),
 )
 def _conjugate_reconstruction(v: Capacity, member: SetFunction, mask: int):
+    """Negating the join of a conjugate transform over the subsets disjoint
+    from A rebuilds v(A)."""
     if reconstruct_from_conjugate(member, mask) != v(mask):
         return (
             f"conjugate reconstruction fails at "
@@ -1148,14 +1086,10 @@ def _conjugate_reconstruction(v: Capacity, member: SetFunction, mask: int):
         )
 
 
-@_law(
-    "mobius-not-linear-witness",
-    description=(
-        "the transform does not commute with pointwise sym-max: pinned "
-        "two-player witness"
-    ),
-)
+@_law("mobius-not-linear-witness")
 def _mobius_not_linear(config: VerifyConfig, rng: Random | None):
+    """The transform does not commute with pointwise sym-max: pinned two-player
+    witness."""
     scale = levels_scale(config.levels)
     g1 = unanimity(2, 0b11, scale)
     g2 = Capacity(
@@ -1181,13 +1115,10 @@ def _mobius_not_linear(config: VerifyConfig, rng: Random | None):
     "possibility-mobius-singletons",
     _each_distribution,
     tag="possibility-mobius",
-    description=(
-        "the closed-form transform of a possibility measure sits on "
-        "singletons, equals the interval lower bound, and solves the fold "
-        "equation"
-    ),
 )
 def _possibility_mobius(pi: tuple[ScaleValue, ...]):
+    """The closed-form transform of a possibility measure sits on singletons,
+    equals the interval lower bound, and solves the fold equation."""
     measure = possibility_measure(pi)
     closed = mobius_possibility(pi)
     if closed.table != ordinal_mobius_interval(measure).lower.table:
@@ -1203,13 +1134,10 @@ def _possibility_mobius(pi: tuple[ScaleValue, ...]):
     "necessity-mobius-tails",
     _each_distribution,
     tag="necessity-mobius",
-    description=(
-        "the closed-form transform of a necessity measure sits on a nested "
-        "chain of tails, equals the interval lower bound, and solves the "
-        "fold equation"
-    ),
 )
 def _necessity_mobius(pi: tuple[ScaleValue, ...]):
+    """The closed-form transform of a necessity measure sits on a nested chain
+    of tails, equals the interval lower bound, and solves the fold equation."""
     measure = necessity_measure(pi)
     closed = mobius_necessity(pi)
     if closed.table != ordinal_mobius_interval(measure).lower.table:
@@ -1231,13 +1159,11 @@ def _necessity_mobius(pi: tuple[ScaleValue, ...]):
     "choquet-forms-agree",
     _rational_instances,
     tag="choquet-forms",
-    description=(
-        "transform form = layer form for the plain integral; transform "
-        "form = conjugate split on signed profiles; symmetric transform "
-        "form = split form = one-pass form"
-    ),
 )
 def _choquet_forms(v: RealSetFunction, signed: list[Fraction]):
+    """Transform form = layer form for the plain integral; transform form =
+    conjugate split on signed profiles; symmetric transform form = split form =
+    one-pass form."""
     m = classical_mobius(v)
     nonneg = [abs(x) for x in signed]
     if choquet_mobius(m, nonneg) != choquet(v, nonneg):
@@ -1255,12 +1181,10 @@ def _choquet_forms(v: RealSetFunction, signed: list[Fraction]):
     "choquet-conjugation-symmetry",
     _rational_instances,
     tag="choquet-conjugation",
-    description=(
-        "reflecting the profile negates the asymmetric integral against the "
-        "conjugate and negates the symmetric integral in place"
-    ),
 )
 def _choquet_conjugation(v: RealSetFunction, f: list[Fraction]):
+    """Reflecting the profile negates the asymmetric integral against the
+    conjugate and negates the symmetric integral in place."""
     neg = [-x for x in f]
     if choquet_asymmetric(v, neg) != -choquet_asymmetric(real_conjugate(v), f):
         return f"conjugation fails on {v.table}, f={f}"
@@ -1269,9 +1193,9 @@ def _choquet_conjugation(v: RealSetFunction, f: list[Fraction]):
 
 
 def _representatives(config: VerifyConfig, rng: Random):
-    for v, f in _instances(config, rng, signed=False):
+    for v, interval, f in _instances(config, rng, signed=False):
         reference = sugeno(v, f)
-        for member in _members(config, ordinal_mobius_interval(v), rng):
+        for member in _members(config, interval, rng):
             yield v, f, reference, member
 
 
@@ -1279,34 +1203,27 @@ def _representatives(config: VerifyConfig, rng: Random):
     "sugeno-mobius-representative-free",
     _representatives,
     tag="sugeno-representative",
-    description=(
-        "the transform form of the plain integral is the same for every "
-        "interval member and equals the rank form"
-    ),
 )
 def _sugeno_representative_free(v, f, reference, member):
+    """The transform form of the plain integral is the same for every interval
+    member and equals the rank form."""
     if sugeno_mobius(member, f) != reference:
         return f"transform form differs on {_at(v, f)}"
 
 
-@_law(
-    "symmetric-sugeno-forms-agree",
-    tag="symmetric-forms",
-    description=(
-        "split definition = one-pass form = three-block transform form, "
-        "for every interval member"
-    ),
-)
+@_law("symmetric-sugeno-forms-agree", tag="symmetric-forms")
 def _symmetric_forms_agree(config: VerifyConfig, rng: Random):
+    """Split definition = one-pass form = three-block transform form, for every
+    interval member."""
     # per instance: the one-pass form, then each interval member
-    for v, f in _instances(config, rng, signed=True):
+    for v, interval, f in _instances(config, rng, signed=True):
         reference = sugeno_symmetric(v, f)
         yield (
             None
             if sugeno_symmetric_explicit(v, f) == reference
             else f"one-pass form differs on {_at(v, f)}"
         )
-        for member in _members(config, ordinal_mobius_interval(v), rng):
+        for member in _members(config, interval, rng):
             yield (
                 None
                 if sugeno_symmetric_mobius(member, f) == reference
@@ -1318,14 +1235,11 @@ def _symmetric_forms_agree(config: VerifyConfig, rng: Random):
     "mixed-block-vanishes",
     _each_instance(signed=True),
     tag="mixed-block",
-    description=(
-        "the cross-sign block of the three-block transform form is "
-        "identically zero"
-    ),
 )
-def _mixed_block_vanishes(v: Capacity, f: Profile):
-    member = ordinal_mobius_interval(v).upper
-    if symmetric_mobius_blocks(member, f)[2].sign != 0:
+def _mixed_block_vanishes(v: Capacity, interval: MobiusInterval, f: Profile):
+    """The cross-sign block of the three-block transform form is identically
+    zero."""
+    if symmetric_mobius_blocks(interval.upper, f)[2].sign != 0:
         return f"mixed block nonzero on {_at(v, f)}"
 
 
@@ -1340,17 +1254,14 @@ def _first_difference(verb: str, v: Capacity, f: Profile, clauses) -> str | None
     "variants-collapse-on-nonneg",
     _each_instance(signed=False),
     tag="variants-collapse",
-    description=(
-        "on nonnegative profiles the symmetric integral and all three "
-        "variants reduce to the plain integral"
-    ),
 )
-def _variants_collapse(v: Capacity, f: Profile):
+def _variants_collapse(v: Capacity, interval: MobiusInterval, f: Profile):
+    """On nonnegative profiles the symmetric integral and all three variants
+    reduce to the plain integral."""
     reference = sugeno(v, f)
-    lower = ordinal_mobius_interval(v).lower
     return _first_difference("differs", v, f, (
         ("split form", sugeno_symmetric(v, f), reference),
-        ("variant 1", sugeno_variant1(lower, f), reference),
+        ("variant 1", sugeno_variant1(interval.lower, f), reference),
         ("variant 2", sugeno_variant2(v, f), reference),
         ("variant 3", sugeno_variant3(v, f), reference),
     ))
@@ -1360,14 +1271,12 @@ def _variants_collapse(v: Capacity, f: Profile):
     "integral-symmetry",
     _each_instance(signed=True),
     tag="integral-symmetry",
-    description=(
-        "reflecting the profile negates the symmetric integral and each of "
-        "the three variants"
-    ),
 )
-def _integral_symmetry(v: Capacity, f: Profile):
+def _integral_symmetry(v: Capacity, interval: MobiusInterval, f: Profile):
+    """Reflecting the profile negates the symmetric integral and each of the
+    three variants."""
     neg = -f
-    lower = ordinal_mobius_interval(v).lower
+    lower = interval.lower
     return _first_difference("asymmetric", v, f, (
         ("split form", sugeno_symmetric(v, neg), -sugeno_symmetric(v, f)),
         ("variant 1", sugeno_variant1(lower, neg), -sugeno_variant1(lower, f)),
@@ -1387,7 +1296,7 @@ def _profile_bumps(f: Profile) -> Iterator[Profile]:
 
 
 def _bumped_instances(config: VerifyConfig, rng: Random):
-    for v, f in _instances(config, rng, signed=True):
+    for v, _, f in _instances(config, rng, signed=True):
         base_split = sugeno_symmetric(v, f)
         base_v3 = sugeno_variant3(v, f)
         for bumped in _profile_bumps(f):
@@ -1398,12 +1307,10 @@ def _bumped_instances(config: VerifyConfig, rng: Random):
     "sugeno-symmetric-monotone",
     _bumped_instances,
     tag="sugeno-monotone",
-    description=(
-        "the symmetric integral and variant 3 never decrease when one "
-        "score rises one grade"
-    ),
 )
 def _sugeno_monotone(v, f, base_split, base_v3, bumped):
+    """The symmetric integral and variant 3 never decrease when one score rises
+    one grade."""
     if sugeno_symmetric(v, bumped) < base_split:
         return f"split form decreases on {_at(v, f)} -> {_show(bumped.scores)}"
     if sugeno_variant3(v, bumped) < base_v3:
@@ -1414,12 +1321,10 @@ def _sugeno_monotone(v, f, base_split, base_v3, bumped):
     "variant2-not-monotone",
     _once,
     kind="violates",
-    description=(
-        "variant 2 is not monotone: pinned three-player witness where "
-        "raising one score strictly lowers the value"
-    ),
 )
 def _variant2_not_monotone():
+    """Variant 2 is not monotone: pinned three-player witness where raising one
+    score strictly lowers the value."""
     scale = levels_scale(3)
     one = scale.one
     v = Capacity(
@@ -1451,7 +1356,7 @@ def _rank_orders(f: Profile) -> Iterator[list[int]]:
 
 
 def _tie_rankings(config: VerifyConfig, rng: Random):
-    for v, f in _instances(config, rng, signed=True):
+    for v, _, f in _instances(config, rng, signed=True):
         reference = sugeno_symmetric(v, f)
         for order in itertools.islice(_rank_orders(f), 120):
             yield v, f, reference, order
@@ -1461,12 +1366,10 @@ def _tie_rankings(config: VerifyConfig, rng: Random):
     "floor-tie-order-invariant",
     _tie_rankings,
     tag="floor-tie-order",
-    description=(
-        "the floor fold of the explicit-form terms equals the split "
-        "symmetric integral under every ranking of tied scores"
-    ),
 )
 def _floor_tie_order_invariant(v, f, reference, order):
+    """The floor fold of the explicit-form terms equals the split symmetric
+    integral under every ranking of tied scores."""
     folded = fold_sym_max(_rank_terms(v, f, order), Rule.FLOOR, scale=v.scale)
     if folded != reference:
         return (
@@ -1475,17 +1378,11 @@ def _floor_tie_order_invariant(v, f, reference, order):
         )
 
 
-@_law(
-    "rank-fold-tie-sensitive",
-    kind="violates",
-    description=(
-        "the angle and ceil folds of the explicit-form terms change value "
-        "with the ranking of tied scores: pinned two-grade witness (the "
-        "floor fold is immune, and it forces the canonical ranking used "
-        "by the variants)"
-    ),
-)
+@_law("rank-fold-tie-sensitive", kind="violates")
 def _rank_fold_tie_sensitive(config: VerifyConfig, rng: Random | None):
+    """The angle and ceil folds of the explicit-form terms change value with
+    the ranking of tied scores: pinned two-grade witness (the floor fold is
+    immune, and it forces the canonical ranking used by the variants)."""
     # one claim per ranking; it is exhibited once both folds took two values
     scale = levels_scale(2)
     v = Capacity(3, scale, _grades(scale, 0, 1, 0, 2, 2, 2, 2, 2))
@@ -1511,13 +1408,11 @@ def _rank_fold_tie_sensitive(config: VerifyConfig, rng: Random | None):
     "rank-ceil-not-monotone",
     _once,
     kind="violates",
-    description=(
-        "folding the explicit-form terms under the ceil rule is not "
-        "monotone even with all scores distinct: pinned three-player "
-        "witness (this is why variant 3 folds threshold terms instead)"
-    ),
 )
 def _rank_ceil_not_monotone():
+    """Folding the explicit-form terms under the ceil rule is not monotone even
+    with all scores distinct: pinned three-player witness (this is why variant
+    3 folds threshold terms instead)."""
     scale = levels_scale(3)
     v = Capacity(3, scale, _grades(scale, 0, 0, 1, 3, 1, 1, 1, 3))
     low = Profile(scale, _grades(scale, -3, 1, -2))
@@ -1533,13 +1428,11 @@ def _rank_ceil_not_monotone():
 
 
 def _sensitivity_search(config: VerifyConfig, rng: Random):
-    scale = levels_scale(config.levels)
-    for v in iter_capacities(2, scale):
-        for f in iter_profiles(2, scale, signed=True):
-            yield v, f
-    for _ in range(max(config.samples, 200)):
-        v = sample_capacity(rng, 3, scale)
-        yield v, sample_profile(rng, 3, scale, signed=True)
+    # every two-player instance, then sampled three-player ones
+    yield from _instances(VerifyConfig(n=2, levels=config.levels), rng)
+    samples = max(config.samples, 200)
+    sampled = VerifyConfig(n=3, levels=config.levels, exhaustive=False, samples=samples)
+    yield from _instances(sampled, rng)
 
 
 @_law(
@@ -1548,14 +1441,10 @@ def _sensitivity_search(config: VerifyConfig, rng: Random):
     kind="report",
     tag="variant1-sensitivity",
     missing="no representative dependence found on the searched families",
-    description=(
-        "whether variant 1 depends on the interval representative: "
-        "deterministic search over two-player (exhaustive) and sampled "
-        "three-player instances"
-    ),
 )
-def _variant1_sensitivity(v: Capacity, f: Profile):
-    interval = ordinal_mobius_interval(v)
+def _variant1_sensitivity(v: Capacity, interval: MobiusInterval, f: Profile):
+    """Whether variant 1 depends on the interval representative: deterministic
+    search over two-player (exhaustive) and sampled three-player instances."""
     low = sugeno_variant1(interval.lower, f)
     high = sugeno_variant1(interval.upper, f)
     if low != high:
@@ -1565,14 +1454,10 @@ def _variant1_sensitivity(v: Capacity, f: Profile):
         )
 
 
-@_law(
-    "worked-example-goldens",
-    description=(
-        "the documented three-player instance reproduces all its published "
-        "values exactly"
-    ),
-)
+@_law("worked-example-goldens")
 def _worked_example_goldens(config: VerifyConfig, rng: Random | None):
+    """The documented three-player instance reproduces all its published values
+    exactly."""
     v, f = worked_example()
     scale = v.scale
     interval = ordinal_mobius_interval(v)

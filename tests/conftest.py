@@ -2,6 +2,7 @@
 plus the problem-document strategies that fuzz the input boundary."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,25 @@ def make_capacity(scale, grades):
 
 def make_profile(scale, grades):
     return Profile(scale, tuple(scale.value(g) for g in grades))
+
+
+def count_calls(monkeypatch, module, name, caller=None):
+    """Count the calls to ``module.name`` made through every symsug module
+    that holds it, including those that imported it by name; with
+    ``caller``, only the calls made from code in the module of that name."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        if caller is None or sys._getframe(1).f_globals["__name__"] == caller:
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    for loaded in list(sys.modules.values()):
+        holder = getattr(loaded, "__name__", "")
+        if holder.split(".")[0] == "symsug" and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, counted)
+    return calls
 
 
 # -- problem documents for fuzzing ------------------------------------------------

@@ -12,6 +12,7 @@ from symsug import (
     CapacityError,
     ScaleError,
     SetFunction,
+    SymmetricScale,
     conjugate,
     levels_scale,
     necessity_measure,
@@ -20,6 +21,7 @@ from symsug import (
     unit_scale,
 )
 from symsug.capacity import (
+    MAX_PLAYERS,
     capacity_problems,
     covers_of,
     full_set,
@@ -32,6 +34,7 @@ from symsug.capacity import (
     subset_text,
     subsets,
 )
+from symsug.mobius import mobius_necessity, mobius_possibility
 from conftest import make_capacity
 
 L2 = levels_scale(2)
@@ -61,11 +64,26 @@ def test_parse_subset_text_rejects_garbage():
             parse_subset_text(bad, 3)
 
 
+@pytest.mark.parametrize("text", ["{١,٣}", "{1,٣}", "{²}"])
+def test_subset_members_are_ascii_decimals(text):
+    # ١ and ٣ are ARABIC-INDIC DIGITs, which int() accepts; ² passes
+    # isdigit() but not int()
+    with pytest.raises(ValueError, match="bad subset member"):
+        parse_subset_text(text, 3)
+
+
 def test_members_and_mask_of():
     assert subset_members(0b110) == (2, 3)
     assert mask_of([3, 1], 3) == 0b101
     with pytest.raises(ValueError):
         mask_of([4], 3)
+    with pytest.raises(ValueError, match="player True"):
+        mask_of([True], 3)  # bool is an int subclass, but no player id
+
+
+def test_a_bool_is_no_player_count():
+    with pytest.raises(ValueError, match="player count"):
+        Capacity(True, L2, (L2.zero, L2.one))
 
 
 def test_submask_and_cover_enumeration():
@@ -88,6 +106,8 @@ def test_set_function_lookup_and_bounds():
     assert not g.is_nonnegative
     with pytest.raises(IndexError):
         g(4)
+    with pytest.raises(ValueError, match="table has 3 entries, expected 4"):
+        SetFunction(2, L2, (L2.zero,) * 3)
 
 
 def test_capacity_rejects_non_monotone_tables():
@@ -189,6 +209,31 @@ def test_possibility_distribution_must_reach_one():
         possibility_measure([L2.value(1), L2.value(1)])
     with pytest.raises(CapacityError):
         possibility_measure([])
+    with pytest.raises(CapacityError, match="distribution value -1 is negative"):
+        possibility_measure([L2.value(-1), L2.one])
+
+
+NAMED_BUILDERS = {
+    "unanimity": lambda pi: unanimity(len(pi), 0, L2),
+    "possibility_measure": possibility_measure,
+    "necessity_measure": necessity_measure,
+    "mobius_possibility": mobius_possibility,
+    "mobius_necessity": mobius_necessity,
+}
+
+
+@pytest.mark.parametrize("name", NAMED_BUILDERS)
+def test_named_builders_check_the_player_count_first(monkeypatch, name):
+    pi = [L2.one] * (MAX_PLAYERS + 1)
+
+    def spy(scale):
+        raise AssertionError("a table was built before the player count check")
+
+    # each builder reads the scale's zero or one before it fills its table
+    monkeypatch.setattr(SymmetricScale, "zero", property(spy))
+    monkeypatch.setattr(SymmetricScale, "one", property(spy))
+    with pytest.raises(ValueError, match="player count"):
+        NAMED_BUILDERS[name](pi)
 
 
 def test_k_maxitive_detection():

@@ -22,13 +22,15 @@ from symsug import (
     choquet,
     load_problem,
     read_problem,
+    sugeno,
+    sugeno_symmetric,
     to_real_capacity,
     to_real_profile,
 )
 from symsug.capacity import full_set, subset_text
 from symsug.cli import main
 from symsug.io import set_function_record
-from conftest import WORKED_DOCUMENT, documents, mutated_documents
+from conftest import WORKED_DOCUMENT, count_calls, documents, mutated_documents
 
 
 def run(capsys, *argv):
@@ -41,23 +43,6 @@ def write_document(tmp_path, document, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(document), encoding="utf-8")
     return str(path)
-
-
-def count_calls(monkeypatch, module, name):
-    """Count the calls to ``module.name`` made through every symsug module
-    that holds it, including those that imported it by name."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for loaded in list(sys.modules.values()):
-        holder = getattr(loaded, "__name__", "")
-        if holder.split(".")[0] == "symsug" and getattr(loaded, name, None) is original:
-            monkeypatch.setattr(loaded, name, counted)
-    return calls
 
 
 # -- compute -----------------------------------------------------------------
@@ -140,6 +125,49 @@ def test_compute_tabulates_no_conjugate(worked_file, capsys, monkeypatch):
     code, out, _ = run(capsys, "compute", "--input", str(worked_file), "--all")
     assert code == 0 and "choquet_asym" in json.loads(out)
     assert calls == []  # choquet_asym reads the conjugate on its chain only
+
+
+@pytest.mark.parametrize("profile", [["-1", "0.3", "1"], ["0.2", "0.3", "1"]])
+def test_compute_folds_the_printed_terms_for_every_sugeno_output(
+    tmp_path, capsys, monkeypatch, profile
+):
+    import symsug.integrals
+
+    path = write_document(tmp_path, dict(WORKED_DOCUMENT, profile=profile))
+    calls = {
+        name: count_calls(monkeypatch, symsug.integrals, name, caller="symsug.cli")
+        for name in ("sugeno", "sugeno_symmetric")
+    }
+    code, out, _ = run(capsys, "compute", "--input", path, "--all")
+    assert code == 0
+    assert calls == {"sugeno": [], "sugeno_symmetric": []}
+    record = json.loads(out)
+    assert ("sugeno" in record) == (profile[0] != "-1")
+    assert "sugeno" not in record["diagnostics"]["terms"]
+    v, f = read_problem(path).ranked()
+    assert record["sugeno_sym"] == str(sugeno_symmetric(v, f))
+    if "sugeno" in record:
+        assert record["sugeno"] == str(sugeno(v, f))
+
+
+@pytest.mark.parametrize("kind", ["unit", "levels"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_compute_sugeno_records_match_the_split_form(kind, data):
+    document = data.draw(documents().filter(lambda d: d["scale"]["kind"] == kind))
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "problem.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["compute", "--input", str(path), "--all"]) == 0
+        v, f = read_problem(str(path)).ranked()
+    record = json.loads(out.getvalue())
+    assert record["sugeno_sym"] == str(sugeno_symmetric(v, f))
+    if f.is_nonnegative:
+        assert record["sugeno"] == str(sugeno(v, f))
+    else:
+        assert "sugeno" not in record
 
 
 def test_compute_upper_representative(worked_file, capsys):
@@ -299,6 +327,9 @@ def test_bad_output_requests_exit_2(worked_file, capsys):
         capsys, "compute", "--input", str(worked_file), "--only", "v1,v1"
     )
     assert code == 2 and "repeats" in err
+
+    code, _, err = run(capsys, "compute", "--input", str(worked_file), "--only", "v1,")
+    assert code == 2 and "empty output name" in err
 
     code, _, err = run(capsys, "compute", "--input", str(worked_file))
     assert code == 2 and "--all or --only" in err

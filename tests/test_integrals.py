@@ -14,6 +14,7 @@ from symsug import (
     RealSetFunction,
     Rule,
     ScaleError,
+    SetFunction,
     choquet,
     choquet_asymmetric,
     choquet_mobius,
@@ -103,6 +104,12 @@ def test_plain_choquet_rejects_signed_profiles():
     v = to_real_capacity(make_capacity(UNIT, (0, F(1, 2), F(1, 2), 1)))
     with pytest.raises(ValueError):
         choquet(v, [F(-1, 5), F(1, 5)])
+
+
+def test_a_choquet_profile_must_score_every_player():
+    v = to_real_capacity(make_capacity(UNIT, (0, F(1, 2), F(1, 2), 1)))
+    with pytest.raises(ValueError, match="profile has 3 players, capacity has 2"):
+        choquet(v, [F(1, 5)] * 3)
 
 
 def test_choquet_needs_the_unit_scale():
@@ -220,6 +227,17 @@ def test_plain_sugeno_golden():
     assert sugeno(v, make_profile(L3, (1, 3))) == L3.value(2)
     with pytest.raises(ValueError):
         sugeno(v, make_profile(L3, (-1, 0)))
+
+
+def test_transform_forms_need_nonnegative_transforms_and_profiles():
+    lower = ordinal_mobius_interval(make_capacity(L2, (0, 1, 1, 2))).lower
+    negative = SetFunction(2, L2, tuple(L2.value(x) for x in (0, -1, 1, 2)))
+    with pytest.raises(ValueError, match="plain Sugeno integral needs nonnegative"):
+        sugeno_mobius(lower, make_profile(L2, (-1, 1)))
+    with pytest.raises(ValueError, match="transform representatives are nonnegative"):
+        sugeno_mobius(negative, make_profile(L2, (1, 1)))
+    with pytest.raises(ValueError, match="transform representatives are nonnegative"):
+        variant1_terms(negative, make_profile(L2, (-1, 1)))
 
 
 def test_sugeno_between_min_and_max():

@@ -164,6 +164,17 @@ def test_capacity_table_rejects_duplicates_and_garbage_keys():
         load_problem(dumps(capacity=table))
 
 
+def test_capacity_keys_are_written_in_ascii_digits():
+    # ١ is ARABIC-INDIC DIGIT ONE, which int() reads as 1
+    document = {
+        "scale": {"kind": "levels", "levels": 2},
+        "capacity": {"{١}": 2},
+        "profile": [1],
+    }
+    with pytest.raises(ParseError, match=r"capacity key '\{١\}': bad subset member"):
+        load_problem(json.dumps(document))
+
+
 def test_repeated_json_keys_are_parse_errors():
     # json.loads alone keeps the last value of a repeated key
     text = dumps().replace('"{1}": "0.3"', '"{1}": "0.9", "{1}": "0.3"')
@@ -228,6 +239,10 @@ def test_scale_descriptor_validation():
         load_problem(dumps(scale={"kind": "levels", "levels": "3"}))
     with pytest.raises(ParseError):
         load_problem(dumps(scale={"kind": "levels", "levels": 2, "labels": ["a"]}))
+    with pytest.raises(ParseError, match="optionally 'labels'"):
+        load_problem(dumps(scale={"kind": "levels", "levels": 2, "grades": 3}))
+    with pytest.raises(ParseError, match="list of strings"):
+        load_problem(dumps(scale={"kind": "levels", "levels": 1, "labels": ["lo", 1]}))
 
 
 def test_option_validation():

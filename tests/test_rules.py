@@ -144,6 +144,11 @@ def test_singleton_fold_is_identity():
         assert fold_sym_max([L3.value(-2)], rule) == L3.value(-2)
 
 
+def test_a_rule_prints_as_its_name():
+    assert str(Rule.FLOOR) == "floor"
+    assert [str(rule) for rule in Rule] == ["floor", "ceil", "angle"]
+
+
 def test_an_unknown_rule_is_a_type_error():
     with pytest.raises(TypeError, match="unknown rule"):
         fold_sym_max([L3.value(1)], "ceil")
@@ -203,6 +208,9 @@ def tied_multisets(draw):
 @given(tied_multisets())
 @example((L3, []))
 @example((UNIT, []))
+# several copies of both opposite extremes, then of the next pair
+@example((L3, grades(L3, [3, -3, 3, -2, 3, -3, 2, -2, 1])))
+@example((L5, grades(L5, [-5, 5, -5, -5, 5, 4, -4, -4, 0, 0])))
 def test_the_signed_fold_matches_the_scale_value_fold(drawn):
     scale, values = drawn
     for rule in Rule:

@@ -14,6 +14,7 @@ from symsug import (
     ScaleError,
     ScaleValue,
     SetFunction,
+    SymmetricScale,
     fold_sym_max,
     levels_scale,
     necessity_measure,
@@ -53,6 +54,15 @@ def test_levels_scale_enumerates_symmetric_range():
 def test_unit_scale_is_not_enumerable():
     with pytest.raises(ScaleError):
         list(UNIT.signed_values())
+    with pytest.raises(ScaleError, match="only a levels scale is enumerable"):
+        UNIT.nonnegative_values()
+
+
+def test_scale_kinds_and_their_parameters():
+    with pytest.raises(ScaleError, match="unknown scale kind: 'interval'"):
+        SymmetricScale("interval")
+    with pytest.raises(ScaleError, match="unit scale takes no grade count"):
+        SymmetricScale("unit", 3)
 
 
 def test_minus_zero_collapses():
@@ -136,6 +146,14 @@ def test_unlabelled_grades_must_be_canonical_ascii_decimals(text):
         levels_scale(10**6).parse(text)
 
 
+def test_parse_needs_text_that_names_a_grade():
+    with pytest.raises(ScaleError, match="expected a string value, got int"):
+        L3.parse(3)
+    # int() reads "0003" as 3, but it is longer than any grade's text
+    with pytest.raises(ScaleError, match="unknown level label: '0003'"):
+        L3.parse("0003")
+
+
 def test_labels_are_presentation_only():
     labelled = levels_scale(2, ("lo", "mid", "hi"))
     assert labelled == levels_scale(2)
@@ -168,6 +186,8 @@ def test_scales_do_not_mix():
         sym_max(L3.value(1), levels_scale(2).value(1))
     with pytest.raises(ScaleError):
         L3.value(1) < UNIT.value(Fraction(1, 2))
+    with pytest.raises(TypeError, match="cannot compare ScaleValue with int"):
+        L3.value(1) < 3
 
 
 L2 = levels_scale(2)

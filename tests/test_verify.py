@@ -1,5 +1,6 @@
 """The law-suite machinery: generators, result records, determinism."""
 
+import ast
 import io
 import json
 from contextlib import redirect_stdout
@@ -8,6 +9,7 @@ from random import Random
 
 import pytest
 
+import symsug.verify
 from symsug import Capacity, Profile, levels_scale
 from symsug.cli import main
 from symsug.verify import (
@@ -22,8 +24,9 @@ from symsug.verify import (
     sample_profile,
     worked_example,
 )
+from symsug.capacity import MAX_PLAYERS
 from symsug.mobius import ordinal_mobius_interval
-from conftest import WORKED_DOCUMENT
+from conftest import WORKED_DOCUMENT, count_calls
 
 QUICK = VerifyConfig(n=2, levels=2, exhaustive=False, samples=25, seed=5)
 
@@ -60,6 +63,23 @@ def test_sampled_instances_are_valid_and_seeded():
         f = sample_profile(rng, 3, scale)
         assert isinstance(f, Profile)
         assert all(abs(x.signed) <= 3 for x in f.scores)
+
+
+def test_capacity_builders_check_the_player_count_first(monkeypatch):
+    import symsug.verify
+
+    def spy(*args, **kwargs):
+        raise AssertionError("a table was built before the player count check")
+
+    # the first step of each builder past the check, which would size a
+    # table of 2**n entries
+    monkeypatch.setattr(symsug.verify, "sorted", spy, raising=False)
+    monkeypatch.setattr(symsug.verify, "_monotone_grades", spy)
+    scale = levels_scale(2)
+    with pytest.raises(ValueError, match="player count"):
+        next(iter_capacities(MAX_PLAYERS + 1, scale))
+    with pytest.raises(ValueError, match="player count"):
+        sample_capacity(Random(0), MAX_PLAYERS + 1, scale)
 
 
 def test_interval_member_enumeration_matches_the_box_volume():
@@ -113,6 +133,31 @@ def test_law_names_are_stable_and_complete():
         "worked-example-goldens",
     ):
         assert expected in names
+
+
+def test_integral_laws_build_one_interval_per_capacity(monkeypatch):
+    import symsug.mobius
+
+    calls = count_calls(monkeypatch, symsug.mobius, "ordinal_mobius_interval")
+    config = VerifyConfig(n=2, levels=2)
+    [result] = run_laws(config, ["integral-symmetry"])
+    assert result.status == "pass" and result.checks == 9 * 25
+    assert len(calls) == 9  # one per capacity, not one per profile
+
+
+def test_every_law_states_itself_in_its_docstring():
+    tree = ast.parse(Path(symsug.verify.__file__).read_text(encoding="utf-8"))
+    laws = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_law"
+            for d in node.decorator_list
+        )
+    ]
+    assert len(laws) == len(law_names())
+    assert [node.name for node in laws if not ast.get_docstring(node)] == []
 
 
 def test_unknown_law_names_raise():
