@@ -4,6 +4,8 @@ Players are numbered 1..n and subsets are bitmasks (player i is bit i - 1),
 so a set function is a dense table of length 2**n.  Capacities are the
 monotone set functions normalized to 0 at the empty set and 1 at the grand
 coalition; they take values on the nonnegative side of a symmetric scale.
+The kernels :func:`fold_members` and :func:`zeta` fold over every subset
+at once: a sequence over each subset's members, a table over its subsets.
 """
 
 from __future__ import annotations
@@ -101,6 +103,31 @@ def covers_of(mask: int) -> Iterator[int]:
         bit = rest & -rest
         yield mask ^ bit
         rest ^= bit
+
+
+def fold_members(values: Sequence, combine: Callable, empty: Any) -> list:
+    """The fold of ``values[i - 1]`` over the members i of each subset, in
+    mask order with ``empty`` at 0; each entry extends the entry of its
+    mask without the lowest member, in O(2^n) in all."""
+    table = [empty]
+    for mask in range(1, 1 << len(values)):
+        low = mask & -mask
+        table.append(combine(table[mask ^ low], values[low.bit_length() - 1]))
+    return table
+
+
+def zeta(table: Sequence, combine: Callable) -> list:
+    """The fold of ``table`` over the subsets of each mask, in O(n 2^n): in
+    one pass per player, each mask holding it combines its entry with that
+    of the mask without it.  A difference undoes a sum (Moebius inversion)."""
+    table = list(table)
+    bit = 1
+    while bit < len(table):
+        for mask in range(len(table)):
+            if mask & bit:
+                table[mask] = combine(table[mask], table[mask ^ bit])
+        bit <<= 1
+    return table
 
 
 # -- set functions -----------------------------------------------------------
@@ -324,12 +351,7 @@ def possibility_measure(pi: Sequence[ScaleValue]) -> Capacity:
             raise CapacityError(f"distribution value {p} is negative")
     if max(pi) != scale.one:
         raise CapacityError("distribution must reach 1 on some player")
-    n = len(pi)
-    table = []
-    for mask in subsets(n):
-        members = subset_members(mask)
-        table.append(max((pi[i - 1] for i in members), default=scale.zero))
-    return Capacity(n, scale, tuple(table))
+    return Capacity(len(pi), scale, tuple(fold_members(pi, max, scale.zero)))
 
 
 def necessity_measure(pi: Sequence[ScaleValue]) -> Capacity:

@@ -8,6 +8,7 @@ negative part separately and combine, or use the explicit one-pass forms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -19,11 +20,11 @@ from .capacity import (
     _check_pair,
     _check_players,
     _coerce_value,
+    fold_members,
     full_set,
-    subset_members,
 )
 from .mobius import RealSetFunction
-from .rules import Rule, fold_sym_max
+from .rules import Rule, _survivors, fold_sym_max
 from .scale import (
     UNIT,
     ScaleError,
@@ -187,24 +188,18 @@ def choquet_mobius(m: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     sum of m(A) min over A of f.  Equals the asymmetric integral on signed
     profiles and the plain integral on nonnegative ones."""
     scores = _check_real_args(m, f)
-    acc = Fraction(0)
-    for mask in range(1, 1 << m.n):
-        acc += m(mask) * min(scores[i - 1] for i in subset_members(mask))
-    return acc
+    minima = fold_members(scores, min, max(scores))
+    return sum(map(operator.mul, m.table[1:], minima[1:]), Fraction(0))
 
 
 def sipos_mobius(m: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     """Symmetric integral from the classical transform:
     sum of m(A) [min of f+ over A minus min of f- over A]."""
-    scores = _check_real_args(m, f)
-    zero = Fraction(0)
-    acc = Fraction(0)
-    for mask in range(1, 1 << m.n):
-        members = subset_members(mask)
-        plus = min(max(scores[i - 1], zero) for i in members)
-        minus = min(max(-scores[i - 1], zero) for i in members)
-        acc += m(mask) * (plus - minus)
-    return acc
+    plus, minus = _gains_losses(m, f)
+    gains = fold_members(plus, min, max(plus))
+    losses = fold_members(minus, min, max(minus))
+    terms = zip(m.table[1:], gains[1:], losses[1:])
+    return sum((w * (gain - loss) for w, gain, loss in terms), Fraction(0))
 
 
 # -- Sugeno family -------------------------------------------------------------
@@ -234,11 +229,9 @@ def sugeno_mobius(m: SetFunction, f: Profile) -> ScaleValue:
         raise ValueError("plain Sugeno integral needs nonnegative scores")
     if not m.is_nonnegative:
         raise ValueError("transform representatives are nonnegative")
-    best = m.scale.zero
-    for mask in range(1, 1 << m.n):
-        smallest = min(f.scores[i - 1] for i in subset_members(mask))
-        best = max(best, min(m(mask), smallest))
-    return best
+    minima = fold_members([x.signed for x in f.scores], min, m.scale.one.signed)
+    weights = [w.signed for w in m.table]
+    return m.scale.value(max(map(min, weights[1:], minima[1:])))
 
 
 def sugeno_symmetric(v: Capacity, f: Profile) -> ScaleValue:
@@ -325,20 +318,13 @@ def variant1_terms(m: SetFunction, f: Profile) -> list[ScaleValue]:
         raise ValueError("transform representatives are nonnegative")
     scores = [x.signed for x in f.scores]
     value, zero = m.scale.value, m.scale.zero
-    # min f+ and min f- over each mask, from the mask without its lowest
-    # member; the empty mask holds the top, which every min lies under
+    # min f+ and min f- over each mask; every min lies under the top
     top = m.scale.one.signed
-    gains, losses = [top], [top]
+    gains = fold_members([x if x > 0 else 0 for x in scores], min, top)
+    losses = fold_members([-x if x < 0 else 0 for x in scores], min, top)
     terms = []
-    for mask in range(1, 1 << m.n):
-        low = mask & -mask
-        x = scores[low.bit_length() - 1]
-        gain = min(gains[mask ^ low], x if x > 0 else 0)
-        loss = min(losses[mask ^ low], -x if x < 0 else 0)
-        gains.append(gain)
-        losses.append(loss)
+    for w, gain, loss in zip(weights[1:], gains[1:], losses[1:]):
         # m(A) sym-min (gain sym-max -loss), where m(A) >= 0
-        w = weights[mask]
         if gain > loss:
             terms.append(value(min(w, gain)))
         elif loss > gain:
@@ -392,12 +378,12 @@ def variant3_terms(v: Capacity, f: Profile) -> list[ScaleValue]:
     score can only raise every term, which is what the ceil fold needs to
     stay monotone; the rank-based terms of :func:`ranked_terms` lack that
     property."""
-    _check_pair(v, f)
-    plus, minus = f.positive_part(), f.negative_part()
-    gains, losses = sugeno(v, plus), sugeno(v, minus)
+    # the floor survivors of the explicit terms are -S(f-) and S(f+)
+    low, high = _survivors([t.signed for t in ranked_terms(v, f)[2]], Rule.FLOOR)
+    value = v.scale.value
     return [
-        min(gain, gains) if x.sign >= 0 else -min(loss, losses)
-        for x, gain, loss in zip(f.scores, plus.scores, minus.scores)
+        value(min(x.signed, high) if x.sign >= 0 else max(x.signed, low))
+        for x in f.scores
     ]
 
 

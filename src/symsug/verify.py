@@ -37,6 +37,7 @@ from .capacity import (
     subset_text,
     subsets,
     unanimity,
+    zeta,
 )
 from .integrals import (
     Profile,
@@ -284,15 +285,8 @@ def iter_capacities(n: int, scale: SymmetricScale) -> Iterator[Capacity]:
 def _monotone_grades(rng: Random, n: int, k: int) -> list[int]:
     """Seeded grades 0..k per subset, raised to be monotone, with k on the
     full set."""
-    size = 1 << n
-    grades = [0] * size
-    for mask in range(1, size):
-        grades[mask] = rng.randint(0, k)
-    for mask in sorted(range(size), key=lambda m: m.bit_count()):
-        for c in covers_of(mask):
-            if grades[c] > grades[mask]:
-                grades[mask] = grades[c]
-    grades[size - 1] = k
+    grades = zeta([0] + [rng.randint(0, k) for _ in range(1, 1 << n)], max)
+    grades[-1] = k
     return grades
 
 
@@ -320,8 +314,13 @@ def sample_profile(
     )
 
 
+# one scale object per grade count, so that the capacity streams of a run,
+# such as the two of the sensitivity search, intern each grade once
+_levels_scale = lru_cache(maxsize=None)(levels_scale)
+
+
 def _capacities(config: VerifyConfig, rng: Random) -> Iterator[Capacity]:
-    scale = levels_scale(config.levels)
+    scale = _levels_scale(config.levels)
     if config.exhaustive:
         yield from iter_capacities(config.n, scale)
     else:

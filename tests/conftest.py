@@ -67,16 +67,14 @@ def make_profile(scale, grades):
     return Profile(scale, tuple(scale.value(g) for g in grades))
 
 
-def count_calls(monkeypatch, module, name, caller=None):
+def count_calls(monkeypatch, module, name):
     """Count the calls to ``module.name`` made through every symsug module
-    that holds it, including those that imported it by name; with
-    ``caller``, only the calls made from code in the module of that name."""
+    that holds it, including those that imported it by name."""
     original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
-        if caller is None or sys._getframe(1).f_globals["__name__"] == caller:
-            calls.append(args)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for loaded in list(sys.modules.values()):

@@ -1,0 +1,281 @@
+"""Mutation check: do the tests catch a planted fault in each kernel?
+
+Each mutant names a file under ``src/``, an exact snippet of it, the
+snippet's replacement, and the test node ids that must fail once it is
+applied (DeMillo, Lipton & Sayward, "Hints on test data selection", IEEE
+Computer 11(4), 1978).  For every mutant the script copies ``src/`` to a
+temporary directory, checks that the snippet occurs there exactly once,
+applies the replacement and runs only the named tests against the copy.
+The mutant is killed when some named test fails and survives when they all
+pass.  First the named tests run once against an unmutated copy, which must
+pass.
+
+Run from the repository root, with pytest and hypothesis installed:
+
+    python tests/mutants.py           # every mutant
+    python tests/mutants.py NAME ...  # only the named mutants
+
+The exit status is 0 when every mutant run is killed.  Pytest does not
+collect this file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+CAPACITY = "src/symsug/capacity.py"
+MOBIUS = "src/symsug/mobius.py"
+INTEGRALS = "src/symsug/integrals.py"
+RULES = "src/symsug/rules.py"
+VERIFY = "src/symsug/verify.py"
+IO = "src/symsug/io.py"
+CLI = "src/symsug/cli.py"
+
+ZETA_TESTS = (
+    "tests/test_capacity.py::test_zeta_folds_the_subsets_of_every_mask",
+    "tests/test_capacity.py::test_zeta_with_a_difference_inverts_zeta_with_a_sum",
+)
+FOLD_MEMBERS_TESTS = (
+    "tests/test_capacity.py::test_fold_members_folds_the_members_of_every_subset",
+)
+SURVIVORS_TESTS = (
+    "tests/test_rules.py::test_the_signed_fold_matches_the_scale_value_fold",
+)
+
+MUTANTS = (
+    # the subset kernels
+    Mutant(
+        "zeta-updates-masks-without-the-player", CAPACITY,
+        "            if mask & bit:\n",
+        "            if not mask & bit:\n",
+        ZETA_TESTS,
+    ),
+    Mutant(
+        "zeta-skips-the-last-player", CAPACITY,
+        "    while bit < len(table):\n",
+        "    while 2 * bit < len(table):\n",
+        ZETA_TESTS,
+    ),
+    Mutant(
+        "fold-members-extends-the-mask-without-its-highest-member", CAPACITY,
+        "combine(table[mask ^ low], values[low.bit_length() - 1])",
+        "combine(table[mask ^ (1 << (mask.bit_length() - 1))], "
+        "values[low.bit_length() - 1])",
+        FOLD_MEMBERS_TESTS,
+    ),
+    # the routes through them
+    Mutant(
+        "classical-mobius-adds", MOBIUS,
+        "zeta(v.table, operator.sub)",
+        "zeta(v.table, operator.add)",
+        (
+            "tests/test_mobius.py::test_classical_transform_matches_inclusion_exclusion",
+            "tests/test_mobius.py::test_classical_transform_roundtrips",
+        ),
+    ),
+    Mutant(
+        "even-odd-pair-does-not-swap", MOBIUS,
+        "lambda a, b: (max(a[0], b[1]), max(a[1], b[0]))",
+        "lambda a, b: (max(a[0], b[0]), max(a[1], b[1]))",
+        ("tests/test_mobius.py::test_even_odd_form_matches_its_parity_definition",),
+    ),
+    Mutant(
+        "possibility-takes-the-member-minimum", CAPACITY,
+        "fold_members(pi, max, scale.zero)",
+        "fold_members(pi, min, scale.one)",
+        (
+            "tests/test_capacity.py::"
+            "test_possibility_is_maxitive_and_necessity_is_its_conjugate",
+        ),
+    ),
+    Mutant(
+        "choquet-mobius-takes-the-member-maximum", INTEGRALS,
+        "fold_members(scores, min, max(scores))",
+        "fold_members(scores, max, min(scores))",
+        ("tests/test_integrals.py::test_choquet_forms_agree",),
+    ),
+    Mutant(
+        "sipos-mobius-reads-gains-for-losses", INTEGRALS,
+        "losses = fold_members(minus, min, max(minus))",
+        "losses = fold_members(plus, min, max(plus))",
+        ("tests/test_integrals.py::test_choquet_forms_agree",),
+    ),
+    Mutant(
+        "sugeno-mobius-takes-the-member-maximum", INTEGRALS,
+        "fold_members([x.signed for x in f.scores], min, m.scale.one.signed)",
+        "fold_members([x.signed for x in f.scores], max, 0)",
+        ("tests/test_integrals.py::test_sugeno_mobius_equals_rank_form_for_every_member",),
+    ),
+    Mutant(
+        "variant1-swaps-gains-and-losses", INTEGRALS,
+        "    gains = fold_members([x if x > 0 else 0 for x in scores], min, top)\n",
+        "    gains = fold_members([-x if x < 0 else 0 for x in scores], min, top)\n",
+        ("tests/test_integrals.py::test_transform_terms_and_blocks_match_per_mask_terms",),
+    ),
+    Mutant(
+        "variant3-clip-swaps-low-and-high", INTEGRALS,
+        "    low, high = _survivors(",
+        "    high, low = _survivors(",
+        ("tests/test_integrals.py::test_threshold_terms_match_the_cut_formula",),
+    ),
+    Mutant(
+        "monotone-closure-takes-the-minimum", VERIFY,
+        "for _ in range(1, 1 << n)], max)",
+        "for _ in range(1, 1 << n)], min)",
+        ("tests/test_verify.py::test_a_sampled_capacity_is_the_monotone_closure_of_its_draws",),
+    ),
+    # the one fold kernel, rules._survivors
+    Mutant(
+        "angle-does-not-move-low", RULES,
+        "                while items[low] == -top:\n                    low += 1\n",
+        "",
+        SURVIVORS_TESTS,
+    ),
+    Mutant(
+        "ceil-moves-only-high", RULES,
+        "                low, high = low + 1, high - 1\n",
+        "                high -= 1\n",
+        SURVIVORS_TESTS,
+    ),
+    Mutant(
+        "angle-moves-like-ceil", RULES,
+        "            if rule is Rule.ANGLE:\n",
+        "            if False:\n",
+        SURVIVORS_TESTS,
+    ),
+    Mutant(
+        "low-starts-at-one", RULES,
+        "    low, high = 0, len(items) - 1\n",
+        "    low, high = 1, len(items) - 1\n",
+        SURVIVORS_TESTS,
+    ),
+    Mutant(
+        "ceil-moves-like-angle", RULES,
+        "            if rule is Rule.ANGLE:\n",
+        "            if True:\n",
+        SURVIVORS_TESTS,
+    ),
+    # other kernels that have a reference
+    Mutant(
+        "ranking-sorts-by-denominator", IO,
+        "magnitudes = sorted(set(map(abs, signed.values())))",
+        "magnitudes = sorted(set(map(abs, signed.values())), key=lambda q: q.denominator)",
+        ("tests/test_io.py::test_the_ranked_scale_prints_what_the_unit_scale_computes",),
+    ),
+    Mutant(
+        "subset-keys-in-the-wrong-member-order", IO,
+        'f"{body},{i}" if body',
+        'f"{i},{body}" if body',
+        ("tests/test_io.py::test_subset_keys_match_the_subset_text_of_each_mask",),
+    ),
+    Mutant(
+        "interval-keeps-ties-with-a-cover", MOBIUS,
+        "signed[mask] > below",
+        "signed[mask] >= below",
+        ("tests/test_mobius.py::test_interval_is_exactly_the_brute_force_solution_set",),
+    ),
+    Mutant(
+        "mobius-prints-the-upper-bound-as-canonical", CLI,
+        '"rule": rule.value, "table": lower}',
+        '"rule": rule.value, "table": set_function_record(interval.upper)}',
+        ("tests/test_cli.py::test_mobius_canonical_records_match_their_definition",),
+    ),
+    Mutant(
+        "capacity-problems-misses-a-positive-empty-set", CAPACITY,
+        "    if nums[0] != 0:\n",
+        "    if nums[0] < 0:\n",
+        ("tests/test_capacity.py::test_capacity_rejects_bad_boundaries",),
+    ),
+    Mutant(
+        "upper-chain-sum-keeps-the-first-layer", INTEGRALS,
+        "        previous = scores[i]\n",
+        "",
+        ("tests/test_integrals.py::test_plain_choquet_against_hand_computation",),
+    ),
+    Mutant(
+        "asymmetric-choquet-reads-1-minus-v-upper", INTEGRALS,
+        "lambda upper: 1 - v(top ^ upper)",
+        "lambda upper: 1 - v(upper)",
+        ("tests/test_integrals.py::test_choquet_forms_agree",),
+    ),
+)
+
+
+def run_tests(src: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    """The named tests with ``src`` first on the import path."""
+    command = [
+        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        "-o", f"pythonpath={src}", *tests,
+    ]
+    return subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+
+
+def fresh_copy(folder: Path) -> Path:
+    src = folder / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def check(mutant: Mutant, folder: Path) -> str:
+    """``killed``, ``survived``, or an error saying why the run means nothing."""
+    src = fresh_copy(folder)
+    target = folder / mutant.path
+    text = target.read_text(encoding="utf-8")
+    found = text.count(mutant.snippet)
+    if found != 1:
+        return f"error: the snippet occurs {found} times in {mutant.path}"
+    target.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+    result = run_tests(src, mutant.tests)
+    if result.returncode in (1, 2):  # a test failed, or a module failed to load
+        return "killed"
+    if result.returncode == 0:
+        return "survived"
+    return f"error: pytest exited {result.returncode}\n{result.stdout[-2000:]}"
+
+
+def main(names: list[str]) -> int:
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+        baseline = run_tests(fresh_copy(folder), tests)
+        if baseline.returncode != 0:
+            print("the named tests fail on the unmutated source:", file=sys.stderr)
+            print(baseline.stdout[-2000:], file=sys.stderr)
+            return 2
+        killed = 0
+        for mutant in mutants:
+            outcome = check(mutant, folder)
+            killed += outcome == "killed"
+            print(f"{outcome:8}  {mutant.name}", flush=True)
+    elapsed = time.perf_counter() - start
+    print(f"{killed} of {len(mutants)} mutants killed in {elapsed:.0f} s")
+    return 0 if killed == len(mutants) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

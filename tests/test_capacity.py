@@ -1,7 +1,10 @@
 """Subset encoding, set functions, capacities and the named families."""
 
+import operator
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -24,6 +27,7 @@ from symsug.capacity import (
     MAX_PLAYERS,
     capacity_problems,
     covers_of,
+    fold_members,
     full_set,
     is_k_maxitive,
     is_maxitive,
@@ -33,6 +37,7 @@ from symsug.capacity import (
     subset_members,
     subset_text,
     subsets,
+    zeta,
 )
 from symsug.mobius import mobius_necessity, mobius_possibility
 from conftest import make_capacity
@@ -95,6 +100,49 @@ def test_submask_and_cover_enumeration():
 def test_subsets_is_the_full_power_set():
     assert list(subsets(2)) == [0, 1, 2, 3]
     assert full_set(3) == 0b111
+
+
+# -- subset kernels, against their member-by-member and submask definitions ---
+
+# each fold with an identity for the seeded values, which lie in [-8, 8]
+FOLDS = {"min": (min, 9), "max": (max, -9), "sum": (operator.add, 0)}
+
+
+def seeded_values(count, seed):
+    rng = Random(seed)
+    return [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("fold", FOLDS)
+def test_fold_members_folds_the_members_of_every_subset(fold, n):
+    combine, empty = FOLDS[fold]
+    values = seeded_values(n, n)
+    expected = [
+        reduce(combine, (values[i - 1] for i in subset_members(mask)), empty)
+        for mask in subsets(n)
+    ]
+    assert fold_members(values, combine, empty) == expected
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("fold", FOLDS)
+def test_zeta_folds_the_subsets_of_every_mask(fold, n):
+    combine, _ = FOLDS[fold]
+    table = seeded_values(1 << n, n)
+    expected = [
+        reduce(combine, (table[sub] for sub in iter_submasks(mask)))
+        for mask in subsets(n)
+    ]
+    assert zeta(table, combine) == expected
+    assert table == seeded_values(1 << n, n)  # the input is left alone
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_zeta_with_a_difference_inverts_zeta_with_a_sum(n):
+    table = seeded_values(1 << n, n + 10)
+    assert zeta(zeta(table, operator.add), operator.sub) == table
+    assert zeta(zeta(table, operator.sub), operator.add) == table
 
 
 # -- set functions and capacity axioms --------------------------------------------

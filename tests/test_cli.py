@@ -135,7 +135,7 @@ def test_compute_folds_the_printed_terms_for_every_sugeno_output(
 
     path = write_document(tmp_path, dict(WORKED_DOCUMENT, profile=profile))
     calls = {
-        name: count_calls(monkeypatch, symsug.integrals, name, caller="symsug.cli")
+        name: count_calls(monkeypatch, symsug.integrals, name)
         for name in ("sugeno", "sugeno_symmetric")
     }
     code, out, _ = run(capsys, "compute", "--input", path, "--all")

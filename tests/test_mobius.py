@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from symsug import (
     unit_scale,
     RealSetFunction,
 )
+from symsug.scale import sym_max
 from symsug.capacity import iter_submasks, subsets
 from symsug.mobius import (
     classical_zeta,
@@ -34,7 +36,7 @@ from symsug.mobius import (
     reconstruct,
     reconstruct_from_conjugate,
 )
-from symsug.verify import iter_capacities
+from symsug.verify import iter_capacities, sample_capacity
 from conftest import make_capacity
 
 UNIT = unit_scale()
@@ -138,6 +140,33 @@ def test_even_odd_form_equals_the_lower_bound():
         assert even_odd_mobius(v).table == ordinal_mobius_interval(v).lower.table
 
 
+def even_odd_by_parity(v):
+    """Oracle: the literal parity definition, walking every submask."""
+    table = []
+    for mask in subsets(v.n):
+        even = odd = v.scale.zero
+        for sub in iter_submasks(mask):
+            if (mask.bit_count() - sub.bit_count()) % 2:
+                odd = max(odd, v(sub))
+            else:
+                even = max(even, v(sub))
+        table.append(sym_max(even, -odd))
+    return tuple(table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["levels", "unit"])
+def test_even_odd_form_matches_its_parity_definition(kind, n):
+    rng = Random(n)
+    l3 = levels_scale(3)
+    for _ in range(25):
+        v = sample_capacity(rng, n, l3)
+        if kind == "unit":
+            grades = (UNIT.value(Fraction(x.signed, 3)) for x in v.table)
+            v = Capacity(n, UNIT, tuple(grades))
+        assert even_odd_mobius(v).table == even_odd_by_parity(v)
+
+
 def test_canonical_transform_floor_and_angle():
     v = make_capacity(levels_scale(2), (0, 1, 1, 2))
     for rule in (Rule.FLOOR, Rule.ANGLE):
@@ -212,10 +241,10 @@ def test_classical_transform_roundtrips(g):
 
 
 @settings(max_examples=60)
-@given(rational_tables())
+@given(st.sampled_from([2, 3]).flatmap(rational_tables))
 def test_classical_transform_matches_inclusion_exclusion(g):
     m = classical_mobius(g)
-    for mask in subsets(2):
+    for mask in subsets(g.n):
         direct = sum(
             (-1) ** (mask.bit_count() - sub.bit_count()) * g(sub)
             for sub in iter_submasks(mask)

@@ -24,7 +24,7 @@ from symsug.verify import (
     sample_profile,
     worked_example,
 )
-from symsug.capacity import MAX_PLAYERS
+from symsug.capacity import MAX_PLAYERS, iter_submasks
 from symsug.mobius import ordinal_mobius_interval
 from conftest import WORKED_DOCUMENT, count_calls
 
@@ -63,6 +63,20 @@ def test_sampled_instances_are_valid_and_seeded():
         f = sample_profile(rng, 3, scale)
         assert isinstance(f, Profile)
         assert all(abs(x.signed) <= 3 for x in f.scores)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_sampled_capacity_is_the_monotone_closure_of_its_draws(n):
+    scale = levels_scale(3)
+    rng, replay = Random(n), Random(n)
+    for _ in range(10):
+        v = sample_capacity(rng, n, scale)
+        # one draw per nonempty subset in mask order, each raised to the
+        # largest draw below it, with the top grade on the full set
+        draws = [0] + [replay.randint(0, 3) for _ in range(1, 1 << n)]
+        expected = [max(draws[sub] for sub in iter_submasks(mask)) for mask in range(1 << n)]
+        expected[-1] = 3
+        assert [x.signed for x in v.table] == expected
 
 
 def test_capacity_builders_check_the_player_count_first(monkeypatch):
@@ -143,6 +157,13 @@ def test_integral_laws_build_one_interval_per_capacity(monkeypatch):
     [result] = run_laws(config, ["integral-symmetry"])
     assert result.status == "pass" and result.checks == 9 * 25
     assert len(calls) == 9  # one per capacity, not one per profile
+
+
+def test_the_sensitivity_search_draws_both_streams_on_one_scale():
+    instances = list(symsug.verify._sensitivity_search(QUICK, Random(0)))
+    scale = instances[0][0].scale
+    assert {v.n for v, _, _ in instances} == {2, 3}
+    assert all(v.scale is scale and f.scale is scale for v, _, f in instances)
 
 
 def test_every_law_states_itself_in_its_docstring():
