@@ -4,8 +4,10 @@ Players are numbered 1..n and subsets are bitmasks (player i is bit i - 1),
 so a set function is a dense table of length 2**n.  Capacities are the
 monotone set functions normalized to 0 at the empty set and 1 at the grand
 coalition; they take values on the nonnegative side of a symmetric scale.
-The kernels :func:`fold_members` and :func:`zeta` fold over every subset
-at once: a sequence over each subset's members, a table over its subsets.
+Three kernels walk the subsets: :func:`fold_members` and :func:`zeta` fold
+over every subset at once (a sequence over each subset's members, a table
+over its subsets), and :func:`rank_sets` lists the chain of rank sets that
+the one-pass integrals read along a ranking of the players.
 """
 
 from __future__ import annotations
@@ -128,6 +130,23 @@ def zeta(table: Sequence, combine: Callable) -> list:
                 table[mask] = combine(table[mask], table[mask ^ bit])
         bit <<= 1
     return table
+
+
+def rank_sets(order: Sequence[int], p: int) -> list[int]:
+    """The rank set of each position of a ranking of players 0..n-1
+    (ascending, the ``p`` negative ones first): a position below ``p`` gets
+    the players ranked at or below it, every later position the players
+    ranked at or above it."""
+    chain = []
+    lower = 0
+    for i in order[:p]:
+        lower |= 1 << i
+        chain.append(lower)
+    upper = full_set(len(order)) ^ lower
+    for i in order[p:]:
+        chain.append(upper)
+        upper ^= 1 << i
+    return chain
 
 
 # -- set functions -----------------------------------------------------------
@@ -324,7 +343,7 @@ def unanimity(n: int, b_mask: int, scale: SymmetricScale) -> Capacity:
     """The game that is 1 exactly on the nonempty supersets of ``b_mask``.
     For the empty ``b_mask`` this is 1 on every nonempty subset."""
     _check_players(n)
-    if not 0 <= b_mask < (1 << n):
+    if type(b_mask) is not int or not 0 <= b_mask < (1 << n):
         raise ValueError("focal set outside the player set")
     table = tuple(
         scale.one if mask and mask & b_mask == b_mask else scale.zero

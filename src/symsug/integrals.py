@@ -9,6 +9,7 @@ negative part separately and combine, or use the explicit one-pass forms.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -22,6 +23,7 @@ from .capacity import (
     _coerce_value,
     fold_members,
     full_set,
+    rank_sets,
 )
 from .mobius import RealSetFunction
 from .rules import Rule, _survivors, fold_sym_max
@@ -109,23 +111,24 @@ def choquet(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     scores = _check_real_args(v, f)
     if any(x < 0 for x in scores):
         raise ValueError("plain Choquet integral needs nonnegative scores")
-    return _upper_chain_sum(scores, v)
+    return _chain_sum(scores, v)
 
 
-def _upper_chain_sum(
+def _chain_sum(
     scores: Sequence[Fraction], weight: Callable[[int], Fraction]
 ) -> Fraction:
-    """The layer increments of nonnegative scores, each weighted by
-    ``weight`` of the upper set of players at or above it; ``weight`` is
-    read on those n masks only."""
+    """Each ranked score's step away from its neighbour toward 0, weighted
+    by ``weight`` of its rank set: each sign block steps outward from 0,
+    the negative one over lower sets and the nonnegative one over upper
+    sets.  ``weight`` is read on those n masks only."""
     order = sorted(range(len(scores)), key=scores.__getitem__)
+    ranked = [scores[i] for i in order]
+    p = bisect_left(ranked, 0)  # the size of the negative block
     acc = Fraction(0)
-    previous = Fraction(0)
-    upper = full_set(len(scores))
-    for i in order:
-        acc += (scores[i] - previous) * weight(upper)
-        previous = scores[i]
-        upper ^= 1 << i
+    for i, rank_set in enumerate(rank_sets(order, p)):
+        # the next score inward, or 0 at the inner end of each block
+        inner = ranked[i + 1] if i + 1 < p else ranked[i - 1] if i > p else 0
+        acc += (ranked[i] - inner) * weight(rank_set)
     return acc
 
 
@@ -150,9 +153,7 @@ def choquet_asymmetric(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     read on the upper sets of the losses' chain only, not tabulated."""
     plus, minus = _gains_losses(v, f)
     top = full_set(v.n)
-    return _upper_chain_sum(plus, v) - _upper_chain_sum(
-        minus, lambda upper: 1 - v(top ^ upper)
-    )
+    return _chain_sum(plus, v) - _chain_sum(minus, lambda upper: 1 - v(top ^ upper))
 
 
 def choquet_symmetric_explicit(
@@ -160,27 +161,7 @@ def choquet_symmetric_explicit(
 ) -> Fraction:
     """One-pass form of the symmetric integral: increments against lower
     sets on the negative block, against upper sets on the nonnegative one."""
-    scores = _check_real_args(v, f)
-    n = v.n
-    order = sorted(range(n), key=scores.__getitem__)
-    ranked = [scores[i] for i in order]
-    p = sum(1 for x in ranked if x < 0)
-    acc = Fraction(0)
-    lower = 0
-    for i in range(1, p + 1):  # positions 1..p, ranked[i - 1]
-        lower |= 1 << order[i - 1]
-        if i < p:
-            acc += (ranked[i - 1] - ranked[i]) * v(lower)
-        else:
-            acc += ranked[i - 1] * v(lower)
-    upper = 0
-    for i in range(n, p, -1):  # positions n..p+1
-        upper |= 1 << order[i - 1]
-        if i > p + 1:
-            acc += (ranked[i - 1] - ranked[i - 2]) * v(upper)
-        else:
-            acc += ranked[i - 1] * v(upper)
-    return acc
+    return _chain_sum(_check_real_args(v, f), v)
 
 
 def choquet_mobius(m: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
@@ -211,13 +192,7 @@ def sugeno(v: Capacity, f: Profile) -> ScaleValue:
     _check_pair(v, f)
     if not f.is_nonnegative:
         raise ValueError("plain Sugeno integral needs nonnegative scores")
-    order = sorted(range(v.n), key=lambda i: f.scores[i].signed)
-    upper = full_set(v.n)
-    best = v.scale.zero
-    for i in order:
-        best = max(best, min(f.scores[i], v(upper)))
-        upper ^= 1 << i
-    return best
+    return max(_rank_terms(v, f, _ascending(f)))
 
 
 def sugeno_mobius(m: SetFunction, f: Profile) -> ScaleValue:
@@ -281,17 +256,15 @@ def ranked_terms(v: Capacity, f: Profile) -> tuple[list[int], int, list[ScaleVal
 def _rank_terms(v: Capacity, f: Profile, order: Sequence[int]) -> list[ScaleValue]:
     """Explicit-form terms under one ranking of the players (0-based ids,
     ascending scores, negative block first)."""
-    p = sum(1 for x in f.scores if x.sign < 0)
-    terms = []
-    mask = 0
-    for i in order[:p]:
-        mask |= 1 << i
-        terms.append(sym_min(f.scores[i], v(mask)))
-    upper = full_set(len(order)) ^ mask
-    for i in order[p:]:
-        terms.append(sym_min(f.scores[i], v(upper)))
-        upper ^= 1 << i
-    return terms
+    p = sum(1 for x in f.scores if x.signed < 0)
+    return [
+        sym_min(f.scores[i], v(mask)) for i, mask in zip(order, rank_sets(order, p))
+    ]
+
+
+def _ascending(f: Profile) -> list[int]:
+    """The players 0..n-1 ranked by ascending score, ties by index."""
+    return sorted(range(f.n), key=lambda i: f.scores[i].signed)
 
 
 # the rule each Sugeno output folds its terms under; compute reads it too
@@ -378,8 +351,11 @@ def variant3_terms(v: Capacity, f: Profile) -> list[ScaleValue]:
     score can only raise every term, which is what the ceil fold needs to
     stay monotone; the rank-based terms of :func:`ranked_terms` lack that
     property."""
-    # the floor survivors of the explicit terms are -S(f-) and S(f+)
-    low, high = _survivors([t.signed for t in ranked_terms(v, f)[2]], Rule.FLOOR)
+    _check_pair(v, f)
+    # under any ascending ranking, the floor survivors of the explicit terms
+    # are -S(f-) and S(f+): a Sugeno integral ignores the order inside a tie
+    terms = _rank_terms(v, f, _ascending(f))
+    low, high = _survivors([t.signed for t in terms], Rule.FLOOR)
     value = v.scale.value
     return [
         value(min(x.signed, high) if x.sign >= 0 else max(x.signed, low))

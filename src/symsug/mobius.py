@@ -25,6 +25,7 @@ from .capacity import (
     _distribution_scale,
     full_set,
     iter_submasks,
+    rank_sets,
     subsets,
     zeta,
 )
@@ -201,11 +202,8 @@ def mobius_necessity(pi: Sequence[ScaleValue]) -> SetFunction:
     order = sorted(range(n), key=lambda i: pi[i].signed)
     table = [scale.zero] * (1 << n)
     previous = scale.zero
-    tail = full_set(n)
-    for k in range(n):
-        player_bit = 1 << order[k]
-        if pi[order[k]] > previous:
+    for i, tail in zip(order, rank_sets(order, 0)):
+        if pi[i] > previous:
             table[tail] = scale.negate(previous)
-        previous = pi[order[k]]
-        tail ^= player_bit
+        previous = pi[i]
     return SetFunction(n, scale, tuple(table))

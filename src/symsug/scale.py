@@ -60,13 +60,14 @@ class SymmetricScale:
                     raise ScaleError(
                         f"expected {self.levels + 1} labels, got {len(labels)}"
                     )
-                if len(set(labels)) != len(labels):
-                    raise ScaleError("labels must be distinct")
                 for text in labels:
                     # a leading minus would collide with negative values,
                     # and parse strips surrounding whitespace
-                    if not text or text.startswith("-") or text != text.strip():
+                    fine = isinstance(text, str) and text == text.strip()
+                    if not fine or text[:1] in ("", "-"):
                         raise ScaleError(f"bad label: {text!r}")
+                if len(set(labels)) != len(labels):
+                    raise ScaleError("labels must be distinct")
         else:
             if self.levels is not None or self.labels is not None:
                 raise ScaleError("unit scale takes no grade count or labels")
@@ -204,9 +205,7 @@ class ScaleValue:
             if not isinstance(self.signed, int) or isinstance(self.signed, bool):
                 raise ScaleError("levels scale values are integer grades")
         else:
-            if isinstance(self.signed, bool) or not isinstance(
-                self.signed, (int, Fraction, float)
-            ):
+            if not isinstance(self.signed, (int, Fraction, float)):
                 raise ScaleError(
                     f"bad unit-scale value: {type(self.signed).__name__}"
                 )
@@ -259,10 +258,13 @@ class ScaleValue:
 
 
 def _exact(x) -> Fraction:
-    """``x`` as a Fraction; a binary float raises ScaleError, since its
-    value is almost never the decimal it was written as."""
+    """``x`` as a Fraction; a bool raises ScaleError, being no number, and
+    so does a binary float, since its value is almost never the decimal it
+    was written as."""
     if type(x) is Fraction:
         return x
+    if isinstance(x, bool):
+        raise ScaleError("bad unit-scale value: bool")
     if isinstance(x, float):
         raise ScaleError("binary floats are not exact; use Fraction")
     return Fraction(x)

@@ -56,6 +56,9 @@ ZETA_TESTS = (
 FOLD_MEMBERS_TESTS = (
     "tests/test_capacity.py::test_fold_members_folds_the_members_of_every_subset",
 )
+RANK_SETS_TESTS = (
+    "tests/test_capacity.py::test_rank_sets_are_the_lower_then_upper_sets_of_the_ranking",
+)
 SURVIVORS_TESTS = (
     "tests/test_rules.py::test_the_signed_fold_matches_the_scale_value_fold",
 )
@@ -80,6 +83,18 @@ MUTANTS = (
         "combine(table[mask ^ (1 << (mask.bit_length() - 1))], "
         "values[low.bit_length() - 1])",
         FOLD_MEMBERS_TESTS,
+    ),
+    Mutant(
+        "rank-sets-ignore-the-negative-block", CAPACITY,
+        "    upper = full_set(len(order)) ^ lower\n",
+        "    upper = full_set(len(order))\n",
+        RANK_SETS_TESTS,
+    ),
+    Mutant(
+        "rank-sets-read-the-upper-set-after-dropping-the-player", CAPACITY,
+        "        chain.append(upper)\n        upper ^= 1 << i\n",
+        "        upper ^= 1 << i\n        chain.append(upper)\n",
+        RANK_SETS_TESTS,
     ),
     # the routes through them
     Mutant(
@@ -205,10 +220,28 @@ MUTANTS = (
         ("tests/test_capacity.py::test_capacity_rejects_bad_boundaries",),
     ),
     Mutant(
-        "upper-chain-sum-keeps-the-first-layer", INTEGRALS,
-        "        previous = scores[i]\n",
-        "",
+        "chain-sum-keeps-the-first-layer", INTEGRALS,
+        "ranked[i - 1] if i > p else 0",
+        "0",
         ("tests/test_integrals.py::test_plain_choquet_against_hand_computation",),
+    ),
+    Mutant(
+        "chain-sum-steps-the-negative-block-inward", INTEGRALS,
+        "ranked[i + 1] if i + 1 < p else",
+        "ranked[i - 1] if 0 < i < p else",
+        ("tests/test_integrals.py::test_choquet_forms_agree",),
+    ),
+    Mutant(
+        "rank-terms-read-upper-sets-only", INTEGRALS,
+        "zip(order, rank_sets(order, p))",
+        "zip(order, rank_sets(order, 0))",
+        ("tests/test_integrals.py::test_symmetric_sugeno_three_forms_agree",),
+    ),
+    Mutant(
+        "mobius-necessity-reads-the-reversed-order", MOBIUS,
+        "rank_sets(order, 0)",
+        "rank_sets(order[::-1], 0)",
+        ("tests/test_mobius.py::test_necessity_transform_sits_on_tails_with_tie_gaps",),
     ),
     Mutant(
         "asymmetric-choquet-reads-1-minus-v-upper", INTEGRALS,

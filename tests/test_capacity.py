@@ -4,6 +4,7 @@ import operator
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -34,6 +35,7 @@ from symsug.capacity import (
     iter_submasks,
     mask_of,
     parse_subset_text,
+    rank_sets,
     subset_members,
     subset_text,
     subsets,
@@ -145,6 +147,19 @@ def test_zeta_with_a_difference_inverts_zeta_with_a_sum(n):
     assert zeta(zeta(table, operator.sub), operator.add) == table
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_rank_sets_are_the_lower_then_upper_sets_of_the_ranking(n):
+    def mask(players):
+        return sum(1 << i for i in players)
+
+    for order in permutations(range(n)):
+        for p in range(n + 1):
+            expected = [
+                mask(order[: i + 1]) if i < p else mask(order[i:]) for i in range(n)
+            ]
+            assert rank_sets(order, p) == expected, (order, p)
+
+
 # -- set functions and capacity axioms --------------------------------------------
 
 
@@ -239,6 +254,8 @@ def test_unanimity_games_are_indicator_capacities():
     assert [x.signed for x in w.table] == [0, 2, 2, 2]
     with pytest.raises(ValueError):
         unanimity(2, 0b100, L2)
+    with pytest.raises(ValueError):
+        unanimity(2, True, L2)  # bool is an int subclass, but no focal mask
 
 
 def test_possibility_is_maxitive_and_necessity_is_its_conjugate():

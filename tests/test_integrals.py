@@ -134,6 +134,19 @@ def test_the_choquet_side_rejects_binary_floats():
     assert choquet(RealSetFunction(1, (0, "1")), [F(3, 10)]) == F(3, 10)
 
 
+def test_the_choquet_side_rejects_booleans():
+    # bool is an int subclass, but no number, as on the Sugeno side
+    with pytest.raises(ScaleError, match="bad unit-scale value: bool"):
+        RealSetFunction(1, (0, True))
+    v = RealSetFunction(2, (0, F(1, 2), F(1, 2), 1))
+    for integral in (
+        choquet, choquet_symmetric, choquet_asymmetric, choquet_symmetric_explicit,
+        choquet_mobius, sipos_mobius,
+    ):
+        with pytest.raises(ScaleError, match="bad unit-scale value: bool"):
+            integral(v, [F(1, 2), True])
+
+
 def rational_capacities(n=2):
     size = 1 << n
 

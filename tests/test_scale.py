@@ -167,6 +167,10 @@ def test_bad_labels_rejected():
         levels_scale(1, ("x", "x"))
     with pytest.raises(ScaleError):
         levels_scale(1, ("ok", "-bad"))
+    with pytest.raises(ScaleError, match="bad label: 1"):
+        levels_scale(2, (1, 2, 3))  # no text, so no label
+    with pytest.raises(ScaleError, match=r"bad label: \['a'\]"):
+        levels_scale(1, (["a"], "b"))  # checked before the labels are hashed
 
 
 def test_unit_format_prefers_terminating_decimals():
