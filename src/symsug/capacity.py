@@ -7,14 +7,19 @@ coalition; they take values on the nonnegative side of a symmetric scale.
 Three kernels walk the subsets: :func:`fold_members` and :func:`zeta` fold
 over every subset at once (a sequence over each subset's members, a table
 over its subsets), and :func:`rank_sets` lists the chain of rank sets that
-the one-pass integrals read along a ranking of the players.
+the one-pass integrals read along a ranking of the players.  Tables keyed
+by subset strings are read by position when the keys come in mask order,
+and the capacity axioms are checked one player at a time over slices of
+the table, with messages built only for a table that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
+from operator import le
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .scale import ScaleError, ScaleValue, SymmetricScale, _scale_of, check_scale, sym_max
@@ -63,6 +68,16 @@ def mask_of(members: Iterable[int], n: int) -> int:
 def subset_text(mask: int) -> str:
     """Render a mask as ``{}`` or ``{1,3}`` with ascending player ids."""
     return "{" + ",".join(str(i) for i in subset_members(mask)) + "}"
+
+
+@lru_cache(maxsize=1)
+def _subset_keys(n: int) -> tuple[str, ...]:
+    """The subset strings of {1..n} in mask order, built once per n: the
+    masks with highest member i are the earlier masks with i added."""
+    bodies = [""]
+    for i in range(1, n + 1):
+        bodies += [f"{body},{i}" if body else str(i) for body in bodies]
+    return tuple(f"{{{body}}}" for body in bodies)
 
 
 def parse_subset_text(text: str, n: int) -> int:
@@ -218,9 +233,22 @@ def _read_subset_table(
     error: type[ValueError] = ValueError,
 ) -> tuple[ScaleValue, ...]:
     """The dense table of a mapping from subset strings to values, each
-    coerced by ``coerce(key, value)``; the empty set defaults to 0.  Bad,
-    repeated or missing keys raise ``error``, naming at most four missing."""
+    coerced by ``coerce(key, value)`` in the mapping's order; the empty set
+    defaults to 0.  Bad, repeated or missing keys raise ``error``, naming at
+    most four missing.
+
+    When the keys are exactly the strings :func:`subset_text` writes, in
+    mask order, with or without ``{}``, each key's mask is its position and
+    no key is parsed; the count is checked first, so no key table is built
+    for a mapping that cannot match.  Any other mapping is read key by key,
+    and both ways raise the same errors in the same order."""
     _check_players(n)
+    skipped = (1 << n) - len(entries)
+    if skipped in (0, 1) and tuple(entries) == _subset_keys(n)[skipped:]:
+        values = [coerce(key, raw) for key, raw in entries.items()]
+        if skipped:
+            values.insert(0, scale.zero)
+        return tuple(values)
     table: dict[int, ScaleValue] = {}
     for key, raw in entries.items():
         try:
@@ -304,9 +332,12 @@ def capacity_problems(
     """Every axiom violation in the table, as human-readable strings:
     negativity, bad boundary values, and each non-monotone cover edge.
     The entries are values on ``scale``, as :class:`SetFunction` checks."""
+    signed = [entry.signed for entry in table]
+    top = full_set(n)
+    if signed[0] == 0 and signed[top] == scale.one.signed and _covers_hold(signed):
+        return []  # monotone up from 0, so nonnegative too
     # exact numbers compare as cross-multiplied numerators and denominators,
     # which is Fraction's own comparison without its per-call dispatch
-    signed = [entry.signed for entry in table]
     nums = [x.numerator for x in signed]
     dens = [x.denominator for x in signed]
     problems = []
@@ -315,7 +346,6 @@ def capacity_problems(
             problems.append(f"v({subset_text(mask)}) = {table[mask]} is negative")
     if nums[0] != 0:
         problems.append(f"v({{}}) = {table[0]}, expected {scale.zero}")
-    top = full_set(n)
     if signed[top] != scale.one.signed:
         problems.append(f"v({subset_text(top)}) = {table[top]}, expected {scale.one}")
     for mask in range(1, len(nums)):
@@ -330,6 +360,27 @@ def capacity_problems(
                     f"v({subset_text(mask)}) = {table[mask]}"
                 )
     return problems
+
+
+def _covers_hold(table: Sequence) -> bool:
+    """True when no entry of a dense table exceeds the entry of a mask with
+    one more member.  One pass per player compares the masks without it to
+    the masks with it as slices: by offset below the player's bit or by
+    block above it, whichever gives fewer slices."""
+    size = len(table)
+    bit = 1
+    while bit < size:
+        step = 2 * bit
+        if bit <= size // step:
+            for j in range(bit):
+                if not all(map(le, table[j::step], table[j + bit :: step])):
+                    return False
+        else:
+            for s in range(0, size, step):
+                if not all(map(le, table[s : s + bit], table[s + bit : s + step])):
+                    return False
+        bit = step
+    return True
 
 
 def conjugate(v: Capacity) -> Capacity:

@@ -12,9 +12,9 @@ canonical forms) on the ranks of the values the instance uses, through
 :meth:`Problem.ranked`.  That is exact, since those outputs depend only on
 order, signs and opposites, and the ranked scale prints every grade as the
 value it stands for.  The Choquet family stays on rationals.  The capacity
-is validated once, on loading: the ranked capacity is its image under a
-strictly increasing map that fixes 0 and sends 1 to the top grade, which
-keeps the capacity axioms, so it is not checked again.  Every Sugeno
+is validated once, on loading, on its ranks: the rank map is strictly
+increasing, odd, and sends 0 and 1 to the ends of the ranked scale, so the
+ranks keep the capacity axioms exactly when the values do.  Every Sugeno
 output folds a term list through :func:`fold_sym_max` under its rule in
 ``integrals.FOLD_RULES``, which the library reads too; ``sugeno_sym``
 and ``sugeno`` fold the explicit-form terms, which is exact by the law

@@ -5,7 +5,10 @@ an optional player name list, a capacity table keyed by subset strings
 such as ``"{1,3}"``, a profile, and optional run options.  Unit-scale
 values travel as exact text (fractions or terminating decimals); binary
 floats are rejected so that every number survives a round trip.  No
-object may repeat a key.
+object may repeat a key.  Capacity keys listed in mask order are read by
+position, and any other listing key by key (``capacity._read_subset_table``).
+A unit-scale capacity is validated once, on the ranks that
+:meth:`Problem.ranked` returns, which are built on loading.
 
 Malformed documents raise :class:`ParseError`; documents that parse but
 describe an invalid instance (an off-scale value, a non-monotone
@@ -17,15 +20,15 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any, Mapping, Sequence
 
 from .capacity import (
     Capacity,
     SetFunction,
     _read_subset_table,
+    _subset_keys,
     _trusted_capacity,
 )
 from .integrals import Profile
@@ -75,6 +78,9 @@ class Problem:
     capacity: Capacity
     profile: Profile
     options: ProblemOptions
+    _ranked: tuple[Capacity, Profile] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def n(self) -> int:
@@ -94,28 +100,45 @@ class Problem:
         the necessity measure are not valid on the ranked scale.
         Levels-scale problems come back unchanged.
 
-        The ranked capacity is not validated again.  The rank map is
-        strictly increasing and sends 0 to 0 and 1 to K, so it keeps every
-        entry nonnegative, both boundary values and every cover inequality
-        of the capacity that was validated on loading."""
-        v, f = self.capacity, self.profile
+        A loaded problem returns the pair built, and validated, on loading."""
+        if self._ranked is not None:
+            return self._ranked
         if self.scale.kind != UNIT:
-            return v, f
-        # values parsed from the same text are one object, so each object
-        # is ranked once, keyed by id: the Fractions are slow to hash
-        signed = {id(x): x.signed for x in (*v.table, *f.scores)}
-        # the entries of a capacity are nonnegative and include 0 and 1
-        magnitudes = sorted(set(map(abs, signed.values())))
-        rank = {q: i for i, q in enumerate(magnitudes)}
-        labels = tuple(map(_format_fraction, magnitudes))
-        scale = levels_scale(len(magnitudes) - 1, labels)
-        grade = {
-            key: scale.value(rank[x] if x >= 0 else -rank[-x])
-            for key, x in signed.items()
-        }
-        table = tuple(grade[id(x)] for x in v.table)
-        scores = tuple(grade[id(x)] for x in f.scores)
-        return _trusted_capacity(v.n, scale, table), Profile(scale, scores)
+            return self.capacity, self.profile
+        return _ranked_unit(self.n, self.capacity.table, self.profile.scores)
+
+
+def _ranked_unit(
+    n: int, table: Sequence[ScaleValue], scores: Sequence[ScaleValue]
+) -> tuple[Capacity, Profile]:
+    """The ranked capacity and profile of :meth:`Problem.ranked` for a dense
+    table and scores on the unit scale; the capacity is validated here.
+
+    The rank map is strictly increasing, odd and fixes 0 and 1, even when
+    the table lacks them, so every negativity, boundary and cover check of
+    the capacity axioms gives the same verdict on the grades as on the
+    values, in the same order; and each grade prints as its value, so the
+    messages are the same too."""
+    # values parsed from the same text are one object, so each object is
+    # read once, keyed by id; magnitudes are keyed by (numerator,
+    # denominator), since hashing a Fraction calls pow()
+    values = (*table, *scores)
+    distinct = dict(zip(map(id, values), values))
+    ratios = {key: x.signed.as_integer_ratio() for key, x in distinct.items()}
+    magnitudes = {(0, 1): Fraction(0), (1, 1): Fraction(1)}
+    for num, den in ratios.values():
+        if (abs(num), den) not in magnitudes:
+            magnitudes[abs(num), den] = Fraction(abs(num), den)
+    ordered = sorted(magnitudes, key=magnitudes.__getitem__)
+    rank = {pair: i for i, pair in enumerate(ordered)}
+    labels = tuple(_format_fraction(magnitudes[pair]) for pair in ordered)
+    scale = levels_scale(len(ordered) - 1, labels)
+    grade = {}
+    for key, (num, den) in ratios.items():
+        i = rank[abs(num), den]
+        grade[key] = scale.value(-i if num < 0 else i)
+    capacity = Capacity(n, scale, tuple(map(grade.__getitem__, map(id, table))))
+    return capacity, Profile(scale, tuple(map(grade.__getitem__, map(id, scores))))
 
 
 def read_problem(path: str) -> Problem:
@@ -146,9 +169,17 @@ def load_problem(text: str) -> Problem:
     scale = _parse_scale(document["scale"])
     profile = _parse_profile(scale, document["profile"])
     players = _parse_players(document.get("players"), profile.n)
-    capacity = _parse_capacity(scale, profile.n, document["capacity"])
+    table = _parse_capacity(scale, profile.n, document["capacity"])
+    # the capacity is validated once: on ranks for the unit scale, whose
+    # checked ranked capacity vouches for the unit-scale one
+    if scale.kind == UNIT:
+        ranked = _ranked_unit(profile.n, table, profile.scores)
+        capacity = _trusted_capacity(profile.n, scale, table)
+    else:
+        capacity = Capacity(profile.n, scale, table)
+        ranked = (capacity, profile)
     options = _parse_options(document.get("options"))
-    return Problem(scale, players, capacity, profile, options)
+    return Problem(scale, players, capacity, profile, options, ranked)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -234,7 +265,10 @@ def _parse_players(raw: Any, n: int) -> tuple[str, ...] | None:
     return tuple(raw)
 
 
-def _parse_capacity(scale: SymmetricScale, n: int, raw: Any) -> Capacity:
+def _parse_capacity(
+    scale: SymmetricScale, n: int, raw: Any
+) -> tuple[ScaleValue, ...]:
+    """The dense capacity table of a document, not yet validated."""
     if not isinstance(raw, dict):
         raise ParseError("'capacity' must map subset strings to scale values")
 
@@ -250,7 +284,7 @@ def _parse_capacity(scale: SymmetricScale, n: int, raw: Any) -> Capacity:
             return hit
         return _parse_value(scale, value, f"capacity[{key!r}]")
 
-    return Capacity(n, scale, _read_subset_table(n, scale, raw, parse, ParseError))
+    return _read_subset_table(n, scale, raw, parse, ParseError)
 
 
 def _parse_options(raw: Any) -> ProblemOptions:
@@ -300,16 +334,6 @@ def _value_texts(values: Sequence[ScaleValue], texts: dict[Any, str]) -> list[st
         if x.signed not in texts:
             texts[x.signed] = str(x)
     return [texts[x.signed] for x in values]
-
-
-@lru_cache(maxsize=1)
-def _subset_keys(n: int) -> tuple[str, ...]:
-    """The subset strings of {1..n} in mask order, built once per n: the
-    masks with highest member i are the earlier masks with i added."""
-    bodies = [""]
-    for i in range(1, n + 1):
-        bodies += [f"{body},{i}" if body else str(i) for body in bodies]
-    return tuple(f"{{{body}}}" for body in bodies)
 
 
 def record_line(record: Mapping[str, Any]) -> str:

@@ -54,6 +54,11 @@ class SymmetricScale:
             if type(self.levels) is not int or self.levels < 1:
                 raise ScaleError("levels scale needs a positive grade count")
             if self.labels is not None:
+                if isinstance(self.labels, str):
+                    # tuple() would split it into one label per character
+                    raise ScaleError(
+                        "labels must be a sequence of strings, not a string"
+                    )
                 labels = tuple(self.labels)
                 object.__setattr__(self, "labels", labels)
                 if len(labels) != self.levels + 1:
@@ -327,21 +332,22 @@ def _format_fraction(q: Fraction) -> str:
     """Render exactly: a terminating decimal when the denominator is
     2^a * 5^b, the p/q form otherwise.  Integers print through ``Decimal``,
     which is exact and, unlike ``str(int)``, has no digit limit."""
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    den = q.denominator
+    num, den = q.as_integer_ratio()
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    rest = den
     twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
+    while rest % 2 == 0:
+        rest //= 2
         twos += 1
-    while den % 5 == 0:
-        den //= 5
+    while rest % 5 == 0:
+        rest //= 5
         fives += 1
-    if den != 1:
-        return f"{sign}{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+    if rest != 1:
+        return f"{sign}{Decimal(num)}/{Decimal(den)}"
     places = max(twos, fives)
     if places == 0:
-        return f"{sign}{Decimal(q.numerator)}"
-    digits = str(Decimal(q.numerator * 10**places // q.denominator)).rjust(places + 1, "0")
+        return f"{sign}{Decimal(num)}"
+    digits = str(Decimal(num * 10**places // den)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 

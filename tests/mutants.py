@@ -191,12 +191,62 @@ MUTANTS = (
     # other kernels that have a reference
     Mutant(
         "ranking-sorts-by-denominator", IO,
-        "magnitudes = sorted(set(map(abs, signed.values())))",
-        "magnitudes = sorted(set(map(abs, signed.values())), key=lambda q: q.denominator)",
+        "ordered = sorted(magnitudes, key=magnitudes.__getitem__)",
+        "ordered = sorted(magnitudes, key=lambda pair: pair[1])",
         ("tests/test_io.py::test_the_ranked_scale_prints_what_the_unit_scale_computes",),
     ),
     Mutant(
-        "subset-keys-in-the-wrong-member-order", IO,
+        "rank-map-without-the-forced-1", IO,
+        "magnitudes = {(0, 1): Fraction(0), (1, 1): Fraction(1)}",
+        "magnitudes = {(0, 1): Fraction(0)}",
+        ("tests/test_cli.py::test_unit_capacities_off_their_bounds_exit_2",),
+    ),
+    Mutant(
+        "rank-map-without-the-forced-0", IO,
+        "magnitudes = {(0, 1): Fraction(0), (1, 1): Fraction(1)}",
+        "magnitudes = {(1, 1): Fraction(1)}",
+        ("tests/test_cli.py::test_unit_capacities_off_their_bounds_exit_2",),
+    ),
+    # keys read by position, capacity._read_subset_table
+    Mutant(
+        "key-order-compared-as-sets", CAPACITY,
+        "tuple(entries) == _subset_keys(n)[skipped:]",
+        "set(entries) == set(_subset_keys(n)[skipped:])",
+        (
+            "tests/test_io.py::test_keys_read_by_position_and_by_parsing_agree",
+            "tests/test_io.py::test_only_keys_in_mask_order_are_read_by_position",
+        ),
+    ),
+    Mutant(
+        "keys-by-position-drop-the-empty-set-default", CAPACITY,
+        "            values.insert(0, scale.zero)\n",
+        "            pass\n",
+        (
+            "tests/test_io.py::test_keys_read_by_position_and_by_parsing_agree",
+            "tests/test_io.py::test_only_keys_in_mask_order_are_read_by_position",
+        ),
+    ),
+    # the cover check of capacity_problems, capacity._covers_hold
+    Mutant(
+        "covers-hold-skips-the-last-player", CAPACITY,
+        "    while bit < size:\n",
+        "    while 2 * bit < size:\n",
+        ("tests/test_capacity.py::test_capacity_problems_are_empty_exactly_when_the_axioms_hold",),
+    ),
+    Mutant(
+        "covers-hold-skips-the-first-offset", CAPACITY,
+        "for j in range(bit)",
+        "for j in range(1, bit)",
+        ("tests/test_capacity.py::test_capacity_problems_are_empty_exactly_when_the_axioms_hold",),
+    ),
+    Mutant(
+        "covers-hold-skips-the-first-block", CAPACITY,
+        "range(0, size, step)",
+        "range(step, size, step)",
+        ("tests/test_capacity.py::test_capacity_problems_are_empty_exactly_when_the_axioms_hold",),
+    ),
+    Mutant(
+        "subset-keys-in-the-wrong-member-order", CAPACITY,
         'f"{body},{i}" if body',
         'f"{i},{body}" if body',
         ("tests/test_io.py::test_subset_keys_match_the_subset_text_of_each_mask",),

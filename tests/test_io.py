@@ -28,14 +28,21 @@ from symsug import (
 )
 from symsug.capacity import MAX_PLAYERS, capacity_problems, subset_text, subsets
 from symsug.integrals import ranked_terms
+from symsug.capacity import _subset_keys
 from symsug.io import (
     Problem,
-    _subset_keys,
+    ProblemOptions,
     fraction_text,
     record_line,
     set_function_record,
 )
-from conftest import WORKED_DOCUMENT, documents, json_values, mutated_documents
+from conftest import (
+    WORKED_DOCUMENT,
+    count_calls,
+    documents,
+    json_values,
+    mutated_documents,
+)
 
 
 def dumps(**overrides):
@@ -329,6 +336,82 @@ def test_set_function_record_is_mask_ordered(worked):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_subset_keys_match_the_subset_text_of_each_mask(n):
     assert _subset_keys(n) == tuple(map(subset_text, subsets(n)))
+
+
+# -- keys read by position ----------------------------------------------------------
+
+
+def _respelled(key):
+    """Another spelling of a subset key: its members in reverse, or, with
+    fewer than two members, a leading space."""
+    members = key[1:-1].split(",")
+    if len(members) > 1:
+        return "{" + ",".join(reversed(members)) + "}"
+    return " " + key
+
+
+@st.composite
+def rekeyed_documents(draw):
+    """A generated document, whose keys are in mask order, and the same
+    document with its capacity keys shuffled and some of them respelled.
+    Maybe one capacity value, the same in both and under the same key,
+    is replaced by any JSON value."""
+    document = draw(documents())
+    capacity = document["capacity"]
+    spoiled = draw(st.none() | st.sampled_from(sorted(capacity)))
+    if spoiled is not None:
+        capacity[spoiled] = draw(json_values)
+    order = draw(st.permutations(list(capacity)))
+    spelling = {
+        key: _respelled(key) if key != spoiled and draw(st.booleans()) else key
+        for key in order
+    }
+    rekeyed = {spelling[key]: capacity[key] for key in order}
+    return document, dict(document, capacity=rekeyed)
+
+
+def _outcome(document):
+    """What ``load_problem`` makes of a document: the problem's tables and
+    ranked pair with the text of every ranked value, or the error raised."""
+    try:
+        problem = load_problem(json.dumps(document))
+    except LOAD_ERRORS as exc:
+        return type(exc), str(exc)
+    v, f = problem.ranked()
+    texts = [str(x) for x in (*v.table, *f.scores)]
+    return problem.capacity.table, problem.profile.scores, (v, f), texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(rekeyed_documents())
+def test_keys_read_by_position_and_by_parsing_agree(pair):
+    in_mask_order, rekeyed = pair
+    assert _outcome(rekeyed) == _outcome(in_mask_order)
+
+
+def test_only_keys_in_mask_order_are_read_by_position(monkeypatch):
+    import symsug.capacity
+
+    calls = count_calls(monkeypatch, symsug.capacity, "parse_subset_text")
+    by_size = WORKED_DOCUMENT["capacity"]  # {3} comes before {1,2}
+    expected = load_problem(dumps()).capacity
+    assert len(calls) == len(by_size)
+    in_mask_order = {key: by_size[key] for key in _subset_keys(3)}
+    without_empty = dict(list(in_mask_order.items())[1:])
+    for capacity in (in_mask_order, without_empty):
+        calls.clear()
+        assert load_problem(dumps(capacity=capacity)).capacity == expected
+        assert calls == []
+
+
+def test_a_problem_built_by_hand_is_ranked_like_a_loaded_one(worked):
+    loaded = load_problem(dumps())
+    v, f = worked
+    built = Problem(loaded.scale, None, v, f, ProblemOptions())
+    assert built.ranked() == loaded.ranked()
+    assert [str(x) for x in built.ranked()[0].table] == [
+        str(x) for x in loaded.ranked()[0].table
+    ]
 
 
 def test_record_line_is_deterministic_json():

@@ -173,6 +173,15 @@ def test_bad_labels_rejected():
         levels_scale(1, (["a"], "b"))  # checked before the labels are hashed
 
 
+def test_a_string_is_not_a_label_list():
+    # tuple("abc") would read it as the three labels a, b and c
+    with pytest.raises(ScaleError, match="not a string"):
+        levels_scale(2, "abc")
+    with pytest.raises(ScaleError, match="not a string"):
+        levels_scale(1, "ok")
+    assert levels_scale(2, ["a", "b", "c"]).labels == ("a", "b", "c")
+
+
 def test_unit_format_prefers_terminating_decimals():
     assert str(UNIT.value(Fraction(3, 10))) == "0.3"
     assert str(UNIT.value(Fraction(-1, 4))) == "-0.25"
