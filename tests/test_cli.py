@@ -287,30 +287,26 @@ def test_non_utf8_input_is_a_malformed_document(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "capacity, profile, message",
+    "capacity, message",
     [
         # no 1 anywhere: the ranks must still place v(N) below the top
         (
             {"{1}": "0.5", "{2}": "0.25", "{1,2}": "0.9"},
-            ["0.5", "-0.25"],
             "v({1,2}) = 0.9, expected 1",
         ),
         # no 0 anywhere: the ranks must still place v({}) above the bottom
         (
             {"{}": "0.1", "{1}": "0.5", "{2}": "0.25", "{1,2}": "1"},
-            ["0.5", "-0.25"],
             "v({}) = 0.1, expected 0",
         ),
         (
             {"{}": "0", "{1}": "-0.5", "{2}": "0.25", "{1,2}": "1"},
-            ["0.5", "-0.25"],
             "v({1}) = -0.5 is negative; v({}) = 0 exceeds v({1}) = -0.5",
         ),
     ],
 )
-def test_unit_capacities_off_their_bounds_exit_2(
-    tmp_path, capsys, capacity, profile, message
-):
+def test_unit_capacities_off_their_bounds_exit_2(tmp_path, capsys, capacity, message):
+    profile = ["0.5", "-0.25"]  # neither 0 nor 1 here either
     document = {"scale": {"kind": "unit"}, "capacity": capacity, "profile": profile}
     path = write_document(tmp_path, document)
     for argv in (("compute", "--input", path, "--all"), ("mobius", "--input", path)):

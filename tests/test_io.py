@@ -26,9 +26,14 @@ from symsug import (
     sugeno_variant2,
     sugeno_variant3,
 )
-from symsug.capacity import MAX_PLAYERS, capacity_problems, subset_text, subsets
+from symsug.capacity import (
+    MAX_PLAYERS,
+    _subset_keys,
+    capacity_problems,
+    subset_text,
+    subsets,
+)
 from symsug.integrals import ranked_terms
-from symsug.capacity import _subset_keys
 from symsug.io import (
     Problem,
     ProblemOptions,
