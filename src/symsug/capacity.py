@@ -8,9 +8,7 @@ Three kernels walk the subsets: :func:`fold_members` and :func:`zeta` fold
 over every subset at once (a sequence over each subset's members, a table
 over its subsets), and :func:`rank_sets` lists the chain of rank sets that
 the one-pass integrals read along a ranking of the players.  Tables keyed
-by subset strings are read by position when the keys come in mask order,
-and the capacity axioms are checked one player at a time over slices of
-the table, with messages built only for a table that fails.
+by subset strings are read by position when the keys come in mask order.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from operator import le
+from operator import eq
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .scale import ScaleError, ScaleValue, SymmetricScale, _scale_of, check_scale, sym_max
@@ -244,7 +242,9 @@ def _read_subset_table(
     and both ways raise the same errors in the same order."""
     _check_players(n)
     skipped = (1 << n) - len(entries)
-    if skipped in (0, 1) and tuple(entries) == _subset_keys(n)[skipped:]:
+    if skipped in (0, 1) and all(
+        map(eq, entries, islice(_subset_keys(n), skipped, None))
+    ):
         values = [coerce(key, raw) for key, raw in entries.items()]
         if skipped:
             values.insert(0, scale.zero)
@@ -332,12 +332,9 @@ def capacity_problems(
     """Every axiom violation in the table, as human-readable strings:
     negativity, bad boundary values, and each non-monotone cover edge.
     The entries are values on ``scale``, as :class:`SetFunction` checks."""
-    signed = [entry.signed for entry in table]
-    top = full_set(n)
-    if signed[0] == 0 and signed[top] == scale.one.signed and _covers_hold(signed):
-        return []  # monotone up from 0, so nonnegative too
     # exact numbers compare as cross-multiplied numerators and denominators,
     # which is Fraction's own comparison without its per-call dispatch
+    signed = [entry.signed for entry in table]
     nums = [x.numerator for x in signed]
     dens = [x.denominator for x in signed]
     problems = []
@@ -346,6 +343,7 @@ def capacity_problems(
             problems.append(f"v({subset_text(mask)}) = {table[mask]} is negative")
     if nums[0] != 0:
         problems.append(f"v({{}}) = {table[0]}, expected {scale.zero}")
+    top = full_set(n)
     if signed[top] != scale.one.signed:
         problems.append(f"v({subset_text(top)}) = {table[top]}, expected {scale.one}")
     for mask in range(1, len(nums)):
@@ -360,27 +358,6 @@ def capacity_problems(
                     f"v({subset_text(mask)}) = {table[mask]}"
                 )
     return problems
-
-
-def _covers_hold(table: Sequence) -> bool:
-    """True when no entry of a dense table exceeds the entry of a mask with
-    one more member.  One pass per player compares the masks without it to
-    the masks with it as slices: by offset below the player's bit or by
-    block above it, whichever gives fewer slices."""
-    size = len(table)
-    bit = 1
-    while bit < size:
-        step = 2 * bit
-        if bit <= size // step:
-            for j in range(bit):
-                if not all(map(le, table[j::step], table[j + bit :: step])):
-                    return False
-        else:
-            for s in range(0, size, step):
-                if not all(map(le, table[s : s + bit], table[s + bit : s + step])):
-                    return False
-        bit = step
-    return True
 
 
 def conjugate(v: Capacity) -> Capacity:

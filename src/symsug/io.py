@@ -78,8 +78,10 @@ class Problem:
     capacity: Capacity
     profile: Profile
     options: ProblemOptions
+    # set by load_problem; a copy made by dataclasses.replace, or a problem
+    # built by hand, starts without it and is ranked on demand
     _ranked: tuple[Capacity, Profile] | None = field(
-        default=None, repr=False, compare=False
+        init=False, default=None, repr=False, compare=False
     )
 
     @property
@@ -176,10 +178,12 @@ def load_problem(text: str) -> Problem:
         ranked = _ranked_unit(profile.n, table, profile.scores)
         capacity = _trusted_capacity(profile.n, scale, table)
     else:
+        ranked = None
         capacity = Capacity(profile.n, scale, table)
-        ranked = (capacity, profile)
     options = _parse_options(document.get("options"))
-    return Problem(scale, players, capacity, profile, options, ranked)
+    problem = Problem(scale, players, capacity, profile, options)
+    object.__setattr__(problem, "_ranked", ranked)
+    return problem
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:

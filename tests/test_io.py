@@ -1,5 +1,6 @@
 """Problem-file parsing: strict validation, exact text values, record shape."""
 
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -417,6 +418,16 @@ def test_a_problem_built_by_hand_is_ranked_like_a_loaded_one(worked):
     assert [str(x) for x in built.ranked()[0].table] == [
         str(x) for x in loaded.ranked()[0].table
     ]
+
+
+def test_a_replaced_capacity_is_ranked_afresh():
+    loaded = load_problem(dumps())
+    capacity = dict.fromkeys(_subset_keys(3)[1:], "0.5")
+    capacity["{1,2,3}"] = "1"
+    other = load_problem(dumps(capacity=capacity))
+    replaced = dataclasses.replace(loaded, capacity=other.capacity)
+    assert replaced.ranked() == other.ranked()
+    assert replaced.ranked() != loaded.ranked()
 
 
 def test_record_line_is_deterministic_json():
