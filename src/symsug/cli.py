@@ -4,7 +4,10 @@ suites, or print the ordinal transforms of a capacity.
 Output is line-delimited JSON, one record per result, in a fixed order;
 identical inputs (and seed) produce byte-identical output.  Exit codes:
 0 success, 1 malformed input document, 2 invalid flags or an instance
-that fails validation.
+that fails validation.  Each call builds the argument parser of the
+command its first argument names and no other, so ``compute`` and
+``mobius`` never list the laws; any other first argument gets every
+command's parser, and both print the same messages.
 
 On the unit scale, ``compute`` and ``mobius`` evaluate the Sugeno side
 (the Sugeno integrals, the three variants, the transform interval and the
@@ -71,7 +74,8 @@ NONNEGATIVE_ONLY = ("choquet", "sugeno")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -87,7 +91,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names
+    one.  The named parser's usage line lists every command, so each
+    message it prints is the full parser's."""
     parser = argparse.ArgumentParser(
         prog="symsug",
         description=(
@@ -96,8 +103,19 @@ def _build_parser() -> argparse.ArgumentParser:
             "transforms."
         ),
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    if command in _COMMANDS:
+        commands = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
+        )
+        _COMMANDS[command](commands)
+    else:
+        commands = parser.add_subparsers(dest="command", required=True)
+        for add in _COMMANDS.values():
+            add(commands)
+    return parser
 
+
+def _add_compute(commands) -> None:
     compute = commands.add_parser(
         "compute", help="evaluate integrals and transforms from a problem file"
     )
@@ -120,6 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compute.set_defaults(handler=_cmd_compute)
 
+
+def _add_verify(commands) -> None:
     verify = commands.add_parser(
         "verify", help="run the algebraic law suites and report per law"
     )
@@ -143,13 +163,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.set_defaults(handler=_cmd_verify)
 
+
+def _add_mobius(commands) -> None:
     mobius = commands.add_parser(
         "mobius", help="print the ordinal transform interval and canonical forms"
     )
     mobius.add_argument("--input", required=True, help="problem file (JSON)")
     mobius.set_defaults(handler=_cmd_mobius)
 
-    return parser
+
+# each command's subparser, in the order the full parser lists them
+_COMMANDS = {"compute": _add_compute, "verify": _add_verify, "mobius": _add_mobius}
 
 
 # -- compute ---------------------------------------------------------------

@@ -62,6 +62,7 @@ RANK_SETS_TESTS = (
 SURVIVORS_TESTS = (
     "tests/test_rules.py::test_the_signed_fold_matches_the_scale_value_fold",
 )
+CLI_MESSAGES_TEST = "tests/test_cli.py::test_cli_messages_match_the_golden_file"
 
 MUTANTS = (
     # the subset kernels
@@ -243,6 +244,25 @@ MUTANTS = (
         '"rule": rule.value, "table": lower}',
         '"rule": rule.value, "table": set_function_record(interval.upper)}',
         ("tests/test_cli.py::test_mobius_canonical_records_match_their_definition",),
+    ),
+    # the argv-named parser, cli._build_parser
+    Mutant(
+        "named-parser-without-the-command-list", CLI,
+        'required=True, metavar="{" + ",".join(_COMMANDS) + "}"',
+        "required=True",
+        (CLI_MESSAGES_TEST,),
+    ),
+    Mutant(
+        "main-always-builds-the-full-parser", CLI,
+        "_build_parser(argv[0] if argv else None)",
+        "_build_parser(None)",
+        ("tests/test_cli.py::test_compute_and_mobius_never_build_the_verify_parser",),
+    ),
+    Mutant(
+        "named-parser-adds-the-wrong-command", CLI,
+        "_COMMANDS[command](commands)",
+        "_COMMANDS[min(_COMMANDS)](commands)",
+        (CLI_MESSAGES_TEST,),
     ),
     Mutant(
         "capacity-problems-misses-a-positive-empty-set", CAPACITY,

@@ -30,6 +30,7 @@ from symsug import (
 from symsug.capacity import full_set, subset_text
 from symsug.cli import main
 from symsug.io import set_function_record
+from symsug.verify import law_names
 from conftest import WORKED_DOCUMENT, count_calls, documents, mutated_documents
 
 
@@ -677,3 +678,113 @@ def test_compute_records_match_the_golden_file(tmp_path):
     assert compute_golden_text(tmp_path) == COMPUTE_GOLDEN_PATH.read_text(
         encoding="utf-8"
     )
+
+
+# -- argument parsing --------------------------------------------------------------
+
+CLI_MESSAGES_PATH = Path(__file__).parent / "golden" / "cli_messages.jsonl"
+PROBLEM = "PROBLEM"  # stands for the path of the worked example in an argv
+MESSAGE_COLUMNS = (30, 80)
+
+# help, every argparse refusal, and trailing extras after a valid command
+MESSAGE_ARGVS = (
+    [],
+    ["-h"],
+    ["--help"],
+    ["compute", "-h"],
+    ["verify", "-h"],
+    ["mobius", "-h"],
+    ["mobius", "--input", PROBLEM, "-h"],
+    ["nope"],
+    ["comp", "--input", PROBLEM, "--all"],
+    ["--"],
+    ["--", "compute", "--input", PROBLEM, "--all"],
+    ["--verbose", "compute", "--input", PROBLEM, "--all"],
+    ["compute"],
+    ["compute", "--all"],
+    ["compute", "--input"],
+    ["mobius"],
+    ["compute", "--input", PROBLEM, "--mobius", "middle", "--all"],
+    ["verify", "--law", "nope"],
+    ["verify", "--n", "two"],
+    ["compute", "--input", PROBLEM, "--all", "--only", "v1"],
+    ["compute", "--input", PROBLEM, "--all", "extra"],
+    ["compute", "--input", PROBLEM, "--all", "mobius"],
+    ["compute", "--input", PROBLEM, "--all", "--", "x"],
+    ["mobius", "--input", PROBLEM, "verify"],
+    ["mobius", "--input", PROBLEM, "--", "x"],
+    ["mobius", "--input", PROBLEM, "--seed", "1"],
+    ["verify", "--n", "1", "--law", "worked-example-goldens", "compute"],
+    ["verify", "--n", "1", "--law", "worked-example-goldens"],
+    ["compute", "--inp", PROBLEM, "--all"],
+    ["mobius", "--inp", PROBLEM],
+)
+
+
+def cli_messages_text(tmp_path) -> str:
+    """One line per argv and terminal width: the exit code, stdout and
+    stderr of ``main``, with ``PROBLEM`` standing for the worked example's
+    path.  argparse words its messages differently across Python versions;
+    this file is CPython 3.11's.  Regenerate (only when a message is meant
+    to change) with::
+
+        PYTHONPATH=src:tests python -c "import pathlib, tempfile; \\
+            from test_cli import *; \\
+            CLI_MESSAGES_PATH.write_text(cli_messages_text( \\
+                pathlib.Path(tempfile.mkdtemp())), encoding='utf-8')"
+    """
+    path = write_document(tmp_path, WORKED_DOCUMENT)
+    saved = os.environ.get("COLUMNS")
+    lines = []
+    try:
+        for columns in MESSAGE_COLUMNS:
+            os.environ["COLUMNS"] = str(columns)
+            for argv in MESSAGE_ARGVS:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main([path if arg == PROBLEM else arg for arg in argv])
+                record = {
+                    "columns": columns,
+                    "argv": argv,
+                    "exit": code,
+                    "stdout": out.getvalue(),
+                    "stderr": err.getvalue(),
+                }
+                lines.append(json.dumps(record) + "\n")
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+    return "".join(lines)
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the golden holds CPython 3.11's argparse wording",
+)
+def test_cli_messages_match_the_golden_file(tmp_path):
+    assert cli_messages_text(tmp_path) == CLI_MESSAGES_PATH.read_text(encoding="utf-8")
+
+
+def test_compute_and_mobius_never_build_the_verify_parser(
+    worked_file, capsys, monkeypatch
+):
+    commands = (
+        ["compute", "--input", str(worked_file), "--all"],
+        ["mobius", "--input", str(worked_file)],
+    )
+    expected = [run(capsys, *argv) for argv in commands]
+
+    def refuse():
+        raise AssertionError("the verify parser was built")
+
+    monkeypatch.setattr("symsug.cli.law_names", refuse)
+    assert [run(capsys, *argv) for argv in commands] == expected
+    assert all(code == 0 for code, _, _ in expected)
+
+    monkeypatch.undo()
+    code, out, err = run(capsys, "verify", "--law", "nope")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'nope'" in err
+    assert all(repr(name) in err for name in law_names())
