@@ -91,7 +91,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser of every command, or of ``command`` alone when it names
     one.  The named parser's usage line lists every command, so each
     message it prints is the full parser's."""
