@@ -4,6 +4,12 @@ The Choquet side works on exact rationals and exists only for unit-scale
 data; the Sugeno side is purely ordinal and works on any symmetric scale.
 Signed inputs are handled symmetrically: integrate the positive and the
 negative part separately and combine, or use the explicit one-pass forms.
+
+The Sugeno side computes on the signed grades of its inputs: the
+integrals rank, meet, join and fold plain signed numbers and wrap each
+result once as a scale value.  The public term lists (:func:`ranked_terms`,
+:func:`variant1_terms`, :func:`variant3_terms`) wrap the grades their
+private helpers return.
 """
 
 from __future__ import annotations
@@ -26,16 +32,16 @@ from .capacity import (
     rank_sets,
 )
 from .mobius import RealSetFunction
-from .rules import Rule, _survivors, fold_sym_max
+from .rules import Rule, _fold_signed, _survivors
 from .scale import (
     UNIT,
+    Number,
     ScaleError,
     ScaleValue,
     SymmetricScale,
     _exact,
     check_scale,
     sym_max,
-    sym_min,
 )
 
 
@@ -192,7 +198,20 @@ def sugeno(v: Capacity, f: Profile) -> ScaleValue:
     _check_pair(v, f)
     if not f.is_nonnegative:
         raise ValueError("plain Sugeno integral needs nonnegative scores")
-    return max(_rank_terms(v, f, _ascending(f)))
+    return v.scale.value(_sugeno_grade(v, [x.signed for x in f.scores]))
+
+
+def _sugeno_grade(v: Capacity, scores: Sequence[Number]) -> Number:
+    """:func:`sugeno` on the signed grades of a nonnegative profile: each
+    score meets the capacity of its upper set under an ascending ranking,
+    and the largest meet is the integral.  A tie's order changes no meet
+    that can win, so any ascending ranking serves."""
+    order = _ascending(scores)
+    table = v.table
+    return max(
+        min(scores[i], table[upper].signed)
+        for i, upper in zip(order, rank_sets(order, 0))
+    )
 
 
 def sugeno_mobius(m: SetFunction, f: Profile) -> ScaleValue:
@@ -213,9 +232,11 @@ def sugeno_symmetric(v: Capacity, f: Profile) -> ScaleValue:
     """Symmetric Sugeno integral: S(f+) sym-maxed with the reflection of
     S(f-)."""
     _check_pair(v, f)
-    return sym_max(
-        sugeno(v, f.positive_part()), -sugeno(v, f.negative_part())
-    )
+    scores = [x.signed for x in f.scores]
+    gain = _sugeno_grade(v, [x if x > 0 else 0 for x in scores])
+    loss = _sugeno_grade(v, [-x if x < 0 else 0 for x in scores])
+    # both are nonnegative: the larger wins with its sign, a tie cancels
+    return v.scale.value(gain if gain > loss else -loss if loss > gain else 0)
 
 
 def ranked_terms(v: Capacity, f: Profile) -> tuple[list[int], int, list[ScaleValue]]:
@@ -229,7 +250,14 @@ def ranked_terms(v: Capacity, f: Profile) -> tuple[list[int], int, list[ScaleVal
     further tie).  Using the same choice on both blocks keeps the term
     multiset of -f the exact reflection of the term multiset of f.  Returns
     the ranked player ids, the count p of negative scores, and the n terms."""
+    order, p, terms = _ranked_grades(v, f)
+    return order, p, list(map(v.scale.value, terms))
+
+
+def _ranked_grades(v: Capacity, f: Profile) -> tuple[list[int], int, list[Number]]:
+    """:func:`ranked_terms` with the terms as signed grades."""
     _check_pair(v, f)
+    table = v.table
 
     def chain(players: list[int], magnitude) -> list[int]:
         picked = []
@@ -238,33 +266,40 @@ def ranked_terms(v: Capacity, f: Profile) -> tuple[list[int], int, list[ScaleVal
         while remaining:
             top = max(magnitude(i) for i in remaining)
             block = [i for i in remaining if magnitude(i) == top]
-            j = min(block, key=lambda i: (v(mask | (1 << i)).signed, i))
+            j = min(block, key=lambda i: (table[mask | (1 << i)].signed, i))
             remaining.remove(j)
             mask |= 1 << j
             picked.append(j)
         return picked
 
-    negatives = [i for i in range(v.n) if f.scores[i].sign < 0]
-    others = [i for i in range(v.n) if f.scores[i].sign >= 0]
+    scores = [x.signed for x in f.scores]
+    negatives = [i for i in range(v.n) if scores[i] < 0]
+    others = [i for i in range(v.n) if scores[i] >= 0]
     order = (
-        chain(negatives, lambda i: -f.scores[i].signed)
-        + chain(others, lambda i: f.scores[i].signed)[::-1]
+        chain(negatives, lambda i: -scores[i])
+        + chain(others, scores.__getitem__)[::-1]
     )
-    return [j + 1 for j in order], len(negatives), _rank_terms(v, f, order)
+    return [j + 1 for j in order], len(negatives), _rank_grades(v, scores, order)
 
 
-def _rank_terms(v: Capacity, f: Profile, order: Sequence[int]) -> list[ScaleValue]:
-    """Explicit-form terms under one ranking of the players (0-based ids,
-    ascending scores, negative block first)."""
-    p = sum(1 for x in f.scores if x.signed < 0)
-    return [
-        sym_min(f.scores[i], v(mask)) for i, mask in zip(order, rank_sets(order, p))
-    ]
+def _rank_grades(
+    v: Capacity, scores: Sequence[Number], order: Sequence[int]
+) -> list[Number]:
+    """Explicit-form terms, as signed grades, under one ranking of the
+    players (0-based ids, ascending scores, negative block first).  A
+    score sym-min a nonnegative weight w is the score clipped to [-w, w]."""
+    p = sum(1 for x in scores if x < 0)
+    table = v.table
+    terms = []
+    for i, mask in zip(order, rank_sets(order, p)):
+        w = table[mask].signed
+        terms.append(max(-w, min(scores[i], w)))
+    return terms
 
 
-def _ascending(f: Profile) -> list[int]:
+def _ascending(scores: Sequence[Number]) -> list[int]:
     """The players 0..n-1 ranked by ascending score, ties by index."""
-    return sorted(range(f.n), key=lambda i: f.scores[i].signed)
+    return sorted(range(len(scores)), key=scores.__getitem__)
 
 
 # the rule each Sugeno output folds its terms under; compute reads it too
@@ -278,33 +313,33 @@ def sugeno_symmetric_explicit(v: Capacity, f: Profile) -> ScaleValue:
     """One-pass form of the symmetric Sugeno integral: the floor fold of
     the explicit terms, which folds the negative block and the nonnegative
     block separately, then combines."""
-    return fold_sym_max(ranked_terms(v, f)[2], FOLD_RULES["sugeno_sym"], scale=v.scale)
+    terms = _ranked_grades(v, f)[2]
+    return v.scale.value(_fold_signed(terms, FOLD_RULES["sugeno_sym"]))
 
 
 def variant1_terms(m: SetFunction, f: Profile) -> list[ScaleValue]:
     """All transform terms m(A) meet-sym [min f+ over A sym-max reflected
     min f- over A], for nonempty A in mask order, block structure
     ignored."""
+    return list(map(m.scale.value, _variant1_grades(m, f)))
+
+
+def _variant1_grades(m: SetFunction, f: Profile) -> list[Number]:
+    """:func:`variant1_terms` as signed grades."""
     _check_pair(m, f)
     weights = [x.signed for x in m.table]
-    if any(w < 0 for w in weights):
+    if min(weights) < 0:
         raise ValueError("transform representatives are nonnegative")
     scores = [x.signed for x in f.scores]
-    value, zero = m.scale.value, m.scale.zero
     # min f+ and min f- over each mask; every min lies under the top
     top = m.scale.one.signed
     gains = fold_members([x if x > 0 else 0 for x in scores], min, top)
     losses = fold_members([-x if x < 0 else 0 for x in scores], min, top)
-    terms = []
-    for w, gain, loss in zip(weights[1:], gains[1:], losses[1:]):
+    return [
         # m(A) sym-min (gain sym-max -loss), where m(A) >= 0
-        if gain > loss:
-            terms.append(value(min(w, gain)))
-        elif loss > gain:
-            terms.append(value(-min(w, loss)))
-        else:
-            terms.append(zero)
-    return terms
+        min(w, gain) if gain > loss else -min(w, loss) if loss > gain else 0
+        for w, gain, loss in zip(weights[1:], gains[1:], losses[1:])
+    ]
 
 
 def symmetric_mobius_blocks(
@@ -312,14 +347,18 @@ def symmetric_mobius_blocks(
 ) -> tuple[ScaleValue, ScaleValue, ScaleValue]:
     """The three folds of the transform form of the symmetric integral,
     split by where A sits: inside the nonnegative players, inside the
-    negative players, or across both (that block is identically 0)."""
+    negative players, or across both (that block is identically 0).  Each
+    block is a sym-max fold of signed grades in mask order."""
     n_plus = sum(1 << i for i, x in enumerate(f.scores) if x.sign >= 0)
     n_minus = full_set(m.n) ^ n_plus
-    blocks = [m.scale.zero] * 3  # inside f+, inside f-, mixed
-    for mask, term in enumerate(variant1_terms(m, f), 1):
+    blocks = [0] * 3  # inside f+, inside f-, mixed
+    for mask, term in enumerate(_variant1_grades(m, f), 1):
         block = 0 if mask & n_minus == 0 else 1 if mask & n_plus == 0 else 2
-        blocks[block] = sym_max(blocks[block], term)
-    return tuple(blocks)
+        held = blocks[block]
+        # held sym-max term
+        blocks[block] = 0 if held == -term else held if abs(held) > abs(term) else term
+    value = m.scale.value
+    return value(blocks[0]), value(blocks[1]), value(blocks[2])
 
 
 def sugeno_symmetric_mobius(m: SetFunction, f: Profile) -> ScaleValue:
@@ -332,14 +371,14 @@ def sugeno_symmetric_mobius(m: SetFunction, f: Profile) -> ScaleValue:
 def sugeno_variant1(m: SetFunction, f: Profile) -> ScaleValue:
     """First alternative symmetric integral: fold every transform term under
     the angle rule instead of splitting into sign-homogeneous blocks."""
-    return fold_sym_max(variant1_terms(m, f), FOLD_RULES["v1"], scale=m.scale)
+    return m.scale.value(_fold_signed(_variant1_grades(m, f), FOLD_RULES["v1"]))
 
 
 def sugeno_variant2(v: Capacity, f: Profile) -> ScaleValue:
     """Second alternative: fold the explicit-form terms under the angle
     rule.  Not monotone in the profile."""
-    _, _, terms = ranked_terms(v, f)
-    return fold_sym_max(terms, FOLD_RULES["v2"], scale=v.scale)
+    terms = _ranked_grades(v, f)[2]
+    return v.scale.value(_fold_signed(terms, FOLD_RULES["v2"]))
 
 
 def variant3_terms(v: Capacity, f: Profile) -> list[ScaleValue]:
@@ -351,20 +390,22 @@ def variant3_terms(v: Capacity, f: Profile) -> list[ScaleValue]:
     score can only raise every term, which is what the ceil fold needs to
     stay monotone; the rank-based terms of :func:`ranked_terms` lack that
     property."""
+    return list(map(v.scale.value, _variant3_grades(v, f)))
+
+
+def _variant3_grades(v: Capacity, f: Profile) -> list[Number]:
+    """:func:`variant3_terms` as signed grades."""
     _check_pair(v, f)
+    scores = [x.signed for x in f.scores]
     # under any ascending ranking, the floor survivors of the explicit terms
     # are -S(f-) and S(f+): a Sugeno integral ignores the order inside a tie
-    terms = _rank_terms(v, f, _ascending(f))
-    low, high = _survivors([t.signed for t in terms], Rule.FLOOR)
-    value = v.scale.value
-    return [
-        value(min(x.signed, high) if x.sign >= 0 else max(x.signed, low))
-        for x in f.scores
-    ]
+    terms = _rank_grades(v, scores, _ascending(scores))
+    low, high = _survivors(terms, Rule.FLOOR)
+    return [min(x, high) if x >= 0 else max(x, low) for x in scores]
 
 
 def sugeno_variant3(v: Capacity, f: Profile) -> ScaleValue:
     """Third alternative: fold the per-player threshold terms under the
     ceil rule.  Monotone in the profile, which the rank-based ceil fold is
     not, and more discriminating than the floor-based combine."""
-    return fold_sym_max(variant3_terms(v, f), FOLD_RULES["v3"], scale=v.scale)
+    return v.scale.value(_fold_signed(_variant3_grades(v, f), FOLD_RULES["v3"]))

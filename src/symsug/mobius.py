@@ -30,7 +30,7 @@ from .capacity import (
     zeta,
 )
 from .rules import Rule, _fold_signed, fold_sym_max
-from .scale import ScaleValue, _exact, sym_max, sym_min
+from .scale import ScaleValue, _exact, sym_max
 
 
 # -- classical transform on rational tables ----------------------------------
@@ -159,23 +159,25 @@ def reconstruct(m: SetFunction, mask: int) -> ScaleValue:
     """Rebuild a capacity value from a transform in the interval:
     v(A) = join over all B of  m(B) min-sym u_B(A),  with u_B the game that
     is 1 on nonempty supersets of B."""
-    scale = m.scale
-    result = scale.zero
-    for b_mask in subsets(m.n):
-        weight = scale.one if mask and mask & b_mask == b_mask else scale.zero
-        result = max(result, sym_min(m(b_mask), weight))
-    return result
+    top = m.scale.one.signed
+    result = 0
+    for b_mask, entry in enumerate(m.table):
+        weight = top if mask and mask & b_mask == b_mask else 0
+        # m(B) sym-min a nonnegative weight is m(B) clipped to [-weight, weight]
+        term = max(-weight, min(entry.signed, weight))
+        result = max(result, term)
+    return m.scale.value(result)
 
 
 def reconstruct_from_conjugate(m_conj: SetFunction, mask: int) -> ScaleValue:
     """Rebuild v(A) from a transform of the conjugate capacity:
     n(join of m_conj over the subsets disjoint from A)."""
-    scale = m_conj.scale
-    outside = scale.zero
-    for b_mask in subsets(m_conj.n):
+    outside = 0
+    for b_mask, entry in enumerate(m_conj.table):
         if b_mask & mask == 0:
-            outside = max(outside, m_conj(b_mask))
-    return scale.negate(outside)
+            outside = max(outside, entry.signed)
+    scale = m_conj.scale
+    return scale.negate(scale.value(outside))
 
 
 def mobius_possibility(pi: Sequence[ScaleValue]) -> SetFunction:

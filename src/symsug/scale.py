@@ -76,22 +76,25 @@ class SymmetricScale:
         else:
             if self.levels is not None or self.labels is not None:
                 raise ScaleError("unit scale takes no grade count or labels")
-        # value cache and top of the positive side: not fields, so eq/hash skip them
+        # value cache, top of the positive side, and the constants built
+        # once: not fields, so eq/hash skip them
         object.__setattr__(self, "_cache", {})
         object.__setattr__(
             self, "_top", self.levels if self.kind == LEVELS else Fraction(1)
         )
+        object.__setattr__(self, "_zero", self.value(0))
+        object.__setattr__(self, "_one", self.value(self._top))
 
     # -- canonical elements -------------------------------------------------
 
     @property
     def zero(self) -> ScaleValue:
-        return self.value(0)
+        return self._zero
 
     @property
     def one(self) -> ScaleValue:
         """Top of the positive side."""
-        return self.value(self._top)
+        return self._one
 
     @property
     def minus_one(self) -> ScaleValue:

@@ -17,6 +17,7 @@ loop, the check count and the early exit on the first witness;
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -41,7 +42,7 @@ from .capacity import (
 )
 from .integrals import (
     Profile,
-    _rank_terms,
+    _rank_grades,
     choquet,
     choquet_asymmetric,
     choquet_mobius,
@@ -75,7 +76,7 @@ from .mobius import (
     reconstruct,
     reconstruct_from_conjugate,
 )
-from .rules import Rule, fold_sym_max, is_fold_unambiguous
+from .rules import Rule, _fold_signed, fold_sym_max, is_fold_unambiguous
 from .scale import (
     ScaleValue,
     SymmetricScale,
@@ -357,13 +358,7 @@ def iter_interval_members(
     has at most ``cap`` corners, otherwise the two bounds plus ``extra``
     seeded draws."""
     scale = interval.lower.scale
-    spans = [
-        range(interval.lower(m).signed, interval.upper(m).signed + 1)
-        for m in range(1 << interval.n)
-    ]
-    volume = 1
-    for span in spans:
-        volume *= len(span)
+    spans, volume = _box(interval)
     if volume <= cap:
         for grades in itertools.product(*spans):
             yield SetFunction(interval.n, scale, _grades(scale, *grades))
@@ -377,13 +372,39 @@ def iter_interval_members(
         yield SetFunction(interval.n, scale, _grades(scale, *grades))
 
 
+def _box(interval: MobiusInterval) -> tuple[list[range], int]:
+    """The grades each mask ranges over between the bounds, and the number
+    of corners of that box."""
+    spans = [
+        range(lo.signed, hi.signed + 1)
+        for lo, hi in zip(interval.lower.table, interval.upper.table)
+    ]
+    return spans, math.prod(map(len, spans))
+
+
 def _members(
     config: VerifyConfig, interval: MobiusInterval, rng: Random
 ) -> Iterator[SetFunction]:
     # sampling mode trades per-instance coverage for instance count
     if config.exhaustive:
-        return iter_interval_members(interval, rng)
+        return iter_interval_members(interval, rng, cap=GRID_LIMIT)
     return iter_interval_members(interval, rng, extra=4, cap=8)
+
+
+def _instance_members(
+    config: VerifyConfig, rng: Random, signed: bool
+) -> Iterator[tuple[Capacity, Profile, Iterable[SetFunction]]]:
+    """Each instance with the interval members a law reads for it.  In
+    exhaustive mode a box of at most GRID_LIMIT corners is enumerated once
+    per capacity, since enumerating draws nothing from the rng; any other
+    box draws its members per profile, in the order it always has."""
+    planned, plan = None, None
+    for v, interval, f in _instances(config, rng, signed):
+        if interval is not planned:
+            planned = interval
+            fits = config.exhaustive and _box(interval)[1] <= GRID_LIMIT
+            plan = tuple(_members(config, interval, rng)) if fits else None
+        yield v, f, plan if plan is not None else _members(config, interval, rng)
 
 
 def _capped_capacities(
@@ -682,10 +703,24 @@ def _fold_order_invariance(scale, values, rule, reference, shuffled):
 
 
 def _dominated_pairs(config: VerifyConfig, rng: Random):
+    """Sorted grade tuples ``low <= high`` entrywise, with the scale and
+    the fold table the law reads: it wraps and folds each (multiset, rule)
+    once, however many pairs share the multiset."""
     scale = levels_scale(config.levels)
+    folds: dict[tuple, ScaleValue] = {}
+
+    def fold(grades: tuple[int, ...], rule: Rule) -> ScaleValue:
+        key = grades, rule
+        if key not in folds:
+            folds[key] = fold_sym_max(_grades(scale, *grades), rule, scale=scale)
+        return folds[key]
+
     if 2 * scale.levels + 1 <= 9:
-        return _dominated_pairs_exhaustive(scale)
-    return _dominated_pairs_sampled(scale, rng, config.samples)
+        pairs = _dominated_pairs_exhaustive(scale.levels)
+    else:
+        pairs = _dominated_pairs_sampled(scale.levels, rng, config.samples)
+    for low, high in pairs:
+        yield scale, fold, low, high
 
 
 @_law(
@@ -693,30 +728,24 @@ def _dominated_pairs(config: VerifyConfig, rng: Random):
     _each_rule(_dominated_pairs, (Rule.FLOOR, Rule.CEIL)),
     tag="floor-ceil",
 )
-def _floor_ceil_monotone(low, high, rule):
+def _floor_ceil_monotone(scale, fold, low, high, rule):
     """Raising any entry of a sorted multiset cannot lower the floor or ceil
     fold."""
-    scale = low[0].scale
-    if fold_sym_max(low, rule, scale=scale) > fold_sym_max(
-        high, rule, scale=scale
-    ):
-        return f"{rule} decreases from {_show(low)} to {_show(high)}"
+    if fold(low, rule) > fold(high, rule):
+        low_text, high_text = (_show(_grades(scale, *g)) for g in (low, high))
+        return f"{rule} decreases from {low_text} to {high_text}"
 
 
-def _dominated_pairs_exhaustive(scale: SymmetricScale):
-    k = scale.levels
+def _dominated_pairs_exhaustive(k: int):
     for size in range(1, MULTISET_SIZE + 1):
-        for low in itertools.combinations_with_replacement(
-            scale.signed_values(), size
-        ):
+        for low in itertools.combinations_with_replacement(range(-k, k + 1), size):
             # sorted tuples dominating `low` entrywise
-            def grow(idx: int, floor: int, partial: list[ScaleValue]):
+            def grow(idx: int, floor: int, partial: list[int]):
                 if idx == size:
                     yield tuple(partial)
                     return
-                start = max(low[idx].signed, floor)
-                for grade in range(start, k + 1):
-                    partial.append(scale.value(grade))
+                for grade in range(max(low[idx], floor), k + 1):
+                    partial.append(grade)
                     yield from grow(idx + 1, grade, partial)
                     partial.pop()
 
@@ -724,13 +753,12 @@ def _dominated_pairs_exhaustive(scale: SymmetricScale):
                 yield low, high
 
 
-def _dominated_pairs_sampled(scale: SymmetricScale, rng: Random, count: int):
-    k = scale.levels
+def _dominated_pairs_sampled(k: int, rng: Random, count: int):
     for _ in range(count):
         size = rng.randint(1, MULTISET_SIZE)
         low = sorted(rng.randint(-k, k) for _ in range(size))
         high = sorted(rng.randint(g, k) for g in low)
-        yield _grades(scale, *low), _grades(scale, *high)
+        yield tuple(low), tuple(high)
 
 
 @_law(
@@ -1192,9 +1220,9 @@ def _choquet_conjugation(v: RealSetFunction, f: list[Fraction]):
 
 
 def _representatives(config: VerifyConfig, rng: Random):
-    for v, interval, f in _instances(config, rng, signed=False):
+    for v, f, members in _instance_members(config, rng, signed=False):
         reference = sugeno(v, f)
-        for member in _members(config, interval, rng):
+        for member in members:
             yield v, f, reference, member
 
 
@@ -1215,14 +1243,14 @@ def _symmetric_forms_agree(config: VerifyConfig, rng: Random):
     """Split definition = one-pass form = three-block transform form, for every
     interval member."""
     # per instance: the one-pass form, then each interval member
-    for v, interval, f in _instances(config, rng, signed=True):
+    for v, f, members in _instance_members(config, rng, signed=True):
         reference = sugeno_symmetric(v, f)
         yield (
             None
             if sugeno_symmetric_explicit(v, f) == reference
             else f"one-pass form differs on {_at(v, f)}"
         )
-        for member in _members(config, interval, rng):
+        for member in members:
             yield (
                 None
                 if sugeno_symmetric_mobius(member, f) == reference
@@ -1369,10 +1397,11 @@ def _tie_rankings(config: VerifyConfig, rng: Random):
 def _floor_tie_order_invariant(v, f, reference, order):
     """The floor fold of the explicit-form terms equals the split symmetric
     integral under every ranking of tied scores."""
-    folded = fold_sym_max(_rank_terms(v, f, order), Rule.FLOOR, scale=v.scale)
-    if folded != reference:
+    terms = _rank_grades(v, [x.signed for x in f.scores], order)
+    folded = _fold_signed(terms, Rule.FLOOR)
+    if folded != reference.signed:
         return (
-            f"ranking {[i + 1 for i in order]} gives {folded} "
+            f"ranking {[i + 1 for i in order]} gives {v.scale.value(folded)} "
             f"instead of {reference} on {_at(v, f)}"
         )
 
@@ -1386,10 +1415,11 @@ def _rank_fold_tie_sensitive(config: VerifyConfig, rng: Random | None):
     scale = levels_scale(2)
     v = Capacity(3, scale, _grades(scale, 0, 1, 0, 2, 2, 2, 2, 2))
     f = Profile(scale, _grades(scale, -2, -2, 2))
+    scores = [x.signed for x in f.scores]
     angles = set()
     ceils = set()
     for order in _rank_orders(f):
-        terms = _rank_terms(v, f, order)
+        terms = [scale.value(t) for t in _rank_grades(v, scores, order)]
         angles.add(fold_sym_max(terms, Rule.ANGLE, scale=scale))
         ceils.add(fold_sym_max(terms, Rule.CEIL, scale=scale))
         if len(angles) > 1 and len(ceils) > 1:

@@ -48,6 +48,7 @@ RULES = "src/symsug/rules.py"
 VERIFY = "src/symsug/verify.py"
 IO = "src/symsug/io.py"
 CLI = "src/symsug/cli.py"
+SCALE = "src/symsug/scale.py"
 
 ZETA_TESTS = (
     "tests/test_capacity.py::test_zeta_folds_the_subsets_of_every_mask",
@@ -61,6 +62,9 @@ RANK_SETS_TESTS = (
 )
 SURVIVORS_TESTS = (
     "tests/test_rules.py::test_the_signed_fold_matches_the_scale_value_fold",
+)
+SUGENO_GRADE_TESTS = (
+    "tests/test_integrals.py::test_sugeno_integrals_match_their_scale_value_definitions",
 )
 CLI_MESSAGES_TEST = "tests/test_cli.py::test_cli_messages_match_the_golden_file"
 
@@ -293,6 +297,68 @@ MUTANTS = (
         "rank_sets(order, 0)",
         "rank_sets(order[::-1], 0)",
         ("tests/test_mobius.py::test_necessity_transform_sits_on_tails_with_tie_gaps",),
+    ),
+    # the Sugeno side on signed grades
+    Mutant(
+        "sugeno-grade-reads-lower-sets", INTEGRALS,
+        "for i, upper in zip(order, rank_sets(order, 0))",
+        "for i, upper in zip(order, rank_sets(order, len(order)))",
+        SUGENO_GRADE_TESTS,
+    ),
+    Mutant(
+        "symmetric-sugeno-keeps-the-loss-positive", INTEGRALS,
+        "gain if gain > loss else -loss if loss > gain else 0",
+        "gain if gain > loss else loss if loss > gain else 0",
+        SUGENO_GRADE_TESTS,
+    ),
+    Mutant(
+        "rank-grades-clip-only-from-above", INTEGRALS,
+        "terms.append(max(-w, min(scores[i], w)))",
+        "terms.append(min(scores[i], w))",
+        SUGENO_GRADE_TESTS,
+    ),
+    Mutant(
+        "block-fold-keeps-the-smaller-magnitude", INTEGRALS,
+        "held if abs(held) > abs(term) else term",
+        "held if abs(held) < abs(term) else term",
+        ("tests/test_integrals.py::test_transform_terms_and_blocks_match_per_mask_terms",),
+    ),
+    Mutant(
+        "reconstruct-drops-the-weight", MOBIUS,
+        "term = max(-weight, min(entry.signed, weight))",
+        "term = entry.signed",
+        ("tests/test_mobius.py::test_reconstruct_matches_its_definition_on_every_mask",),
+    ),
+    Mutant(
+        "conjugate-reconstruct-takes-the-minimum", MOBIUS,
+        "outside = max(outside, entry.signed)",
+        "outside = min(outside, entry.signed)",
+        (
+            "tests/test_mobius.py::"
+            "test_conjugate_reconstruct_matches_its_definition_on_every_mask",
+        ),
+    ),
+    Mutant(
+        "scale-one-rebuilt-on-each-read", SCALE,
+        "        return self._one\n",
+        "        return self.value(self._top)\n",
+        ("tests/test_scale.py::test_zero_and_one_are_built_once_per_scale",),
+    ),
+    # the law suite's fold table and member plans
+    Mutant(
+        "fold-table-keyed-without-the-rule", VERIFY,
+        "        key = grades, rule\n",
+        "        key = grades\n",
+        ("tests/test_verify.py::test_floor_ceil_monotone_folds_each_multiset_once_per_rule",),
+    ),
+    Mutant(
+        "member-plan-reused-for-the-next-capacity", VERIFY,
+        "        if interval is not planned:\n",
+        "        if planned is None:\n",
+        (
+            "tests/test_verify.py::"
+            "test_member_plans_yield_the_per_profile_members_in_draw_order",
+        ),
     ),
     Mutant(
         "asymmetric-choquet-reads-1-minus-v-upper", INTEGRALS,

@@ -423,9 +423,17 @@ def test_documented_instance_term_multisets(worked):
 # -- term builders against brute-force references ----------------------------------
 
 
+def _unit_instance(rng, n, k):
+    """A seeded unit-scale capacity and signed profile on the grid 1/k."""
+    v = sample_capacity(rng, n, levels_scale(k))
+    table = tuple(UNIT.value(F(x.signed, k)) for x in v.table)
+    scores = tuple(UNIT.value(F(rng.randint(-k, k), k)) for _ in range(n))
+    return Capacity(n, UNIT, table), Profile(UNIT, scores)
+
+
 def _builder_instances():
     """Every two-player instance on two grades, then seeded three- and
-    five-player ones."""
+    five-player ones on both scale kinds."""
     for v in iter_capacities(2, L2):
         for f in iter_profiles(2, L2, signed=True):
             yield v, f
@@ -434,6 +442,9 @@ def _builder_instances():
         for scale in (L2, L3):
             for _ in range(count):
                 yield sample_capacity(rng, n, scale), sample_profile(rng, n, scale)
+        for k in (5, 12):
+            for _ in range(count // 2):
+                yield _unit_instance(rng, n, k)
 
 
 def _cut_terms(v, f):
@@ -489,3 +500,53 @@ def test_transform_terms_and_blocks_match_per_mask_terms():
             for block, term in expected:
                 blocks[block] = sym_max(blocks[block], term)
             assert symmetric_mobius_blocks(member, f) == tuple(blocks)
+
+
+# -- the grade kernels against their ScaleValue definitions --------------------
+
+
+def _sugeno_by_definition(v, f):
+    """Join over an ascending ranking of f_(i) sym-min v({(i), ..., (n)}),
+    on ScaleValues; ``f`` is nonnegative, so sym-min is the meet."""
+    order = sorted(range(v.n), key=lambda i: f.scores[i])
+    result = v.scale.zero
+    for rank, i in enumerate(order):
+        upper = sum(1 << j for j in order[rank:])
+        result = max(result, sym_min(f.scores[i], v(upper)))
+    return result
+
+
+def _rank_terms_by_definition(v, f, order):
+    """sym-min of each ranked score with its rank set: the players ranked
+    at or below it on the negative block, at or above it elsewhere."""
+    terms = []
+    for rank, i in enumerate(order):
+        chain = order[: rank + 1] if f.scores[i].sign < 0 else order[rank:]
+        terms.append(sym_min(f.scores[i], v(sum(1 << j for j in chain))))
+    return terms
+
+
+def test_sugeno_integrals_match_their_scale_value_definitions():
+    for v, f in _builder_instances():
+        gains, losses = f.positive_part(), f.negative_part()
+        assert sugeno(v, gains) == _sugeno_by_definition(v, gains)
+        assert sugeno(v, losses) == _sugeno_by_definition(v, losses)
+        split = sym_max(
+            _sugeno_by_definition(v, gains), -_sugeno_by_definition(v, losses)
+        )
+        assert sugeno_symmetric(v, f) == split, (v.table, f.scores)
+        order, p, terms = ranked_terms(v, f)
+        expected = _rank_terms_by_definition(v, f, [j - 1 for j in order])
+        assert terms == expected and p == sum(x.sign < 0 for x in f.scores)
+        assert sugeno_symmetric_explicit(v, f) == fold_sym_max(expected, Rule.FLOOR)
+        assert sugeno_variant2(v, f) == fold_sym_max(expected, Rule.ANGLE)
+        assert sugeno_variant3(v, f) == fold_sym_max(_cut_terms(v, f), Rule.CEIL)
+
+
+def test_transform_variants_match_their_scale_value_definitions():
+    for v, f in _builder_instances():
+        interval = ordinal_mobius_interval(v)
+        for member in (interval.lower, interval.upper):
+            terms = [t for _, t in _mask_terms(member, f)]
+            assert sugeno_variant1(member, f) == fold_sym_max(terms, Rule.ANGLE)
+            assert sugeno_symmetric_mobius(member, f) == sugeno_symmetric(v, f)

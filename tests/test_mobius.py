@@ -25,7 +25,7 @@ from symsug import (
     unit_scale,
     RealSetFunction,
 )
-from symsug.scale import sym_max
+from symsug.scale import sym_max, sym_min
 from symsug.capacity import iter_submasks, subsets
 from symsug.mobius import (
     classical_zeta,
@@ -257,3 +257,60 @@ def test_real_conjugate_involution():
         2, (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
     )
     assert real_conjugate(real_conjugate(v)).table == v.table
+
+
+# -- reconstruction against its ScaleValue definition ----------------------------
+
+
+def reconstruct_by_definition(m, mask):
+    """Join over every B of m(B) sym-min u_B(A), on ScaleValues."""
+    scale = m.scale
+    result = scale.zero
+    for b_mask in subsets(m.n):
+        weight = scale.one if mask and mask & b_mask == b_mask else scale.zero
+        result = max(result, sym_min(m(b_mask), weight))
+    return result
+
+
+def conjugate_reconstruct_by_definition(m_conj, mask):
+    """n(join of m_conj over the subsets disjoint from A), on ScaleValues."""
+    scale = m_conj.scale
+    disjoint = [m_conj(b) for b in subsets(m_conj.n) if b & mask == 0]
+    return scale.negate(max([scale.zero, *disjoint]))
+
+
+def _reconstruct_tables():
+    """Interval bounds of capacities, then signed tables, on both scale
+    kinds: every two-player capacity on three grades, seeded three-player
+    ones, and their unit-scale images on the grid 1/k."""
+    rng = Random("reconstruct")
+    l3 = levels_scale(3)
+    capacities = list(iter_capacities(2, l3))
+    capacities += [sample_capacity(rng, 3, l3) for _ in range(40)]
+    for v in capacities:
+        unit = make_capacity(UNIT, [Fraction(x.signed, 3) for x in v.table])
+        for w in (v, unit):
+            interval = ordinal_mobius_interval(w)
+            yield interval.lower
+            yield interval.upper
+            yield ordinal_mobius_interval(conjugate(w)).lower
+    for n in (1, 2, 3):
+        for _ in range(30):
+            grades = [rng.randint(-3, 3) for _ in range(1 << n)]
+            yield SetFunction(n, l3, tuple(l3.value(g) for g in grades))
+            yield SetFunction(
+                n, UNIT, tuple(UNIT.value(Fraction(g, 3)) for g in grades)
+            )
+
+
+def test_reconstruct_matches_its_definition_on_every_mask():
+    for m in _reconstruct_tables():
+        for mask in subsets(m.n):
+            assert reconstruct(m, mask) == reconstruct_by_definition(m, mask)
+
+
+def test_conjugate_reconstruct_matches_its_definition_on_every_mask():
+    for m in _reconstruct_tables():
+        for mask in subsets(m.n):
+            expected = conjugate_reconstruct_by_definition(m, mask)
+            assert reconstruct_from_conjugate(m, mask) == expected

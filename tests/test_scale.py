@@ -65,6 +65,16 @@ def test_scale_kinds_and_their_parameters():
         SymmetricScale("unit", 3)
 
 
+@pytest.mark.parametrize(
+    "scale, top",
+    [(L3, 3), (levels_scale(2, ("low", "mid", "high")), 2), (UNIT, Fraction(1))],
+)
+def test_zero_and_one_are_built_once_per_scale(scale, top):
+    assert scale.zero is scale.zero and scale.one is scale.one
+    assert scale.zero == scale.value(0) and scale.one == scale.value(top)
+    assert scale.zero.signed == 0 and scale.one.signed == top
+
+
 def test_minus_zero_collapses():
     assert -L3.zero == L3.zero
     assert -UNIT.zero == UNIT.zero

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 import symsug.verify
-from symsug import Capacity, Profile, levels_scale
+from symsug import Capacity, Profile, Rule, levels_scale
 from symsug.cli import main
 from symsug.verify import (
     LawResult,
@@ -157,6 +157,62 @@ def test_integral_laws_build_one_interval_per_capacity(monkeypatch):
     [result] = run_laws(config, ["integral-symmetry"])
     assert result.status == "pass" and result.checks == 9 * 25
     assert len(calls) == 9  # one per capacity, not one per profile
+
+
+def test_floor_ceil_monotone_folds_each_multiset_once_per_rule(monkeypatch):
+    import symsug.rules
+
+    calls = count_calls(monkeypatch, symsug.rules, "fold_sym_max")
+    [result] = run_laws(VerifyConfig(n=2, levels=2), ["floor-ceil-monotone"])
+    assert result.status == "pass" and result.checks == 4748
+    folded = [(tuple(a.signed for a in values), rule) for values, rule in calls]
+    assert len(folded) == len(set(folded))
+    pairs = symsug.verify._dominated_pairs_exhaustive(2)
+    multisets = {grades for pair in pairs for grades in pair}
+    assert set(folded) == {
+        (grades, rule) for grades in multisets for rule in (Rule.FLOOR, Rule.CEIL)
+    }
+
+
+def test_floor_ceil_monotone_reports_a_planted_decrease(monkeypatch):
+    fold = symsug.verify.fold_sym_max
+
+    def planted(values, rule, *, scale=None):
+        # the ceil fold reflected: decreasing wherever the true one rises
+        folded = fold(values, rule, scale=scale)
+        return -folded if rule is Rule.CEIL else folded
+
+    monkeypatch.setattr(symsug.verify, "fold_sym_max", planted)
+    [result] = run_laws(VerifyConfig(n=2, levels=2), ["floor-ceil-monotone"])
+    assert (result.status, result.checks, result.detail) == (
+        "fail", 4, "ceil decreases from (-2) to (-1)",
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [VerifyConfig(n=2, levels=2), VerifyConfig(n=2, levels=2, exhaustive=False, samples=40)],
+)
+def test_member_plans_yield_the_per_profile_members_in_draw_order(monkeypatch, config):
+    # with a box limit of 2 corners, some boxes are enumerated and planned
+    # once per capacity while the others draw their members per profile
+    monkeypatch.setattr(symsug.verify, "GRID_LIMIT", 2)
+    verify = symsug.verify
+
+    def per_profile(rng):
+        for v, interval, f in verify._instances(config, rng, True):
+            yield v, f, list(verify._members(config, interval, rng))
+
+    reference, planned = Random(3), Random(3)
+    expected = list(per_profile(reference))
+    got = [
+        (v, f, list(members))
+        for v, f, members in verify._instance_members(config, planned, True)
+    ]
+    assert got == expected
+    assert reference.random() == planned.random()
+    volumes = {verify._box(ordinal_mobius_interval(v))[1] for v, _, _ in got}
+    assert min(volumes) <= 2 < max(volumes)
 
 
 def test_the_sensitivity_search_draws_both_streams_on_one_scale():
