@@ -251,7 +251,7 @@ def ranked_terms(v: Capacity, f: Profile) -> tuple[list[int], int, list[ScaleVal
     multiset of -f the exact reflection of the term multiset of f.  Returns
     the ranked player ids, the count p of negative scores, and the n terms."""
     order, p, terms = _ranked_grades(v, f)
-    return order, p, list(map(v.scale.value, terms))
+    return order, p, _wrap(v.scale, terms)
 
 
 def _ranked_grades(v: Capacity, f: Profile) -> tuple[list[int], int, list[Number]]:
@@ -302,6 +302,13 @@ def _ascending(scores: Sequence[Number]) -> list[int]:
     return sorted(range(len(scores)), key=scores.__getitem__)
 
 
+def _wrap(scale: SymmetricScale, grades: Sequence[Number]) -> list[ScaleValue]:
+    """The values of a list of signed grades on ``scale``; each distinct
+    grade is wrapped once, since a term list repeats few grades."""
+    wrapped = {grade: scale.value(grade) for grade in set(grades)}
+    return [wrapped[grade] for grade in grades]
+
+
 # the rule each Sugeno output folds its terms under; compute reads it too
 FOLD_RULES = {
     "sugeno": Rule.FLOOR, "sugeno_sym": Rule.FLOOR,
@@ -321,7 +328,7 @@ def variant1_terms(m: SetFunction, f: Profile) -> list[ScaleValue]:
     """All transform terms m(A) meet-sym [min f+ over A sym-max reflected
     min f- over A], for nonempty A in mask order, block structure
     ignored."""
-    return list(map(m.scale.value, _variant1_grades(m, f)))
+    return _wrap(m.scale, _variant1_grades(m, f))
 
 
 def _variant1_grades(m: SetFunction, f: Profile) -> list[Number]:
@@ -390,7 +397,7 @@ def variant3_terms(v: Capacity, f: Profile) -> list[ScaleValue]:
     score can only raise every term, which is what the ceil fold needs to
     stay monotone; the rank-based terms of :func:`ranked_terms` lack that
     property."""
-    return list(map(v.scale.value, _variant3_grades(v, f)))
+    return _wrap(v.scale, _variant3_grades(v, f))
 
 
 def _variant3_grades(v: Capacity, f: Profile) -> list[Number]:
