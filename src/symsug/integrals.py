@@ -1,9 +1,15 @@
 """Choquet and Sugeno integral families, including the symmetric variants.
 
-The Choquet side works on exact rationals and exists only for unit-scale
-data; the Sugeno side is purely ordinal and works on any symmetric scale.
-Signed inputs are handled symmetrically: integrate the positive and the
-negative part separately and combine, or use the explicit one-pass forms.
+The Choquet side is exact and exists only for unit-scale data; the Sugeno
+side is purely ordinal and works on any symmetric scale.  Signed inputs
+are handled symmetrically: integrate the positive and the negative part
+separately and combine, or use the explicit one-pass forms.
+
+The Choquet chain forms compute on ints: the profile as numerators over
+one common denominator of its scores, the n capacity weights of the chain
+over another, and one ``Fraction`` built from the sum.  The classical
+transform forms (:func:`choquet_mobius`, :func:`sipos_mobius`) stay on
+``Fraction``, as independent references for the chain forms.
 
 The Sugeno side computes on the signed grades of its inputs: the
 integrals rank, meet, join and fold plain signed numbers and wrap each
@@ -18,6 +24,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .capacity import (
@@ -111,55 +118,92 @@ def _check_real_args(v: RealSetFunction, f: Sequence[Fraction]) -> list[Fraction
     return scores
 
 
+def _numerators(v: RealSetFunction, f: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The checked profile as int numerators over one common denominator d
+    of its scores, and d."""
+    ratios = [x.as_integer_ratio() for x in _check_real_args(v, f)]
+    d = lcm(*(den for _, den in ratios))
+    return [num * (d // den) for num, den in ratios], d
+
+
 def choquet(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     """Plain Choquet integral of a nonnegative profile: sum of the layer
     increments f_(i) - f_(i-1) weighted by the capacity of the upper sets."""
-    scores = _check_real_args(v, f)
-    if any(x < 0 for x in scores):
+    nums, d = _numerators(v, f)
+    if any(x < 0 for x in nums):
         raise ValueError("plain Choquet integral needs nonnegative scores")
-    return _chain_sum(scores, v)
+    acc, e = _chain_sum(nums, _weight(v))
+    return Fraction(acc, d * e)
+
+
+def _weight(v: RealSetFunction) -> Callable[[int], tuple[int, int]]:
+    """v(A) as its (numerator, denominator) pair."""
+    table = v.table
+    return lambda mask: table[mask].as_integer_ratio()
 
 
 def _chain_sum(
-    scores: Sequence[Fraction], weight: Callable[[int], Fraction]
-) -> Fraction:
+    nums: Sequence[int], weight: Callable[[int], tuple[int, int]]
+) -> tuple[int, int]:
     """Each ranked score's step away from its neighbour toward 0, weighted
     by ``weight`` of its rank set: each sign block steps outward from 0,
     the negative one over lower sets and the nonnegative one over upper
-    sets.  ``weight`` is read on those n masks only."""
-    order = sorted(range(len(scores)), key=scores.__getitem__)
-    ranked = [scores[i] for i in order]
+    sets.  ``weight`` is read on those n masks only, as (numerator,
+    denominator) pairs.  The scores are the int numerators of a profile
+    over a common denominator d; the sum is acc / (d * e), returned as
+    (acc, e), where e is the common denominator of the n weights."""
+    order = sorted(range(len(nums)), key=nums.__getitem__)
+    ranked = [nums[i] for i in order]
     p = bisect_left(ranked, 0)  # the size of the negative block
-    acc = Fraction(0)
-    for i, rank_set in enumerate(rank_sets(order, p)):
+    weights = [weight(rank_set) for rank_set in rank_sets(order, p)]
+    e = lcm(*(den for _, den in weights))
+    acc = 0
+    for i, (num, den) in enumerate(weights):
         # the next score inward, or 0 at the inner end of each block
         inner = ranked[i + 1] if i + 1 < p else ranked[i - 1] if i > p else 0
-        acc += (ranked[i] - inner) * weight(rank_set)
-    return acc
+        acc += (ranked[i] - inner) * num * (e // den)
+    return acc, e
 
 
 def _gains_losses(
     v: RealSetFunction, f: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """The gains f+ and the losses f- of a signed profile."""
-    scores = _check_real_args(v, f)
-    return [max(x, Fraction(0)) for x in scores], [max(-x, Fraction(0)) for x in scores]
+) -> tuple[list[int], list[int], int]:
+    """The gains f+ and the losses f- of a signed profile, as int
+    numerators over the profile's common denominator d, and d."""
+    nums, d = _numerators(v, f)
+    return [max(x, 0) for x in nums], [max(-x, 0) for x in nums], d
+
+
+def _difference(
+    gain: tuple[int, int], loss: tuple[int, int], d: int
+) -> Fraction:
+    """(a / (d * e)) - (b / (d * g)) for gain = (a, e) and loss = (b, g)."""
+    (a, e), (b, g) = gain, loss
+    return Fraction(a * g - b * e, d * e * g)
 
 
 def choquet_symmetric(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     """Integrate gains and losses against the same capacity:
     C(f+) - C(f-)."""
-    plus, minus = _gains_losses(v, f)
-    return choquet(v, plus) - choquet(v, minus)
+    plus, minus, d = _gains_losses(v, f)
+    weight = _weight(v)
+    return _difference(_chain_sum(plus, weight), _chain_sum(minus, weight), d)
 
 
 def choquet_asymmetric(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     """Integrate losses against the conjugate capacity:
     C(f+) - C-conjugate(f-).  The conjugate A -> 1 - v(complement of A) is
-    read on the upper sets of the losses' chain only, not tabulated."""
-    plus, minus = _gains_losses(v, f)
+    read on the upper sets of the losses' chain only, not tabulated: on a
+    (numerator, denominator) pair, 1 - num / den is (den - num) / den."""
+    plus, minus, d = _gains_losses(v, f)
+    table = v.table
     top = full_set(v.n)
-    return _chain_sum(plus, v) - _chain_sum(minus, lambda upper: 1 - v(top ^ upper))
+
+    def conjugate(upper: int) -> tuple[int, int]:
+        num, den = table[top ^ upper].as_integer_ratio()
+        return den - num, den
+
+    return _difference(_chain_sum(plus, _weight(v)), _chain_sum(minus, conjugate), d)
 
 
 def choquet_symmetric_explicit(
@@ -167,7 +211,9 @@ def choquet_symmetric_explicit(
 ) -> Fraction:
     """One-pass form of the symmetric integral: increments against lower
     sets on the negative block, against upper sets on the nonnegative one."""
-    return _chain_sum(_check_real_args(v, f), v)
+    nums, d = _numerators(v, f)
+    acc, e = _chain_sum(nums, _weight(v))
+    return Fraction(acc, d * e)
 
 
 def choquet_mobius(m: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
@@ -182,7 +228,9 @@ def choquet_mobius(m: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
 def sipos_mobius(m: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     """Symmetric integral from the classical transform:
     sum of m(A) [min of f+ over A minus min of f- over A]."""
-    plus, minus = _gains_losses(m, f)
+    scores = _check_real_args(m, f)
+    plus = [max(x, Fraction(0)) for x in scores]
+    minus = [max(-x, Fraction(0)) for x in scores]
     gains = fold_members(plus, min, max(plus))
     losses = fold_members(minus, min, max(minus))
     terms = zip(m.table[1:], gains[1:], losses[1:])

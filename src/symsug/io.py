@@ -22,6 +22,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Any, Mapping, Sequence
 
 from .capacity import (
@@ -110,6 +111,16 @@ class Problem:
         return _ranked_unit(self.n, self.capacity.table, self.profile.scores)
 
 
+def _compare_ratios(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """The sign of a[0]/a[1] - b[0]/b[1], for positive denominators, on
+    ints: no common denominator is formed, which over a whole table can
+    run to many thousands of digits."""
+    return a[0] * b[1] - b[0] * a[1]
+
+
+_BY_RATIO = cmp_to_key(_compare_ratios)
+
+
 def _ranked_unit(
     n: int, table: Sequence[ScaleValue], scores: Sequence[ScaleValue]
 ) -> tuple[Capacity, Profile]:
@@ -127,13 +138,13 @@ def _ranked_unit(
     values = (*table, *scores)
     distinct = dict(zip(map(id, values), values))
     ratios = {key: x.signed.as_integer_ratio() for key, x in distinct.items()}
-    magnitudes = {(0, 1): Fraction(0), (1, 1): Fraction(1)}
-    for num, den in ratios.values():
-        if (abs(num), den) not in magnitudes:
-            magnitudes[abs(num), den] = Fraction(abs(num), den)
-    ordered = sorted(magnitudes, key=magnitudes.__getitem__)
+    # each magnitude once, as its reduced (numerator, denominator) pair, in
+    # first-seen order: a table listed in mask order comes nearly sorted
+    magnitudes = dict.fromkeys([(0, 1), (1, 1)])
+    magnitudes.update(dict.fromkeys((abs(num), den) for num, den in ratios.values()))
+    ordered = sorted(magnitudes, key=_BY_RATIO)
     rank = {pair: i for i, pair in enumerate(ordered)}
-    labels = tuple(_format_fraction(magnitudes[pair]) for pair in ordered)
+    labels = tuple(_format_fraction(num, den) for num, den in ordered)
     scale = levels_scale(len(ordered) - 1, labels)
     grade = {}
     for key, (num, den) in ratios.items():
@@ -322,7 +333,7 @@ def _parse_options(raw: Any) -> ProblemOptions:
 def fraction_text(value: Fraction) -> str:
     """Exact text for a rational: a terminating decimal when one exists,
     a fraction otherwise."""
-    return _format_fraction(value)
+    return _format_fraction(*value.as_integer_ratio())
 
 
 def set_function_record(sf: SetFunction) -> dict[str, str]:

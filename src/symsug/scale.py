@@ -139,7 +139,7 @@ class SymmetricScale:
     def format(self, a: ScaleValue) -> str:
         check_scale(self, (a,))
         if self.kind == UNIT:
-            return _format_fraction(a.signed)
+            return _format_fraction(*a.signed.as_integer_ratio())
         if self.labels is None:
             return str(a.signed)
         text = self.labels[abs(a.signed)]
@@ -212,13 +212,17 @@ class ScaleValue:
         if self.scale.kind == LEVELS:
             if not isinstance(self.signed, int) or isinstance(self.signed, bool):
                 raise ScaleError("levels scale values are integer grades")
+            outside = abs(self.signed) > self.scale._top
         else:
             if not isinstance(self.signed, (int, Fraction, float)):
                 raise ScaleError(
                     f"bad unit-scale value: {type(self.signed).__name__}"
                 )
             object.__setattr__(self, "signed", _exact(self.signed))
-        if abs(self.signed) > self.scale._top:
+            # |num / den| <= 1 on the integers of the reduced ratio
+            num, den = self.signed.as_integer_ratio()
+            outside = abs(num) > den
+        if outside:
             raise OffScaleError(f"value {self.signed} lies outside the scale")
 
     # -- structure -----------------------------------------------------------
@@ -268,14 +272,19 @@ class ScaleValue:
 def _exact(x) -> Fraction:
     """``x`` as a Fraction; a bool raises ScaleError, being no number, and
     so does a binary float, since its value is almost never the decimal it
-    was written as."""
+    was written as.  Anything else ``Fraction`` cannot read raises
+    ScaleError too, naming the text or the type."""
     if type(x) is Fraction:
         return x
     if isinstance(x, bool):
         raise ScaleError("bad unit-scale value: bool")
     if isinstance(x, float):
         raise ScaleError("binary floats are not exact; use Fraction")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        what = repr(x) if isinstance(x, str) else type(x).__name__
+        raise ScaleError(f"bad unit-scale value: {what}") from exc
 
 
 def check_scale(scale: SymmetricScale, values: Iterable[ScaleValue]) -> None:
@@ -331,11 +340,11 @@ def sym_min(a: ScaleValue, b: ScaleValue) -> ScaleValue:
     return a.scale.value(mag)
 
 
-def _format_fraction(q: Fraction) -> str:
-    """Render exactly: a terminating decimal when the denominator is
-    2^a * 5^b, the p/q form otherwise.  Integers print through ``Decimal``,
-    which is exact and, unlike ``str(int)``, has no digit limit."""
-    num, den = q.as_integer_ratio()
+def _format_fraction(num: int, den: int) -> str:
+    """Render num / den, in lowest terms with den > 0, exactly: a
+    terminating decimal when the denominator is 2^a * 5^b, the p/q form
+    otherwise.  Integers print through ``Decimal``, which is exact and,
+    unlike ``str(int)``, has no digit limit."""
     sign = "-" if num < 0 else ""
     num = abs(num)
     rest = den

@@ -67,6 +67,10 @@ SUGENO_GRADE_TESTS = (
     "tests/test_integrals.py::test_sugeno_integrals_match_their_scale_value_definitions",
 )
 CLI_MESSAGES_TEST = "tests/test_cli.py::test_cli_messages_match_the_golden_file"
+RANKED_SCALE_TEST = (
+    "tests/test_io.py::test_the_ranked_scale_prints_what_the_unit_scale_computes"
+)
+CHAIN_FORMS_TEST = "tests/test_integrals.py::test_chain_forms_match_the_fraction_chain_sum"
 
 MUTANTS = (
     # the subset kernels
@@ -196,21 +200,55 @@ MUTANTS = (
     # other kernels that have a reference
     Mutant(
         "ranking-sorts-by-denominator", IO,
-        "ordered = sorted(magnitudes, key=magnitudes.__getitem__)",
+        "ordered = sorted(magnitudes, key=_BY_RATIO)",
         "ordered = sorted(magnitudes, key=lambda pair: pair[1])",
-        ("tests/test_io.py::test_the_ranked_scale_prints_what_the_unit_scale_computes",),
+        (RANKED_SCALE_TEST,),
     ),
     Mutant(
         "rank-map-without-the-forced-1", IO,
-        "magnitudes = {(0, 1): Fraction(0), (1, 1): Fraction(1)}",
-        "magnitudes = {(0, 1): Fraction(0)}",
+        "magnitudes = dict.fromkeys([(0, 1), (1, 1)])",
+        "magnitudes = dict.fromkeys([(0, 1)])",
         ("tests/test_cli.py::test_unit_capacities_off_their_bounds_exit_2",),
     ),
     Mutant(
         "rank-map-without-the-forced-0", IO,
-        "magnitudes = {(0, 1): Fraction(0), (1, 1): Fraction(1)}",
-        "magnitudes = {(1, 1): Fraction(1)}",
+        "magnitudes = dict.fromkeys([(0, 1), (1, 1)])",
+        "magnitudes = dict.fromkeys([(1, 1)])",
         ("tests/test_cli.py::test_unit_capacities_off_their_bounds_exit_2",),
+    ),
+    # unit-scale arithmetic on ints
+    Mutant(
+        "ratio-comparison-drops-a-cross-factor", IO,
+        "return a[0] * b[1] - b[0] * a[1]",
+        "return a[0] * b[1] - b[0]",
+        (RANKED_SCALE_TEST,),
+    ),
+    Mutant(
+        "rank-map-over-a-table-wide-denominator", IO,
+        "ordered = sorted(magnitudes, key=_BY_RATIO)",
+        "whole = __import__('math').lcm(*(den for _, den in magnitudes))\n"
+        "    ordered = sorted(magnitudes, key=lambda pair: pair[0] * (whole // pair[1]))",
+        ("tests/test_cli.py::test_long_denominators_load_and_render_in_bounded_time",),
+    ),
+    Mutant(
+        "unit-range-check-without-abs", SCALE,
+        "outside = abs(num) > den",
+        "outside = num > den",
+        ("tests/test_scale.py::test_the_unit_range_check_is_exact_at_both_ends",),
+    ),
+    Mutant(
+        "conjugate-weight-reads-the-numerator", INTEGRALS,
+        "return den - num, den",
+        "return num, den",
+        (CHAIN_FORMS_TEST,),
+    ),
+    Mutant(
+        "explicit-choquet-divides-by-the-profile-denominator-only", INTEGRALS,
+        "    acc, e = _chain_sum(nums, _weight(v))\n    return Fraction(acc, d * e)\n\n\n"
+        "def choquet_mobius(",
+        "    acc, e = _chain_sum(nums, _weight(v))\n    return Fraction(acc, d)\n\n\n"
+        "def choquet_mobius(",
+        (CHAIN_FORMS_TEST,),
     ),
     # keys read by position, capacity._read_subset_table
     Mutant(
@@ -362,8 +400,8 @@ MUTANTS = (
     ),
     Mutant(
         "asymmetric-choquet-reads-1-minus-v-upper", INTEGRALS,
-        "lambda upper: 1 - v(top ^ upper)",
-        "lambda upper: 1 - v(upper)",
+        "num, den = table[top ^ upper].as_integer_ratio()",
+        "num, den = table[upper].as_integer_ratio()",
         ("tests/test_integrals.py::test_choquet_forms_agree",),
     ),
 )

@@ -1,11 +1,13 @@
 """Command-line behavior: records, emission order, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
@@ -240,6 +242,42 @@ def test_compute_prints_choquet_values_past_the_int_text_limit(tmp_path, capsys)
     v, f = to_real_capacity(problem.capacity), to_real_profile(problem.profile)
     assert len(numerator) > 4300 or len(denominator) > 4300
     assert printed == choquet(v, f)
+
+
+# SHA-256 of the stdout of each command on the document below, generated
+# when the Choquet family and the rank map still computed on Fractions
+LONG_DENOMINATOR_DIGESTS = {
+    "compute": "d48bbfbcbc736c6f3f46b38d85743c64a4d5973a327afc09f7191a4354eecd15",
+    "mobius": "a4feff503a49e5d292e27de95f0b510cf0d07ead72ac84f4717b6bc56c5d35ec",
+}
+# each command takes about 0.1 s in process; the budget is 50 times that
+LONG_DENOMINATOR_BUDGET_S = 5.0
+
+
+def test_long_denominators_load_and_render_in_bounded_time(tmp_path, capsys):
+    # 1,022 distinct ~480-digit denominators at n = 10: a common
+    # denominator of the whole table would have about half a million
+    # digits, so this pins that loading ranks by comparisons instead
+    def value(m):
+        q = 10**480 + 2 * m + 1
+        return f"{m * q // 1024}/{q}"
+
+    n = 10
+    top = full_set(n)
+    capacity = {subset_text(mask): value(mask) for mask in range(1, top)}
+    capacity[subset_text(top)] = "1"
+    profile = ["-" * (i % 2) + value(1 + 113 * i) for i in range(n)]
+    document = {"scale": {"kind": "unit"}, "capacity": capacity, "profile": profile}
+    assert max(len(text) for text in [*capacity.values(), *profile]) < 1000
+    path = write_document(tmp_path, document)
+    for argv in (("compute", "--input", path, "--all"), ("mobius", "--input", path)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == LONG_DENOMINATOR_DIGESTS[argv[0]]
+        assert elapsed < LONG_DENOMINATOR_BUDGET_S, (argv[0], elapsed)
 
 
 # -- compute exit codes ---------------------------------------------------------

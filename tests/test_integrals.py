@@ -1,6 +1,7 @@
 """Choquet and Sugeno families: golden values, equivalent forms, monotonicity."""
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from random import Random
 
@@ -37,6 +38,7 @@ from symsug import (
     to_real_profile,
     unit_scale,
 )
+from symsug.capacity import full_set, rank_sets
 from symsug.mobius import real_conjugate
 from symsug.integrals import (
     choquet_symmetric_explicit,
@@ -201,9 +203,12 @@ def test_choquet_reflection_identities(v, f):
 def real_tables_and_profiles(draw):
     """Any rational table on 1 to 6 players, monotone or not, with a profile
     drawn from a few values so that ties and zeros are common; one profile
-    in four is all negative."""
+    in four is all negative.  Denominators run up to 10^50, mixed with
+    small ones, so common denominators grow long."""
     n = draw(st.integers(1, 6))
-    fractions = st.fractions(-2, 2, max_denominator=6)
+    fractions = st.fractions(-2, 2, max_denominator=6) | st.fractions(
+        -2, 2, max_denominator=10**50
+    )
     table = tuple(draw(st.lists(fractions, min_size=1 << n, max_size=1 << n)))
     pool = draw(st.lists(fractions, min_size=1, max_size=3)) + [Fraction(0)]
     scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
@@ -221,6 +226,52 @@ def test_asymmetric_choquet_matches_its_conjugate_definition(case):
     assert choquet_asymmetric(v, f) == choquet(v, plus) - choquet(
         real_conjugate(v), minus
     )
+
+
+def reference_chain_sum(scores, weight):
+    """The chain sum on Fractions: each ranked score's step away from its
+    neighbour toward 0, weighted by ``weight`` of its rank set."""
+    order = sorted(range(len(scores)), key=scores.__getitem__)
+    ranked = [scores[i] for i in order]
+    p = bisect_left(ranked, 0)  # the size of the negative block
+    acc = Fraction(0)
+    for i, rank_set in enumerate(rank_sets(order, p)):
+        # the next score inward, or 0 at the inner end of each block
+        inner = ranked[i + 1] if i + 1 < p else ranked[i - 1] if i > p else 0
+        acc += (ranked[i] - inner) * weight(rank_set)
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(real_tables_and_profiles())
+def test_chain_forms_match_the_fraction_chain_sum(case):
+    v, f = case
+    plus = [max(x, 0) for x in f]
+    minus = [max(-x, 0) for x in f]
+    top = full_set(v.n)
+    conjugate = lambda upper: 1 - v(top ^ upper)
+    assert choquet(v, plus) == reference_chain_sum(plus, v)
+    assert choquet_symmetric_explicit(v, f) == reference_chain_sum(f, v)
+    assert choquet_symmetric(v, f) == (
+        reference_chain_sum(plus, v) - reference_chain_sum(minus, v)
+    )
+    assert choquet_asymmetric(v, f) == (
+        reference_chain_sum(plus, v) - reference_chain_sum(minus, conjugate)
+    )
+
+
+def test_the_choquet_side_names_values_it_cannot_read():
+    v = RealSetFunction(1, (0, 1))
+    for raw, message in ((None, "NoneType"), (1j, "complex"), ([1], "list")):
+        with pytest.raises(ScaleError) as caught:
+            RealSetFunction(1, (0, raw))
+        assert str(caught.value) == f"bad unit-scale value: {message}"
+        with pytest.raises(ScaleError) as caught:
+            choquet(v, [raw])
+        assert str(caught.value) == f"bad unit-scale value: {message}"
+    with pytest.raises(ScaleError) as caught:
+        choquet(v, ["abc"])
+    assert str(caught.value) == "bad unit-scale value: 'abc'"
 
 
 def test_documented_instance_choquet_values(worked):

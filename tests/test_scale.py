@@ -27,7 +27,7 @@ from symsug import (
 )
 from symsug.mobius import is_solution, mobius_necessity, mobius_possibility
 from symsug.rules import is_fold_unambiguous
-from symsug.scale import MAX_UNIT_EXPONENT, MAX_UNIT_TEXT
+from symsug.scale import MAX_UNIT_EXPONENT, MAX_UNIT_TEXT, _exact
 
 UNIT = unit_scale()
 L3 = levels_scale(3)
@@ -85,6 +85,30 @@ def test_off_scale_values_rejected():
         L3.value(4)
     with pytest.raises(OffScaleError):
         UNIT.value(Fraction(7, 5))
+
+
+def test_the_unit_range_check_is_exact_at_both_ends():
+    # the check compares the ints of the reduced ratio, so it must see the
+    # sign and a step of 10^-1000 past either end
+    just_over = 1 + Fraction(1, 10**1000)
+    for x in (Fraction(1), Fraction(-1), 1, -1):
+        assert UNIT.value(x).signed == x
+    for x in (just_over, -just_over, 2, -2):
+        with pytest.raises(OffScaleError, match="lies outside the scale"):
+            UNIT.value(x)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (None, "NoneType"), (1j, "complex"), ([1], "list"), ("abc", "'abc'"),
+        ("1/0", "'1/0'"),
+    ],
+)
+def test_exact_names_what_it_cannot_read(raw, message):
+    with pytest.raises(ScaleError) as caught:
+        _exact(raw)
+    assert str(caught.value) == f"bad unit-scale value: {message}"
 
 
 def test_levels_values_are_integer_grades():
