@@ -15,7 +15,10 @@ The Sugeno side computes on the signed grades of its inputs: the
 integrals rank, meet, join and fold plain signed numbers and wrap each
 result once as a scale value.  The public term lists (:func:`ranked_terms`,
 :func:`variant1_terms`, :func:`variant3_terms`) wrap the grades their
-private helpers return.
+private helpers return.  Each transform form runs a private kernel on a
+member's signed weights and the profile's minima over each mask
+(:func:`_signed_minima`), which do not depend on the member; the public
+function checks its arguments, folds the minima and runs the kernel.
 """
 
 from __future__ import annotations
@@ -269,11 +272,35 @@ def sugeno_mobius(m: SetFunction, f: Profile) -> ScaleValue:
     _check_pair(m, f)
     if not f.is_nonnegative:
         raise ValueError("plain Sugeno integral needs nonnegative scores")
-    if not m.is_nonnegative:
-        raise ValueError("transform representatives are nonnegative")
+    weights = _transform_weights(m)
     minima = fold_members([x.signed for x in f.scores], min, m.scale.one.signed)
+    return m.scale.value(_mobius_grade(weights, minima))
+
+
+def _mobius_grade(weights: Sequence[Number], minima: Sequence[Number]) -> Number:
+    """:func:`sugeno_mobius` on a member's signed weights and the min of the
+    (nonnegative) profile over each mask, both in mask order."""
+    return max(map(min, weights[1:], minima[1:]))
+
+
+def _transform_weights(m: SetFunction) -> list[Number]:
+    """The signed weights of a transform representative, in mask order,
+    which must be nonnegative."""
     weights = [w.signed for w in m.table]
-    return m.scale.value(max(map(min, weights[1:], minima[1:])))
+    if min(weights) < 0:
+        raise ValueError("transform representatives are nonnegative")
+    return weights
+
+
+def _signed_minima(f: Profile) -> tuple[list[Number], list[Number]]:
+    """min f+ and min f- over each mask, in mask order: what the transform
+    forms read of a profile, whatever the member.  Every min lies under the
+    top, which stands at the empty mask."""
+    scores = [x.signed for x in f.scores]
+    top = f.scale.one.signed
+    gains = fold_members([x if x > 0 else 0 for x in scores], min, top)
+    losses = fold_members([-x if x < 0 else 0 for x in scores], min, top)
+    return gains, losses
 
 
 def sugeno_symmetric(v: Capacity, f: Profile) -> ScaleValue:
@@ -382,14 +409,14 @@ def variant1_terms(m: SetFunction, f: Profile) -> list[ScaleValue]:
 def _variant1_grades(m: SetFunction, f: Profile) -> list[Number]:
     """:func:`variant1_terms` as signed grades."""
     _check_pair(m, f)
-    weights = [x.signed for x in m.table]
-    if min(weights) < 0:
-        raise ValueError("transform representatives are nonnegative")
-    scores = [x.signed for x in f.scores]
-    # min f+ and min f- over each mask; every min lies under the top
-    top = m.scale.one.signed
-    gains = fold_members([x if x > 0 else 0 for x in scores], min, top)
-    losses = fold_members([-x if x < 0 else 0 for x in scores], min, top)
+    return _variant1_kernel(_transform_weights(m), *_signed_minima(f))
+
+
+def _variant1_kernel(
+    weights: Sequence[Number], gains: Sequence[Number], losses: Sequence[Number]
+) -> list[Number]:
+    """The transform terms on a member's signed weights and the profile's
+    :func:`_signed_minima`."""
     return [
         # m(A) sym-min (gain sym-max -loss), where m(A) >= 0
         min(w, gain) if gain > loss else -min(w, loss) if loss > gain else 0
@@ -404,16 +431,31 @@ def symmetric_mobius_blocks(
     split by where A sits: inside the nonnegative players, inside the
     negative players, or across both (that block is identically 0).  Each
     block is a sym-max fold of signed grades in mask order."""
-    n_plus = sum(1 << i for i, x in enumerate(f.scores) if x.sign >= 0)
-    n_minus = full_set(m.n) ^ n_plus
-    blocks = [0] * 3  # inside f+, inside f-, mixed
-    for mask, term in enumerate(_variant1_grades(m, f), 1):
-        block = 0 if mask & n_minus == 0 else 1 if mask & n_plus == 0 else 2
-        held = blocks[block]
-        # held sym-max term
-        blocks[block] = 0 if held == -term else held if abs(held) > abs(term) else term
+    _check_pair(m, f)
+    blocks = _blocks_kernel(_transform_weights(m), *_signed_minima(f))
     value = m.scale.value
     return value(blocks[0]), value(blocks[1]), value(blocks[2])
+
+
+def _blocks_kernel(
+    weights: Sequence[Number], gains: Sequence[Number], losses: Sequence[Number]
+) -> list[Number]:
+    """:func:`symmetric_mobius_blocks` as signed grades, on a member's
+    signed weights and the profile's :func:`_signed_minima`.  A player is
+    negative exactly when the loss of its singleton is positive."""
+    top = len(weights) - 1  # the full set
+    n_minus = sum(1 << i for i in range(top.bit_length()) if losses[1 << i])
+    n_plus = top ^ n_minus
+    blocks = [0] * 3  # inside f+, inside f-, mixed
+    for mask, term in enumerate(_variant1_kernel(weights, gains, losses), 1):
+        block = 0 if mask & n_minus == 0 else 1 if mask & n_plus == 0 else 2
+        blocks[block] = _sym_max_grade(blocks[block], term)
+    return blocks
+
+
+def _sym_max_grade(a: Number, b: Number) -> Number:
+    """The symmetric maximum of two signed grades."""
+    return 0 if a == -b else a if abs(a) > abs(b) else b
 
 
 def sugeno_symmetric_mobius(m: SetFunction, f: Profile) -> ScaleValue:
@@ -421,6 +463,15 @@ def sugeno_symmetric_mobius(m: SetFunction, f: Profile) -> ScaleValue:
     blocks of :func:`symmetric_mobius_blocks` with the symmetric maximum."""
     inside_plus, inside_minus, mixed = symmetric_mobius_blocks(m, f)
     return sym_max(sym_max(inside_plus, inside_minus), mixed)
+
+
+def _symmetric_mobius_grade(
+    weights: Sequence[Number], gains: Sequence[Number], losses: Sequence[Number]
+) -> Number:
+    """:func:`sugeno_symmetric_mobius` as a signed grade, on a member's
+    signed weights and the profile's :func:`_signed_minima`."""
+    inside_plus, inside_minus, mixed = _blocks_kernel(weights, gains, losses)
+    return _sym_max_grade(_sym_max_grade(inside_plus, inside_minus), mixed)
 
 
 def sugeno_variant1(m: SetFunction, f: Profile) -> ScaleValue:

@@ -153,14 +153,7 @@ class SymmetricScale:
             raise ScaleError(f"expected a string value, got {type(text).__name__}")
         text = text.strip()
         if self.kind == UNIT:
-            exponent = _EXPONENT.search(text)
-            if len(text) > MAX_UNIT_TEXT or (
-                exponent and abs(int(exponent[1])) > MAX_UNIT_EXPONENT
-            ):
-                raise ScaleError(
-                    f"bad unit-scale value: over {MAX_UNIT_TEXT} characters"
-                    f" or an exponent beyond {MAX_UNIT_EXPONENT}"
-                )
+            _check_unit_text(text)
             try:
                 return self.value(Fraction(text))
             except OffScaleError:
@@ -269,17 +262,34 @@ class ScaleValue:
         return self.scale.format(self)
 
 
+def _check_unit_text(text: str) -> None:
+    """Raise ScaleError for unit-scale text past the bounds on its length
+    and on its decimal exponent, before ``Fraction`` reads it."""
+    text = text.strip()
+    exponent = _EXPONENT.search(text)
+    if len(text) > MAX_UNIT_TEXT or (
+        exponent and abs(int(exponent[1])) > MAX_UNIT_EXPONENT
+    ):
+        raise ScaleError(
+            f"bad unit-scale value: over {MAX_UNIT_TEXT} characters"
+            f" or an exponent beyond {MAX_UNIT_EXPONENT}"
+        )
+
+
 def _exact(x) -> Fraction:
     """``x`` as a Fraction; a bool raises ScaleError, being no number, and
     so does a binary float, since its value is almost never the decimal it
-    was written as.  Anything else ``Fraction`` cannot read raises
-    ScaleError too, naming the text or the type."""
+    was written as.  Text is bounded as :meth:`SymmetricScale.parse` bounds
+    it.  Anything else ``Fraction`` cannot read raises ScaleError too,
+    naming the text or the type."""
     if type(x) is Fraction:
         return x
     if isinstance(x, bool):
         raise ScaleError("bad unit-scale value: bool")
     if isinstance(x, float):
         raise ScaleError("binary floats are not exact; use Fraction")
+    if isinstance(x, str):
+        _check_unit_text(x)
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from operator import le
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -41,8 +42,14 @@ from .capacity import (
     zeta,
 )
 from .integrals import (
+    FOLD_RULES,
     Profile,
+    _mobius_grade,
     _rank_grades,
+    _signed_minima,
+    _symmetric_mobius_grade,
+    _transform_weights,
+    _variant1_kernel,
     choquet,
     choquet_asymmetric,
     choquet_mobius,
@@ -50,10 +57,8 @@ from .integrals import (
     choquet_symmetric_explicit,
     sipos_mobius,
     sugeno,
-    sugeno_mobius,
     sugeno_symmetric,
     sugeno_symmetric_explicit,
-    sugeno_symmetric_mobius,
     ranked_terms,
     sugeno_variant1,
     sugeno_variant2,
@@ -702,55 +707,45 @@ def _fold_order_invariance(scale, values, rule, reference, shuffled):
         return f"{rule} order-dependent on {_show(values)}"
 
 
-def _dominated_pairs(config: VerifyConfig, rng: Random):
-    """Sorted grade tuples ``low <= high`` entrywise, with the scale and
-    the fold table the law reads: it wraps and folds each (multiset, rule)
-    once, however many pairs share the multiset."""
+@_law("floor-ceil-monotone", tag="floor-ceil")
+def _floor_ceil_monotone(config: VerifyConfig, rng: Random):
+    """Raising any entry of a sorted multiset cannot lower the floor or ceil
+    fold."""
     scale = levels_scale(config.levels)
-    folds: dict[tuple, ScaleValue] = {}
+    # one fold table per rule, from grade tuples to the fold's signed grade:
+    # each (multiset, rule) is wrapped and folded once, however many pairs
+    # share the multiset
+    tables = [(rule, {}) for rule in (Rule.FLOOR, Rule.CEIL)]
 
-    def fold(grades: tuple[int, ...], rule: Rule) -> ScaleValue:
-        key = grades, rule
-        if key not in folds:
-            folds[key] = fold_sym_max(_grades(scale, *grades), rule, scale=scale)
-        return folds[key]
+    def fold(grades: tuple[int, ...], rule: Rule, table: dict) -> int:
+        if grades not in table:
+            values = _grades(scale, *grades)
+            table[grades] = fold_sym_max(values, rule, scale=scale).signed
+        return table[grades]
 
     if 2 * scale.levels + 1 <= 9:
         pairs = _dominated_pairs_exhaustive(scale.levels)
     else:
         pairs = _dominated_pairs_sampled(scale.levels, rng, config.samples)
     for low, high in pairs:
-        yield scale, fold, low, high
-
-
-@_law(
-    "floor-ceil-monotone",
-    _each_rule(_dominated_pairs, (Rule.FLOOR, Rule.CEIL)),
-    tag="floor-ceil",
-)
-def _floor_ceil_monotone(scale, fold, low, high, rule):
-    """Raising any entry of a sorted multiset cannot lower the floor or ceil
-    fold."""
-    if fold(low, rule) > fold(high, rule):
-        low_text, high_text = (_show(_grades(scale, *g)) for g in (low, high))
-        return f"{rule} decreases from {low_text} to {high_text}"
+        for rule, table in tables:
+            if fold(low, rule, table) > fold(high, rule, table):
+                low_text, high_text = (_show(_grades(scale, *g)) for g in (low, high))
+                yield f"{rule} decreases from {low_text} to {high_text}"
+            else:
+                yield None
 
 
 def _dominated_pairs_exhaustive(k: int):
+    """Every pair of sorted grade tuples of one size with ``low <= high``
+    entrywise, ``low`` in lexicographic order and its ``high``s after it:
+    a tuple dominating ``low`` is never lexicographically below it."""
     for size in range(1, MULTISET_SIZE + 1):
-        for low in itertools.combinations_with_replacement(range(-k, k + 1), size):
-            # sorted tuples dominating `low` entrywise
-            def grow(idx: int, floor: int, partial: list[int]):
-                if idx == size:
-                    yield tuple(partial)
-                    return
-                for grade in range(max(low[idx], floor), k + 1):
-                    partial.append(grade)
-                    yield from grow(idx + 1, grade, partial)
-                    partial.pop()
-
-            for high in grow(0, -k, []):
-                yield low, high
+        sets = list(itertools.combinations_with_replacement(range(-k, k + 1), size))
+        for i, low in enumerate(sets):
+            for high in sets[i:]:
+                if all(map(le, low, high)):
+                    yield low, high
 
 
 def _dominated_pairs_sampled(k: int, rng: Random, count: int):
@@ -1219,11 +1214,31 @@ def _choquet_conjugation(v: RealSetFunction, f: list[Fraction]):
         return f"symmetry fails on {v.table}, f={f}"
 
 
+def _member_weights(
+    config: VerifyConfig, rng: Random, signed: bool
+) -> Iterator[tuple[Capacity, Profile, tuple, Iterable[list[int]]]]:
+    """:func:`_instance_members` for the laws that read many members
+    against one profile: each profile comes with its
+    :func:`~symsug.integrals._signed_minima`, folded once, and the members
+    with their signed weights.  A member plan shared by the profiles of a
+    capacity is read once; members drawn per profile are read as they are
+    drawn."""
+    planned, read = None, None
+    for v, f, members in _instance_members(config, rng, signed):
+        if isinstance(members, tuple):
+            if members is not planned:
+                planned, read = members, [_transform_weights(m) for m in members]
+            weights = read
+        else:
+            weights = (_transform_weights(m) for m in members)
+        yield v, f, _signed_minima(f), weights
+
+
 def _representatives(config: VerifyConfig, rng: Random):
-    for v, f, members in _instance_members(config, rng, signed=False):
-        reference = sugeno(v, f)
-        for member in members:
-            yield v, f, reference, member
+    for v, f, (minima, _), members in _member_weights(config, rng, signed=False):
+        reference = sugeno(v, f).signed
+        for weights in members:
+            yield v, f, reference, weights, minima
 
 
 @_law(
@@ -1231,10 +1246,11 @@ def _representatives(config: VerifyConfig, rng: Random):
     _representatives,
     tag="sugeno-representative",
 )
-def _sugeno_representative_free(v, f, reference, member):
+def _sugeno_representative_free(v, f, reference, weights, minima):
     """The transform form of the plain integral is the same for every interval
     member and equals the rank form."""
-    if sugeno_mobius(member, f) != reference:
+    # the profile is nonnegative, so its minima are those of f+
+    if _mobius_grade(weights, minima) != reference:
         return f"transform form differs on {_at(v, f)}"
 
 
@@ -1243,17 +1259,18 @@ def _symmetric_forms_agree(config: VerifyConfig, rng: Random):
     """Split definition = one-pass form = three-block transform form, for every
     interval member."""
     # per instance: the one-pass form, then each interval member
-    for v, f, members in _instance_members(config, rng, signed=True):
+    for v, f, (gains, losses), members in _member_weights(config, rng, signed=True):
         reference = sugeno_symmetric(v, f)
         yield (
             None
             if sugeno_symmetric_explicit(v, f) == reference
             else f"one-pass form differs on {_at(v, f)}"
         )
-        for member in members:
+        expected = reference.signed
+        for weights in members:
             yield (
                 None
-                if sugeno_symmetric_mobius(member, f) == reference
+                if _symmetric_mobius_grade(weights, gains, losses) == expected
                 else f"three-block form differs on {_at(v, f)}"
             )
 
@@ -1457,11 +1474,17 @@ def _rank_ceil_not_monotone():
 
 
 def _sensitivity_search(config: VerifyConfig, rng: Random):
-    # every two-player instance, then sampled three-player ones
-    yield from _instances(VerifyConfig(n=2, levels=config.levels), rng)
+    # every two-player instance, then sampled three-player ones, each with
+    # the signed weights of its interval's bounds, read once per interval
     samples = max(config.samples, 200)
     sampled = VerifyConfig(n=3, levels=config.levels, exhaustive=False, samples=samples)
-    yield from _instances(sampled, rng)
+    read = None
+    for search in (VerifyConfig(n=2, levels=config.levels), sampled):
+        for v, interval, f in _instances(search, rng):
+            if interval is not read:
+                read = interval
+                bounds = _transform_weights(read.lower), _transform_weights(read.upper)
+            yield v, bounds, f
 
 
 @_law(
@@ -1471,12 +1494,16 @@ def _sensitivity_search(config: VerifyConfig, rng: Random):
     tag="variant1-sensitivity",
     missing="no representative dependence found on the searched families",
 )
-def _variant1_sensitivity(v: Capacity, interval: MobiusInterval, f: Profile):
+def _variant1_sensitivity(v: Capacity, bounds: tuple, f: Profile):
     """Whether variant 1 depends on the interval representative: deterministic
     search over two-player (exhaustive) and sampled three-player instances."""
-    low = sugeno_variant1(interval.lower, f)
-    high = sugeno_variant1(interval.upper, f)
+    gains, losses = _signed_minima(f)
+    low, high = (
+        _fold_signed(_variant1_kernel(weights, gains, losses), FOLD_RULES["v1"])
+        for weights in bounds
+    )
     if low != high:
+        low, high = v.scale.value(low), v.scale.value(high)
         return (
             f"representative-dependent: capacity {_table(v)}, "
             f"f={_show(f.scores)}: lower gives {low}, upper gives {high}"

@@ -71,6 +71,13 @@ RANKED_SCALE_TEST = (
     "tests/test_io.py::test_the_ranked_scale_prints_what_the_unit_scale_computes"
 )
 CHAIN_FORMS_TEST = "tests/test_integrals.py::test_chain_forms_match_the_fraction_chain_sum"
+FLOOR_CEIL_TEST = (
+    "tests/test_verify.py::test_floor_ceil_monotone_folds_each_multiset_once_per_rule"
+)
+TRANSFORM_KERNELS_TEST = (
+    "tests/test_integrals.py::"
+    "test_transform_forms_equal_their_kernels_on_once_folded_minima"
+)
 
 MUTANTS = (
     # the subset kernels
@@ -357,8 +364,8 @@ MUTANTS = (
     ),
     Mutant(
         "block-fold-keeps-the-smaller-magnitude", INTEGRALS,
-        "held if abs(held) > abs(term) else term",
-        "held if abs(held) < abs(term) else term",
+        "a if abs(a) > abs(b) else b",
+        "a if abs(a) < abs(b) else b",
         ("tests/test_integrals.py::test_transform_terms_and_blocks_match_per_mask_terms",),
     ),
     Mutant(
@@ -382,12 +389,49 @@ MUTANTS = (
         "        return self.value(self._top)\n",
         ("tests/test_scale.py::test_zero_and_one_are_built_once_per_scale",),
     ),
-    # the law suite's fold table and member plans
+    # the law suite's fold table, pair walk, member plans and folded minima
     Mutant(
         "fold-table-keyed-without-the-rule", VERIFY,
-        "        key = grades, rule\n",
-        "        key = grades\n",
-        ("tests/test_verify.py::test_floor_ceil_monotone_folds_each_multiset_once_per_rule",),
+        "    tables = [(rule, {}) for rule in (Rule.FLOOR, Rule.CEIL)]\n",
+        "    tables = [(rule, shared) for shared in [{}] for rule in (Rule.FLOOR, Rule.CEIL)]\n",
+        (FLOOR_CEIL_TEST,),
+    ),
+    Mutant(
+        "monotone-claim-fails-on-equal-folds", VERIFY,
+        "if fold(low, rule, table) > fold(high, rule, table):",
+        "if fold(low, rule, table) >= fold(high, rule, table):",
+        (FLOOR_CEIL_TEST,),
+    ),
+    Mutant(
+        "dominated-pairs-skip-low-itself", VERIFY,
+        "            for high in sets[i:]:\n",
+        "            for high in sets[i + 1:]:\n",
+        (
+            "tests/test_verify.py::"
+            "test_dominated_pairs_are_those_of_the_recursive_walk_in_order",
+        ),
+    ),
+    Mutant(
+        "minima-folded-once-per-capacity", VERIFY,
+        "                planned, read = members, [_transform_weights(m) for m in members]\n"
+        "            weights = read\n"
+        "        else:\n"
+        "            weights = (_transform_weights(m) for m in members)\n"
+        "        yield v, f, _signed_minima(f), weights\n",
+        "                planned, read = members, [_transform_weights(m) for m in members]\n"
+        "                minima = _signed_minima(f)\n"
+        "            weights = read\n"
+        "        else:\n"
+        "            weights = (_transform_weights(m) for m in members)\n"
+        "            minima = _signed_minima(f)\n"
+        "        yield v, f, minima, weights\n",
+        (TRANSFORM_KERNELS_TEST,),
+    ),
+    Mutant(
+        "transform-kernel-swaps-gains-and-losses", INTEGRALS,
+        "for w, gain, loss in zip(weights[1:], gains[1:], losses[1:])",
+        "for w, gain, loss in zip(weights[1:], losses[1:], gains[1:])",
+        ("tests/test_integrals.py::test_transform_terms_and_blocks_match_per_mask_terms",),
     ),
     Mutant(
         "member-plan-reused-for-the-next-capacity", VERIFY,

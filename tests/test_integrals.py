@@ -41,6 +41,11 @@ from symsug import (
 from symsug.capacity import full_set, rank_sets
 from symsug.mobius import real_conjugate
 from symsug.integrals import (
+    _blocks_kernel,
+    _fold_signed,
+    _mobius_grade,
+    _symmetric_mobius_grade,
+    _variant1_kernel,
     choquet_symmetric_explicit,
     ranked_terms,
     sugeno_mobius,
@@ -49,6 +54,9 @@ from symsug.integrals import (
     variant3_terms,
 )
 from symsug.verify import (
+    VerifyConfig,
+    _instance_members,
+    _member_weights,
     iter_capacities,
     iter_profiles,
     sample_capacity,
@@ -199,6 +207,22 @@ def test_choquet_reflection_identities(v, f):
     assert choquet_asymmetric(v, neg) == -choquet_asymmetric(real_conjugate(v), f)
 
 
+# a denominator, small or up to 10^50
+DENOMINATORS = st.integers(1, 6) | st.integers(1, 10**50)
+
+
+@st.composite
+def rationals(draw, count):
+    """``count`` rationals in [-2, 2]: int numerators over a drawn
+    denominator, some of them over a second one."""
+    dens = draw(st.lists(DENOMINATORS, min_size=1, max_size=2))
+    pick = st.integers(0, len(dens) - 1)
+    picks = draw(st.lists(pick, min_size=count, max_size=count))
+    return [
+        Fraction(draw(st.integers(-2 * dens[i], 2 * dens[i])), dens[i]) for i in picks
+    ]
+
+
 @st.composite
 def real_tables_and_profiles(draw):
     """Any rational table on 1 to 6 players, monotone or not, with a profile
@@ -206,11 +230,8 @@ def real_tables_and_profiles(draw):
     in four is all negative.  Denominators run up to 10^50, mixed with
     small ones, so common denominators grow long."""
     n = draw(st.integers(1, 6))
-    fractions = st.fractions(-2, 2, max_denominator=6) | st.fractions(
-        -2, 2, max_denominator=10**50
-    )
-    table = tuple(draw(st.lists(fractions, min_size=1 << n, max_size=1 << n)))
-    pool = draw(st.lists(fractions, min_size=1, max_size=3)) + [Fraction(0)]
+    table = tuple(draw(rationals(1 << n)))
+    pool = draw(rationals(draw(st.integers(1, 3)))) + [Fraction(0)]
     scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     if draw(st.integers(0, 3)) == 0:
         scores = [-abs(x) - 1 for x in scores]
@@ -272,6 +293,19 @@ def test_the_choquet_side_names_values_it_cannot_read():
     with pytest.raises(ScaleError) as caught:
         choquet(v, ["abc"])
     assert str(caught.value) == "bad unit-scale value: 'abc'"
+
+
+def test_the_choquet_side_bounds_text_as_the_parser_does():
+    bound = "bad unit-scale value: over 1000 characters or an exponent beyond 1000"
+    for build in (
+        lambda: RealSetFunction(1, ("0", "1e-2000")),
+        lambda: choquet(RealSetFunction(1, (0, 1)), ["1e-2000"]),
+        lambda: choquet(RealSetFunction(1, (0, 1)), [" 0." + "1" * 999]),
+    ):
+        with pytest.raises(ScaleError) as caught:
+            build()
+        assert str(caught.value) == bound
+    assert choquet(RealSetFunction(1, (0, 1)), ["1e-1000"]) == Fraction(1, 10**1000)
 
 
 def test_documented_instance_choquet_values(worked):
@@ -551,6 +585,37 @@ def test_transform_terms_and_blocks_match_per_mask_terms():
             for block, term in expected:
                 blocks[block] = sym_max(blocks[block], term)
             assert symmetric_mobius_blocks(member, f) == tuple(blocks)
+
+
+def test_transform_forms_equal_their_kernels_on_once_folded_minima():
+    # the laws that read many members against one profile fold its minima
+    # once and feed them to the kernels with each member's weights; each
+    # public form must give what its kernel gives on that feed
+    config = VerifyConfig(n=2, levels=2)
+    checked = 0
+    for signed in (True, False):
+        instances = _instance_members(config, Random(0), signed)
+        fed = _member_weights(config, Random(0), signed)
+        for (v, f, members), (_, g, (gains, losses), weighted) in zip(instances, fed):
+            assert g == f
+            for member, weights in zip(members, weighted, strict=True):
+                assert weights == [w.signed for w in member.table]
+                terms = _variant1_kernel(weights, gains, losses)
+                assert [t.signed for t in variant1_terms(member, f)] == terms
+                assert sugeno_variant1(member, f).signed == _fold_signed(
+                    terms, Rule.ANGLE
+                )
+                blocks = [b.signed for b in symmetric_mobius_blocks(member, f)]
+                assert blocks == _blocks_kernel(weights, gains, losses)
+                assert sugeno_symmetric_mobius(member, f).signed == (
+                    _symmetric_mobius_grade(weights, gains, losses)
+                )
+                if not signed:
+                    assert sugeno_mobius(member, f).signed == _mobius_grade(
+                        weights, gains
+                    )
+                checked += 1
+    assert checked == 646  # every member of every signed and nonnegative instance
 
 
 # -- the grade kernels against their ScaleValue definitions --------------------

@@ -2,6 +2,7 @@
 
 import ast
 import io
+import itertools
 import json
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -186,6 +187,32 @@ def test_floor_ceil_monotone_reports_a_planted_decrease(monkeypatch):
     [result] = run_laws(VerifyConfig(n=2, levels=2), ["floor-ceil-monotone"])
     assert (result.status, result.checks, result.detail) == (
         "fail", 4, "ceil decreases from (-2) to (-1)",
+    )
+
+
+def _dominated_pairs_by_walk(k):
+    """The pairs of sorted grade tuples with ``low <= high`` entrywise, by a
+    recursive walk over each ``low``'s dominating tuples."""
+    for size in range(1, symsug.verify.MULTISET_SIZE + 1):
+        for low in itertools.combinations_with_replacement(range(-k, k + 1), size):
+
+            def grow(idx, floor, partial):
+                if idx == size:
+                    yield tuple(partial)
+                    return
+                for grade in range(max(low[idx], floor), k + 1):
+                    partial.append(grade)
+                    yield from grow(idx + 1, grade, partial)
+                    partial.pop()
+
+            for high in grow(0, -k, []):
+                yield low, high
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dominated_pairs_are_those_of_the_recursive_walk_in_order(k):
+    assert list(symsug.verify._dominated_pairs_exhaustive(k)) == list(
+        _dominated_pairs_by_walk(k)
     )
 
 
