@@ -40,9 +40,9 @@ from symsug import (
 )
 from symsug.capacity import full_set, rank_sets
 from symsug.mobius import real_conjugate
+from symsug.rules import _fold_signed
 from symsug.integrals import (
     _blocks_kernel,
-    _fold_signed,
     _mobius_grade,
     _symmetric_mobius_grade,
     _variant1_kernel,
@@ -596,7 +596,8 @@ def test_transform_forms_equal_their_kernels_on_once_folded_minima():
     for signed in (True, False):
         instances = _instance_members(config, Random(0), signed)
         fed = _member_weights(config, Random(0), signed)
-        for (v, f, members), (_, g, (gains, losses), weighted) in zip(instances, fed):
+        pairs = zip(instances, fed, strict=True)
+        for (v, f, members), (_, g, (gains, losses), weighted) in pairs:
             assert g == f
             for member, weights in zip(members, weighted, strict=True):
                 assert weights == [w.signed for w in member.table]
