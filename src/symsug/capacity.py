@@ -44,6 +44,8 @@ def subsets(n: int) -> range:
 
 
 def subset_members(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError(f"subset mask {mask} is negative")
     members = []
     i = 1
     while mask:
@@ -332,27 +334,23 @@ def capacity_problems(
     """Every axiom violation in the table, as human-readable strings:
     negativity, bad boundary values, and each non-monotone cover edge.
     The entries are values on ``scale``, as :class:`SetFunction` checks."""
-    # exact numbers compare as cross-multiplied numerators and denominators,
-    # which is Fraction's own comparison without its per-call dispatch
     signed = [entry.signed for entry in table]
-    nums = [x.numerator for x in signed]
-    dens = [x.denominator for x in signed]
     problems = []
-    for mask, num in enumerate(nums):
-        if num < 0:
+    for mask, x in enumerate(signed):
+        if x < 0:
             problems.append(f"v({subset_text(mask)}) = {table[mask]} is negative")
-    if nums[0] != 0:
+    if signed[0] != 0:
         problems.append(f"v({{}}) = {table[0]}, expected {scale.zero}")
     top = full_set(n)
     if signed[top] != scale.one.signed:
         problems.append(f"v({subset_text(top)}) = {table[top]}, expected {scale.one}")
-    for mask in range(1, len(nums)):
-        num, den = nums[mask], dens[mask]
+    for mask in range(1, len(signed)):
+        x = signed[mask]
         rest = mask
         while rest:
             bit = rest & -rest
             rest ^= bit
-            if nums[mask ^ bit] * den > num * dens[mask ^ bit]:
+            if signed[mask ^ bit] > x:
                 problems.append(
                     f"v({subset_text(mask ^ bit)}) = {table[mask ^ bit]} exceeds "
                     f"v({subset_text(mask)}) = {table[mask]}"

@@ -13,7 +13,9 @@ transform forms (:func:`choquet_mobius`, :func:`sipos_mobius`) stay on
 
 The Sugeno side computes on the signed grades of its inputs: the
 integrals rank, meet, join and fold plain signed numbers and wrap each
-result once as a scale value.  The public term lists (:func:`ranked_terms`,
+result once as a scale value.  Their symmetric maxima and minima go
+through the two kernels of :mod:`~symsug.scale`, ``_sym_max_signed`` and
+``_clip``.  The public term lists (:func:`ranked_terms`,
 :func:`variant1_terms`, :func:`variant3_terms`) wrap the grades their
 private helpers return.  Each transform form runs a private kernel on a
 member's signed weights and the profile's minima over each mask
@@ -49,7 +51,9 @@ from .scale import (
     ScaleError,
     ScaleValue,
     SymmetricScale,
+    _clip,
     _exact,
+    _sym_max_signed,
     check_scale,
     sym_max,
 )
@@ -155,7 +159,7 @@ def _chain_sum(
     denominator) pairs.  The scores are the int numerators of a profile
     over a common denominator d; the sum is acc / (d * e), returned as
     (acc, e), where e is the common denominator of the n weights."""
-    order = sorted(range(len(nums)), key=nums.__getitem__)
+    order = _ascending(nums)
     ranked = [nums[i] for i in order]
     p = bisect_left(ranked, 0)  # the size of the negative block
     weights = [weight(rank_set) for rank_set in rank_sets(order, p)]
@@ -273,8 +277,7 @@ def sugeno_mobius(m: SetFunction, f: Profile) -> ScaleValue:
     if not f.is_nonnegative:
         raise ValueError("plain Sugeno integral needs nonnegative scores")
     weights = _transform_weights(m)
-    minima = fold_members([x.signed for x in f.scores], min, m.scale.one.signed)
-    return m.scale.value(_mobius_grade(weights, minima))
+    return m.scale.value(_mobius_grade(weights, _signed_minima(f)[0]))
 
 
 def _mobius_grade(weights: Sequence[Number], minima: Sequence[Number]) -> Number:
@@ -310,8 +313,7 @@ def sugeno_symmetric(v: Capacity, f: Profile) -> ScaleValue:
     scores = [x.signed for x in f.scores]
     gain = _sugeno_grade(v, [x if x > 0 else 0 for x in scores])
     loss = _sugeno_grade(v, [-x if x < 0 else 0 for x in scores])
-    # both are nonnegative: the larger wins with its sign, a tie cancels
-    return v.scale.value(gain if gain > loss else -loss if loss > gain else 0)
+    return v.scale.value(_sym_max_signed(gain, -loss))
 
 
 def ranked_terms(v: Capacity, f: Profile) -> tuple[list[int], int, list[ScaleValue]]:
@@ -361,15 +363,13 @@ def _rank_grades(
     v: Capacity, scores: Sequence[Number], order: Sequence[int]
 ) -> list[Number]:
     """Explicit-form terms, as signed grades, under one ranking of the
-    players (0-based ids, ascending scores, negative block first).  A
-    score sym-min a nonnegative weight w is the score clipped to [-w, w]."""
+    players (0-based ids, ascending scores, negative block first)."""
     p = sum(1 for x in scores if x < 0)
     table = v.table
-    terms = []
-    for i, mask in zip(order, rank_sets(order, p)):
-        w = table[mask].signed
-        terms.append(max(-w, min(scores[i], w)))
-    return terms
+    return [
+        _clip(scores[i], table[mask].signed)
+        for i, mask in zip(order, rank_sets(order, p))
+    ]
 
 
 def _ascending(scores: Sequence[Number]) -> list[int]:
@@ -419,7 +419,7 @@ def _variant1_kernel(
     :func:`_signed_minima`."""
     return [
         # m(A) sym-min (gain sym-max -loss), where m(A) >= 0
-        min(w, gain) if gain > loss else -min(w, loss) if loss > gain else 0
+        _clip(_sym_max_signed(gain, -loss), w)
         for w, gain, loss in zip(weights[1:], gains[1:], losses[1:])
     ]
 
@@ -449,13 +449,8 @@ def _blocks_kernel(
     blocks = [0] * 3  # inside f+, inside f-, mixed
     for mask, term in enumerate(_variant1_kernel(weights, gains, losses), 1):
         block = 0 if mask & n_minus == 0 else 1 if mask & n_plus == 0 else 2
-        blocks[block] = _sym_max_grade(blocks[block], term)
+        blocks[block] = _sym_max_signed(blocks[block], term)
     return blocks
-
-
-def _sym_max_grade(a: Number, b: Number) -> Number:
-    """The symmetric maximum of two signed grades."""
-    return 0 if a == -b else a if abs(a) > abs(b) else b
 
 
 def sugeno_symmetric_mobius(m: SetFunction, f: Profile) -> ScaleValue:
@@ -471,7 +466,7 @@ def _symmetric_mobius_grade(
     """:func:`sugeno_symmetric_mobius` as a signed grade, on a member's
     signed weights and the profile's :func:`_signed_minima`."""
     inside_plus, inside_minus, mixed = _blocks_kernel(weights, gains, losses)
-    return _sym_max_grade(_sym_max_grade(inside_plus, inside_minus), mixed)
+    return _sym_max_signed(_sym_max_signed(inside_plus, inside_minus), mixed)
 
 
 def sugeno_variant1(m: SetFunction, f: Profile) -> ScaleValue:

@@ -30,7 +30,7 @@ from .capacity import (
     zeta,
 )
 from .rules import Rule, _fold_signed, fold_sym_max
-from .scale import ScaleValue, _exact, sym_max
+from .scale import ScaleValue, _clip, _exact, _sym_max_signed
 
 
 # -- classical transform on rational tables ----------------------------------
@@ -137,8 +137,7 @@ def canonical_ordinal_mobius(g: SetFunction, rule: Rule) -> SetFunction:
     table = []
     for mask, x in enumerate(signed):
         y = _fold_signed([signed[mask ^ bit] for bit in bits if mask & bit], rule)
-        # x sym-max -y
-        table.append(value(0 if x == y else x if abs(x) > abs(y) else -y))
+        table.append(value(_sym_max_signed(x, -y)))
     return SetFunction(g.n, g.scale, tuple(table))
 
 
@@ -151,7 +150,7 @@ def even_odd_mobius(v: Capacity) -> SetFunction:
     swap = lambda a, b: (max(a[0], b[1]), max(a[1], b[0]))
     pairs = zeta([(x.signed, 0) for x in v.table], swap)
     value = v.scale.value
-    table = tuple(sym_max(value(even), value(-odd)) for even, odd in pairs)
+    table = tuple(value(_sym_max_signed(even, -odd)) for even, odd in pairs)
     return SetFunction(v.n, v.scale, table)
 
 
@@ -163,9 +162,7 @@ def reconstruct(m: SetFunction, mask: int) -> ScaleValue:
     result = 0
     for b_mask, entry in enumerate(m.table):
         weight = top if mask and mask & b_mask == b_mask else 0
-        # m(B) sym-min a nonnegative weight is m(B) clipped to [-weight, weight]
-        term = max(-weight, min(entry.signed, weight))
-        result = max(result, term)
+        result = max(result, _clip(entry.signed, weight))
     return m.scale.value(result)
 
 

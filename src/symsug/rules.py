@@ -31,6 +31,7 @@ from .scale import (
     ScaleValue,
     SymmetricScale,
     _scale_of,
+    _sym_max_signed,
     check_scale,
     sym_max,
 )
@@ -82,9 +83,7 @@ def _fold_signed(values: Iterable[Number], rule: Rule) -> Number:
     the empty fold is 0.  The kernels fold raw grades through this and
     wrap the result once."""
     low, high = _survivors(values, rule)
-    if high == -low:
-        return 0
-    return high if high > -low else low
+    return _sym_max_signed(high, low)
 
 
 def _survivors(items: Iterable[Number], rule: Rule) -> tuple[Number, Number]:

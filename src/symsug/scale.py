@@ -5,6 +5,10 @@ zero: every positive element ``a`` has an opposite ``-a``, and ``-0 == 0``.
 Values are totally ordered, carry exact magnitudes (ints for discrete level
 scales, ``Fraction`` for the rational unit scale), and support the symmetric
 maximum and minimum, the signed extensions of lattice max/min.
+
+The algebra is written once, on signed numbers, in :func:`_sym_max_signed`
+and :func:`_clip` (the symmetric minimum with a nonnegative operand); both
+:func:`sym_max`, :func:`sym_min` and the other modules' kernels call them.
 """
 
 from __future__ import annotations
@@ -323,10 +327,9 @@ def sym_max(a: ScaleValue, b: ScaleValue) -> ScaleValue:
         mixed = True
     if mixed:
         _scale_of((a, b))
-    x, y = a.signed, b.signed
-    if x == -y:
-        return a.scale.zero
-    return a if abs(x) > abs(y) else b
+    signed = _sym_max_signed(a.signed, b.signed)
+    # 0 only for opposites; otherwise the winner, b on a tie of equals
+    return a.scale.zero if signed == 0 else b if signed == b.signed else a
 
 
 def sym_min(a: ScaleValue, b: ScaleValue) -> ScaleValue:
@@ -340,14 +343,27 @@ def sym_min(a: ScaleValue, b: ScaleValue) -> ScaleValue:
     if mixed:
         _scale_of((a, b))
     x, y = a.signed, b.signed
-    mag = min(abs(x), abs(y))
-    if (x > 0 and y < 0) or (x < 0 and y > 0):
-        mag = -mag
-    if x == mag:
+    # reflecting one operand reflects the result
+    signed = _clip(x, y) if y >= 0 else -_clip(x, -y)
+    if x == signed:
         return a
-    if y == mag:
+    if y == signed:
         return b
-    return a.scale.value(mag)
+    return a.scale.value(signed)
+
+
+def _sym_max_signed(x: Number, y: Number) -> Number:
+    """:func:`sym_max` on signed numbers: 0 for opposites, otherwise the
+    operand of larger magnitude."""
+    if x == -y:
+        return 0
+    return x if abs(x) > abs(y) else y
+
+
+def _clip(x: Number, w: Number) -> Number:
+    """:func:`sym_min` of a signed number and a nonnegative ``w``: ``x``
+    clipped to [-w, w]."""
+    return max(-w, min(x, w))
 
 
 def _format_fraction(num: int, den: int) -> str:

@@ -396,35 +396,6 @@ def _members(
     return iter_interval_members(interval, rng, extra=4, cap=8)
 
 
-def _instance_members(
-    config: VerifyConfig, rng: Random, signed: bool
-) -> Iterator[tuple[Capacity, Profile, Iterable[SetFunction]]]:
-    """Each instance with the interval members a law reads for it.  In
-    exhaustive mode a box of at most GRID_LIMIT corners is enumerated once
-    per capacity, since enumerating draws nothing from the rng; any other
-    box draws its members per profile, in the order it always has."""
-    planned, plan = None, None
-    for v, interval, f in _instances(config, rng, signed):
-        if interval is not planned:
-            planned = interval
-            fits = config.exhaustive and _box(interval)[1] <= GRID_LIMIT
-            plan = tuple(_members(config, interval, rng)) if fits else None
-        yield v, f, plan if plan is not None else _members(config, interval, rng)
-
-
-def _capped_capacities(
-    config: VerifyConfig, rng: Random
-) -> tuple[Iterator[Capacity], str]:
-    """The usual capacity stream, but bounded in sampling mode; the note
-    says so whenever the cap bites."""
-    if config.exhaustive or config.samples <= CAPACITY_CAP:
-        return _capacities(config, rng), ""
-    return (
-        itertools.islice(_capacities(config, rng), CAPACITY_CAP),
-        f"sampled instances capped at {CAPACITY_CAP}",
-    )
-
-
 def worked_example() -> tuple[Capacity, Profile]:
     """The three-player unit-scale instance used across the documentation:
     a strictly monotone capacity except for one tie, and a signed profile."""
@@ -1018,12 +989,8 @@ def _interval_is_solution_set(config: VerifyConfig, rng: Random):
             continue
         seen.add(key)
         interval = ordinal_mobius_interval(v)
-        lower = tuple(entry.signed for entry in interval.lower.table)
-        upper = tuple(entry.signed for entry in interval.upper.table)
+        spans, volume = _box(interval)
         solutions = buckets.get(key, [])
-        volume = 1
-        for lo, hi in zip(lower, upper):
-            volume *= hi - lo + 1
         yield (
             f"{len(solutions)} solutions but box volume {volume} "
             f"on {_table(v)}"
@@ -1031,7 +998,7 @@ def _interval_is_solution_set(config: VerifyConfig, rng: Random):
             else None
         )
         for m in solutions:
-            inside = all(lo <= g <= hi for g, lo, hi in zip(m, lower, upper))
+            inside = all(g in span for g, span in zip(m, spans))
             yield None if inside else f"solution {m} escapes the box on {_table(v)}"
         yield (
             None
@@ -1070,13 +1037,14 @@ def _member_subsets(conjugated: bool) -> Family:
     conjugate, if ``conjugated``); the note says when the cap bit."""
 
     def family(config: VerifyConfig, rng: Random):
-        stream, note = _capped_capacities(config, rng)
-        for v in stream:
+        capped = not config.exhaustive and config.samples > CAPACITY_CAP
+        stream = _capacities(config, rng)
+        for v in itertools.islice(stream, CAPACITY_CAP if capped else None):
             interval = ordinal_mobius_interval(conjugate(v) if conjugated else v)
             for member in _members(config, interval, rng):
                 for mask in subsets(v.n):
                     yield v, member, mask
-        return note
+        return f"sampled instances capped at {CAPACITY_CAP}" if capped else ""
 
     return family
 
@@ -1217,20 +1185,22 @@ def _choquet_conjugation(v: RealSetFunction, f: list[Fraction]):
 def _member_weights(
     config: VerifyConfig, rng: Random, signed: bool
 ) -> Iterator[tuple[Capacity, Profile, tuple, Iterable[list[int]]]]:
-    """:func:`_instance_members` for the laws that read many members
-    against one profile: each profile comes with its
-    :func:`~symsug.integrals._signed_minima`, folded once, and the members
-    with their signed weights.  A member plan shared by the profiles of a
-    capacity is read once; members drawn per profile are read as they are
-    drawn."""
-    planned, read = None, None
-    for v, f, members in _instance_members(config, rng, signed):
-        if isinstance(members, tuple):
-            if members is not planned:
-                planned, read = members, [_transform_weights(m) for m in members]
-            weights = read
-        else:
-            weights = (_transform_weights(m) for m in members)
+    """Each instance, for the laws that read many interval members against
+    one profile: the capacity, the profile, its
+    :func:`~symsug.integrals._signed_minima`, folded once, and the signed
+    weights of the members.  In exhaustive mode a box of at most
+    GRID_LIMIT corners is enumerated and read once per capacity, since
+    enumerating draws nothing from the rng; any other box draws its members
+    per profile, in the order it always has, and each is read as drawn."""
+    planned = plan = None
+    for v, interval, f in _instances(config, rng, signed):
+        if interval is not planned:
+            planned, plan = interval, None
+            if config.exhaustive and _box(interval)[1] <= GRID_LIMIT:
+                plan = [_transform_weights(m) for m in _members(config, interval, rng)]
+        weights = plan
+        if weights is None:
+            weights = map(_transform_weights, _members(config, interval, rng))
         yield v, f, _signed_minima(f), weights
 
 

@@ -151,8 +151,8 @@ MUTANTS = (
     ),
     Mutant(
         "sugeno-mobius-takes-the-member-maximum", INTEGRALS,
-        "fold_members([x.signed for x in f.scores], min, m.scale.one.signed)",
-        "fold_members([x.signed for x in f.scores], max, 0)",
+        "_mobius_grade(weights, _signed_minima(f)[0])",
+        "_mobius_grade(weights, fold_members([x.signed for x in f.scores], max, 0))",
         ("tests/test_integrals.py::test_sugeno_mobius_equals_rank_form_for_every_member",),
     ),
     Mutant(
@@ -315,8 +315,8 @@ MUTANTS = (
     ),
     Mutant(
         "capacity-problems-misses-a-positive-empty-set", CAPACITY,
-        "    if nums[0] != 0:\n",
-        "    if nums[0] < 0:\n",
+        "    if signed[0] != 0:\n",
+        "    if signed[0] < 0:\n",
         ("tests/test_capacity.py::test_capacity_rejects_bad_boundaries",),
     ),
     Mutant(
@@ -343,6 +343,25 @@ MUTANTS = (
         "rank_sets(order[::-1], 0)",
         ("tests/test_mobius.py::test_necessity_transform_sits_on_tails_with_tie_gaps",),
     ),
+    # the signed-grade algebra, scale._sym_max_signed and scale._clip
+    Mutant(
+        "sym-max-kernel-keeps-the-smaller-magnitude", SCALE,
+        "return x if abs(x) > abs(y) else y",
+        "return x if abs(x) < abs(y) else y",
+        (
+            "tests/test_scale.py::test_sym_max_keeps_the_larger_magnitude",
+            "tests/test_scale.py::test_sym_max_closed_form",
+        ),
+    ),
+    Mutant(
+        "clip-only-from-above", SCALE,
+        "return max(-w, min(x, w))",
+        "return min(x, w)",
+        (
+            "tests/test_scale.py::test_sym_min_takes_smaller_magnitude",
+            "tests/test_scale.py::test_sym_min_closed_form",
+        ),
+    ),
     # the Sugeno side on signed grades
     Mutant(
         "sugeno-grade-reads-lower-sets", INTEGRALS,
@@ -352,26 +371,26 @@ MUTANTS = (
     ),
     Mutant(
         "symmetric-sugeno-keeps-the-loss-positive", INTEGRALS,
-        "gain if gain > loss else -loss if loss > gain else 0",
-        "gain if gain > loss else loss if loss > gain else 0",
+        "return v.scale.value(_sym_max_signed(gain, -loss))",
+        "return v.scale.value(_sym_max_signed(gain, loss))",
         SUGENO_GRADE_TESTS,
     ),
     Mutant(
         "rank-grades-clip-only-from-above", INTEGRALS,
-        "terms.append(max(-w, min(scores[i], w)))",
-        "terms.append(min(scores[i], w))",
+        "_clip(scores[i], table[mask].signed)",
+        "min(scores[i], table[mask].signed)",
         SUGENO_GRADE_TESTS,
     ),
     Mutant(
         "block-fold-keeps-the-smaller-magnitude", INTEGRALS,
-        "a if abs(a) > abs(b) else b",
-        "a if abs(a) < abs(b) else b",
+        "blocks[block] = _sym_max_signed(blocks[block], term)",
+        "blocks[block] = 0 if blocks[block] == -term else min(blocks[block], term, key=abs)",
         ("tests/test_integrals.py::test_transform_terms_and_blocks_match_per_mask_terms",),
     ),
     Mutant(
         "reconstruct-drops-the-weight", MOBIUS,
-        "term = max(-weight, min(entry.signed, weight))",
-        "term = entry.signed",
+        "result = max(result, _clip(entry.signed, weight))",
+        "result = max(result, entry.signed)",
         ("tests/test_mobius.py::test_reconstruct_matches_its_definition_on_every_mask",),
     ),
     Mutant(
@@ -413,17 +432,19 @@ MUTANTS = (
     ),
     Mutant(
         "minima-folded-once-per-capacity", VERIFY,
-        "                planned, read = members, [_transform_weights(m) for m in members]\n"
-        "            weights = read\n"
-        "        else:\n"
-        "            weights = (_transform_weights(m) for m in members)\n"
+        "            planned, plan = interval, None\n"
+        "            if config.exhaustive and _box(interval)[1] <= GRID_LIMIT:\n"
+        "                plan = [_transform_weights(m) for m in _members(config, interval, rng)]\n"
+        "        weights = plan\n"
+        "        if weights is None:\n"
+        "            weights = map(_transform_weights, _members(config, interval, rng))\n"
         "        yield v, f, _signed_minima(f), weights\n",
-        "                planned, read = members, [_transform_weights(m) for m in members]\n"
-        "                minima = _signed_minima(f)\n"
-        "            weights = read\n"
-        "        else:\n"
-        "            weights = (_transform_weights(m) for m in members)\n"
-        "            minima = _signed_minima(f)\n"
+        "            planned, plan, minima = interval, None, _signed_minima(f)\n"
+        "            if config.exhaustive and _box(interval)[1] <= GRID_LIMIT:\n"
+        "                plan = [_transform_weights(m) for m in _members(config, interval, rng)]\n"
+        "        weights = plan\n"
+        "        if weights is None:\n"
+        "            weights = map(_transform_weights, _members(config, interval, rng))\n"
         "        yield v, f, minima, weights\n",
         (TRANSFORM_KERNELS_TEST,),
     ),

@@ -60,6 +60,14 @@ def test_subset_text_roundtrip():
     assert parse_subset_text("{}", 3) == 0
 
 
+@pytest.mark.parametrize("mask", [-1, -6, -(1 << 70)])
+def test_a_negative_mask_is_refused_by_name(mask):
+    # -1 >> 1 is -1: a member walk that shifted it would never end
+    for render in (subset_members, subset_text):
+        with pytest.raises(ValueError, match=f"subset mask {mask} is negative"):
+            render(mask)
+
+
 @given(st.integers(min_value=0, max_value=63))
 def test_parse_inverts_format(mask):
     assert parse_subset_text(subset_text(mask), 6) == mask

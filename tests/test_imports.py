@@ -1,6 +1,7 @@
 """Every module-level import in the library is used by its module, every
-private helper is read somewhere in the package, and the package exports
-exactly the README's "Library API" list.
+private helper is read somewhere in the package and every private function
+is reached from live code, and the package exports exactly the README's
+"Library API" list.
 
 `__init__.py` is left out of the first check: it imports names only to
 re-export them.  The second set of tests pins it instead.
@@ -81,21 +82,60 @@ def private_definitions(tree: ast.Module) -> list[str]:
     return [name for name in names if name[:1] == "_" and name[:2] != "__"]
 
 
+def read_names(tree: ast.AST) -> set[str]:
+    """The names and attributes read anywhere under ``tree``."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def package_trees() -> list[ast.Module]:
+    return [ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")]
+
+
 def test_every_private_helper_is_read_somewhere_in_the_package():
     """A helper that nothing reads is dead code, such as a kernel left
     behind when its callers moved to another one."""
-    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")]
-    read = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    trees = package_trees()
+    read = set().union(*map(read_names, trees))
     defined = [name for tree in trees for name in private_definitions(tree)]
     assert len(defined) > 50  # the scan sees the helpers
     orphans = [name for name in defined if name not in read]
     assert orphans == [], f"private helpers nothing reads: {orphans}"
+
+
+def test_every_private_function_is_reached_from_live_code():
+    """Every module-level private function is read from a public
+    definition, a decorated (registered) function or module-level code,
+    directly or through private functions that are: a wrapper left behind
+    by a refactor fails, and so does the helper only it read."""
+    helpers: dict[str, set[str]] = {}  # undecorated private function -> reads
+    live: set[str] = set()
+    for tree in package_trees():
+        for node in tree.body:
+            helper = (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.decorator_list
+                and node.name[:1] == "_"
+                and node.name[:2] != "__"
+            )
+            if helper:
+                helpers.setdefault(node.name, set()).update(read_names(node))
+            else:
+                live |= read_names(node)
+    assert len(helpers) > 50  # the scan sees the helpers
+    frontier = live & helpers.keys()
+    reached = set()
+    while frontier:
+        name = frontier.pop()
+        reached.add(name)
+        frontier |= (helpers[name] & helpers.keys()) - reached
+    dead = sorted(helpers.keys() - reached)
+    assert dead == [], f"private functions no live code reaches: {dead}"
 
 
 # -- the package namespace ------------------------------------------------------

@@ -55,8 +55,9 @@ from symsug.integrals import (
 )
 from symsug.verify import (
     VerifyConfig,
-    _instance_members,
+    _instances,
     _member_weights,
+    _members,
     iter_capacities,
     iter_profiles,
     sample_capacity,
@@ -594,7 +595,11 @@ def test_transform_forms_equal_their_kernels_on_once_folded_minima():
     config = VerifyConfig(n=2, levels=2)
     checked = 0
     for signed in (True, False):
-        instances = _instance_members(config, Random(0), signed)
+        rng = Random(0)
+        instances = (
+            (v, f, _members(config, interval, rng))
+            for v, interval, f in _instances(config, rng, signed)
+        )
         fed = _member_weights(config, Random(0), signed)
         pairs = zip(instances, fed, strict=True)
         for (v, f, members), (_, g, (gains, losses), weighted) in pairs:

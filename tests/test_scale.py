@@ -1,6 +1,8 @@
 """Scale values and the signed max/min algebra."""
 
 from fractions import Fraction
+from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -27,7 +29,13 @@ from symsug import (
 )
 from symsug.mobius import is_solution, mobius_necessity, mobius_possibility
 from symsug.rules import is_fold_unambiguous
-from symsug.scale import MAX_UNIT_EXPONENT, MAX_UNIT_TEXT, _exact
+from symsug.scale import (
+    MAX_UNIT_EXPONENT,
+    MAX_UNIT_TEXT,
+    _clip,
+    _exact,
+    _sym_max_signed,
+)
 
 UNIT = unit_scale()
 L3 = levels_scale(3)
@@ -384,6 +392,25 @@ def test_reflection_distributes(a, b):
     assert -sym_max(a, b) == sym_max(-a, -b)
     assert -sym_min(a, b) == sym_min(-a, b)
     assert sym_min(-a, -b) == sym_min(a, b)
+
+
+def test_the_signed_kernels_give_what_sym_max_and_sym_min_give():
+    # every pair of grades of a levels scale, then a seeded unit-scale sample
+    rng = Random(0)
+
+    def unit():
+        den = rng.randint(1, 12)
+        return UNIT.value(Fraction(rng.randint(-den, den), den))
+
+    pairs = list(product(L3.signed_values(), repeat=2))
+    pairs += [(unit(), unit()) for _ in range(400)]
+    clipped = 0
+    for a, b in pairs:
+        assert _sym_max_signed(a.signed, b.signed) == sym_max(a, b).signed
+        if b.sign >= 0:  # _clip takes a nonnegative bound
+            assert _clip(a.signed, b.signed) == sym_min(a, b).signed
+            clipped += 1
+    assert clipped > 28 + 150  # the 28 grade pairs and about half the sample
 
 
 def test_sym_max_association_can_fail_after_a_cancellation():

@@ -228,17 +228,19 @@ def test_member_plans_yield_the_per_profile_members_in_draw_order(monkeypatch, c
 
     def per_profile(rng):
         for v, interval, f in verify._instances(config, rng, True):
-            yield v, f, list(verify._members(config, interval, rng))
+            members = verify._members(config, interval, rng)
+            weights = [verify._transform_weights(m) for m in members]
+            yield v, f, verify._signed_minima(f), weights
 
     reference, planned = Random(3), Random(3)
     expected = list(per_profile(reference))
     got = [
-        (v, f, list(members))
-        for v, f, members in verify._instance_members(config, planned, True)
+        (v, f, minima, list(weights))
+        for v, f, minima, weights in verify._member_weights(config, planned, True)
     ]
     assert got == expected
     assert reference.random() == planned.random()
-    volumes = {verify._box(ordinal_mobius_interval(v))[1] for v, _, _ in got}
+    volumes = {verify._box(ordinal_mobius_interval(v))[1] for v, *_ in got}
     assert min(volumes) <= 2 < max(volumes)
 
 
