@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from operator import eq
+from itertools import islice, repeat
+from operator import eq, le
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .scale import ScaleError, ScaleValue, SymmetricScale, _scale_of, check_scale, sym_max
@@ -43,9 +43,14 @@ def subsets(n: int) -> range:
     return range(1 << n)
 
 
-def subset_members(mask: int) -> tuple[int, ...]:
+def _check_mask(mask: int) -> None:
+    # a negative int has infinitely many one bits, so no walk would end
     if mask < 0:
         raise ValueError(f"subset mask {mask} is negative")
+
+
+def subset_members(mask: int) -> tuple[int, ...]:
+    _check_mask(mask)
     members = []
     i = 1
     while mask:
@@ -73,11 +78,13 @@ def subset_text(mask: int) -> str:
 @lru_cache(maxsize=1)
 def _subset_keys(n: int) -> tuple[str, ...]:
     """The subset strings of {1..n} in mask order, built once per n: the
-    masks with highest member i are the earlier masks with i added."""
-    bodies = [""]
+    masks with highest member i are {i} and the earlier nonempty masks
+    with i added, written before their closing brace."""
+    keys = ["{}"]
     for i in range(1, n + 1):
-        bodies += [f"{body},{i}" if body else str(i) for body in bodies]
-    return tuple(f"{{{body}}}" for body in bodies)
+        keys.append(f"{{{i}}}")
+        keys += map(str.replace, keys[1:-1], repeat("}"), repeat(f",{i}}}"))
+    return tuple(keys)
 
 
 def parse_subset_text(text: str, n: int) -> int:
@@ -104,7 +111,9 @@ def parse_subset_text(text: str, n: int) -> int:
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
-    """Every subset of ``mask``, including 0 and ``mask`` itself."""
+    """Every subset of ``mask``, including 0 and ``mask`` itself; a
+    negative mask raises ValueError when the walk starts."""
+    _check_mask(mask)
     sub = mask
     while True:
         yield sub
@@ -114,7 +123,9 @@ def iter_submasks(mask: int) -> Iterator[int]:
 
 
 def covers_of(mask: int) -> Iterator[int]:
-    """The sets obtained from ``mask`` by dropping one member."""
+    """The sets obtained from ``mask`` by dropping one member; a negative
+    mask raises ValueError when the walk starts."""
+    _check_mask(mask)
     rest = mask
     while rest:
         bit = rest & -rest
@@ -124,12 +135,13 @@ def covers_of(mask: int) -> Iterator[int]:
 
 def fold_members(values: Sequence, combine: Callable, empty: Any) -> list:
     """The fold of ``values[i - 1]`` over the members i of each subset, in
-    mask order with ``empty`` at 0; each entry extends the entry of its
-    mask without the lowest member, in O(2^n) in all."""
+    mask order with ``empty`` at 0, for an associative and commutative
+    ``combine``; in O(2^n) in all.  The masks whose highest member is i
+    follow the masks below them, so each player doubles the table: every
+    entry so far, combined with its value."""
     table = [empty]
-    for mask in range(1, 1 << len(values)):
-        low = mask & -mask
-        table.append(combine(table[mask ^ low], values[low.bit_length() - 1]))
+    for x in values:
+        table += list(map(combine, table, repeat(x)))
     return table
 
 
@@ -145,6 +157,26 @@ def zeta(table: Sequence, combine: Callable) -> list:
                 table[mask] = combine(table[mask], table[mask ^ bit])
         bit <<= 1
     return table
+
+
+def _slice_pairs(size: int) -> Iterator[tuple[slice, slice]]:
+    """Slice pairs over a table of ``size`` = 2**n entries that match each
+    mask without a player with the mask that adds it, entry for entry,
+    for every player in turn.  For player bit b the masks without it come
+    in blocks of b every 2b entries, each followed by its partner block:
+    the pairs are strided slices, one per offset in a block, when
+    b <= size / 2b, and the contiguous blocks otherwise, so each player
+    takes the fewer and longer slices."""
+    bit = 1
+    while bit < size:
+        step = 2 * bit
+        if bit * step <= size:
+            for start in range(bit):
+                yield slice(start, size, step), slice(start + bit, size, step)
+        else:
+            for start in range(0, size, step):
+                yield slice(start, start + bit), slice(start + bit, start + step)
+        bit = step
 
 
 def rank_sets(order: Sequence[int], p: int) -> list[int]:
@@ -316,16 +348,36 @@ class Capacity(SetFunction):
         return cls(n, scale, _coerce_table(n, scale, values))
 
 
-def _trusted_capacity(
-    n: int, scale: SymmetricScale, table: tuple[ScaleValue, ...]
-) -> Capacity:
-    """A capacity built with no checks, for a dense table of values on
-    ``scale`` that is the image of a checked capacity under a map known to
-    keep the axioms, such as a strictly increasing map fixing 0 and 1."""
-    capacity = object.__new__(Capacity)
-    for name, value in (("n", n), ("scale", scale), ("table", table)):
-        object.__setattr__(capacity, name, value)
-    return capacity
+def _trusted(cls: type, **fields: Any) -> Any:
+    """A ``cls`` built from ``fields`` with no checks, for fields known to
+    pass them: a table read from an object that was checked and, for a
+    :class:`Capacity`, a table that :func:`_check_capacity` passed, or the
+    image of one under a map known to keep the axioms, such as a strictly
+    increasing map fixing 0 and 1."""
+    built = object.__new__(cls)
+    built.__dict__.update(fields)
+    return built
+
+
+def _check_capacity(
+    n: int, scale: SymmetricScale, table: Sequence[ScaleValue]
+) -> None:
+    """Raise CapacityError, with every violation :func:`capacity_problems`
+    lists, unless the dense table keeps the capacity axioms: 0 at the
+    empty set, the top at the full set, and each mask without a player at
+    most the mask with it, compared slice by slice on the signed values
+    (every entry is then at least the empty set's 0).  Only a table that
+    fails is walked again, for the messages.  Loaded documents are checked
+    so; :class:`Capacity` keeps the walk, which is faster on the small
+    tables the law suite builds, since each slice pair has a fixed cost."""
+    signed = [x.signed for x in table]
+    pairs = _slice_pairs(len(signed))
+    if not (
+        signed[0] == 0
+        and signed[-1] == scale.one.signed
+        and all(all(map(le, signed[lo], signed[hi])) for lo, hi in pairs)
+    ):
+        raise CapacityError("; ".join(capacity_problems(n, scale, table)))
 
 
 def capacity_problems(

@@ -17,18 +17,24 @@ order, signs and opposites, and the ranked scale prints every grade as the
 value it stands for.  The Choquet family stays on rationals.  The capacity
 is validated once, on loading, on its ranks: the rank map is strictly
 increasing, odd, and sends 0 and 1 to the ends of the ranked scale, so the
-ranks keep the capacity axioms exactly when the values do.  Every Sugeno
-output folds a term list through :func:`fold_sym_max` under its rule in
-``integrals.FOLD_RULES``, which the library reads too; ``sugeno_sym``
-and ``sugeno`` fold the explicit-form terms, which is exact by the law
+ranks keep the capacity axioms exactly when the values do.
+
+From loading to printing, both commands work on int grades: the values
+are wrapped and checked only where the document is read.  ``compute``
+builds each Sugeno output's term list as grades (the private kernels of
+the public ``ranked_terms``, ``variant1_terms`` and ``variant3_terms``),
+folds it with ``rules._fold_signed`` under its rule in
+``integrals.FOLD_RULES``, which the library reads too, and formats each
+distinct grade of the record once.  ``sugeno_sym`` and ``sugeno`` fold
+the explicit-form terms, which is exact by the law
 ``symmetric-sugeno-forms-agree``.
 
 ``mobius`` prints the canonical floor and angle tables from the
-interval's lower bound, computed and rendered once.  That is exact: the
-command only holds a capacity validated on loading, and on a capacity the
-canonical form under either rule is the lower bound (the law
-``canonical-equals-lower``, which checks it against
-:func:`canonical_ordinal_mobius`).
+interval's lower bound, computed, formatted and encoded once, and spliced
+into all three records.  That is exact: the command only holds a capacity
+validated on loading, and on a capacity the canonical form under either
+rule is the lower bound (the law ``canonical-equals-lower``, which checks
+it against :func:`canonical_ordinal_mobius`).
 """
 
 from __future__ import annotations
@@ -40,28 +46,29 @@ from typing import Sequence
 from .capacity import MAX_PLAYERS, CapacityError
 from .integrals import (
     FOLD_RULES,
+    _ranked_grades,
+    _variant1_grades,
+    _variant3_grades,
     choquet,
     choquet_asymmetric,
     choquet_symmetric,
-    ranked_terms,
     to_real_capacity,
     to_real_profile,
-    variant1_terms,
-    variant3_terms,
 )
 from .io import (
     MOBIUS_REPRESENTATIVES,
     OUTPUT_NAMES,
     ParseError,
     Problem,
-    _value_texts,
+    _grade_texts,
+    _spliced_line,
+    _table_record,
     fraction_text,
     read_problem,
     record_line,
-    set_function_record,
 )
 from .mobius import ordinal_mobius_interval
-from .rules import Rule, fold_sym_max
+from .rules import Rule, _fold_signed
 from .scale import ScaleError
 from .verify import VerifyConfig, law_names, run_laws
 
@@ -220,20 +227,21 @@ def _cmd_compute(args) -> int:
     representative = args.mobius or problem.options.mobius or "lower"
     v, f = problem.ranked()
 
-    order, split, ranked = ranked_terms(v, f)
+    order, split, ranked = _ranked_grades(v, f)
     if "v1" in names or "mobius_interval" in names:
         interval = ordinal_mobius_interval(v)
-    # the term lists diagnostics.terms shows, in its order
+    # the grade lists diagnostics.terms shows, in its order
     terms = {name: ranked for name in ("sugeno_sym", "v2") if name in names}
     if "v3" in names:
-        terms["v3"] = variant3_terms(v, f)
+        terms["v3"] = _variant3_grades(v, f)
     if "v1" in names:
         member = interval.lower if representative == "lower" else interval.upper
-        terms["v1"] = variant1_terms(member, f)
+        terms["v1"] = _variant1_grades(member, f)
     if any(name in CHOQUET_OUTPUTS for name in names):
         real_v = to_real_capacity(problem.capacity)
         real_f = to_real_profile(problem.profile)
 
+    texts: dict[int, str] = {}  # every grade of the record is formatted once
     record: dict[str, object] = {}
     for name in names:
         if name in CHOQUET_OUTPUTS:
@@ -241,20 +249,20 @@ def _cmd_compute(args) -> int:
         elif name in FOLD_RULES:
             # sugeno is defined on nonnegative profiles, where it is sugeno_sym
             listed = ranked if name == "sugeno" else terms[name]
-            record[name] = str(fold_sym_max(listed, FOLD_RULES[name], scale=v.scale))
+            folded = _fold_signed(listed, FOLD_RULES[name])
+            record[name] = _grade_texts(v.scale, [folded], texts)[0]
         elif name == "mobius_interval":
             record[name] = {
-                "lower": set_function_record(interval.lower),
-                "upper": set_function_record(interval.upper),
+                "lower": _table_record(interval.lower, texts),
+                "upper": _table_record(interval.upper, texts),
             }
 
     diagnostics: dict[str, object] = {"order": order, "p": split}
     if "v1" in names:
         diagnostics["mobius"] = representative
     if terms:
-        texts: dict[object, str] = {}  # the lists share most of their terms
         diagnostics["terms"] = {
-            name: _value_texts(listed, texts) for name, listed in terms.items()
+            name: _grade_texts(v.scale, listed, texts) for name, listed in terms.items()
         }
     record["diagnostics"] = diagnostics
     print(record_line(record))
@@ -292,22 +300,16 @@ def _cmd_verify(args) -> int:
 def _cmd_mobius(args) -> int:
     capacity, _ = read_problem(args.input).ranked()
     interval = ordinal_mobius_interval(capacity)
-    lower = set_function_record(interval.lower)
-    print(
-        record_line(
-            {
-                "transform": "interval",
-                "lower": lower,
-                "upper": set_function_record(interval.upper),
-            }
-        )
-    )
+    texts: dict[int, str] = {}  # the bounds share most of their grades
+    lower = record_line(_table_record(interval.lower, texts))
+    upper = record_line(_table_record(interval.upper, texts))
+    print(_spliced_line({"transform": "interval"}, {"lower": lower, "upper": upper}))
     # the capacity was validated on loading, and the canonical form of a
-    # capacity under either rule is the interval's lower bound
+    # capacity under either rule is the interval's lower bound, so all three
+    # records splice in its one encoding
     for rule in (Rule.FLOOR, Rule.ANGLE):
-        print(
-            record_line({"transform": "canonical", "rule": rule.value, "table": lower})
-        )
+        head = {"transform": "canonical", "rule": rule.value}
+        print(_spliced_line(head, {"table": lower}))
     return 0
 
 

@@ -39,6 +39,7 @@ from .capacity import (
     _check_pair,
     _check_players,
     _coerce_value,
+    _trusted,
     fold_members,
     full_set,
     rank_sets,
@@ -103,10 +104,11 @@ class Profile:
 
 def to_real_capacity(v: Capacity) -> RealSetFunction:
     """Unit-scale capacities as rational tables.  The Choquet family is not
-    defined on discrete level scales."""
+    defined on discrete level scales.  The entries of a unit-scale value
+    are exact rationals already, so they are not checked again."""
     if v.scale.kind != UNIT:
         raise ScaleError("the Choquet family needs the unit scale")
-    return RealSetFunction(v.n, tuple(entry.signed for entry in v.table))
+    return _trusted(RealSetFunction, n=v.n, table=tuple(x.signed for x in v.table))
 
 
 def to_real_profile(f: Profile) -> tuple[Fraction, ...]:

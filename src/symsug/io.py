@@ -7,8 +7,11 @@ values travel as exact text (fractions or terminating decimals); binary
 floats are rejected so that every number survives a round trip.  No
 object may repeat a key.  Capacity keys listed in mask order are read by
 position, and any other listing key by key (``capacity._read_subset_table``).
-A unit-scale capacity is validated once, on the ranks that
-:meth:`Problem.ranked` returns, which are built on loading.
+Each distinct value of a document, in its profile or its capacity, is
+parsed and wrapped once.  A capacity is validated once, on its signed
+grades (``capacity._check_capacity``): a unit-scale one on the ranks that
+:meth:`Problem.ranked` returns, which are built on loading, so both
+capacities are built with no second check.
 
 Malformed documents raise :class:`ParseError`; documents that parse but
 describe an invalid instance (an off-scale value, a non-monotone
@@ -23,18 +26,20 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .capacity import (
     Capacity,
     SetFunction,
+    _check_capacity,
     _read_subset_table,
     _subset_keys,
-    _trusted_capacity,
+    _trusted,
 )
 from .integrals import Profile
 from .scale import (
     UNIT,
+    Number,
     OffScaleError,
     ScaleError,
     ScaleValue,
@@ -108,7 +113,8 @@ class Problem:
             return self._ranked
         if self.scale.kind != UNIT:
             return self.capacity, self.profile
-        return _ranked_unit(self.n, self.capacity.table, self.profile.scores)
+        table, scores = self.capacity.table, self.profile.scores
+        return _ranked_unit(self.n, table, scores, (*table, *scores))
 
 
 def _compare_ratios(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -122,10 +128,14 @@ _BY_RATIO = cmp_to_key(_compare_ratios)
 
 
 def _ranked_unit(
-    n: int, table: Sequence[ScaleValue], scores: Sequence[ScaleValue]
+    n: int,
+    table: Sequence[ScaleValue],
+    scores: Sequence[ScaleValue],
+    values: Sequence[ScaleValue],
 ) -> tuple[Capacity, Profile]:
     """The ranked capacity and profile of :meth:`Problem.ranked` for a dense
-    table and scores on the unit scale; the capacity is validated here.
+    table and scores on the unit scale, which hold no value object missing
+    from ``values``; the capacity is validated here, on its grades.
 
     The rank map is strictly increasing, odd and fixes 0 and 1, even when
     the table lacks them, so every negativity, boundary and cover check of
@@ -135,7 +145,6 @@ def _ranked_unit(
     # values parsed from the same text are one object, so each object is
     # read once, keyed by id; magnitudes are keyed by (numerator,
     # denominator), since hashing a Fraction calls pow()
-    values = (*table, *scores)
     distinct = dict(zip(map(id, values), values))
     ratios = {key: x.signed.as_integer_ratio() for key, x in distinct.items()}
     # each magnitude once, as its reduced (numerator, denominator) pair, in
@@ -150,7 +159,9 @@ def _ranked_unit(
     for key, (num, den) in ratios.items():
         i = rank[abs(num), den]
         grade[key] = scale.value(-i if num < 0 else i)
-    capacity = Capacity(n, scale, tuple(map(grade.__getitem__, map(id, table))))
+    ranked = tuple(map(grade.__getitem__, map(id, table)))
+    _check_capacity(n, scale, ranked)
+    capacity = _trusted(Capacity, n=n, scale=scale, table=ranked)
     return capacity, Profile(scale, tuple(map(grade.__getitem__, map(id, scores))))
 
 
@@ -180,17 +191,24 @@ def load_problem(text: str) -> Problem:
             raise ParseError(f"missing problem key: {key!r}")
 
     scale = _parse_scale(document["scale"])
-    profile = _parse_profile(scale, document["profile"])
+    parsed: dict[str | int, ScaleValue] = {}  # shared by the value parsers
+    profile = _parse_profile(
+        scale, document["profile"], _value_parser(scale, parsed, "profile")
+    )
     players = _parse_players(document.get("players"), profile.n)
-    table = _parse_capacity(scale, profile.n, document["capacity"])
+    table = _parse_capacity(
+        scale, profile.n, document["capacity"], _value_parser(scale, parsed, "capacity")
+    )
     # the capacity is validated once: on ranks for the unit scale, whose
     # checked ranked capacity vouches for the unit-scale one
     if scale.kind == UNIT:
-        ranked = _ranked_unit(profile.n, table, profile.scores)
-        capacity = _trusted_capacity(profile.n, scale, table)
+        # every value is one the parsers kept, or the empty set's default 0
+        values = (*parsed.values(), table[0])
+        ranked = _ranked_unit(profile.n, table, profile.scores, values)
     else:
         ranked = None
-        capacity = Capacity(profile.n, scale, table)
+        _check_capacity(profile.n, scale, table)
+    capacity = _trusted(Capacity, n=profile.n, scale=scale, table=table)
     options = _parse_options(document.get("options"))
     problem = Problem(scale, players, capacity, profile, options)
     object.__setattr__(problem, "_ranked", ranked)
@@ -257,13 +275,35 @@ def _parse_value(scale: SymmetricScale, raw: Any, where: str) -> ScaleValue:
     raise ParseError(f"{where}: expected a string or integer, got {type(raw).__name__}")
 
 
-def _parse_profile(scale: SymmetricScale, raw: Any) -> Profile:
+# parse(item, raw): one value of a document, named by its item there
+_Parser = Callable[[Any, Any], ScaleValue]
+
+
+def _value_parser(
+    scale: SymmetricScale, parsed: dict[str | int, ScaleValue], place: str
+) -> _Parser:
+    """:func:`_parse_value` on ``scale`` as ``parse(item, raw)``, naming the
+    value ``place[item]``.  Documents repeat few values many times, so
+    ``parsed``, shared by every parser of one document, keeps each value
+    read from text, keyed by the text, or from an int, keyed by the int.
+    A bool equals an int (True == 1) and a float may equal one, so neither
+    is kept and each raises its own error; errors are never kept."""
+
+    def parse(item: Any, raw: Any) -> ScaleValue:
+        if type(raw) is str or type(raw) is int:
+            hit = parsed.get(raw)
+            if hit is None:
+                hit = parsed[raw] = _parse_value(scale, raw, f"{place}[{item!r}]")
+            return hit
+        return _parse_value(scale, raw, f"{place}[{item!r}]")
+
+    return parse
+
+
+def _parse_profile(scale: SymmetricScale, raw: Any, parse: _Parser) -> Profile:
     if not isinstance(raw, list) or not raw:
         raise ParseError("'profile' must be a non-empty list of scale values")
-    scores = tuple(
-        _parse_value(scale, item, f"profile[{i}]") for i, item in enumerate(raw)
-    )
-    return Profile(scale, scores)
+    return Profile(scale, tuple(parse(i, item) for i, item in enumerate(raw)))
 
 
 def _parse_players(raw: Any, n: int) -> tuple[str, ...] | None:
@@ -281,24 +321,12 @@ def _parse_players(raw: Any, n: int) -> tuple[str, ...] | None:
 
 
 def _parse_capacity(
-    scale: SymmetricScale, n: int, raw: Any
+    scale: SymmetricScale, n: int, raw: Any, parse: _Parser
 ) -> tuple[ScaleValue, ...]:
-    """The dense capacity table of a document, not yet validated."""
+    """The dense capacity table of a document, each value read by
+    ``parse(key, value)``, not yet validated."""
     if not isinstance(raw, dict):
         raise ParseError("'capacity' must map subset strings to scale values")
-
-    # capacities repeat few values many times; only text is memoised, so
-    # True, 1 and 1.0 cannot share an entry, and errors are never stored
-    parsed: dict[str, ScaleValue] = {}
-
-    def parse(key: str, value: Any) -> ScaleValue:
-        if type(value) is str:
-            hit = parsed.get(value)
-            if hit is None:
-                hit = parsed[value] = _parse_value(scale, value, f"capacity[{key!r}]")
-            return hit
-        return _parse_value(scale, value, f"capacity[{key!r}]")
-
     return _read_subset_table(n, scale, raw, parse, ParseError)
 
 
@@ -338,19 +366,43 @@ def fraction_text(value: Fraction) -> str:
 
 def set_function_record(sf: SetFunction) -> dict[str, str]:
     """A set function as an ordered subset-string table."""
-    return dict(zip(_subset_keys(sf.n), _value_texts(sf.table, {})))
+    return _table_record(sf, {})
 
 
-def _value_texts(values: Sequence[ScaleValue], texts: dict[Any, str]) -> list[str]:
-    """The text of each value, formatting each distinct value once.
-    ``texts`` maps the signed numbers of values on the same scale to the
-    texts already formatted, and gains the new ones."""
-    for x in values:
-        if x.signed not in texts:
-            texts[x.signed] = str(x)
-    return [texts[x.signed] for x in values]
+def _table_record(sf: SetFunction, texts: dict[Number, str]) -> dict[str, str]:
+    """:func:`set_function_record`, formatting through ``texts`` as
+    :func:`_grade_texts` does."""
+    grades = [x.signed for x in sf.table]
+    return dict(zip(_subset_keys(sf.n), _grade_texts(sf.scale, grades, texts)))
+
+
+def _grade_texts(
+    scale: SymmetricScale, grades: Sequence[Number], texts: dict[Number, str]
+) -> list[str]:
+    """The text of the value of each signed number on ``scale``, formatting
+    each distinct number once.  ``texts`` maps the numbers of values on the
+    same scale to the texts already formatted, and gains the new ones."""
+    for grade in set(grades).difference(texts):
+        texts[grade] = str(scale.value(grade))
+    return list(map(texts.__getitem__, grades))
+
+
+# json.dumps builds an encoder on every call that changes a default
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def record_line(record: Mapping[str, Any]) -> str:
     """One result record as one line of JSON, key order preserved."""
-    return json.dumps(record, ensure_ascii=False)
+    return _ENCODER.encode(record)
+
+
+def _spliced_line(head: Mapping[str, Any], encoded: Mapping[str, str]) -> str:
+    """:func:`record_line` of ``head`` followed by the keys of ``encoded``,
+    whose values come already encoded by :func:`record_line`, so that a
+    large table shared by several records is encoded once.  The line is
+    joined once, so no partial copy of a large table is made."""
+    parts = [record_line(head)[:-1]]
+    for key, text in encoded.items():
+        parts += (", ", _ENCODER.encode(key), ": ", text)
+    parts.append("}")
+    return "".join(parts)

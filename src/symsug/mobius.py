@@ -23,6 +23,8 @@ from .capacity import (
     _check_pair,
     _dense_table,
     _distribution_scale,
+    _slice_pairs,
+    _trusted,
     full_set,
     iter_submasks,
     rank_sets,
@@ -97,18 +99,22 @@ class MobiusInterval:
 def ordinal_mobius_interval(v: Capacity) -> MobiusInterval:
     """Closed-form bounds of the nonnegative solution set: the upper bound is
     v itself; the lower bound keeps v(A) where v strictly exceeds v on every
-    cover A minus {i} and is 0 elsewhere."""
-    zero = v.scale.zero
+    cover A minus {i} and is 0 elsewhere.  The largest cover of every mask
+    is gathered one player at a time, slice by slice, on the signed values;
+    both bounds hold values taken from v, which was checked on building."""
     signed = [x.signed for x in v.table]
-    bits = [1 << i for i in range(v.n)]
-    lower = [zero]  # the empty set has no cover, and v is 0 there
-    for mask in range(1, 1 << v.n):
-        # the covers are nonnegative, so their floor fold is their max
-        below = max([signed[mask ^ bit] for bit in bits if mask & bit])
-        lower.append(v.table[mask] if signed[mask] > below else zero)
+    # a capacity is nonnegative, so 0 starts every maximum, and the empty
+    # set, which has no cover, keeps its 0
+    below = [0] * len(signed)
+    for lo, hi in _slice_pairs(len(signed)):
+        below[hi] = [b if b > x else x for b, x in zip(below[hi], signed[lo])]
+    zero = v.scale.zero
+    lower = tuple(
+        x if s > cover else zero for x, s, cover in zip(v.table, signed, below)
+    )
     return MobiusInterval(
-        lower=SetFunction(v.n, v.scale, tuple(lower)),
-        upper=SetFunction(v.n, v.scale, v.table),
+        lower=_trusted(SetFunction, n=v.n, scale=v.scale, table=lower),
+        upper=_trusted(SetFunction, n=v.n, scale=v.scale, table=v.table),
     )
 
 

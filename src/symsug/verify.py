@@ -85,6 +85,7 @@ from .rules import Rule, _fold_signed, fold_sym_max, is_fold_unambiguous
 from .scale import (
     ScaleValue,
     SymmetricScale,
+    _format_fraction,
     levels_scale,
     sym_max,
     sym_min,
@@ -910,9 +911,9 @@ def _rational_instances(config: VerifyConfig, rng: Random):
 def _classical_roundtrip(v: RealSetFunction):
     """Zeta of the alternating-sum transform is the identity."""
     if classical_zeta(classical_mobius(v)).table != v.table:
-        return f"roundtrip fails on {v.table}"
+        return f"roundtrip fails on {_rationals(v.table)}"
     if classical_mobius(classical_zeta(v)).table != v.table:
-        return f"reverse roundtrip fails on {v.table}"
+        return f"reverse roundtrip fails on {_rationals(v.table)}"
 
 
 @_law(
@@ -1157,14 +1158,14 @@ def _choquet_forms(v: RealSetFunction, signed: list[Fraction]):
     m = classical_mobius(v)
     nonneg = [abs(x) for x in signed]
     if choquet_mobius(m, nonneg) != choquet(v, nonneg):
-        return f"transform != layer form on {v.table}, f={nonneg}"
+        return f"transform != layer form on {_real_at(v, nonneg)}"
     if choquet_mobius(m, signed) != choquet_asymmetric(v, signed):
-        return f"transform != asymmetric on {v.table}, f={signed}"
+        return f"transform != asymmetric on {_real_at(v, signed)}"
     symmetric = choquet_symmetric(v, signed)
     if sipos_mobius(m, signed) != symmetric:
-        return f"transform != split form on {v.table}, f={signed}"
+        return f"transform != split form on {_real_at(v, signed)}"
     if choquet_symmetric_explicit(v, signed) != symmetric:
-        return f"one-pass != split form on {v.table}, f={signed}"
+        return f"one-pass != split form on {_real_at(v, signed)}"
 
 
 @_law(
@@ -1177,9 +1178,9 @@ def _choquet_conjugation(v: RealSetFunction, f: list[Fraction]):
     conjugate and negates the symmetric integral in place."""
     neg = [-x for x in f]
     if choquet_asymmetric(v, neg) != -choquet_asymmetric(real_conjugate(v), f):
-        return f"conjugation fails on {v.table}, f={f}"
+        return f"conjugation fails on {_real_at(v, f)}"
     if choquet_symmetric(v, neg) != -choquet_symmetric(v, f):
-        return f"symmetry fails on {v.table}, f={f}"
+        return f"symmetry fails on {_real_at(v, f)}"
 
 
 def _member_weights(
@@ -1526,6 +1527,16 @@ def _worked_example_goldens(config: VerifyConfig, rng: Random | None):
 
 def _show(values: Iterable[ScaleValue]) -> str:
     return "(" + ", ".join(str(a) for a in values) + ")"
+
+
+def _rationals(values: Iterable[Fraction]) -> str:
+    """Rationals as exact text, in the form the unit scale prints."""
+    texts = (_format_fraction(*x.as_integer_ratio()) for x in values)
+    return "(" + ", ".join(texts) + ")"
+
+
+def _real_at(v: RealSetFunction, f: Sequence[Fraction]) -> str:
+    return f"{_rationals(v.table)}, f={_rationals(f)}"
 
 
 def _table(v: SetFunction) -> str:

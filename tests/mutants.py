@@ -79,6 +79,20 @@ TRANSFORM_KERNELS_TEST = (
     "test_transform_forms_equal_their_kernels_on_once_folded_minima"
 )
 
+SLICED_CHECK_TEST = (
+    "tests/test_capacity.py::"
+    "test_the_sliced_check_agrees_with_capacity_problems_on_broken_tables"
+)
+INTERVAL_KERNEL_TEST = (
+    "tests/test_mobius.py::test_interval_kernel_matches_its_subset_walk_definition"
+)
+SLICE_PAIR_TESTS = (
+    "tests/test_capacity.py::"
+    "test_slice_pairs_match_each_mask_with_the_mask_adding_a_player",
+    SLICED_CHECK_TEST,
+    INTERVAL_KERNEL_TEST,
+)
+
 MUTANTS = (
     # the subset kernels
     Mutant(
@@ -94,10 +108,9 @@ MUTANTS = (
         ZETA_TESTS,
     ),
     Mutant(
-        "fold-members-extends-the-mask-without-its-highest-member", CAPACITY,
-        "combine(table[mask ^ low], values[low.bit_length() - 1])",
-        "combine(table[mask ^ (1 << (mask.bit_length() - 1))], "
-        "values[low.bit_length() - 1])",
+        "fold-members-doubles-with-the-players-reversed", CAPACITY,
+        "    for x in values:\n        table += list(map(combine, table, repeat(x)))\n",
+        "    for x in values[::-1]:\n        table += list(map(combine, table, repeat(x)))\n",
         FOLD_MEMBERS_TESTS,
     ),
     Mutant(
@@ -278,20 +291,23 @@ MUTANTS = (
     ),
     Mutant(
         "subset-keys-in-the-wrong-member-order", CAPACITY,
-        'f"{body},{i}" if body',
-        'f"{i},{body}" if body',
+        'repeat("}"), repeat(f",{i}}}")',
+        'repeat("{"), repeat(f"{{{i},")',
         ("tests/test_io.py::test_subset_keys_match_the_subset_text_of_each_mask",),
     ),
     Mutant(
         "interval-keeps-ties-with-a-cover", MOBIUS,
-        "signed[mask] > below",
-        "signed[mask] >= below",
-        ("tests/test_mobius.py::test_interval_is_exactly_the_brute_force_solution_set",),
+        "x if s > cover else zero",
+        "x if s >= cover else zero",
+        (
+            "tests/test_mobius.py::test_interval_is_exactly_the_brute_force_solution_set",
+            INTERVAL_KERNEL_TEST,
+        ),
     ),
     Mutant(
         "mobius-prints-the-upper-bound-as-canonical", CLI,
-        '"rule": rule.value, "table": lower}',
-        '"rule": rule.value, "table": set_function_record(interval.upper)}',
+        'print(_spliced_line(head, {"table": lower}))',
+        'print(_spliced_line(head, {"table": upper}))',
         ("tests/test_cli.py::test_mobius_canonical_records_match_their_definition",),
     ),
     # the argv-named parser, cli._build_parser
@@ -317,7 +333,7 @@ MUTANTS = (
         "capacity-problems-misses-a-positive-empty-set", CAPACITY,
         "    if signed[0] != 0:\n",
         "    if signed[0] < 0:\n",
-        ("tests/test_capacity.py::test_capacity_rejects_bad_boundaries",),
+        ("tests/test_capacity.py::test_capacity_rejects_bad_boundaries", SLICED_CHECK_TEST),
     ),
     Mutant(
         "chain-sum-keeps-the-first-layer", INTEGRALS,
@@ -462,6 +478,43 @@ MUTANTS = (
             "tests/test_verify.py::"
             "test_member_plans_yield_the_per_profile_members_in_draw_order",
         ),
+    ),
+    # the per-player slice pairs, the sliced capacity check and the load memo
+    Mutant(
+        "slice-pairs-with-the-wrong-stride", CAPACITY,
+        "yield slice(start, size, step), slice(start + bit, size, step)",
+        "yield slice(start, size, bit), slice(start + bit, size, bit)",
+        SLICE_PAIR_TESTS,
+    ),
+    Mutant(
+        "slice-pairs-with-swapped-halves", CAPACITY,
+        "yield slice(start, start + bit), slice(start + bit, start + step)",
+        "yield slice(start + bit, start + step), slice(start, start + bit)",
+        SLICE_PAIR_TESTS,
+    ),
+    Mutant(
+        "slice-pairs-one-block-short", CAPACITY,
+        "for start in range(0, size, step):",
+        "for start in range(0, size - step, step):",
+        SLICE_PAIR_TESTS,
+    ),
+    Mutant(
+        "sliced-check-refuses-equal-covers", CAPACITY,
+        "all(map(le, signed[lo], signed[hi]))",
+        "all(map(__import__('operator').lt, signed[lo], signed[hi]))",
+        ("tests/test_capacity.py::test_the_sliced_check_passes_every_enumerated_capacity",),
+    ),
+    Mutant(
+        "interval-record-splices-upper-for-lower", CLI,
+        '{"lower": lower, "upper": upper}',
+        '{"lower": upper, "upper": upper}',
+        ("tests/test_cli.py::test_mobius_lines_are_the_record_lines_of_their_records",),
+    ),
+    Mutant(
+        "memo-lets-true-share-the-entry-of-1", IO,
+        "if type(raw) is str or type(raw) is int:",
+        "if isinstance(raw, (str, int)):",
+        ("tests/test_io.py::test_a_value_equal_to_a_parsed_int_keeps_its_own_error",),
     ),
     Mutant(
         "asymmetric-choquet-reads-1-minus-v-upper", INTEGRALS,

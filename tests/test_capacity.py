@@ -1,10 +1,14 @@
 """Subset encoding, set functions, capacities and the named families."""
 
 import operator
+import subprocess
+import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
+from itertools import permutations, product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -24,8 +28,11 @@ from symsug import (
     unanimity,
     unit_scale,
 )
+import symsug
 from symsug.capacity import (
     MAX_PLAYERS,
+    _check_capacity,
+    _slice_pairs,
     capacity_problems,
     covers_of,
     fold_members,
@@ -42,6 +49,7 @@ from symsug.capacity import (
     zeta,
 )
 from symsug.mobius import mobius_necessity, mobius_possibility
+from symsug.verify import iter_capacities, sample_capacity
 from conftest import make_capacity
 
 L2 = levels_scale(2)
@@ -107,6 +115,28 @@ def test_submask_and_cover_enumeration():
     assert list(covers_of(0)) == []
 
 
+@pytest.mark.parametrize("walk", ["covers_of", "iter_submasks"])
+def test_a_negative_mask_ends_each_subset_walk(walk):
+    # a walk that read the bits of -1 would never end, so it runs in a
+    # child process under a timeout; the loop keeps nothing it yields
+    code = (
+        f"from symsug.capacity import {walk}\n"
+        "try:\n"
+        f"    for _ in {walk}(-1): pass\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(symsug.__file__).resolve().parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={"PYTHONPATH": src},
+    )
+    assert child.stdout == "subset mask -1 is negative\n"
+
+
 def test_subsets_is_the_full_power_set():
     assert list(subsets(2)) == [0, 1, 2, 3]
     assert full_set(3) == 0b111
@@ -155,6 +185,24 @@ def test_zeta_with_a_difference_inverts_zeta_with_a_sum(n):
     assert zeta(zeta(table, operator.sub), operator.add) == table
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_slice_pairs_match_each_mask_with_the_mask_adding_a_player(n):
+    size = 1 << n
+    masks = list(range(size))
+    pairs = []
+    for lo, hi in _slice_pairs(size):
+        assert len(masks[lo]) == len(masks[hi])
+        pairs += zip(masks[lo], masks[hi])
+    expected = [
+        (mask, mask | 1 << i) for i in range(n) for mask in masks if not mask >> i & 1
+    ]
+    assert sorted(pairs) == sorted(expected)
+    # strided slices while a player's blocks are no longer than their count,
+    # contiguous blocks after: min(2^i, 2^(n-1-i)) pairs for player bit 2^i
+    bits = Counter(hi.start - lo.start for lo, hi in _slice_pairs(size))
+    assert bits == {1 << i: min(1 << i, 1 << (n - 1 - i)) for i in range(n)}
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_rank_sets_are_the_lower_then_upper_sets_of_the_ranking(n):
     def mask(players):
@@ -194,6 +242,63 @@ def test_capacity_rejects_bad_boundaries():
         make_capacity(L2, (0, 1, 1, 1))  # full set not 1
     with pytest.raises(CapacityError):
         Capacity(2, L2, tuple(L2.value(x) for x in (0, -1, 1, 2)))
+
+
+def sliced_verdict(scale, table):
+    """The message _check_capacity raises for a table, or None."""
+    try:
+        _check_capacity(len(table).bit_length() - 1, scale, table)
+    except CapacityError as exc:
+        return str(exc)
+    return None
+
+
+def problems_verdict(scale, table):
+    problems = capacity_problems(len(table).bit_length() - 1, scale, table)
+    return "; ".join(problems) if problems else None
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_the_sliced_check_passes_every_enumerated_capacity(n, k):
+    scale = levels_scale(k)
+    for v in iter_capacities(n, scale):
+        assert sliced_verdict(scale, v.table) is None
+        assert problems_verdict(scale, v.table) is None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_sliced_check_agrees_with_capacity_problems_on_every_table(n):
+    for grades in product(range(-2, 3), repeat=1 << n):
+        table = tuple(L2.value(g) for g in grades)
+        assert sliced_verdict(L2, table) == problems_verdict(L2, table), grades
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_sliced_check_agrees_with_capacity_problems_on_broken_tables(n):
+    rng = Random(n)
+    scale = levels_scale(6)
+    top = (1 << n) - 1
+    for _ in range(25):
+        valid = [x.signed for x in sample_capacity(rng, n, scale).table]
+        broken = {"valid": valid}
+        negative = list(valid)
+        negative[rng.randrange(1 << n)] = -rng.randint(1, 6)
+        broken["negative entry"] = negative
+        broken["empty set"] = [rng.randint(1, 6)] + valid[1:]
+        broken["full set"] = valid[:-1] + [rng.randint(0, 5)]
+        below_top = [m for m in range(1, top) if valid[m] < 6]
+        if below_top:
+            # one cover raised above its superset
+            mask = rng.choice(below_top)
+            cover = mask ^ rng.choice([1 << i for i in range(n) if mask >> i & 1])
+            cover_broken = list(valid)
+            cover_broken[cover] = valid[mask] + 1
+            broken["one cover"] = cover_broken
+        for kind, grades in broken.items():
+            table = tuple(scale.value(g) for g in grades)
+            verdict = problems_verdict(scale, table)
+            assert (verdict is None) == (kind == "valid"), kind
+            assert sliced_verdict(scale, table) == verdict, kind
 
 
 def test_capacity_problems_lists_every_violation():

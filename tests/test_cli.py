@@ -23,6 +23,7 @@ from symsug import (
     canonical_ordinal_mobius,
     choquet,
     load_problem,
+    ordinal_mobius_interval,
     read_problem,
     sugeno,
     sugeno_symmetric,
@@ -31,7 +32,7 @@ from symsug import (
 )
 from symsug.capacity import full_set, subset_text
 from symsug.cli import main
-from symsug.io import set_function_record
+from symsug.io import record_line, set_function_record
 from symsug.verify import law_names
 from conftest import WORKED_DOCUMENT, count_calls, documents, mutated_documents
 
@@ -115,10 +116,12 @@ def test_compute_only_respects_canonical_order(worked_file, capsys):
 def test_compute_validates_the_capacity_once(worked_file, capsys, monkeypatch):
     import symsug.capacity
 
-    calls = count_calls(monkeypatch, symsug.capacity, "capacity_problems")
+    checks = count_calls(monkeypatch, symsug.capacity, "_check_capacity")
+    problems = count_calls(monkeypatch, symsug.capacity, "capacity_problems")
     code, _, _ = run(capsys, "compute", "--input", str(worked_file), "--all")
     assert code == 0
-    assert len(calls) == 1  # on loading; the ranked capacity is not checked again
+    assert len(checks) == 1  # on loading; the ranked capacity is not checked again
+    assert problems == []  # the messages are listed only for a failing table
 
 
 def test_compute_tabulates_no_conjugate(worked_file, capsys, monkeypatch):
@@ -529,6 +532,32 @@ def test_mobius_canonical_records_match_their_definition(kind, data):
             "rule": rule.value,
             "table": set_function_record(canonical_ordinal_mobius(v, rule)),
         }
+
+
+LABELLED_DOCUMENT = {
+    "scale": {"kind": "levels", "levels": 3, "labels": ["zéro", 'a "b"', "c\\d", "e\tf"]},
+    "capacity": {"{1}": 'a "b"', "{2}": "c\\d", "{1,2}": "e\tf"},
+    "profile": ["-c\\d", "zéro"],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(documents().map(json.dumps) | st.just(json.dumps(LABELLED_DOCUMENT)))
+def test_mobius_lines_are_the_record_lines_of_their_records(text):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "problem.json"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["mobius", "--input", str(path)]) == 0
+        interval = ordinal_mobius_interval(read_problem(str(path)).ranked()[0])
+    lower = set_function_record(interval.lower)
+    upper = set_function_record(interval.upper)
+    records = [{"transform": "interval", "lower": lower, "upper": upper}] + [
+        {"transform": "canonical", "rule": rule, "table": lower}
+        for rule in ("floor", "angle")
+    ]
+    assert out.getvalue() == "".join(record_line(r) + "\n" for r in records)
 
 
 def test_mobius_exit_codes(tmp_path, capsys):

@@ -234,6 +234,34 @@ def test_capacity_values_parsed_from_one_text_are_one_value():
         assert str(caught.value) == "capacity['{2}']: bad unit-scale value: 'x'"
 
 
+def test_the_profile_and_the_capacity_share_parsed_values():
+    problem = load_problem(dumps())
+    assert problem.profile.scores[1] is problem.capacity.table[0b001]  # "0.3"
+    assert problem.profile.scores[2] is problem.capacity.table[0b111]  # "1"
+    grades = {"scale": {"kind": "levels", "levels": 2}, "profile": [2, 1]}
+    problem = load_problem(
+        json.dumps(dict(grades, capacity={"{1}": 1, "{2}": 1, "{1,2}": 2}))
+    )
+    assert problem.profile.scores[1] is problem.capacity.table[0b01]
+
+
+@pytest.mark.parametrize(
+    "profile,capacity,message",
+    [
+        ([1, True], {"{1}": 1, "{2}": 1, "{1,2}": 2}, r"profile\[1\]: booleans"),
+        ([1, 2], {"{1}": 1, "{2}": True, "{1,2}": 2}, r"capacity\['\{2\}'\]: booleans"),
+        ([1, 2], {"{1}": 1, "{2}": 1.0, "{1,2}": 2}, r"capacity\['\{2\}'\]: binary"),
+        ([2, 1], {"{1}": 0, "{2}": False, "{1,2}": 2}, r"capacity\['\{2\}'\]: booleans"),
+    ],
+)
+def test_a_value_equal_to_a_parsed_int_keeps_its_own_error(profile, capacity, message):
+    # True == 1, False == 0 and 1.0 == 1 hash alike: a memo keyed by value
+    # alone would hand each the value parsed from the int before it
+    document = {"scale": {"kind": "levels", "levels": 2}, "profile": profile}
+    with pytest.raises(ParseError, match=message):
+        load_problem(json.dumps(dict(document, capacity=capacity)))
+
+
 def test_player_list_validation():
     with pytest.raises(ParseError, match="3 scores"):
         load_problem(dumps(players=["a", "b"]))

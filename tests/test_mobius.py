@@ -99,6 +99,35 @@ def test_interval_on_a_three_player_capacity():
     assert len(solutions) == volume
 
 
+def lower_by_subsets(v):
+    """The interval's lower bound by its definition: v(A) where v(A)
+    exceeds v on every proper subset of A, 0 elsewhere."""
+    return tuple(
+        v(mask)
+        if all(v(mask) > v(sub) for sub in iter_submasks(mask) if sub != mask)
+        else v.scale.zero
+        for mask in subsets(v.n)
+    )
+
+
+def test_interval_kernel_matches_its_subset_walk_definition():
+    capacities = [
+        v for n, k in itertools.product((1, 2, 3), (1, 2))
+        for v in iter_capacities(n, levels_scale(k))
+    ]
+    rng = Random(8)
+    for n in range(1, 9):
+        for _ in range(6):
+            v = sample_capacity(rng, n, levels_scale(5))
+            grades = [x.signed for x in v.table]
+            capacities += [v, make_capacity(UNIT, [Fraction(g, 5) for g in grades])]
+    for v in capacities:
+        interval = ordinal_mobius_interval(v)
+        assert interval.lower.table == lower_by_subsets(v)
+        assert interval.upper.table == v.table
+        assert interval.lower.scale is v.scale and interval.upper.scale is v.scale
+
+
 def test_interval_bounds_are_solutions_and_ordered():
     v = make_capacity(levels_scale(3), (0, 2, 2, 3))
     interval = ordinal_mobius_interval(v)

@@ -4,15 +4,18 @@ import ast
 import io
 import itertools
 import json
+import re
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 import pytest
 
 import symsug.verify
-from symsug import Capacity, Profile, Rule, levels_scale
+from symsug import Capacity, Profile, RealSetFunction, Rule, levels_scale
 from symsug.cli import main
+from symsug.io import fraction_text
 from symsug.verify import (
     LawResult,
     VerifyConfig,
@@ -188,6 +191,45 @@ def test_floor_ceil_monotone_reports_a_planted_decrease(monkeypatch):
     assert (result.status, result.checks, result.detail) == (
         "fail", 4, "ceil decreases from (-2) to (-1)",
     )
+
+
+def _shifted(name, delta):
+    """``symsug.verify.<name>`` with ``delta`` added to its result, or to
+    each entry of a result table."""
+    original = getattr(symsug.verify, name)
+
+    def planted(*args):
+        result = original(*args)
+        if isinstance(result, RealSetFunction):
+            return RealSetFunction(result.n, tuple(x + delta for x in result.table))
+        return result + delta
+
+    return planted
+
+
+# each Choquet-side law with planted faults that reach its witness lines
+CHOQUET_FAULTS = [
+    ("classical-roundtrip", "classical_zeta", "roundtrip fails on ("),
+    ("choquet-forms-agree", "choquet_mobius", "transform != layer form on ("),
+    ("choquet-forms-agree", "choquet_asymmetric", "transform != asymmetric on ("),
+    ("choquet-forms-agree", "choquet_symmetric", "transform != split form on ("),
+    ("choquet-forms-agree", "choquet_symmetric_explicit", "one-pass != split form on ("),
+    ("choquet-conjugation-symmetry", "choquet_asymmetric", "conjugation fails on ("),
+    ("choquet-conjugation-symmetry", "choquet_symmetric", "symmetry fails on ("),
+]
+
+
+@pytest.mark.parametrize("law,name,witness", CHOQUET_FAULTS)
+def test_choquet_witnesses_print_exact_text(monkeypatch, law, name, witness):
+    monkeypatch.setattr(symsug.verify, name, _shifted(name, Fraction(1, 7)))
+    config = VerifyConfig(n=2, levels=2, exhaustive=False, samples=3, seed=1)
+    [result] = run_laws(config, [law])
+    assert result.status == "fail" and result.detail.startswith(witness)
+    assert "Fraction(" not in result.detail and "ScaleValue(" not in result.detail
+    # every number prints as the unit scale prints it
+    numbers = result.detail[len(witness) - 1:].replace("f=", "")
+    for text in re.split(r"[(), ]+", numbers.strip("()")):
+        assert fraction_text(Fraction(text)) == text
 
 
 def _dominated_pairs_by_walk(k):
