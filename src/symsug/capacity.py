@@ -161,12 +161,10 @@ def zeta(table: Sequence, combine: Callable) -> list:
 
 def _slice_pairs(size: int) -> Iterator[tuple[slice, slice]]:
     """Slice pairs over a table of ``size`` = 2**n entries that match each
-    mask without a player with the mask that adds it, entry for entry,
-    for every player in turn.  For player bit b the masks without it come
-    in blocks of b every 2b entries, each followed by its partner block:
-    the pairs are strided slices, one per offset in a block, when
-    b <= size / 2b, and the contiguous blocks otherwise, so each player
-    takes the fewer and longer slices."""
+    mask without a player with the mask that adds it, for every player.
+    For player bit b the masks without it come in blocks of b every 2b
+    entries: the pairs are strided slices when b <= size / 2b and the
+    contiguous blocks otherwise, whichever are fewer."""
     bit = 1
     while bit < size:
         step = 2 * bit
@@ -334,9 +332,7 @@ class Capacity(SetFunction):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        problems = capacity_problems(self.n, self.scale, self.table)
-        if problems:
-            raise CapacityError("; ".join(problems))
+        _check_capacity(self.n, self.scale, self.table)
 
     @classmethod
     def from_values(
@@ -350,10 +346,7 @@ class Capacity(SetFunction):
 
 def _trusted(cls: type, **fields: Any) -> Any:
     """A ``cls`` built from ``fields`` with no checks, for fields known to
-    pass them: a table read from an object that was checked and, for a
-    :class:`Capacity`, a table that :func:`_check_capacity` passed, or the
-    image of one under a map known to keep the axioms, such as a strictly
-    increasing map fixing 0 and 1."""
+    pass them, such as a table taken from a checked object."""
     built = object.__new__(cls)
     built.__dict__.update(fields)
     return built
@@ -367,9 +360,7 @@ def _check_capacity(
     empty set, the top at the full set, and each mask without a player at
     most the mask with it, compared slice by slice on the signed values
     (every entry is then at least the empty set's 0).  Only a table that
-    fails is walked again, for the messages.  Loaded documents are checked
-    so; :class:`Capacity` keeps the walk, which is faster on the small
-    tables the law suite builds, since each slice pair has a fixed cost."""
+    fails is walked again, for the messages."""
     signed = [x.signed for x in table]
     pairs = _slice_pairs(len(signed))
     if not (

@@ -19,13 +19,12 @@ is validated once, on loading, on its ranks: the rank map is strictly
 increasing, odd, and sends 0 and 1 to the ends of the ranked scale, so the
 ranks keep the capacity axioms exactly when the values do.
 
-From loading to printing, both commands work on int grades: the values
-are wrapped and checked only where the document is read.  ``compute``
-builds each Sugeno output's term list as grades (the private kernels of
-the public ``ranked_terms``, ``variant1_terms`` and ``variant3_terms``),
-folds it with ``rules._fold_signed`` under its rule in
-``integrals.FOLD_RULES``, which the library reads too, and formats each
-distinct grade of the record once.  ``sugeno_sym`` and ``sugeno`` fold
+From loading to printing, both commands work on int grades, wrapped and
+checked only where the document is read.  ``compute`` builds each Sugeno
+output's term list as grades (the kernels of ``ranked_terms``,
+``variant1_terms`` and ``variant3_terms``), folds it with
+``rules._fold_signed`` under its rule in ``integrals.FOLD_RULES``, which
+the library reads too, and formats each distinct grade once.  ``sugeno_sym`` and ``sugeno`` fold
 the explicit-form terms, which is exact by the law
 ``symmetric-sugeno-forms-agree``.
 

@@ -191,14 +191,23 @@ def load_problem(text: str) -> Problem:
             raise ParseError(f"missing problem key: {key!r}")
 
     scale = _parse_scale(document["scale"])
-    parsed: dict[str | int, ScaleValue] = {}  # shared by the value parsers
-    profile = _parse_profile(
-        scale, document["profile"], _value_parser(scale, parsed, "profile")
-    )
+    parsed: dict[str | int, ScaleValue] = {}
+
+    def parse(item: Any, raw: Any, place: str = "capacity") -> ScaleValue:
+        # documents repeat few values many times, so each value read from
+        # text or an exact int is kept, keyed by the text or the int; a
+        # bool equals an int (True == 1) and a float may equal one, so
+        # neither is kept and each raises its own error, as errors do
+        if type(raw) is str or type(raw) is int:
+            hit = parsed.get(raw)
+            if hit is None:
+                hit = parsed[raw] = _parse_value(scale, raw, f"{place}[{item!r}]")
+            return hit
+        return _parse_value(scale, raw, f"{place}[{item!r}]")
+
+    profile = _parse_profile(scale, document["profile"], parse)
     players = _parse_players(document.get("players"), profile.n)
-    table = _parse_capacity(
-        scale, profile.n, document["capacity"], _value_parser(scale, parsed, "capacity")
-    )
+    table = _parse_capacity(scale, profile.n, document["capacity"], parse)
     # the capacity is validated once: on ranks for the unit scale, whose
     # checked ranked capacity vouches for the unit-scale one
     if scale.kind == UNIT:
@@ -275,35 +284,14 @@ def _parse_value(scale: SymmetricScale, raw: Any, where: str) -> ScaleValue:
     raise ParseError(f"{where}: expected a string or integer, got {type(raw).__name__}")
 
 
-# parse(item, raw): one value of a document, named by its item there
-_Parser = Callable[[Any, Any], ScaleValue]
-
-
-def _value_parser(
-    scale: SymmetricScale, parsed: dict[str | int, ScaleValue], place: str
-) -> _Parser:
-    """:func:`_parse_value` on ``scale`` as ``parse(item, raw)``, naming the
-    value ``place[item]``.  Documents repeat few values many times, so
-    ``parsed``, shared by every parser of one document, keeps each value
-    read from text, keyed by the text, or from an int, keyed by the int.
-    A bool equals an int (True == 1) and a float may equal one, so neither
-    is kept and each raises its own error; errors are never kept."""
-
-    def parse(item: Any, raw: Any) -> ScaleValue:
-        if type(raw) is str or type(raw) is int:
-            hit = parsed.get(raw)
-            if hit is None:
-                hit = parsed[raw] = _parse_value(scale, raw, f"{place}[{item!r}]")
-            return hit
-        return _parse_value(scale, raw, f"{place}[{item!r}]")
-
-    return parse
-
-
-def _parse_profile(scale: SymmetricScale, raw: Any, parse: _Parser) -> Profile:
+def _parse_profile(
+    scale: SymmetricScale, raw: Any, parse: Callable[..., ScaleValue]
+) -> Profile:
     if not isinstance(raw, list) or not raw:
         raise ParseError("'profile' must be a non-empty list of scale values")
-    return Profile(scale, tuple(parse(i, item) for i, item in enumerate(raw)))
+    return Profile(
+        scale, tuple(parse(i, item, "profile") for i, item in enumerate(raw))
+    )
 
 
 def _parse_players(raw: Any, n: int) -> tuple[str, ...] | None:
@@ -321,7 +309,7 @@ def _parse_players(raw: Any, n: int) -> tuple[str, ...] | None:
 
 
 def _parse_capacity(
-    scale: SymmetricScale, n: int, raw: Any, parse: _Parser
+    scale: SymmetricScale, n: int, raw: Any, parse: Callable[..., ScaleValue]
 ) -> tuple[ScaleValue, ...]:
     """The dense capacity table of a document, each value read by
     ``parse(key, value)``, not yet validated."""
@@ -370,8 +358,7 @@ def set_function_record(sf: SetFunction) -> dict[str, str]:
 
 
 def _table_record(sf: SetFunction, texts: dict[Number, str]) -> dict[str, str]:
-    """:func:`set_function_record`, formatting through ``texts`` as
-    :func:`_grade_texts` does."""
+    """:func:`set_function_record`, formatting through ``texts``."""
     grades = [x.signed for x in sf.table]
     return dict(zip(_subset_keys(sf.n), _grade_texts(sf.scale, grades, texts)))
 
@@ -379,9 +366,8 @@ def _table_record(sf: SetFunction, texts: dict[Number, str]) -> dict[str, str]:
 def _grade_texts(
     scale: SymmetricScale, grades: Sequence[Number], texts: dict[Number, str]
 ) -> list[str]:
-    """The text of the value of each signed number on ``scale``, formatting
-    each distinct number once.  ``texts`` maps the numbers of values on the
-    same scale to the texts already formatted, and gains the new ones."""
+    """The text of each signed number's value on ``scale``, formatting each
+    distinct number once into ``texts``, shared by values on that scale."""
     for grade in set(grades).difference(texts):
         texts[grade] = str(scale.value(grade))
     return list(map(texts.__getitem__, grades))
@@ -398,9 +384,7 @@ def record_line(record: Mapping[str, Any]) -> str:
 
 def _spliced_line(head: Mapping[str, Any], encoded: Mapping[str, str]) -> str:
     """:func:`record_line` of ``head`` followed by the keys of ``encoded``,
-    whose values come already encoded by :func:`record_line`, so that a
-    large table shared by several records is encoded once.  The line is
-    joined once, so no partial copy of a large table is made."""
+    whose values are already encoded, so a shared table is encoded once."""
     parts = [record_line(head)[:-1]]
     for key, text in encoded.items():
         parts += (", ", _ENCODER.encode(key), ": ", text)

@@ -100,8 +100,7 @@ def ordinal_mobius_interval(v: Capacity) -> MobiusInterval:
     """Closed-form bounds of the nonnegative solution set: the upper bound is
     v itself; the lower bound keeps v(A) where v strictly exceeds v on every
     cover A minus {i} and is 0 elsewhere.  The largest cover of every mask
-    is gathered one player at a time, slice by slice, on the signed values;
-    both bounds hold values taken from v, which was checked on building."""
+    is gathered slice by slice on the signed values."""
     signed = [x.signed for x in v.table]
     # a capacity is nonnegative, so 0 starts every maximum, and the empty
     # set, which has no cover, keeps its 0

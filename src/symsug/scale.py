@@ -369,7 +369,8 @@ def _clip(x: Number, w: Number) -> Number:
 def _format_fraction(num: int, den: int) -> str:
     """Render num / den, in lowest terms with den > 0, exactly: a
     terminating decimal when the denominator is 2^a * 5^b, the p/q form
-    otherwise."""
+    otherwise.  Integers print through ``Decimal``, which is exact and,
+    unlike ``str(int)``, has no digit limit."""
     sign = "-" if num < 0 else ""
     num = abs(num)
     rest = den
@@ -381,18 +382,10 @@ def _format_fraction(num: int, den: int) -> str:
         rest //= 5
         fives += 1
     if rest != 1:
-        return f"{sign}{_digits(num)}/{_digits(den)}"
+        return f"{sign}{Decimal(num)}/{Decimal(den)}"
     places = max(twos, fives)
     if places == 0:
-        return f"{sign}{_digits(num)}"
-    digits = _digits(num * 10**places // den).rjust(places + 1, "0")
+        return f"{sign}{Decimal(num)}"
+    digits = str(Decimal(num * 10**places // den)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
-
-def _digits(k: int) -> str:
-    """The decimal digits of an int ``k`` >= 0.  ``str`` refuses ints past
-    the interpreter's digit limit; ``Decimal`` prints any int exactly."""
-    try:
-        return str(k)
-    except ValueError:
-        return str(Decimal(k))
