@@ -159,22 +159,31 @@ def zeta(table: Sequence, combine: Callable) -> list:
     return table
 
 
-def _slice_pairs(size: int) -> Iterator[tuple[slice, slice]]:
+@lru_cache(maxsize=None)
+def _slice_pairs(size: int) -> tuple[tuple[slice, slice], ...]:
     """Slice pairs over a table of ``size`` = 2**n entries that match each
     mask without a player with the mask that adds it, for every player.
     For player bit b the masks without it come in blocks of b every 2b
     entries: the pairs are strided slices when b <= size / 2b and the
-    contiguous blocks otherwise, whichever are fewer."""
+    contiguous blocks otherwise, whichever are fewer.  They are built
+    once per size, since building them costs more than using them on the
+    small tables the law suite checks by the thousand."""
+    pairs = []
     bit = 1
     while bit < size:
         step = 2 * bit
         if bit * step <= size:
-            for start in range(bit):
-                yield slice(start, size, step), slice(start + bit, size, step)
+            pairs += (
+                (slice(start, size, step), slice(start + bit, size, step))
+                for start in range(bit)
+            )
         else:
-            for start in range(0, size, step):
-                yield slice(start, start + bit), slice(start + bit, start + step)
+            pairs += (
+                (slice(start, start + bit), slice(start + bit, start + step))
+                for start in range(0, size, step)
+            )
         bit = step
+    return tuple(pairs)
 
 
 def rank_sets(order: Sequence[int], p: int) -> list[int]:

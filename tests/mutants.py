@@ -482,20 +482,20 @@ MUTANTS = (
     # the per-player slice pairs, the sliced capacity check and the load memo
     Mutant(
         "slice-pairs-with-the-wrong-stride", CAPACITY,
-        "yield slice(start, size, step), slice(start + bit, size, step)",
-        "yield slice(start, size, bit), slice(start + bit, size, bit)",
+        "(slice(start, size, step), slice(start + bit, size, step))",
+        "(slice(start, size, bit), slice(start + bit, size, bit))",
         SLICE_PAIR_TESTS,
     ),
     Mutant(
         "slice-pairs-with-swapped-halves", CAPACITY,
-        "yield slice(start, start + bit), slice(start + bit, start + step)",
-        "yield slice(start + bit, start + step), slice(start, start + bit)",
+        "(slice(start, start + bit), slice(start + bit, start + step))",
+        "(slice(start + bit, start + step), slice(start, start + bit))",
         SLICE_PAIR_TESTS,
     ),
     Mutant(
         "slice-pairs-one-block-short", CAPACITY,
-        "for start in range(0, size, step):",
-        "for start in range(0, size - step, step):",
+        "for start in range(0, size, step)\n",
+        "for start in range(0, size - step, step)\n",
         SLICE_PAIR_TESTS,
     ),
     Mutant(
