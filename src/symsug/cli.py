@@ -24,9 +24,9 @@ checked only where the document is read.  ``compute`` builds each Sugeno
 output's term list as grades (the kernels of ``ranked_terms``,
 ``variant1_terms`` and ``variant3_terms``), folds it with
 ``rules._fold_signed`` under its rule in ``integrals.FOLD_RULES``, which
-the library reads too, and formats each distinct grade once.  ``sugeno_sym`` and ``sugeno`` fold
-the explicit-form terms, which is exact by the law
-``symmetric-sugeno-forms-agree``.
+the library reads too, and formats each distinct grade once.
+``sugeno_sym`` and ``sugeno`` fold the explicit-form terms, which is exact
+by the law ``symmetric-sugeno-forms-agree``.
 
 ``mobius`` prints the canonical floor and angle tables from the
 interval's lower bound, computed, formatted and encoded once, and spliced
