@@ -4,10 +4,11 @@ suites, or print the ordinal transforms of a capacity.
 Output is line-delimited JSON, one record per result, in a fixed order;
 identical inputs (and seed) produce byte-identical output.  Exit codes:
 0 success, 1 malformed input document, 2 invalid flags or an instance
-that fails validation.  Each call builds the argument parser of the
-command its first argument names and no other, so ``compute`` and
-``mobius`` never list the laws; any other first argument gets every
-command's parser, and both print the same messages.
+that fails validation.  When the first argument names a command, the
+call builds that command's parser alone, the one the full parser would
+hand the rest of the line, so ``compute`` and ``mobius`` never list the
+laws.  Arguments it leaves over, and any other first argument, go to the
+full parser, so every message comes from the parser that prints it.
 
 On the unit scale, ``compute`` and ``mobius`` evaluate the Sugeno side
 (the Sugeno integrals, the three variants, the transform interval and the
@@ -81,9 +82,8 @@ NONNEGATIVE_ONLY = ("choquet", "sugeno")
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags and 0 after --help
         return int(exc.code or 0)
@@ -97,10 +97,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser of every command, or of ``command`` alone when it names
-    one.  The named parser's usage line lists every command, so each
-    message it prints is the full parser's."""
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the parser of the command ``argv[0]`` names alone, as the
+    full parser would hand it the rest of the line.  Leftover arguments and
+    unknown commands go to the full parser, which prints their message."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"symsug {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symsug",
         description=(
@@ -109,22 +119,13 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
             "transforms."
         ),
     )
-    if command in _COMMANDS:
-        commands = parser.add_subparsers(
-            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
-        )
-        _COMMANDS[command](commands)
-    else:
-        commands = parser.add_subparsers(dest="command", required=True)
-        for add in _COMMANDS.values():
-            add(commands)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add) in _COMMANDS.items():
+        add(commands.add_parser(name, help=summary))
     return parser
 
 
-def _add_compute(commands) -> None:
-    compute = commands.add_parser(
-        "compute", help="evaluate integrals and transforms from a problem file"
-    )
+def _add_compute(compute: argparse.ArgumentParser) -> None:
     compute.add_argument("--input", required=True, help="problem file (JSON)")
     compute.add_argument(
         "--mobius",
@@ -145,10 +146,7 @@ def _add_compute(commands) -> None:
     compute.set_defaults(handler=_cmd_compute)
 
 
-def _add_verify(commands) -> None:
-    verify = commands.add_parser(
-        "verify", help="run the algebraic law suites and report per law"
-    )
+def _add_verify(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("--n", type=int, default=2, help="number of players")
     verify.add_argument(
         "--levels", type=int, default=3, help="grade count K of the levels scale"
@@ -170,16 +168,22 @@ def _add_verify(commands) -> None:
     verify.set_defaults(handler=_cmd_verify)
 
 
-def _add_mobius(commands) -> None:
-    mobius = commands.add_parser(
-        "mobius", help="print the ordinal transform interval and canonical forms"
-    )
+def _add_mobius(mobius: argparse.ArgumentParser) -> None:
     mobius.add_argument("--input", required=True, help="problem file (JSON)")
     mobius.set_defaults(handler=_cmd_mobius)
 
 
-# each command's subparser, in the order the full parser lists them
-_COMMANDS = {"compute": _add_compute, "verify": _add_verify, "mobius": _add_mobius}
+# each command's help line and the function that fills its parser, in the
+# order the full parser lists them
+_COMMANDS = {
+    "compute": (
+        "evaluate integrals and transforms from a problem file", _add_compute
+    ),
+    "verify": ("run the algebraic law suites and report per law", _add_verify),
+    "mobius": (
+        "print the ordinal transform interval and canonical forms", _add_mobius
+    ),
+}
 
 
 # -- compute ---------------------------------------------------------------

@@ -310,23 +310,38 @@ MUTANTS = (
         'print(_spliced_line(head, {"table": upper}))',
         ("tests/test_cli.py::test_mobius_canonical_records_match_their_definition",),
     ),
-    # the argv-named parser, cli._build_parser
+    # the command's own parser, cli._parse, and the full one, cli._build_parser
     Mutant(
-        "named-parser-without-the-command-list", CLI,
-        'required=True, metavar="{" + ",".join(_COMMANDS) + "}"',
-        "required=True",
+        "full-parser-lists-the-commands-without-help", CLI,
+        "add(commands.add_parser(name, help=summary))",
+        "add(commands.add_parser(name))",
         (CLI_MESSAGES_TEST,),
     ),
     Mutant(
         "main-always-builds-the-full-parser", CLI,
-        "_build_parser(argv[0] if argv else None)",
-        "_build_parser(None)",
-        ("tests/test_cli.py::test_compute_and_mobius_never_build_the_verify_parser",),
+        "    if argv and argv[0] in _COMMANDS:\n",
+        "    if False:\n",
+        (
+            "tests/test_cli.py::test_compute_and_mobius_never_build_the_verify_parser",
+            "tests/test_cli.py::test_a_valid_command_line_builds_one_parser",
+        ),
     ),
     Mutant(
         "named-parser-adds-the-wrong-command", CLI,
-        "_COMMANDS[command](commands)",
-        "_COMMANDS[min(_COMMANDS)](commands)",
+        "_COMMANDS[argv[0]][1](parser)",
+        "_COMMANDS[min(_COMMANDS)][1](parser)",
+        (CLI_MESSAGES_TEST,),
+    ),
+    Mutant(
+        "standalone-parser-ignores-extras", CLI,
+        "        if not extras:\n",
+        "        if True:\n",
+        (CLI_MESSAGES_TEST,),
+    ),
+    Mutant(
+        "standalone-parser-with-the-top-level-prog", CLI,
+        'prog=f"symsug {argv[0]}"',
+        'prog="symsug"',
         (CLI_MESSAGES_TEST,),
     ),
     Mutant(

@@ -1,5 +1,6 @@
 """Command-line behavior: records, emission order, exit codes, determinism."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -31,8 +32,9 @@ from symsug import (
     to_real_profile,
 )
 from symsug.capacity import full_set, subset_text
-from symsug.cli import main
+from symsug.cli import _build_parser, main
 from symsug.io import record_line, set_function_record
+from symsug.scale import SymmetricScale
 from symsug.verify import law_names
 from conftest import WORKED_DOCUMENT, count_calls, documents, mutated_documents
 
@@ -747,6 +749,28 @@ def test_compute_records_match_the_golden_file(tmp_path):
     )
 
 
+def test_the_golden_corpus_never_maps_x_to_one_minus_x(tmp_path, monkeypatch):
+    """``compute`` and ``mobius`` run the Sugeno side on ranked grades,
+    which keep order, signs and opposites but not x -> 1 - x: the corpus
+    prints its records with no call to a function that reads that map."""
+    import symsug.capacity
+    import symsug.mobius
+
+    def refuse(*args):
+        raise AssertionError("a ranked grade was mapped to 1 - x")
+
+    monkeypatch.setattr(SymmetricScale, "negate", refuse)
+    calls = [
+        count_calls(monkeypatch, symsug.capacity, "conjugate"),
+        count_calls(monkeypatch, symsug.capacity, "necessity_measure"),
+        count_calls(monkeypatch, symsug.mobius, "reconstruct_from_conjugate"),
+    ]
+    assert compute_golden_text(tmp_path) == COMPUTE_GOLDEN_PATH.read_text(
+        encoding="utf-8"
+    )
+    assert calls == [[], [], []]
+
+
 # -- argument parsing --------------------------------------------------------------
 
 CLI_MESSAGES_PATH = Path(__file__).parent / "golden" / "cli_messages.jsonl"
@@ -785,6 +809,14 @@ MESSAGE_ARGVS = (
     ["verify", "--n", "1", "--law", "worked-example-goldens"],
     ["compute", "--inp", PROBLEM, "--all"],
     ["mobius", "--inp", PROBLEM],
+    # where the command's own parser hands the line to the full parser
+    ["compute", "--input", PROBLEM, "--h"],
+    ["compute", "--bogus", "--input", PROBLEM, "--all"],
+    ["compute", "-", "--input", PROBLEM],
+    ["verify", "--"],
+    ["verify", "--", "--n", "2"],
+    ["mobius", "--", "--input", PROBLEM],
+    ["compute", "--input", PROBLEM, "--all", "-h", "extra"],
 )
 
 
@@ -855,3 +887,30 @@ def test_compute_and_mobius_never_build_the_verify_parser(
     assert code == 2 and out == ""
     assert "invalid choice: 'nope'" in err
     assert all(repr(name) in err for name in law_names())
+
+
+def test_a_valid_command_line_builds_one_parser(worked_file, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    _build_parser()
+    full = len(built)
+    assert full == 4  # the top-level parser and one per command
+
+    def parsers(*argv):
+        built.clear()
+        code, _, _ = run(capsys, *argv)
+        return code, len(built)
+
+    problem = str(worked_file)
+    assert parsers("compute", "--input", problem, "--all") == (0, 1)
+    assert parsers("mobius", "--input", problem) == (0, 1)
+    assert parsers("verify", "--n", "1", "--law", "worked-example-goldens") == (0, 1)
+    # leftovers and unknown commands get the full parser's message
+    assert parsers("compute", "--input", problem, "--all", "extra") == (2, 1 + full)
+    assert parsers("nope") == (2, full)
