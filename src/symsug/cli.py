@@ -5,10 +5,10 @@ Output is line-delimited JSON, one record per result, in a fixed order;
 identical inputs (and seed) produce byte-identical output.  Exit codes:
 0 success, 1 malformed input document, 2 invalid flags or an instance
 that fails validation.  When the first argument names a command, the
-call builds that command's parser alone, the one the full parser would
+call builds that command's parser alone: the parser the full one would
 hand the rest of the line, so ``compute`` and ``mobius`` never list the
 laws.  Arguments it leaves over, and any other first argument, go to the
-full parser, so every message comes from the parser that prints it.
+full parser, so each call prints what the full parser alone would print.
 
 On the unit scale, ``compute`` and ``mobius`` evaluate the Sugeno side
 (the Sugeno integrals, the three variants, the transform interval and the

@@ -138,6 +138,11 @@ def test_unit_values_reject_binary_floats():
         ScaleValue(UNIT, 0.3)
 
 
+def test_unit_values_reject_non_numbers():
+    with pytest.raises(ScaleError, match="bad unit-scale value: str"):
+        ScaleValue(UNIT, "0.3")
+
+
 def test_unit_values_reject_booleans():
     # bool is an int subclass; levels scales and problem files reject it too
     with pytest.raises(ScaleError, match="bad unit-scale value: bool"):
