@@ -147,15 +147,12 @@ def fold_members(values: Sequence, combine: Callable, empty: Any) -> list:
 
 def zeta(table: Sequence, combine: Callable) -> list:
     """The fold of ``table`` over the subsets of each mask, in O(n 2^n): in
-    one pass per player, each mask holding it combines its entry with that
-    of the mask without it.  A difference undoes a sum (Moebius inversion)."""
+    one pass per player, over its :func:`_slice_pairs`, each mask holding it
+    combines its entry with that of the mask without it.  A difference
+    undoes a sum (Moebius inversion)."""
     table = list(table)
-    bit = 1
-    while bit < len(table):
-        for mask in range(len(table)):
-            if mask & bit:
-                table[mask] = combine(table[mask], table[mask ^ bit])
-        bit <<= 1
+    for lo, hi in _slice_pairs(len(table)):
+        table[hi] = map(combine, table[hi], table[lo])
     return table
 
 

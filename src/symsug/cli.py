@@ -280,17 +280,12 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--n must be in 1..{MAX_PLAYERS}")
     if args.levels < 1:
         raise ValueError("--levels must be at least 1")
-    exhaustive = args.samples is None
-    if exhaustive and args.n > 3:
+    if args.samples is None and args.n > 3:
         raise ValueError("exhaustive mode needs --n at most 3; pass --samples")
-    if not exhaustive and args.samples < 1:
+    if args.samples is not None and args.samples < 1:
         raise ValueError("--samples must be positive")
     config = VerifyConfig(
-        n=args.n,
-        levels=args.levels,
-        exhaustive=exhaustive,
-        samples=VerifyConfig.samples if exhaustive else args.samples,
-        seed=args.seed,
+        n=args.n, levels=args.levels, samples=args.samples, seed=args.seed
     )
     for result in run_laws(config, args.law):
         print(record_line(result.to_record()))

@@ -157,15 +157,9 @@ class SymmetricScale:
             raise ScaleError(f"expected a string value, got {type(text).__name__}")
         text = text.strip()
         if self.kind == UNIT:
-            _check_unit_text(text)
-            try:
-                return self.value(Fraction(text))
-            except OffScaleError:
-                # well-formed but out of range: a validation error, not a
-                # syntax error
-                raise
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ScaleError(f"bad unit-scale value: {text!r}") from exc
+            # well-formed but out of range raises OffScaleError, a
+            # validation error rather than a syntax error
+            return self.value(_exact(text))
         negative = text.startswith("-")
         grade = self._grade(text[1:] if negative else text)
         if grade is None:
@@ -283,9 +277,10 @@ def _check_unit_text(text: str) -> None:
 def _exact(x) -> Fraction:
     """``x`` as a Fraction; a bool raises ScaleError, being no number, and
     so does a binary float, since its value is almost never the decimal it
-    was written as.  Text is bounded as :meth:`SymmetricScale.parse` bounds
-    it.  Anything else ``Fraction`` cannot read raises ScaleError too,
-    naming the text or the type."""
+    was written as.  Text is bounded before ``Fraction`` reads it; this is
+    how :meth:`SymmetricScale.parse` reads unit-scale text.  Anything else
+    ``Fraction`` cannot read raises ScaleError too, naming the text or the
+    type."""
     if type(x) is Fraction:
         return x
     if isinstance(x, bool):

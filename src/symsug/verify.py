@@ -2,8 +2,9 @@
 
 Every law is a named, self-contained check over a family of instances
 (scale elements, multisets, capacities, profiles) drawn either
-exhaustively from small discrete scales or by seeded sampling.  Results
-are machine-readable records; a law expected to fail (a pinned
+exhaustively from small discrete scales, as ``VerifyConfig()`` does, or
+as S seeded draws under ``VerifyConfig(samples=S)``.  Results are
+machine-readable records; a law expected to fail (a pinned
 counterexample) reports ``xfail`` when the violation is exhibited and the
 suspicious ``xpass`` when it is not.
 
@@ -95,6 +96,9 @@ from .scale import (
 # an exhaustive sub-enumeration is replaced by endpoint-plus-sampled
 # checking above this many combinations
 GRID_LIMIT = 4096
+# the draws a law makes in enumerate mode where its instances are too many
+# to enumerate: floor-ceil-monotone's pairs and the three-player search
+ENUMERATE_DRAWS = 500
 # the largest multiset the rule laws fold
 MULTISET_SIZE = 4
 # the most capacities a sampled Choquet-side law draws
@@ -104,12 +108,11 @@ CAPACITY_CAP = 2000
 @dataclass(frozen=True)
 class VerifyConfig:
     """What family of instances to draw: player count, scale grades, and
-    either exhaustive enumeration or ``samples`` seeded draws."""
+    ``samples`` seeded draws, or every instance when ``samples`` is None."""
 
     n: int = 2
     levels: int = 3
-    exhaustive: bool = True
-    samples: int = 500
+    samples: int | None = None
     seed: int = 0
 
 
@@ -328,7 +331,7 @@ _levels_scale = lru_cache(maxsize=None)(levels_scale)
 
 def _capacities(config: VerifyConfig, rng: Random) -> Iterator[Capacity]:
     scale = _levels_scale(config.levels)
-    if config.exhaustive:
+    if config.samples is None:
         yield from iter_capacities(config.n, scale)
     else:
         for _ in range(config.samples):
@@ -347,35 +350,11 @@ def _instances(
     # each sampled profile is drawn right after its capacity, on the same
     # scale object, so that both share its interned grades
     for v, interval in _each_interval(config, rng):
-        if config.exhaustive:
+        if config.samples is None:
             for f in iter_profiles(config.n, v.scale, signed):
                 yield v, interval, f
         else:
             yield v, interval, sample_profile(rng, config.n, v.scale, signed)
-
-
-def iter_interval_members(
-    interval: MobiusInterval,
-    rng: Random | None = None,
-    extra: int = 16,
-    cap: int = GRID_LIMIT,
-) -> Iterator[SetFunction]:
-    """Tables in [lower, upper] on a levels scale: all of them when the box
-    has at most ``cap`` corners, otherwise the two bounds plus ``extra``
-    seeded draws."""
-    scale = interval.lower.scale
-    spans, volume = _box(interval)
-    if volume <= cap:
-        for grades in itertools.product(*spans):
-            yield SetFunction(interval.n, scale, _grades(scale, *grades))
-        return
-    yield interval.lower
-    yield interval.upper
-    if rng is None:
-        return
-    for _ in range(extra):
-        grades = [rng.choice(span) for span in spans]
-        yield SetFunction(interval.n, scale, _grades(scale, *grades))
 
 
 def _box(interval: MobiusInterval) -> tuple[list[range], int]:
@@ -391,10 +370,22 @@ def _box(interval: MobiusInterval) -> tuple[list[range], int]:
 def _members(
     config: VerifyConfig, interval: MobiusInterval, rng: Random
 ) -> Iterator[SetFunction]:
+    """Tables in [lower, upper] on a levels scale: all of them when the box
+    has at most ``cap`` corners, otherwise the two bounds plus ``extra``
+    seeded draws."""
     # sampling mode trades per-instance coverage for instance count
-    if config.exhaustive:
-        return iter_interval_members(interval, rng, cap=GRID_LIMIT)
-    return iter_interval_members(interval, rng, extra=4, cap=8)
+    cap, extra = (GRID_LIMIT, 16) if config.samples is None else (8, 4)
+    scale = interval.lower.scale
+    spans, volume = _box(interval)
+    if volume <= cap:
+        for grades in itertools.product(*spans):
+            yield SetFunction(interval.n, scale, _grades(scale, *grades))
+        return
+    yield interval.lower
+    yield interval.upper
+    for _ in range(extra):
+        grades = [rng.choice(span) for span in spans]
+        yield SetFunction(interval.n, scale, _grades(scale, *grades))
 
 
 def worked_example() -> tuple[Capacity, Profile]:
@@ -698,7 +689,8 @@ def _floor_ceil_monotone(config: VerifyConfig, rng: Random):
     if 2 * scale.levels + 1 <= 9:
         pairs = _dominated_pairs_exhaustive(scale.levels)
     else:
-        pairs = _dominated_pairs_sampled(scale.levels, rng, config.samples)
+        count = ENUMERATE_DRAWS if config.samples is None else config.samples
+        pairs = _dominated_pairs_sampled(scale.levels, rng, count)
     for low, high in pairs:
         for rule, table in tables:
             if fold(low, rule, table) > fold(high, rule, table):
@@ -788,7 +780,7 @@ def _distributions(
 ) -> Iterator[tuple[ScaleValue, ...]]:
     scale = levels_scale(config.levels)
     k = scale.levels
-    if config.exhaustive:
+    if config.samples is None:
         for grades in itertools.product(range(k + 1), repeat=config.n):
             if max(grades) == k:
                 yield _grades(scale, *grades)
@@ -887,7 +879,7 @@ def _random_rational_table(rng: Random, n: int) -> RealSetFunction:
 def _rational_draws(config: VerifyConfig) -> Iterator[int]:
     """The player count of each rational draw; rationals cannot be
     enumerated, so exhaustive mode draws 200 instances."""
-    count = 200 if config.exhaustive else config.samples
+    count = 200 if config.samples is None else config.samples
     return itertools.repeat(min(config.n, 4), count)
 
 
@@ -1038,7 +1030,7 @@ def _member_subsets(conjugated: bool) -> Family:
     conjugate, if ``conjugated``); the note says when the cap bit."""
 
     def family(config: VerifyConfig, rng: Random):
-        capped = not config.exhaustive and config.samples > CAPACITY_CAP
+        capped = config.samples is not None and config.samples > CAPACITY_CAP
         stream = _capacities(config, rng)
         for v in itertools.islice(stream, CAPACITY_CAP if capped else None):
             interval = ordinal_mobius_interval(conjugate(v) if conjugated else v)
@@ -1197,7 +1189,7 @@ def _member_weights(
     for v, interval, f in _instances(config, rng, signed):
         if interval is not planned:
             planned, plan = interval, None
-            if config.exhaustive and _box(interval)[1] <= GRID_LIMIT:
+            if config.samples is None and _box(interval)[1] <= GRID_LIMIT:
                 plan = [_transform_weights(m) for m in _members(config, interval, rng)]
         weights = plan
         if weights is None:
@@ -1447,8 +1439,8 @@ def _rank_ceil_not_monotone():
 def _sensitivity_search(config: VerifyConfig, rng: Random):
     # every two-player instance, then sampled three-player ones, each with
     # the signed weights of its interval's bounds, read once per interval
-    samples = max(config.samples, 200)
-    sampled = VerifyConfig(n=3, levels=config.levels, exhaustive=False, samples=samples)
+    samples = ENUMERATE_DRAWS if config.samples is None else max(config.samples, 200)
+    sampled = VerifyConfig(n=3, levels=config.levels, samples=samples)
     read = None
     for search in (VerifyConfig(n=2, levels=config.levels), sampled):
         for v, interval, f in _instances(search, rng):

@@ -49,10 +49,6 @@ XPASS = (
     "the xpass branch: every documented violation shows on every config "
     "tier-1 runs (ROADMAP item 2)"
 )
-NO_RNG = (
-    "rng=None on a box over the cap: the laws always pass a seeded rng, and "
-    "the one test without one enumerates a box within the cap"
-)
 GAPS: tuple[tuple[str, str, str, str], ...] = (
     ("cli.py", "<module>", "sys.exit(main())", SCRIPT),
     ("scale.py", "SymmetricScale.minus_one", "return self.value(-self._top)", TRACER_PIN),
@@ -60,7 +56,6 @@ GAPS: tuple[tuple[str, str, str, str], ...] = (
     ("verify.py", "run_law", "return LawResult(", XPASS),
     ("verify.py", "run_law", 'law.name, law.kind, "xpass", checks,', XPASS),
     ("verify.py", "run_law", 'note or "expected violation was not exhibited",', XPASS),
-    ("verify.py", "iter_interval_members", "return", NO_RNG),
     ("verify.py", "_reflection_involution", 'return f"-(-{a}) != {a}"', WITNESS),
     ("verify.py", "_reflection_de_morgan", 'return f"de morgan fails at ({a}, {b})"', WITNESS),
     ("verify.py", "_marichal_forms", 'return f"sym-max mismatch at ({a}, {b})"', WITNESS),

@@ -74,6 +74,7 @@ CHAIN_FORMS_TEST = "tests/test_integrals.py::test_chain_forms_match_the_fraction
 FLOOR_CEIL_TEST = (
     "tests/test_verify.py::test_floor_ceil_monotone_folds_each_multiset_once_per_rule"
 )
+VERIFY_RECORDS_TEST = "tests/test_verify.py::test_verify_records_match_the_golden_file"
 TRANSFORM_KERNELS_TEST = (
     "tests/test_integrals.py::"
     "test_transform_forms_equal_their_kernels_on_once_folded_minima"
@@ -96,15 +97,15 @@ SLICE_PAIR_TESTS = (
 MUTANTS = (
     # the subset kernels
     Mutant(
-        "zeta-updates-masks-without-the-player", CAPACITY,
-        "            if mask & bit:\n",
-        "            if not mask & bit:\n",
+        "zeta-with-swapped-slice-halves", CAPACITY,
+        "    for lo, hi in _slice_pairs(len(table)):\n",
+        "    for hi, lo in _slice_pairs(len(table)):\n",
         ZETA_TESTS,
     ),
     Mutant(
-        "zeta-skips-the-last-player", CAPACITY,
-        "    while bit < len(table):\n",
-        "    while 2 * bit < len(table):\n",
+        "zeta-drops-the-last-slice-pair", CAPACITY,
+        "    for lo, hi in _slice_pairs(len(table)):\n",
+        "    for lo, hi in _slice_pairs(len(table))[:-1]:\n",
         ZETA_TESTS,
     ),
     Mutant(
@@ -464,14 +465,14 @@ MUTANTS = (
     Mutant(
         "minima-folded-once-per-capacity", VERIFY,
         "            planned, plan = interval, None\n"
-        "            if config.exhaustive and _box(interval)[1] <= GRID_LIMIT:\n"
+        "            if config.samples is None and _box(interval)[1] <= GRID_LIMIT:\n"
         "                plan = [_transform_weights(m) for m in _members(config, interval, rng)]\n"
         "        weights = plan\n"
         "        if weights is None:\n"
         "            weights = map(_transform_weights, _members(config, interval, rng))\n"
         "        yield v, f, _signed_minima(f), weights\n",
         "            planned, plan, minima = interval, None, _signed_minima(f)\n"
-        "            if config.exhaustive and _box(interval)[1] <= GRID_LIMIT:\n"
+        "            if config.samples is None and _box(interval)[1] <= GRID_LIMIT:\n"
         "                plan = [_transform_weights(m) for m in _members(config, interval, rng)]\n"
         "        weights = plan\n"
         "        if weights is None:\n"
@@ -493,6 +494,19 @@ MUTANTS = (
             "tests/test_verify.py::"
             "test_member_plans_yield_the_per_profile_members_in_draw_order",
         ),
+    ),
+    # the draw switch: the members' box limits and enumerate mode's draws
+    Mutant(
+        "members-swap-the-enumerate-and-sampling-limits", VERIFY,
+        "(GRID_LIMIT, 16) if config.samples is None else (8, 4)",
+        "(8, 4) if config.samples is None else (GRID_LIMIT, 16)",
+        (VERIFY_RECORDS_TEST,),
+    ),
+    Mutant(
+        "enumerate-mode-draws-499", VERIFY,
+        "ENUMERATE_DRAWS = 500\n",
+        "ENUMERATE_DRAWS = 499\n",
+        (VERIFY_RECORDS_TEST,),
     ),
     # the per-player slice pairs, the sliced capacity check and the load memo
     Mutant(

@@ -93,7 +93,7 @@ def test_criterion_04_angle_non_monotonicity_golden():
 def test_criterion_05_elementary_law_suite():
     started = time.perf_counter()
     for k in (1, 2, 3):
-        config = VerifyConfig(n=2, levels=k, exhaustive=True)
+        config = VerifyConfig(n=2, levels=k)
         for _ in _all_pass(config, ELEMENTARY_LAWS):
             pass
     _within(10.0, started)
@@ -103,9 +103,9 @@ def test_criterion_06_transform_interval_is_the_solution_set():
     started = time.perf_counter()
     names = ["interval-bounds-are-solutions", "interval-is-solution-set"]
     for k in (1, 2, 3):
-        for _ in _all_pass(VerifyConfig(n=2, levels=k, exhaustive=True), names):
+        for _ in _all_pass(VerifyConfig(n=2, levels=k), names):
             pass
-    sampled = VerifyConfig(n=3, levels=3, exhaustive=False, samples=10000, seed=0)
+    sampled = VerifyConfig(n=3, levels=3, samples=10000, seed=0)
     for result in _all_pass(sampled, names):
         assert result.checks >= 10000
     _within(60.0, started)
@@ -115,9 +115,9 @@ def test_criterion_07_plain_integral_transform_form():
     started = time.perf_counter()
     names = ["sugeno-mobius-representative-free", "even-odd-equals-lower"]
     for k in (1, 2, 3):
-        for _ in _all_pass(VerifyConfig(n=2, levels=k, exhaustive=True), names):
+        for _ in _all_pass(VerifyConfig(n=2, levels=k), names):
             pass
-    sampled = VerifyConfig(n=3, levels=3, exhaustive=False, samples=10000, seed=0)
+    sampled = VerifyConfig(n=3, levels=3, samples=10000, seed=0)
     for result in _all_pass(sampled, names):
         assert result.checks >= 10000
     _within(60.0, started)
@@ -127,9 +127,9 @@ def test_criterion_08_symmetric_integral_forms_and_oddness():
     started = time.perf_counter()
     names = ["symmetric-sugeno-forms-agree", "integral-symmetry"]
     for k in (1, 2, 3):
-        for _ in _all_pass(VerifyConfig(n=2, levels=k, exhaustive=True), names):
+        for _ in _all_pass(VerifyConfig(n=2, levels=k), names):
             pass
-    sampled = VerifyConfig(n=3, levels=3, exhaustive=False, samples=10000, seed=0)
+    sampled = VerifyConfig(n=3, levels=3, samples=10000, seed=0)
     for result in _all_pass(sampled, names):
         assert result.checks >= 10000
     _within(60.0, started)
@@ -139,9 +139,9 @@ def test_criterion_09_monotonicity_and_the_pinned_violation():
     started = time.perf_counter()
     name = ["sugeno-symmetric-monotone"]
     for k in (1, 2, 3):
-        for _ in _all_pass(VerifyConfig(n=2, levels=k, exhaustive=True), name):
+        for _ in _all_pass(VerifyConfig(n=2, levels=k), name):
             pass
-    sampled = VerifyConfig(n=3, levels=3, exhaustive=False, samples=10000, seed=0)
+    sampled = VerifyConfig(n=3, levels=3, samples=10000, seed=0)
     for result in _all_pass(sampled, name):
         assert result.checks >= 10000
 
@@ -165,7 +165,7 @@ def test_criterion_09_monotonicity_and_the_pinned_violation():
 
 def test_criterion_10_choquet_reference_suite():
     started = time.perf_counter()
-    config = VerifyConfig(n=4, levels=3, exhaustive=False, samples=10000, seed=0)
+    config = VerifyConfig(n=4, levels=3, samples=10000, seed=0)
     names = ["choquet-forms-agree", "choquet-conjugation-symmetry"]
     for result in _all_pass(config, names):
         assert result.checks >= 10000

@@ -20,7 +20,6 @@ from symsug.verify import (
     LawResult,
     VerifyConfig,
     iter_capacities,
-    iter_interval_members,
     iter_profiles,
     law_names,
     run_laws,
@@ -32,7 +31,7 @@ from symsug.capacity import MAX_PLAYERS, iter_submasks
 from symsug.mobius import ordinal_mobius_interval
 from conftest import WORKED_DOCUMENT, count_calls
 
-QUICK = VerifyConfig(n=2, levels=2, exhaustive=False, samples=25, seed=5)
+QUICK = VerifyConfig(n=2, levels=2, samples=25, seed=5)
 
 
 # -- instance generators --------------------------------------------------------
@@ -104,7 +103,7 @@ def test_interval_member_enumeration_matches_the_box_volume():
     scale = levels_scale(2)
     v = Capacity.from_values(2, scale, (0, 1, 1, 2))
     interval = ordinal_mobius_interval(v)
-    members = list(iter_interval_members(interval))
+    members = list(symsug.verify._members(VerifyConfig(n=2), interval, Random(0)))
     volume = 1
     for mask in range(4):
         volume *= interval.upper(mask).signed - interval.lower(mask).signed + 1
@@ -222,7 +221,7 @@ CHOQUET_FAULTS = [
 @pytest.mark.parametrize("law,name,witness", CHOQUET_FAULTS)
 def test_choquet_witnesses_print_exact_text(monkeypatch, law, name, witness):
     monkeypatch.setattr(symsug.verify, name, _shifted(name, Fraction(1, 7)))
-    config = VerifyConfig(n=2, levels=2, exhaustive=False, samples=3, seed=1)
+    config = VerifyConfig(n=2, levels=2, samples=3, seed=1)
     [result] = run_laws(config, [law])
     assert result.status == "fail" and result.detail.startswith(witness)
     assert "Fraction(" not in result.detail and "ScaleValue(" not in result.detail
@@ -260,7 +259,7 @@ def test_dominated_pairs_are_those_of_the_recursive_walk_in_order(k):
 
 @pytest.mark.parametrize(
     "config",
-    [VerifyConfig(n=2, levels=2), VerifyConfig(n=2, levels=2, exhaustive=False, samples=40)],
+    [VerifyConfig(n=2, levels=2), VerifyConfig(n=2, levels=2, samples=40)],
 )
 def test_member_plans_yield_the_per_profile_members_in_draw_order(monkeypatch, config):
     # with a box limit of 2 corners, some boxes are enumerated and planned
@@ -353,10 +352,13 @@ def test_goldens_law_checks_the_documented_instance():
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "verify_records.jsonl"
 
-# exhaustive families, sampled ones (two hit the brute-force size note, one
-# takes the sampled branch of floor-ceil-monotone) and the 2000-instance cap
+# enumerated families (one with 2K + 1 > 9, which pins the pairs that
+# floor-ceil-monotone draws when enumerating), sampled ones (two hit the
+# brute-force size note, one takes the sampled branch of
+# floor-ceil-monotone) and the 2000-instance cap
 GOLDEN_FAMILIES = (
     "--n 1 --levels 1",
+    "--n 1 --levels 5",
     "--n 2 --levels 2",
     "--n 2 --levels 3",
     "--n 3 --levels 1",
