@@ -271,6 +271,13 @@ def test_player_list_validation():
         load_problem(dumps(players="a,b,c"))
 
 
+def test_a_capacity_that_is_not_an_object_is_a_parse_error():
+    # a table in mask order is the library's form, not the document's
+    for capacity in (["0", "0.3", "0.25", "0.4", "0.2", "0.3", "0.6", "1"], "1"):
+        with pytest.raises(ParseError, match="'capacity' must map subset strings"):
+            load_problem(dumps(capacity=capacity))
+
+
 def test_scale_descriptor_validation():
     with pytest.raises(ParseError, match="'unit' or 'levels'"):
         load_problem(dumps(scale={"kind": "interval"}))
