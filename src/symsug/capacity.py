@@ -43,10 +43,12 @@ def subsets(n: int) -> range:
     return range(1 << n)
 
 
-def _check_mask(mask: int) -> None:
+def _check_mask(mask: int, n: int | None = None) -> None:
     # a negative int has infinitely many one bits, so no walk would end
     if mask < 0:
         raise ValueError(f"subset mask {mask} is negative")
+    if n is not None and mask >> n:
+        raise ValueError(f"subset mask {mask} is outside 0..{(1 << n) - 1}")
 
 
 def subset_members(mask: int) -> tuple[int, ...]:
@@ -461,18 +463,3 @@ def is_maxitive(v: SetFunction) -> bool:
             if v(a | b) != max(v(a), v(b)):
                 return False
     return True
-
-
-def is_k_maxitive(v: "Capacity", k: int) -> bool:
-    """True when the lower interval bound of the ordinal Moebius transform
-    vanishes on every subset with more than ``k`` members."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    from . import mobius  # deferred; mobius builds on this module
-
-    lower = mobius.ordinal_mobius_interval(v).lower
-    return all(
-        lower(mask) == v.scale.zero
-        for mask in subsets(v.n)
-        if mask.bit_count() > k
-    )

@@ -43,7 +43,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .capacity import MAX_PLAYERS, CapacityError
+from .capacity import CapacityError
 from .integrals import (
     FOLD_RULES,
     _ranked_grades,
@@ -276,14 +276,6 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 1 <= args.n <= MAX_PLAYERS:
-        raise ValueError(f"--n must be in 1..{MAX_PLAYERS}")
-    if args.levels < 1:
-        raise ValueError("--levels must be at least 1")
-    if args.samples is None and args.n > 3:
-        raise ValueError("exhaustive mode needs --n at most 3; pass --samples")
-    if args.samples is not None and args.samples < 1:
-        raise ValueError("--samples must be positive")
     config = VerifyConfig(
         n=args.n, levels=args.levels, samples=args.samples, seed=args.seed
     )

@@ -20,6 +20,7 @@ from typing import Sequence
 from .capacity import (
     Capacity,
     SetFunction,
+    _check_mask,
     _check_pair,
     _dense_table,
     _distribution_scale,
@@ -117,6 +118,19 @@ def ordinal_mobius_interval(v: Capacity) -> MobiusInterval:
     )
 
 
+def is_k_maxitive(v: Capacity, k: int) -> bool:
+    """True when the lower interval bound of the ordinal Moebius transform
+    vanishes on every subset with more than ``k`` members."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    lower = ordinal_mobius_interval(v).lower
+    return all(
+        lower(mask) == v.scale.zero
+        for mask in subsets(v.n)
+        if mask.bit_count() > k
+    )
+
+
 def is_solution(v: Capacity, m: SetFunction, rule: Rule) -> bool:
     """True when folding m over the subsets of each A under ``rule``
     reproduces v(A).  m may take negative values."""
@@ -162,7 +176,9 @@ def even_odd_mobius(v: Capacity) -> SetFunction:
 def reconstruct(m: SetFunction, mask: int) -> ScaleValue:
     """Rebuild a capacity value from a transform in the interval:
     v(A) = join over all B of  m(B) min-sym u_B(A),  with u_B the game that
-    is 1 on nonempty supersets of B."""
+    is 1 on nonempty supersets of B.  A mask outside the player set raises
+    ValueError."""
+    _check_mask(mask, m.n)
     top = m.scale.one.signed
     result = 0
     for b_mask, entry in enumerate(m.table):
@@ -173,7 +189,9 @@ def reconstruct(m: SetFunction, mask: int) -> ScaleValue:
 
 def reconstruct_from_conjugate(m_conj: SetFunction, mask: int) -> ScaleValue:
     """Rebuild v(A) from a transform of the conjugate capacity:
-    n(join of m_conj over the subsets disjoint from A)."""
+    n(join of m_conj over the subsets disjoint from A).  A mask outside the
+    player set raises ValueError."""
+    _check_mask(mask, m_conj.n)
     outside = 0
     for b_mask, entry in enumerate(m_conj.table):
         if b_mask & mask == 0:

@@ -27,13 +27,13 @@ from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .capacity import (
+    MAX_PLAYERS,
     Capacity,
     SetFunction,
     _check_players,
     capacity_problems,
     conjugate,
     covers_of,
-    is_k_maxitive,
     is_maxitive,
     necessity_measure,
     possibility_measure,
@@ -49,7 +49,6 @@ from .integrals import (
     _rank_grades,
     _signed_minima,
     _symmetric_mobius_grade,
-    _transform_weights,
     _variant1_kernel,
     choquet,
     choquet_asymmetric,
@@ -74,6 +73,7 @@ from .mobius import (
     classical_mobius,
     classical_zeta,
     even_odd_mobius,
+    is_k_maxitive,
     is_solution,
     mobius_necessity,
     mobius_possibility,
@@ -114,6 +114,16 @@ class VerifyConfig:
     levels: int = 3
     samples: int | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.n <= MAX_PLAYERS:
+            raise ValueError(f"--n must be in 1..{MAX_PLAYERS}")
+        if self.levels < 1:
+            raise ValueError("--levels must be at least 1")
+        if self.samples is None and self.n > 3:
+            raise ValueError("exhaustive mode needs --n at most 3; pass --samples")
+        if self.samples is not None and self.samples < 1:
+            raise ValueError("--samples must be positive")
 
 
 @dataclass(frozen=True)
@@ -369,23 +379,20 @@ def _box(interval: MobiusInterval) -> tuple[list[range], int]:
 
 def _members(
     config: VerifyConfig, interval: MobiusInterval, rng: Random
-) -> Iterator[SetFunction]:
-    """Tables in [lower, upper] on a levels scale: all of them when the box
-    has at most ``cap`` corners, otherwise the two bounds plus ``extra``
-    seeded draws."""
+) -> Iterator[tuple[int, ...]]:
+    """The signed grade tables in [lower, upper] on a levels scale: all of
+    them when the box has at most ``cap`` corners, otherwise the two bounds
+    plus ``extra`` seeded draws."""
     # sampling mode trades per-instance coverage for instance count
     cap, extra = (GRID_LIMIT, 16) if config.samples is None else (8, 4)
-    scale = interval.lower.scale
     spans, volume = _box(interval)
     if volume <= cap:
-        for grades in itertools.product(*spans):
-            yield SetFunction(interval.n, scale, _grades(scale, *grades))
+        yield from itertools.product(*spans)
         return
-    yield interval.lower
-    yield interval.upper
+    yield tuple(span[0] for span in spans)
+    yield tuple(span[-1] for span in spans)
     for _ in range(extra):
-        grades = [rng.choice(span) for span in spans]
-        yield SetFunction(interval.n, scale, _grades(scale, *grades))
+        yield tuple(rng.choice(span) for span in spans)
 
 
 def worked_example() -> tuple[Capacity, Profile]:
@@ -1034,7 +1041,8 @@ def _member_subsets(conjugated: bool) -> Family:
         stream = _capacities(config, rng)
         for v in itertools.islice(stream, CAPACITY_CAP if capped else None):
             interval = ordinal_mobius_interval(conjugate(v) if conjugated else v)
-            for member in _members(config, interval, rng):
+            for grades in _members(config, interval, rng):
+                member = SetFunction(v.n, v.scale, _grades(v.scale, *grades))
                 for mask in subsets(v.n):
                     yield v, member, mask
         return f"sampled instances capped at {CAPACITY_CAP}" if capped else ""
@@ -1177,24 +1185,13 @@ def _choquet_conjugation(v: RealSetFunction, f: list[Fraction]):
 
 def _member_weights(
     config: VerifyConfig, rng: Random, signed: bool
-) -> Iterator[tuple[Capacity, Profile, tuple, Iterable[list[int]]]]:
+) -> Iterator[tuple[Capacity, Profile, tuple, Iterator[tuple[int, ...]]]]:
     """Each instance, for the laws that read many interval members against
     one profile: the capacity, the profile, its
     :func:`~symsug.integrals._signed_minima`, folded once, and the signed
-    weights of the members.  In exhaustive mode a box of at most
-    GRID_LIMIT corners is enumerated and read once per capacity, since
-    enumerating draws nothing from the rng; any other box draws its members
-    per profile, in the order it always has, and each is read as drawn."""
-    planned = plan = None
+    weights of the members, drawn per profile as they are read."""
     for v, interval, f in _instances(config, rng, signed):
-        if interval is not planned:
-            planned, plan = interval, None
-            if config.samples is None and _box(interval)[1] <= GRID_LIMIT:
-                plan = [_transform_weights(m) for m in _members(config, interval, rng)]
-        weights = plan
-        if weights is None:
-            weights = map(_transform_weights, _members(config, interval, rng))
-        yield v, f, _signed_minima(f), weights
+        yield v, f, _signed_minima(f), _members(config, interval, rng)
 
 
 def _representatives(config: VerifyConfig, rng: Random):
@@ -1445,8 +1442,8 @@ def _sensitivity_search(config: VerifyConfig, rng: Random):
     for search in (VerifyConfig(n=2, levels=config.levels), sampled):
         for v, interval, f in _instances(search, rng):
             if interval is not read:
-                read = interval
-                bounds = _transform_weights(read.lower), _transform_weights(read.upper)
+                read, spans = interval, _box(interval)[0]
+                bounds = [span[0] for span in spans], [span[-1] for span in spans]
             yield v, bounds, f
 
 

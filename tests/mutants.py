@@ -75,6 +75,16 @@ FLOOR_CEIL_TEST = (
     "tests/test_verify.py::test_floor_ceil_monotone_folds_each_multiset_once_per_rule"
 )
 VERIFY_RECORDS_TEST = "tests/test_verify.py::test_verify_records_match_the_golden_file"
+SAMPLED_MEMBERS_TEST = (
+    "tests/test_verify.py::"
+    "test_sampled_members_are_the_bounds_then_seeded_draws_in_the_box"
+)
+CONFIG_BOUNDS_TEST = (
+    "tests/test_verify.py::test_a_config_refuses_what_the_command_line_refuses"
+)
+RECONSTRUCT_MASK_TEST = (
+    "tests/test_mobius.py::test_reconstruction_refuses_a_mask_outside_the_player_set"
+)
 TRANSFORM_KERNELS_TEST = (
     "tests/test_integrals.py::"
     "test_transform_forms_equal_their_kernels_on_once_folded_minima"
@@ -440,7 +450,7 @@ MUTANTS = (
         "        return self.value(self._top)\n",
         ("tests/test_scale.py::test_zero_and_one_are_built_once_per_scale",),
     ),
-    # the law suite's fold table, pair walk, member plans and folded minima
+    # the law suite's fold table, pair walk and folded minima
     Mutant(
         "fold-table-keyed-without-the-rule", VERIFY,
         "    tables = [(rule, {}) for rule in (Rule.FLOOR, Rule.CEIL)]\n",
@@ -463,37 +473,60 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "minima-folded-once-per-capacity", VERIFY,
-        "            planned, plan = interval, None\n"
-        "            if config.samples is None and _box(interval)[1] <= GRID_LIMIT:\n"
-        "                plan = [_transform_weights(m) for m in _members(config, interval, rng)]\n"
-        "        weights = plan\n"
-        "        if weights is None:\n"
-        "            weights = map(_transform_weights, _members(config, interval, rng))\n"
-        "        yield v, f, _signed_minima(f), weights\n",
-        "            planned, plan, minima = interval, None, _signed_minima(f)\n"
-        "            if config.samples is None and _box(interval)[1] <= GRID_LIMIT:\n"
-        "                plan = [_transform_weights(m) for m in _members(config, interval, rng)]\n"
-        "        weights = plan\n"
-        "        if weights is None:\n"
-        "            weights = map(_transform_weights, _members(config, interval, rng))\n"
-        "        yield v, f, minima, weights\n",
-        (TRANSFORM_KERNELS_TEST,),
-    ),
-    Mutant(
         "transform-kernel-swaps-gains-and-losses", INTEGRALS,
         "for w, gain, loss in zip(weights[1:], gains[1:], losses[1:])",
         "for w, gain, loss in zip(weights[1:], losses[1:], gains[1:])",
         ("tests/test_integrals.py::test_transform_terms_and_blocks_match_per_mask_terms",),
     ),
+    # the member feed: grade tuples, the bounds then seeded draws per span
     Mutant(
-        "member-plan-reused-for-the-next-capacity", VERIFY,
-        "        if interval is not planned:\n",
-        "        if planned is None:\n",
-        (
-            "tests/test_verify.py::"
-            "test_member_plans_yield_the_per_profile_members_in_draw_order",
-        ),
+        "members-yield-the-low-ends-twice", VERIFY,
+        "    yield tuple(span[-1] for span in spans)\n",
+        "    yield tuple(span[0] for span in spans)\n",
+        (SAMPLED_MEMBERS_TEST,),
+    ),
+    Mutant(
+        "members-draw-from-the-wrong-span", VERIFY,
+        "tuple(rng.choice(span) for span in spans)",
+        "tuple(rng.choice(spans[0]) for span in spans)",
+        (SAMPLED_MEMBERS_TEST, VERIFY_RECORDS_TEST),
+    ),
+    Mutant(
+        "member-weights-swap-gains-and-losses", VERIFY,
+        "yield v, f, _signed_minima(f), _members(config, interval, rng)",
+        "yield v, f, _signed_minima(f)[::-1], _members(config, interval, rng)",
+        (TRANSFORM_KERNELS_TEST,),
+    ),
+    # a config checks its own bounds; reconstruction checks its mask
+    Mutant(
+        "config-accepts-zero-samples", VERIFY,
+        "if self.samples is not None and self.samples < 1:",
+        "if self.samples is not None and self.samples < 0:",
+        (CONFIG_BOUNDS_TEST,),
+    ),
+    Mutant(
+        "config-enumerates-four-players", VERIFY,
+        "if self.samples is None and self.n > 3:",
+        "if self.samples is None and self.n > 4:",
+        (CONFIG_BOUNDS_TEST,),
+    ),
+    Mutant(
+        "mask-bound-one-player-wide", CAPACITY,
+        "if n is not None and mask >> n:",
+        "if n is not None and mask >> n + 1:",
+        (RECONSTRUCT_MASK_TEST,),
+    ),
+    Mutant(
+        "reconstruct-without-the-player-bound", MOBIUS,
+        "    _check_mask(mask, m.n)\n",
+        "    _check_mask(mask)\n",
+        (RECONSTRUCT_MASK_TEST,),
+    ),
+    Mutant(
+        "conjugate-reconstruct-without-the-player-bound", MOBIUS,
+        "    _check_mask(mask, m_conj.n)\n",
+        "    _check_mask(mask)\n",
+        (RECONSTRUCT_MASK_TEST,),
     ),
     # the draw switch: the members' box limits and enumerate mode's draws
     Mutant(

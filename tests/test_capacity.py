@@ -37,7 +37,6 @@ from symsug.capacity import (
     covers_of,
     fold_members,
     full_set,
-    is_k_maxitive,
     is_maxitive,
     iter_submasks,
     mask_of,
@@ -48,7 +47,7 @@ from symsug.capacity import (
     subsets,
     zeta,
 )
-from symsug.mobius import mobius_necessity, mobius_possibility
+from symsug.mobius import is_k_maxitive, mobius_necessity, mobius_possibility
 from symsug.verify import iter_capacities, sample_capacity
 from conftest import make_capacity
 

@@ -66,6 +66,20 @@ def test_module_uses_every_import(path):
     assert unused == [], f"{path.name} imports but never uses {unused}"
 
 
+def test_every_import_is_at_module_level():
+    """A function-level import is how one library module reaches another
+    that imports it in turn: with none, the modules import in one order."""
+    deferred = [
+        (path.name, node.lineno)
+        for path in MODULES
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        if not isinstance(top, (ast.Import, ast.ImportFrom))
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert deferred == []
+
+
 def private_definitions(tree: ast.Module) -> list[str]:
     """The module-level private functions, classes and constants that have
     no decorator (a decorator may register a function it never names)."""

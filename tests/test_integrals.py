@@ -590,7 +590,7 @@ def test_transform_terms_and_blocks_match_per_mask_terms():
 
 def test_transform_forms_equal_their_kernels_on_once_folded_minima():
     # the laws that read many members against one profile fold its minima
-    # once and feed them to the kernels with each member's weights; each
+    # once and feed them to the kernels with each member's grades; each
     # public form must give what its kernel gives on that feed
     config = VerifyConfig(n=2, levels=2)
     checked = 0
@@ -604,8 +604,9 @@ def test_transform_forms_equal_their_kernels_on_once_folded_minima():
         pairs = zip(instances, fed, strict=True)
         for (v, f, members), (_, g, (gains, losses), weighted) in pairs:
             assert g == f
-            for member, weights in zip(members, weighted, strict=True):
-                assert weights == [w.signed for w in member.table]
+            for grades, weights in zip(members, weighted, strict=True):
+                member = SetFunction(v.n, v.scale, tuple(map(v.scale.value, grades)))
+                assert weights == grades
                 terms = _variant1_kernel(weights, gains, losses)
                 assert [t.signed for t in variant1_terms(member, f)] == terms
                 assert sugeno_variant1(member, f).signed == _fold_signed(

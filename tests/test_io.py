@@ -116,6 +116,7 @@ def test_labelled_levels_scale():
         "[1, 2]",
         dumps(extra=1),
         json.dumps({"scale": {"kind": "unit"}, "profile": ["0"]}),
+        dumps(profile=[]),
     ],
 )
 def test_structural_problems_are_parse_errors(text):

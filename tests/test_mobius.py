@@ -36,7 +36,7 @@ from symsug.mobius import (
     reconstruct,
     reconstruct_from_conjugate,
 )
-from symsug.verify import iter_capacities, sample_capacity
+from symsug.verify import iter_capacities, sample_capacity, worked_example
 from conftest import make_capacity
 
 UNIT = unit_scale()
@@ -162,6 +162,16 @@ def test_reconstruct_through_the_conjugate():
     assert [
         reconstruct_from_conjugate(m_conj, mask) for mask in subsets(2)
     ] == list(v.table)
+
+
+@pytest.mark.parametrize("mask", [-1, 8, 9, 1 << 70])
+def test_reconstruction_refuses_a_mask_outside_the_player_set(mask):
+    # an unchecked mask fell through the walk: 8 rebuilt 0, -1 rebuilt 1 and,
+    # through the conjugate, 9 rebuilt 0.4 on this lower bound
+    lower = ordinal_mobius_interval(worked_example()[0]).lower
+    for rebuild in (reconstruct, reconstruct_from_conjugate):
+        with pytest.raises(ValueError, match=f"subset mask {mask} is "):
+            rebuild(lower, mask)
 
 
 def test_even_odd_form_equals_the_lower_bound():

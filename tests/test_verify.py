@@ -99,6 +99,29 @@ def test_capacity_builders_check_the_player_count_first(monkeypatch):
         sample_capacity(Random(0), MAX_PLAYERS + 1, scale)
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"n": 0, "levels": 0, "samples": 0}, f"--n must be in 1..{MAX_PLAYERS}"),
+        ({"n": MAX_PLAYERS + 1, "samples": 1}, f"--n must be in 1..{MAX_PLAYERS}"),
+        ({"n": 4, "levels": 0}, "--levels must be at least 1"),
+        ({"n": 4}, "exhaustive mode needs --n at most 3; pass --samples"),
+        ({"n": 4, "samples": 0}, "--samples must be positive"),
+        ({"samples": -3}, "--samples must be positive"),
+    ],
+)
+def test_a_config_refuses_what_the_command_line_refuses(fields, message):
+    # samples=0 used to pass every sampled law on 0 checks, and n=4 to
+    # enumerate four-player capacities without a bound
+    with pytest.raises(ValueError) as refused:
+        VerifyConfig(**fields)
+    assert str(refused.value) == message
+
+
+def signed_table(m):
+    return tuple(x.signed for x in m.table)
+
+
 def test_interval_member_enumeration_matches_the_box_volume():
     scale = levels_scale(2)
     v = Capacity.from_values(2, scale, (0, 1, 1, 2))
@@ -108,7 +131,24 @@ def test_interval_member_enumeration_matches_the_box_volume():
     for mask in range(4):
         volume *= interval.upper(mask).signed - interval.lower(mask).signed + 1
     assert len(members) == volume
-    assert interval.lower in members and interval.upper in members
+    lower, upper = signed_table(interval.lower), signed_table(interval.upper)
+    assert lower in members and upper in members
+
+
+def test_sampled_members_are_the_bounds_then_seeded_draws_in_the_box():
+    # 4 * 4 * 4 * 4 corners: over the sampling limit of 8, so the bounds and
+    # four draws, one grade from each mask's span in mask order
+    v = Capacity.from_values(3, levels_scale(3), (0,) + (3,) * 7)
+    interval = ordinal_mobius_interval(v)
+    spans, volume = symsug.verify._box(interval)
+    assert volume == 256
+    rng, replay = Random(7), Random(7)
+    members = list(symsug.verify._members(QUICK, interval, rng))
+    draws = [tuple(replay.choice(span) for span in spans) for _ in range(4)]
+    lower, upper = signed_table(interval.lower), signed_table(interval.upper)
+    assert members == [lower, upper, *draws]
+    assert all(g in span for m in draws for g, span in zip(m, spans))
+    assert rng.random() == replay.random()
 
 
 def test_worked_example_matches_the_documented_tables():
@@ -261,26 +301,25 @@ def test_dominated_pairs_are_those_of_the_recursive_walk_in_order(k):
     "config",
     [VerifyConfig(n=2, levels=2), VerifyConfig(n=2, levels=2, samples=40)],
 )
-def test_member_plans_yield_the_per_profile_members_in_draw_order(monkeypatch, config):
-    # with a box limit of 2 corners, some boxes are enumerated and planned
-    # once per capacity while the others draw their members per profile
+def test_member_weights_yield_the_per_profile_members_in_draw_order(monkeypatch, config):
+    # with a box limit of 2 corners, some boxes are enumerated while the
+    # others draw their members per profile, as each is read
     monkeypatch.setattr(symsug.verify, "GRID_LIMIT", 2)
     verify = symsug.verify
 
     def per_profile(rng):
         for v, interval, f in verify._instances(config, rng, True):
-            members = verify._members(config, interval, rng)
-            weights = [verify._transform_weights(m) for m in members]
+            weights = list(verify._members(config, interval, rng))
             yield v, f, verify._signed_minima(f), weights
 
-    reference, planned = Random(3), Random(3)
+    reference, fed = Random(3), Random(3)
     expected = list(per_profile(reference))
     got = [
         (v, f, minima, list(weights))
-        for v, f, minima, weights in verify._member_weights(config, planned, True)
+        for v, f, minima, weights in verify._member_weights(config, fed, True)
     ]
     assert got == expected
-    assert reference.random() == planned.random()
+    assert reference.random() == fed.random()
     volumes = {verify._box(ordinal_mobius_interval(v))[1] for v, *_ in got}
     assert min(volumes) <= 2 < max(volumes)
 
