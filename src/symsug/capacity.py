@@ -352,14 +352,6 @@ class Capacity(SetFunction):
         return cls(n, scale, _coerce_table(n, scale, values))
 
 
-def _trusted(cls: type, **fields: Any) -> Any:
-    """A ``cls`` built from ``fields`` with no checks, for fields known to
-    pass them, such as a table taken from a checked object."""
-    built = object.__new__(cls)
-    built.__dict__.update(fields)
-    return built
-
-
 def _check_capacity(
     n: int, scale: SymmetricScale, table: Sequence[ScaleValue]
 ) -> None:

@@ -39,7 +39,6 @@ from .capacity import (
     _check_pair,
     _check_players,
     _coerce_value,
-    _trusted,
     fold_members,
     full_set,
     rank_sets,
@@ -55,6 +54,7 @@ from .scale import (
     _clip,
     _exact,
     _sym_max_signed,
+    _trusted,
     check_scale,
     sym_max,
 )

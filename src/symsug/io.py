@@ -34,7 +34,6 @@ from .capacity import (
     _check_capacity,
     _read_subset_table,
     _subset_keys,
-    _trusted,
 )
 from .integrals import Profile
 from .scale import (
@@ -45,6 +44,7 @@ from .scale import (
     ScaleValue,
     SymmetricScale,
     _format_fraction,
+    _trusted,
     levels_scale,
     unit_scale,
 )
@@ -155,14 +155,23 @@ def _ranked_unit(
     rank = {pair: i for i, pair in enumerate(ordered)}
     labels = tuple(_format_fraction(num, den) for num, den in ordered)
     scale = levels_scale(len(ordered) - 1, labels)
+    # ranks are ints in -K..K, so each is wrapped once, unchecked, into
+    # the scale's intern table
+    interned = scale._cache
     grade = {}
     for key, (num, den) in ratios.items():
         i = rank[abs(num), den]
-        grade[key] = scale.value(-i if num < 0 else i)
+        if num < 0:
+            i = -i
+        wrapped = interned.get(i)
+        if wrapped is None:
+            wrapped = interned[i] = _trusted(ScaleValue, scale=scale, signed=i)
+        grade[key] = wrapped
     ranked = tuple(map(grade.__getitem__, map(id, table)))
     _check_capacity(n, scale, ranked)
     capacity = _trusted(Capacity, n=n, scale=scale, table=ranked)
-    return capacity, Profile(scale, tuple(map(grade.__getitem__, map(id, scores))))
+    scores = tuple(map(grade.__getitem__, map(id, scores)))
+    return capacity, _trusted(Profile, scale=scale, scores=scores)
 
 
 def read_problem(path: str) -> Problem:

@@ -25,7 +25,6 @@ from .capacity import (
     _dense_table,
     _distribution_scale,
     _slice_pairs,
-    _trusted,
     full_set,
     iter_submasks,
     rank_sets,
@@ -33,7 +32,7 @@ from .capacity import (
     zeta,
 )
 from .rules import Rule, _fold_signed, fold_sym_max
-from .scale import ScaleValue, _clip, _exact, _sym_max_signed
+from .scale import ScaleValue, _clip, _exact, _sym_max_signed, _trusted
 
 
 # -- classical transform on rational tables ----------------------------------

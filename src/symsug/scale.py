@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Any, Iterable, Iterator, Sequence, Union
 
 Number = Union[int, Fraction]
 
@@ -28,6 +28,9 @@ UNIT = "unit"
 MAX_UNIT_TEXT = 1000  # characters, surrounding whitespace stripped
 MAX_UNIT_EXPONENT = 1000  # magnitude of a decimal exponent
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+# a plain ASCII spelling, read on ints: -D, -D.D or -D/D, each D a run of
+# at most 40 digits, so such text is far inside MAX_UNIT_TEXT
+_PLAIN = re.compile(r"(-?)([0-9]{1,40})(?:([./])([0-9]{1,40}))?")
 
 
 class ScaleError(ValueError):
@@ -157,9 +160,13 @@ class SymmetricScale:
             raise ScaleError(f"expected a string value, got {type(text).__name__}")
         text = text.strip()
         if self.kind == UNIT:
+            x = _read_unit_text(text)
+            num, den = x.as_integer_ratio()
+            if abs(num) <= den:
+                return _trusted(ScaleValue, scale=self, signed=x)
             # well-formed but out of range raises OffScaleError, a
             # validation error rather than a syntax error
-            return self.value(_exact(text))
+            return self.value(x)
         negative = text.startswith("-")
         grade = self._grade(text[1:] if negative else text)
         if grade is None:
@@ -181,7 +188,9 @@ class SymmetricScale:
 
 
 def unit_scale() -> SymmetricScale:
-    return SymmetricScale(UNIT)
+    """The unit scale: one shared object, built once at import, since
+    every unit scale is equal and holds no per-caller state."""
+    return _UNIT_SCALE
 
 
 def levels_scale(k: int, labels: tuple[str, ...] | None = None) -> SymmetricScale:
@@ -274,26 +283,57 @@ def _check_unit_text(text: str) -> None:
         )
 
 
+def _read_unit_text(text: str) -> Fraction:
+    """Unit-scale text as a Fraction.  A plain ASCII spelling (``_PLAIN``)
+    with a nonzero denominator is read on ints; any other text is bounded
+    by :func:`_check_unit_text` and read by ``Fraction``, the reference the
+    plain reading agrees with, and text it cannot read raises ScaleError
+    naming the text."""
+    plain = _PLAIN.fullmatch(text)
+    if plain is not None:
+        sign, whole, mark, part = plain.groups("")
+        if mark == "/":
+            num, den = int(whole), int(part)
+        else:
+            num, den = int(whole + part), 10 ** len(part)
+        if den:
+            return Fraction(-num if sign else num, den)
+    _check_unit_text(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScaleError(f"bad unit-scale value: {text!r}") from exc
+
+
 def _exact(x) -> Fraction:
     """``x`` as a Fraction; a bool raises ScaleError, being no number, and
     so does a binary float, since its value is almost never the decimal it
-    was written as.  Text is bounded before ``Fraction`` reads it; this is
-    how :meth:`SymmetricScale.parse` reads unit-scale text.  Anything else
-    ``Fraction`` cannot read raises ScaleError too, naming the text or the
-    type."""
+    was written as.  Text is read by :func:`_read_unit_text`, as
+    :meth:`SymmetricScale.parse` reads unit-scale text.  Anything else
+    ``Fraction`` cannot read raises ScaleError too, naming the type."""
     if type(x) is Fraction:
         return x
+    if isinstance(x, str):
+        return _read_unit_text(x)
     if isinstance(x, bool):
         raise ScaleError("bad unit-scale value: bool")
     if isinstance(x, float):
         raise ScaleError("binary floats are not exact; use Fraction")
-    if isinstance(x, str):
-        _check_unit_text(x)
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        what = repr(x) if isinstance(x, str) else type(x).__name__
-        raise ScaleError(f"bad unit-scale value: {what}") from exc
+        raise ScaleError(f"bad unit-scale value: {type(x).__name__}") from exc
+
+
+def _trusted(cls: type, **fields: Any) -> Any:
+    """A ``cls`` built from ``fields`` with no checks, for fields known to
+    pass them, such as a table taken from a checked object."""
+    built = object.__new__(cls)
+    built.__dict__.update(fields)
+    return built
+
+
+_UNIT_SCALE = SymmetricScale(UNIT)
 
 
 def check_scale(scale: SymmetricScale, values: Iterable[ScaleValue]) -> None:

@@ -378,14 +378,14 @@ def _box(interval: MobiusInterval) -> tuple[list[range], int]:
 
 
 def _members(
-    config: VerifyConfig, interval: MobiusInterval, rng: Random
+    config: VerifyConfig, box: tuple[list[range], int], rng: Random
 ) -> Iterator[tuple[int, ...]]:
-    """The signed grade tables in [lower, upper] on a levels scale: all of
-    them when the box has at most ``cap`` corners, otherwise the two bounds
-    plus ``extra`` seeded draws."""
+    """The signed grade tables in an interval's :func:`_box`: all of them
+    when the box has at most ``cap`` corners, otherwise the two bounds plus
+    ``extra`` seeded draws."""
     # sampling mode trades per-instance coverage for instance count
     cap, extra = (GRID_LIMIT, 16) if config.samples is None else (8, 4)
-    spans, volume = _box(interval)
+    spans, volume = box
     if volume <= cap:
         yield from itertools.product(*spans)
         return
@@ -1041,7 +1041,7 @@ def _member_subsets(conjugated: bool) -> Family:
         stream = _capacities(config, rng)
         for v in itertools.islice(stream, CAPACITY_CAP if capped else None):
             interval = ordinal_mobius_interval(conjugate(v) if conjugated else v)
-            for grades in _members(config, interval, rng):
+            for grades in _members(config, _box(interval), rng):
                 member = SetFunction(v.n, v.scale, _grades(v.scale, *grades))
                 for mask in subsets(v.n):
                     yield v, member, mask
@@ -1189,9 +1189,13 @@ def _member_weights(
     """Each instance, for the laws that read many interval members against
     one profile: the capacity, the profile, its
     :func:`~symsug.integrals._signed_minima`, folded once, and the signed
-    weights of the members, drawn per profile as they are read."""
+    weights of the members, drawn per profile as they are read from the
+    box of each interval, spanned once."""
+    read = None
     for v, interval, f in _instances(config, rng, signed):
-        yield v, f, _signed_minima(f), _members(config, interval, rng)
+        if interval is not read:
+            read, box = interval, _box(interval)
+        yield v, f, _signed_minima(f), _members(config, box, rng)
 
 
 def _representatives(config: VerifyConfig, rng: Random):

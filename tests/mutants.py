@@ -90,6 +90,15 @@ TRANSFORM_KERNELS_TEST = (
     "test_transform_forms_equal_their_kernels_on_once_folded_minima"
 )
 
+UNIT_TEXT_TESTS = (
+    "tests/test_scale.py::test_unit_text_reads_as_its_fraction_reference",
+    "tests/test_scale.py::test_generated_unit_text_reads_as_its_fraction_reference",
+)
+MEMBER_WEIGHTS_TEST = (
+    "tests/test_verify.py::"
+    "test_member_weights_yield_the_per_profile_members_in_draw_order"
+)
+
 SLICED_CHECK_TEST = (
     "tests/test_capacity.py::"
     "test_the_sliced_check_agrees_with_capacity_problems_on_broken_tables"
@@ -493,8 +502,8 @@ MUTANTS = (
     ),
     Mutant(
         "member-weights-swap-gains-and-losses", VERIFY,
-        "yield v, f, _signed_minima(f), _members(config, interval, rng)",
-        "yield v, f, _signed_minima(f)[::-1], _members(config, interval, rng)",
+        "yield v, f, _signed_minima(f), _members(config, box, rng)",
+        "yield v, f, _signed_minima(f)[::-1], _members(config, box, rng)",
         (TRANSFORM_KERNELS_TEST,),
     ),
     # a config checks its own bounds; reconstruction checks its mask
@@ -583,6 +592,43 @@ MUTANTS = (
         "num, den = table[top ^ upper].as_integer_ratio()",
         "num, den = table[upper].as_integer_ratio()",
         ("tests/test_integrals.py::test_choquet_forms_agree",),
+    ),
+    # the plain unit-text reader and the unchecked wraps of checked values
+    Mutant(
+        "plain-reader-drops-the-sign", SCALE,
+        "return Fraction(-num if sign else num, den)",
+        "return Fraction(num, den)",
+        UNIT_TEXT_TESTS,
+    ),
+    Mutant(
+        "plain-reader-scales-by-one-place-less", SCALE,
+        "num, den = int(whole + part), 10 ** len(part)",
+        "num, den = int(whole + part), 10 ** (len(part) - 1)",
+        UNIT_TEXT_TESTS,
+    ),
+    Mutant(
+        "plain-reader-accepts-a-zero-denominator", SCALE,
+        "        if den:\n            return Fraction(",
+        "        if True:\n            return Fraction(",
+        UNIT_TEXT_TESTS,
+    ),
+    Mutant(
+        "parse-wraps-off-scale-values", SCALE,
+        "            if abs(num) <= den:\n",
+        "            if True:\n",
+        UNIT_TEXT_TESTS,
+    ),
+    Mutant(
+        "ranked-unit-wraps-the-magnitude-of-a-negative-rank", IO,
+        "_trusted(ScaleValue, scale=scale, signed=i)",
+        "_trusted(ScaleValue, scale=scale, signed=abs(i))",
+        (RANKED_SCALE_TEST,),
+    ),
+    Mutant(
+        "member-weights-keep-the-first-box", VERIFY,
+        "        if interval is not read:\n            read, box = interval, _box(interval)\n",
+        "        if read is None:\n            read, box = interval, _box(interval)\n",
+        (MEMBER_WEIGHTS_TEST, VERIFY_RECORDS_TEST),
     ),
 )
 

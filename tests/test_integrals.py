@@ -55,6 +55,7 @@ from symsug.integrals import (
 )
 from symsug.verify import (
     VerifyConfig,
+    _box,
     _instances,
     _member_weights,
     _members,
@@ -597,7 +598,7 @@ def test_transform_forms_equal_their_kernels_on_once_folded_minima():
     for signed in (True, False):
         rng = Random(0)
         instances = (
-            (v, f, _members(config, interval, rng))
+            (v, f, _members(config, _box(interval), rng))
             for v, interval, f in _instances(config, rng, signed)
         )
         fed = _member_weights(config, Random(0), signed)

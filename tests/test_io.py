@@ -575,6 +575,8 @@ def test_the_ranked_scale_prints_what_the_unit_scale_computes(document):
     problem = load_problem(json.dumps(document))
     v, f = problem.ranked()
     assert v.scale.kind == "levels" and f.scale is v.scale
+    # every grade is the ranked scale's interned object
+    assert all(x is v.scale.value(x.signed) for x in (*v.table, *f.scores))
     # the ranked capacity is built unchecked, so check it here
     assert capacity_problems(v.n, v.scale, v.table) == []
     assert [str(x) for x in v.table] == [str(x) for x in problem.capacity.table]

@@ -32,6 +32,7 @@ from symsug.rules import is_fold_unambiguous
 from symsug.scale import (
     MAX_UNIT_EXPONENT,
     MAX_UNIT_TEXT,
+    _check_unit_text,
     _clip,
     _exact,
     _sym_max_signed,
@@ -168,6 +169,99 @@ def test_unit_text_is_bounded_before_a_fraction_is_built():
     for text in (f"1e-{MAX_UNIT_EXPONENT + 1}", "1e-1000000", "1e+1_001"):
         with pytest.raises(ScaleError, match="bad unit-scale value"):
             UNIT.parse(text)
+
+
+def _reference_exact(text):
+    """The reference reading of unit-scale text: the bounds, then
+    ``Fraction``, naming the text it cannot read."""
+    _check_unit_text(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScaleError(f"bad unit-scale value: {text!r}") from exc
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_read_as_the_reference(text):
+    exact = _outcome(_exact, text)
+    assert exact == _outcome(_reference_exact, text)
+    if not isinstance(exact, tuple):
+        assert type(exact) is Fraction
+    parsed = _outcome(UNIT.parse, text)
+    assert parsed == _outcome(lambda t: UNIT.value(_reference_exact(t.strip())), text)
+    if isinstance(parsed, ScaleValue):
+        assert parsed.scale is UNIT and type(parsed.signed) is Fraction
+
+
+DIGITS_40, DIGITS_41 = "1234567890" * 4, "1234567890" * 4 + "7"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0", "1", "-1", "-0", "007", "0.50", "-0.250", "1/3", "-2/4", "10/10",
+        "0/7", "1/0", "-0/0", "+0.5", "+1/2", "1e-3", "-5E-1", "1_0/2_0",
+        "0.1_5", "1.", ".5", "-.5", "١", "0.٥", "1/٢", " 0.5 ", "\t-1/2\n",
+        DIGITS_40, "0." + DIGITS_40, DIGITS_40 + "/" + DIGITS_40,
+        DIGITS_41, "0." + DIGITS_41, "1/" + DIGITS_41,
+        "0." + "1" * MAX_UNIT_TEXT, "1.0000000001", "-1.0000000001",
+        "1000001/1000000", "-3/2", "2", "", "-", "abc", "1/2/3", "--1", "1/-2",
+        "0x1", "1.5.1",
+    ],
+)
+def test_unit_text_reads_as_its_fraction_reference(text):
+    assert_read_as_the_reference(text)
+
+
+def _digit_runs():
+    """Runs of ASCII digits, 40 and 41 long among them, now and then with
+    an underscore or a non-ASCII digit."""
+    run = st.text("0123456789", min_size=1, max_size=41)
+    return st.one_of(
+        run,
+        st.sampled_from((DIGITS_40, DIGITS_41, "0" * 40, "0" * 41, "9" * 40)),
+        st.builds("{}_{}".format, run, run),
+        st.builds("{}{}".format, run, st.sampled_from("\u0661\u0660\uff15")),
+    )
+
+
+@st.composite
+def unit_texts(draw):
+    runs = _digit_runs()
+    pad = draw(st.sampled_from(("", " ", "\t", " \n")))
+    sign = draw(st.sampled_from(("", "-", "+")))
+    whole = draw(st.one_of(runs, st.just("")))
+    mark = draw(st.sampled_from(("", ".", "/")))
+    part = draw(st.one_of(runs, st.sampled_from(("", "0"))))
+    exponent = draw(
+        st.sampled_from(("", "", "e3", "E-2", "e+1_0", f"e-{MAX_UNIT_EXPONENT + 1}"))
+    )
+    return f"{pad}{sign}{whole}{mark}{part}{exponent}{pad}"
+
+
+def _near_the_ends():
+    """p/q and decimal text a step below, at or just past 1 or -1."""
+    sign = st.sampled_from(("", "-"))
+    ratio = st.builds(
+        lambda sign, den, step: f"{sign}{den + step}/{den}",
+        sign, st.integers(1, 10**12), st.integers(-1, 1),
+    )
+    decimal = st.builds(
+        lambda sign, zeros, last: f"{sign}1.{'0' * zeros}{last}",
+        sign, st.integers(0, 45), st.sampled_from("01"),
+    )
+    return st.one_of(ratio, decimal)
+
+
+@given(st.one_of(unit_texts(), _near_the_ends()))
+def test_generated_unit_text_reads_as_its_fraction_reference(text):
+    assert_read_as_the_reference(text)
 
 
 def test_labelled_scale_parse_format_roundtrip():

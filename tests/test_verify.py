@@ -126,7 +126,8 @@ def test_interval_member_enumeration_matches_the_box_volume():
     scale = levels_scale(2)
     v = Capacity.from_values(2, scale, (0, 1, 1, 2))
     interval = ordinal_mobius_interval(v)
-    members = list(symsug.verify._members(VerifyConfig(n=2), interval, Random(0)))
+    box = symsug.verify._box(interval)
+    members = list(symsug.verify._members(VerifyConfig(n=2), box, Random(0)))
     volume = 1
     for mask in range(4):
         volume *= interval.upper(mask).signed - interval.lower(mask).signed + 1
@@ -143,7 +144,7 @@ def test_sampled_members_are_the_bounds_then_seeded_draws_in_the_box():
     spans, volume = symsug.verify._box(interval)
     assert volume == 256
     rng, replay = Random(7), Random(7)
-    members = list(symsug.verify._members(QUICK, interval, rng))
+    members = list(symsug.verify._members(QUICK, (spans, volume), rng))
     draws = [tuple(replay.choice(span) for span in spans) for _ in range(4)]
     lower, upper = signed_table(interval.lower), signed_table(interval.upper)
     assert members == [lower, upper, *draws]
@@ -309,7 +310,7 @@ def test_member_weights_yield_the_per_profile_members_in_draw_order(monkeypatch,
 
     def per_profile(rng):
         for v, interval, f in verify._instances(config, rng, True):
-            weights = list(verify._members(config, interval, rng))
+            weights = list(verify._members(config, verify._box(interval), rng))
             yield v, f, verify._signed_minima(f), weights
 
     reference, fed = Random(3), Random(3)
