@@ -626,8 +626,10 @@ MUTANTS = (
     ),
     Mutant(
         "member-weights-keep-the-first-box", VERIFY,
-        "        if interval is not read:\n            read, box = interval, _box(interval)\n",
-        "        if read is None:\n            read, box = interval, _box(interval)\n",
+        "        if interval is not read:\n"
+        "            read, box = interval, _box(interval)\n",
+        "        if read is None:\n"
+        "            read, box = interval, _box(interval)\n",
         (MEMBER_WEIGHTS_TEST, VERIFY_RECORDS_TEST),
     ),
 )

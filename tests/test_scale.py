@@ -207,7 +207,8 @@ DIGITS_40, DIGITS_41 = "1234567890" * 4, "1234567890" * 4 + "7"
     [
         "0", "1", "-1", "-0", "007", "0.50", "-0.250", "1/3", "-2/4", "10/10",
         "0/7", "1/0", "-0/0", "+0.5", "+1/2", "1e-3", "-5E-1", "1_0/2_0",
-        "0.1_5", "1.", ".5", "-.5", "١", "0.٥", "1/٢", " 0.5 ", "\t-1/2\n",
+        "0.1_5", "1.", ".5", "-.5", "\u0661", "0.\u0665", "1/\u0662", " 0.5 ",
+        "\t-1/2\n",
         DIGITS_40, "0." + DIGITS_40, DIGITS_40 + "/" + DIGITS_40,
         DIGITS_41, "0." + DIGITS_41, "1/" + DIGITS_41,
         "0." + "1" * MAX_UNIT_TEXT, "1.0000000001", "-1.0000000001",
@@ -240,7 +241,7 @@ def unit_texts(draw):
     mark = draw(st.sampled_from(("", ".", "/")))
     part = draw(st.one_of(runs, st.sampled_from(("", "0"))))
     exponent = draw(
-        st.sampled_from(("", "", "e3", "E-2", "e+1_0", f"e-{MAX_UNIT_EXPONENT + 1}"))
+        st.sampled_from(("", "e3", "E-2", "e+1_0", f"e-{MAX_UNIT_EXPONENT + 1}"))
     )
     return f"{pad}{sign}{whole}{mark}{part}{exponent}{pad}"
 
