@@ -155,23 +155,14 @@ def _ranked_unit(
     rank = {pair: i for i, pair in enumerate(ordered)}
     labels = tuple(_format_fraction(num, den) for num, den in ordered)
     scale = levels_scale(len(ordered) - 1, labels)
-    # ranks are ints in -K..K, so each is wrapped once, unchecked, into
-    # the scale's intern table
-    interned = scale._cache
     grade = {}
     for key, (num, den) in ratios.items():
         i = rank[abs(num), den]
-        if num < 0:
-            i = -i
-        wrapped = interned.get(i)
-        if wrapped is None:
-            wrapped = interned[i] = _trusted(ScaleValue, scale=scale, signed=i)
-        grade[key] = wrapped
+        grade[key] = scale.value(-i if num < 0 else i)
     ranked = tuple(map(grade.__getitem__, map(id, table)))
     _check_capacity(n, scale, ranked)
     capacity = _trusted(Capacity, n=n, scale=scale, table=ranked)
-    scores = tuple(map(grade.__getitem__, map(id, scores)))
-    return capacity, _trusted(Profile, scale=scale, scores=scores)
+    return capacity, Profile(scale, tuple(map(grade.__getitem__, map(id, scores))))
 
 
 def read_problem(path: str) -> Problem:

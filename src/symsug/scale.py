@@ -160,13 +160,9 @@ class SymmetricScale:
             raise ScaleError(f"expected a string value, got {type(text).__name__}")
         text = text.strip()
         if self.kind == UNIT:
-            x = _read_unit_text(text)
-            num, den = x.as_integer_ratio()
-            if abs(num) <= den:
-                return _trusted(ScaleValue, scale=self, signed=x)
             # well-formed but out of range raises OffScaleError, a
             # validation error rather than a syntax error
-            return self.value(x)
+            return self.value(_read_unit_text(text))
         negative = text.startswith("-")
         grade = self._grade(text[1:] if negative else text)
         if grade is None:
@@ -209,21 +205,26 @@ class ScaleValue:
     signed: Number
 
     def __post_init__(self) -> None:
-        if self.scale.kind == LEVELS:
-            if not isinstance(self.signed, int) or isinstance(self.signed, bool):
+        # an exact int grade or Fraction, the common case, skips the type
+        # checks and the conversion, which would keep it as it is
+        scale, signed = self.scale, self.signed
+        if scale.kind == LEVELS:
+            if type(signed) is not int and (
+                not isinstance(signed, int) or isinstance(signed, bool)
+            ):
                 raise ScaleError("levels scale values are integer grades")
-            outside = abs(self.signed) > self.scale._top
+            outside = abs(signed) > scale._top
         else:
-            if not isinstance(self.signed, (int, Fraction, float)):
-                raise ScaleError(
-                    f"bad unit-scale value: {type(self.signed).__name__}"
-                )
-            object.__setattr__(self, "signed", _exact(self.signed))
+            if type(signed) is not Fraction:
+                if not isinstance(signed, (int, Fraction, float)):
+                    raise ScaleError(f"bad unit-scale value: {type(signed).__name__}")
+                signed = _exact(signed)
+                object.__setattr__(self, "signed", signed)
             # |num / den| <= 1 on the integers of the reduced ratio
-            num, den = self.signed.as_integer_ratio()
+            num, den = signed.as_integer_ratio()
             outside = abs(num) > den
         if outside:
-            raise OffScaleError(f"value {self.signed} lies outside the scale")
+            raise OffScaleError(f"value {signed} lies outside the scale")
 
     # -- structure -----------------------------------------------------------
 

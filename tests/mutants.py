@@ -593,7 +593,7 @@ MUTANTS = (
         "num, den = table[upper].as_integer_ratio()",
         ("tests/test_integrals.py::test_choquet_forms_agree",),
     ),
-    # the plain unit-text reader and the unchecked wraps of checked values
+    # the plain unit-text reader, the checked unit parse and the ranked grades
     Mutant(
         "plain-reader-drops-the-sign", SCALE,
         "return Fraction(-num if sign else num, den)",
@@ -614,14 +614,14 @@ MUTANTS = (
     ),
     Mutant(
         "parse-wraps-off-scale-values", SCALE,
-        "            if abs(num) <= den:\n",
-        "            if True:\n",
+        "return self.value(_read_unit_text(text))",
+        "return _trusted(ScaleValue, scale=self, signed=_read_unit_text(text))",
         UNIT_TEXT_TESTS,
     ),
     Mutant(
         "ranked-unit-wraps-the-magnitude-of-a-negative-rank", IO,
-        "_trusted(ScaleValue, scale=scale, signed=i)",
-        "_trusted(ScaleValue, scale=scale, signed=abs(i))",
+        "grade[key] = scale.value(-i if num < 0 else i)",
+        "grade[key] = scale.value(i)",
         (RANKED_SCALE_TEST,),
     ),
     Mutant(
