@@ -98,16 +98,39 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the parser of the command ``argv[0]`` names alone, as the
-    full parser would hand it the rest of the line.  Leftover arguments and
-    unknown commands go to the full parser, which prints their message."""
+    """Parse with a quiet parser of the command ``argv[0]`` names, as the
+    full parser would hand it the rest of the line.  The quiet parser has
+    no help action, so a help request is a leftover.  It declines the line
+    on any refusal and on leftover arguments, and a declined line, like an
+    unknown command, goes to the full parser, which prints its message."""
     if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"symsug {argv[0]}")
+        parser = _QuietParser(
+            prog="symsug", add_help=False, formatter_class=_fixed_width
+        )
         _COMMANDS[argv[0]][1](parser)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
+        try:
+            args, extras = parser.parse_known_args(argv[1:])
+            if not extras:
+                return args
+        except _Declined:
+            pass
     return _build_parser().parse_args(argv)
+
+
+class _Declined(Exception):
+    """A command line the quiet parser refuses, left to the full parser."""
+
+
+class _QuietParser(argparse.ArgumentParser):
+    """A command's parser that never prints: it raises each refusal."""
+
+    def error(self, message):
+        raise _Declined(message)
+
+
+def _fixed_width(prog: str) -> argparse.HelpFormatter:
+    # the quiet parser never prints, so it need not ask for the terminal size
+    return argparse.HelpFormatter(prog, width=80)
 
 
 def _build_parser() -> argparse.ArgumentParser:

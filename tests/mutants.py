@@ -67,6 +67,9 @@ SUGENO_GRADE_TESTS = (
     "tests/test_integrals.py::test_sugeno_integrals_match_their_scale_value_definitions",
 )
 CLI_MESSAGES_TEST = "tests/test_cli.py::test_cli_messages_match_the_golden_file"
+QUIET_PARSER_TEST = (
+    "tests/test_cli.py::test_the_quiet_parser_parses_as_the_full_parser"
+)
 RANKED_SCALE_TEST = (
     "tests/test_io.py::test_the_ranked_scale_prints_what_the_unit_scale_computes"
 )
@@ -330,7 +333,7 @@ MUTANTS = (
         'print(_spliced_line(head, {"table": upper}))',
         ("tests/test_cli.py::test_mobius_canonical_records_match_their_definition",),
     ),
-    # the command's own parser, cli._parse, and the full one, cli._build_parser
+    # the command's quiet parser, cli._parse, and the full one, cli._build_parser
     Mutant(
         "full-parser-lists-the-commands-without-help", CLI,
         "add(commands.add_parser(name, help=summary))",
@@ -359,10 +362,28 @@ MUTANTS = (
         (CLI_MESSAGES_TEST,),
     ),
     Mutant(
-        "standalone-parser-with-the-top-level-prog", CLI,
-        'prog=f"symsug {argv[0]}"',
-        'prog="symsug"',
-        (CLI_MESSAGES_TEST,),
+        "quiet-parser-with-a-help-action", CLI,
+        "add_help=False",
+        "add_help=True",
+        (CLI_MESSAGES_TEST, QUIET_PARSER_TEST),
+    ),
+    Mutant(
+        "quiet-parser-prints-its-refusals", CLI,
+        "raise _Declined(message)",
+        "super().error(message)",
+        (CLI_MESSAGES_TEST, QUIET_PARSER_TEST),
+    ),
+    Mutant(
+        "quiet-parser-takes-a-refused-line-as-parsed", CLI,
+        "raise _Declined(message)",
+        "return None",
+        (CLI_MESSAGES_TEST, QUIET_PARSER_TEST),
+    ),
+    Mutant(
+        "quiet-parser-with-the-default-formatter", CLI,
+        "add_help=False, formatter_class=_fixed_width",
+        "add_help=False",
+        ("tests/test_cli.py::test_a_valid_command_line_queries_no_terminal_size",),
     ),
     Mutant(
         "capacity-problems-misses-a-positive-empty-set", CAPACITY,
