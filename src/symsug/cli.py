@@ -5,10 +5,13 @@ Output is line-delimited JSON, one record per result, in a fixed order;
 identical inputs (and seed) produce byte-identical output.  Exit codes:
 0 success, 1 malformed input document, 2 invalid flags or an instance
 that fails validation.  When the first argument names a command, the
-call builds that command's parser alone: the parser the full one would
-hand the rest of the line, so ``compute`` and ``mobius`` never list the
-laws.  Arguments it leaves over, and any other first argument, go to the
-full parser, so each call prints what the full parser alone would print.
+call builds that command's parser alone, as the full parser would hand
+it the rest of the line, so ``compute`` and ``mobius`` never list the
+laws.  That parser is quiet: it has no help action, formats at a fixed
+width (so it never asks for the terminal size) and raises its refusals.
+A help request (left over, as no option starts with ``--h``), a refusal
+or leftovers, and any other first argument, go to the full parser, so
+each call prints what the full parser alone would print.
 
 On the unit scale, ``compute`` and ``mobius`` evaluate the Sugeno side
 (the Sugeno integrals, the three variants, the transform interval and the
@@ -99,11 +102,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse with a quiet parser of the command ``argv[0]`` names, as the
-    full parser would hand it the rest of the line.  The quiet parser has
-    no help action, so a help request is a leftover.  It declines the line
-    on any refusal and on leftover arguments, and a declined line, like an
-    unknown command, goes to the full parser, which prints its message."""
+    full parser would hand it the rest of the line.  It declines a help
+    request, which it has no action for, any refusal and any leftovers; a
+    declined line or an unknown command goes to the full parser, which
+    prints its message."""
     if argv and argv[0] in _COMMANDS:
+        # a constant prog, never printed, spares argparse a read of sys.argv
         parser = _QuietParser(
             prog="symsug", add_help=False, formatter_class=_fixed_width
         )

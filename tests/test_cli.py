@@ -215,8 +215,9 @@ def test_v2_does_not_depend_on_how_the_players_are_numbered(tmp_path, capsys):
             "profile": scores,
         }
         path = write_document(tmp_path, document)
-        only = ("--only", "sugeno_sym,v2,v3")
-        code, out, _ = run(capsys, "compute", "--input", path, *only)
+        code, out, _ = run(
+            capsys, "compute", "--input", path, "--only", "sugeno_sym,v2,v3"
+        )
         assert code == 0
         records.append(json.loads(out))
     assert [r["sugeno_sym"] for r in records] == ["0", "0"]
@@ -970,11 +971,10 @@ def test_a_valid_command_line_queries_no_terminal_size(
 # argv tokens, drawn alone or as an option with its value: every option
 # string, unique and ambiguous prefixes, help, separators, and valid and
 # invalid values
+PARSE_WORDS = """compute verify mobius comp --input --all --only --mobius --n
+--levels --samples --seed --law --inp --al --s --l --h -h --help -- - extra"""
 PARSE_TOKENS = (
-    *([name] for name in ("compute", "verify", "mobius", "comp")),
-    *([flag] for flag in ("--input", "--all", "--only", "--mobius", "--n", "--law")),
-    *([flag] for flag in ("--levels", "--samples", "--seed", "--inp", "--s", "--h")),
-    *([flag] for flag in ("--l", "--al", "-h", "--help", "--", "-", "extra")),
+    *([word] for word in PARSE_WORDS.split()),
     ["--input", PROBLEM],
     ["--inp", PROBLEM],
     [f"--input={PROBLEM}"],
