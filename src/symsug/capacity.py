@@ -20,7 +20,7 @@ from itertools import islice, repeat
 from operator import eq, le
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .scale import ScaleError, ScaleValue, SymmetricScale, _scale_of, check_scale, sym_max
+from .scale import ScaleError, ScaleValue, SymmetricScale, check_scale, sym_max
 
 MAX_PLAYERS = 24  # dense tables; 2**24 entries is the supported ceiling
 
@@ -342,14 +342,9 @@ class Capacity(SetFunction):
         super().__post_init__()
         _check_capacity(self.n, self.scale, self.table)
 
-    @classmethod
-    def from_values(
-        cls,
-        n: int,
-        scale: SymmetricScale,
-        values: Mapping[str, RawValue] | Sequence[RawValue],
-    ) -> "Capacity":
-        return cls(n, scale, _coerce_table(n, scale, values))
+    # the inherited classmethod, bound here as well, since
+    # perfbench/tracing.py reads Capacity.__dict__["from_values"]
+    from_values = vars(SetFunction)["from_values"]
 
 
 def _check_capacity(
@@ -427,7 +422,7 @@ def _distribution_scale(pi: Sequence[ScaleValue]) -> SymmetricScale:
     if not pi:
         raise CapacityError("empty distribution")
     _check_players(len(pi))
-    return _scale_of(pi)
+    return check_scale(None, pi)
 
 
 def possibility_measure(pi: Sequence[ScaleValue]) -> Capacity:

@@ -46,7 +46,6 @@ import argparse
 import sys
 from typing import Sequence
 
-from .capacity import CapacityError
 from .integrals import (
     FOLD_RULES,
     _ranked_grades,
@@ -72,7 +71,6 @@ from .io import (
 )
 from .mobius import ordinal_mobius_interval
 from .rules import Rule, _fold_signed
-from .scale import ScaleError
 from .verify import VerifyConfig, law_names, run_laws
 
 CHOQUET_OUTPUTS = {
@@ -95,7 +93,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ScaleError, CapacityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

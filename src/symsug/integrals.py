@@ -3,7 +3,8 @@
 The Choquet side is exact and exists only for unit-scale data; the Sugeno
 side is purely ordinal and works on any symmetric scale.  Signed inputs
 are handled symmetrically: integrate the positive and the negative part
-separately and combine, or use the explicit one-pass forms.
+separately and combine, or use the explicit one-pass forms.  Every split
+of a profile into its gains f+ and losses f- comes from :func:`_parts`.
 
 The Choquet chain forms compute on ints: the profile as numerators over
 one common denominator of its scores, the n capacity weights of the chain
@@ -88,12 +89,12 @@ class Profile:
         return all(x.sign >= 0 for x in self.scores)
 
     def positive_part(self) -> "Profile":
-        zero = self.scale.zero
-        return Profile(self.scale, tuple(max(x, zero) for x in self.scores))
+        plus, _ = _parts([x.signed for x in self.scores])
+        return Profile(self.scale, tuple(map(self.scale.value, plus)))
 
     def negative_part(self) -> "Profile":
-        zero = self.scale.zero
-        return Profile(self.scale, tuple(max(-x, zero) for x in self.scores))
+        _, minus = _parts([x.signed for x in self.scores])
+        return Profile(self.scale, tuple(map(self.scale.value, minus)))
 
     def __neg__(self) -> "Profile":
         return Profile(self.scale, tuple(-x for x in self.scores))
@@ -136,13 +137,11 @@ def _numerators(v: RealSetFunction, f: Sequence[Fraction]) -> tuple[list[int], i
 
 
 def choquet(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
-    """Plain Choquet integral of a nonnegative profile: sum of the layer
-    increments f_(i) - f_(i-1) weighted by the capacity of the upper sets."""
-    nums, d = _numerators(v, f)
-    if any(x < 0 for x in nums):
+    """Plain Choquet integral of a nonnegative profile: the one-pass form,
+    which there weights each increment f_(i) - f_(i-1) by v(upper set)."""
+    if any(x < 0 for x in _check_real_args(v, f)):
         raise ValueError("plain Choquet integral needs nonnegative scores")
-    acc, e = _chain_sum(nums, _weight(v))
-    return Fraction(acc, d * e)
+    return choquet_symmetric_explicit(v, f)
 
 
 def _weight(v: RealSetFunction) -> Callable[[int], tuple[int, int]]:
@@ -174,15 +173,6 @@ def _chain_sum(
     return acc, e
 
 
-def _gains_losses(
-    v: RealSetFunction, f: Sequence[Fraction]
-) -> tuple[list[int], list[int], int]:
-    """The gains f+ and the losses f- of a signed profile, as int
-    numerators over the profile's common denominator d, and d."""
-    nums, d = _numerators(v, f)
-    return [max(x, 0) for x in nums], [max(-x, 0) for x in nums], d
-
-
 def _difference(
     gain: tuple[int, int], loss: tuple[int, int], d: int
 ) -> Fraction:
@@ -194,7 +184,8 @@ def _difference(
 def choquet_symmetric(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     """Integrate gains and losses against the same capacity:
     C(f+) - C(f-)."""
-    plus, minus, d = _gains_losses(v, f)
+    nums, d = _numerators(v, f)
+    plus, minus = _parts(nums)
     weight = _weight(v)
     return _difference(_chain_sum(plus, weight), _chain_sum(minus, weight), d)
 
@@ -204,7 +195,8 @@ def choquet_asymmetric(v: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     C(f+) - C-conjugate(f-).  The conjugate A -> 1 - v(complement of A) is
     read on the upper sets of the losses' chain only, not tabulated: on a
     (numerator, denominator) pair, 1 - num / den is (den - num) / den."""
-    plus, minus, d = _gains_losses(v, f)
+    nums, d = _numerators(v, f)
+    plus, minus = _parts(nums)
     table = v.table
     top = full_set(v.n)
 
@@ -237,9 +229,7 @@ def choquet_mobius(m: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
 def sipos_mobius(m: RealSetFunction, f: Sequence[Fraction]) -> Fraction:
     """Symmetric integral from the classical transform:
     sum of m(A) [min of f+ over A minus min of f- over A]."""
-    scores = _check_real_args(m, f)
-    plus = [max(x, Fraction(0)) for x in scores]
-    minus = [max(-x, Fraction(0)) for x in scores]
+    plus, minus = _parts(_check_real_args(m, f))
     gains = fold_members(plus, min, max(plus))
     losses = fold_members(minus, min, max(minus))
     terms = zip(m.table[1:], gains[1:], losses[1:])
@@ -301,20 +291,22 @@ def _signed_minima(f: Profile) -> tuple[list[Number], list[Number]]:
     """min f+ and min f- over each mask, in mask order: what the transform
     forms read of a profile, whatever the member.  Every min lies under the
     top, which stands at the empty mask."""
-    scores = [x.signed for x in f.scores]
+    plus, minus = _parts([x.signed for x in f.scores])
     top = f.scale.one.signed
-    gains = fold_members([x if x > 0 else 0 for x in scores], min, top)
-    losses = fold_members([-x if x < 0 else 0 for x in scores], min, top)
-    return gains, losses
+    return fold_members(plus, min, top), fold_members(minus, min, top)
+
+
+def _parts(scores: Sequence[Number]) -> tuple[list[Number], list[Number]]:
+    """The gains max(f, 0) and the losses max(-f, 0) of signed scores."""
+    return [x if x > 0 else 0 for x in scores], [-x if x < 0 else 0 for x in scores]
 
 
 def sugeno_symmetric(v: Capacity, f: Profile) -> ScaleValue:
     """Symmetric Sugeno integral: S(f+) sym-maxed with the reflection of
     S(f-)."""
     _check_pair(v, f)
-    scores = [x.signed for x in f.scores]
-    gain = _sugeno_grade(v, [x if x > 0 else 0 for x in scores])
-    loss = _sugeno_grade(v, [-x if x < 0 else 0 for x in scores])
+    plus, minus = _parts([x.signed for x in f.scores])
+    gain, loss = _sugeno_grade(v, plus), _sugeno_grade(v, minus)
     return v.scale.value(_sym_max_signed(gain, -loss))
 
 
@@ -479,7 +471,8 @@ def sugeno_variant1(m: SetFunction, f: Profile) -> ScaleValue:
 
 def sugeno_variant2(v: Capacity, f: Profile) -> ScaleValue:
     """Second alternative: fold the explicit-form terms under the angle
-    rule.  Not monotone in the profile."""
+    rule.  Not monotone, and players tied in both score and capacity value
+    are ranked by index, so numbering them otherwise can change the value."""
     terms = _ranked_grades(v, f)[2]
     return v.scale.value(_fold_signed(terms, FOLD_RULES["v2"]))
 

@@ -27,10 +27,8 @@ from typing import Iterable
 
 from .scale import (
     Number,
-    ScaleError,
     ScaleValue,
     SymmetricScale,
-    _scale_of,
     _sym_max_signed,
     check_scale,
     sym_max,
@@ -55,7 +53,7 @@ def is_fold_unambiguous(values: Iterable[ScaleValue]) -> bool:
     items = list(values)
     if len(items) <= 1:
         return True
-    _common_scale(items, None)
+    check_scale(None, items)
     top = max(items)
     # an all-zero multiset cancels against itself harmlessly
     return top.signed != -min(items).signed or top.sign == 0
@@ -73,7 +71,7 @@ def fold_sym_max(
     is required in that case and otherwise must agree with the values.
     """
     items = list(values)
-    scale = _common_scale(items, scale)
+    scale = check_scale(scale, items)
     low, high = _survivors([a.signed for a in items], rule)
     return sym_max(scale.value(high), scale.value(low))
 
@@ -112,13 +110,3 @@ def _survivors(items: Iterable[Number], rule: Rule) -> tuple[Number, Number]:
                 low, high = low + 1, high - 1
     return items[low], items[high]
 
-
-def _common_scale(
-    items: list[ScaleValue], scale: SymmetricScale | None
-) -> SymmetricScale:
-    if scale is None:
-        if not items:
-            raise ScaleError("empty fold needs an explicit scale")
-        return _scale_of(items)
-    check_scale(scale, items)
-    return scale

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Sequence, Union
+from typing import Any, Iterable, Iterator, Union
 
 Number = Union[int, Fraction]
 
@@ -337,18 +337,19 @@ def _trusted(cls: type, **fields: Any) -> Any:
 _UNIT_SCALE = SymmetricScale(UNIT)
 
 
-def check_scale(scale: SymmetricScale, values: Iterable[ScaleValue]) -> None:
-    """Raise ScaleError unless each of ``values`` is a ScaleValue on ``scale``."""
+def check_scale(
+    scale: SymmetricScale | None, values: Iterable[ScaleValue]
+) -> SymmetricScale:
+    """Raise ScaleError unless each of ``values`` is a ScaleValue on
+    ``scale``, and return ``scale``.  Given None, the scale is the first
+    value's, so ``values`` must then be a non-empty sequence."""
+    if scale is None:
+        if not values:
+            raise ScaleError("empty fold needs an explicit scale")
+        scale = getattr(values[0], "scale", None)
     for a in values:
         if not isinstance(a, ScaleValue) or (a.scale is not scale and a.scale != scale):
             raise ScaleError("value belongs to a different scale")
-
-
-def _scale_of(values: Sequence[ScaleValue]) -> SymmetricScale:
-    """The scale of a non-empty sequence of values, checked to be shared
-    by all of them; a raw number raises ScaleError."""
-    scale = getattr(values[0], "scale", None)
-    check_scale(scale, values)
     return scale
 
 
@@ -362,7 +363,7 @@ def sym_max(a: ScaleValue, b: ScaleValue) -> ScaleValue:
     except AttributeError:  # a raw number
         mixed = True
     if mixed:
-        _scale_of((a, b))
+        check_scale(None, (a, b))
     signed = _sym_max_signed(a.signed, b.signed)
     # 0 only for opposites; otherwise the winner, b on a tie of equals
     return a.scale.zero if signed == 0 else b if signed == b.signed else a
@@ -377,7 +378,7 @@ def sym_min(a: ScaleValue, b: ScaleValue) -> ScaleValue:
     except AttributeError:  # a raw number
         mixed = True
     if mixed:
-        _scale_of((a, b))
+        check_scale(None, (a, b))
     x, y = a.signed, b.signed
     # reflecting one operand reflects the result
     signed = _clip(x, y) if y >= 0 else -_clip(x, -y)

@@ -88,6 +88,10 @@ CONFIG_BOUNDS_TEST = (
 RECONSTRUCT_MASK_TEST = (
     "tests/test_mobius.py::test_reconstruction_refuses_a_mask_outside_the_player_set"
 )
+ORACLE_INDEPENDENCE_TEST = (
+    "tests/test_oracle_independence.py::"
+    "test_each_agreement_law_compares_two_forms_that_run_apart"
+)
 TRANSFORM_KERNELS_TEST = (
     "tests/test_integrals.py::"
     "test_transform_forms_equal_their_kernels_on_once_folded_minima"
@@ -193,8 +197,8 @@ MUTANTS = (
     ),
     Mutant(
         "variant1-swaps-gains-and-losses", INTEGRALS,
-        "    gains = fold_members([x if x > 0 else 0 for x in scores], min, top)\n",
-        "    gains = fold_members([-x if x < 0 else 0 for x in scores], min, top)\n",
+        "return fold_members(plus, min, top), fold_members(minus, min, top)",
+        "return fold_members(minus, min, top), fold_members(plus, min, top)",
         ("tests/test_integrals.py::test_transform_terms_and_blocks_match_per_mask_terms",),
     ),
     Mutant(
@@ -652,6 +656,42 @@ MUTANTS = (
         "        if read is None:\n"
         "            read, box = interval, _box(interval)\n",
         (MEMBER_WEIGHTS_TEST, VERIFY_RECORDS_TEST),
+    ),
+    # the shared definitions: one split into gains and losses, one scale
+    # agreement check, the plain Choquet integral as the one-pass form
+    Mutant(
+        "parts-keep-the-sign-of-the-losses", INTEGRALS,
+        "[-x if x < 0 else 0 for x in scores]",
+        "[x if x < 0 else 0 for x in scores]",
+        ("tests/test_oracle_independence.py::test_parts_are_the_gains_and_the_losses",),
+    ),
+    Mutant(
+        "inferred-scale-skips-the-per-value-check", SCALE,
+        "        scale = getattr(values[0], \"scale\", None)\n",
+        "        return getattr(values[0], \"scale\", None)\n",
+        ("tests/test_scale.py::test_every_site_reports_a_mixed_scale_the_same_way",),
+    ),
+    Mutant(
+        "plain-choquet-lets-a-negative-score-through", INTEGRALS,
+        "if any(x < 0 for x in _check_real_args(v, f)):",
+        "if any(x < -1 for x in _check_real_args(v, f)):",
+        ("tests/test_integrals.py::test_plain_choquet_rejects_signed_profiles",),
+    ),
+    # oracle collapse: one form routed through the other keeps every value,
+    # so only the record of what each form runs can see it
+    Mutant(
+        "one-pass-sugeno-returns-the-split-form", INTEGRALS,
+        "    terms = _ranked_grades(v, f)[2]\n"
+        "    return v.scale.value(_fold_signed(terms, FOLD_RULES[\"sugeno_sym\"]))\n",
+        "    return sugeno_symmetric(v, f)\n",
+        (ORACLE_INDEPENDENCE_TEST,),
+    ),
+    Mutant(
+        "one-pass-choquet-returns-the-split-form", INTEGRALS,
+        "    nums, d = _numerators(v, f)\n    acc, e = _chain_sum(nums, _weight(v))\n",
+        "    return choquet_symmetric(v, f)\n    nums, d = _numerators(v, f)\n"
+        "    acc, e = _chain_sum(nums, _weight(v))\n",
+        (ORACLE_INDEPENDENCE_TEST,),
     ),
 )
 
