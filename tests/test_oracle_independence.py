@@ -89,16 +89,20 @@ SCALE = "tests/test_scale.py::"
 CAPACITY = "tests/test_capacity.py::"
 INTEGRALS = "tests/test_integrals.py::"
 HERE = "tests/test_oracle_independence.py::"
+SIGNED_KERNELS = SCALE + "test_the_signed_kernels_give_what_sym_max_and_sym_min_give"
+ACCESSORS = HERE + "test_the_order_and_the_accessors_read_the_signed_numbers"
 
 # primitive -> the test that checks it against its own definition
 PRIMITIVES = {
     # the signed algebra, against the closed forms of marichal-forms
-    "scale._sym_max_signed": SCALE + "test_the_signed_kernels_give_what_sym_max_and_sym_min_give",
-    "scale._clip": SCALE + "test_the_signed_kernels_give_what_sym_max_and_sym_min_give",
+    "scale._sym_max_signed": SIGNED_KERNELS,
+    "scale._clip": SIGNED_KERNELS,
     "scale.sym_max": SCALE + "test_sym_max_closed_form",
     # the subset kernels, against their subset-walk definitions; both
     # directions of classical-roundtrip run zeta
-    "capacity.rank_sets": CAPACITY + "test_rank_sets_are_the_lower_then_upper_sets_of_the_ranking",
+    "capacity.rank_sets": (
+        CAPACITY + "test_rank_sets_are_the_lower_then_upper_sets_of_the_ranking"
+    ),
     "capacity.fold_members": CAPACITY + "test_fold_members_folds_the_members_of_every_subset",
     "capacity.zeta": CAPACITY + "test_zeta_folds_the_subsets_of_every_mask",
     "capacity._slice_pairs": (
@@ -125,12 +129,10 @@ PRIMITIVES = {
     "scale.SymmetricScale.value": SCALE + "test_interned_grades_compare_equal_to_fresh_values",
     "scale.SymmetricScale.zero": SCALE + "test_zero_and_one_are_built_once_per_scale",
     "scale.SymmetricScale.negate": SCALE + "test_order_reversing_negation",
-    "scale.ScaleValue.sign": HERE + "test_the_order_and_the_accessors_read_the_signed_numbers",
-    "scale.ScaleValue.__gt__": HERE + "test_the_order_and_the_accessors_read_the_signed_numbers",
-    "scale.ScaleValue._comparable": (
-        HERE + "test_the_order_and_the_accessors_read_the_signed_numbers"
-    ),
-    "integrals.Profile.n": HERE + "test_the_order_and_the_accessors_read_the_signed_numbers",
+    "scale.ScaleValue.sign": ACCESSORS,
+    "scale.ScaleValue.__gt__": ACCESSORS,
+    "scale.ScaleValue._comparable": ACCESSORS,
+    "integrals.Profile.n": ACCESSORS,
     "capacity.full_set": CAPACITY + "test_subsets_is_the_full_power_set",
 }
 
@@ -198,10 +200,7 @@ PROFILES = ([-2], [2, -1], [-3, 1, 1], [2, -2, 0, 3])
 
 def _instance(n: int, scale) -> Instance:
     grades = [x.signed for x in sample_capacity(Random(n), n, L3).table]
-    if scale is UNIT:
-        def value(g): return UNIT.value(Fraction(g, 3))
-    else:
-        value = L3.value
+    value = (lambda g: UNIT.value(Fraction(g, 3))) if scale is UNIT else L3.value
     v = Capacity(n, scale, tuple(map(value, grades)))
     f = Profile(scale, tuple(map(value, PROFILES[n - 1])))
     nonneg = Profile(scale, tuple(map(value, map(abs, PROFILES[n - 1]))))
@@ -334,13 +333,17 @@ FORMS = {
 AGREEMENT = {
     "marichal-forms": (("sym_max", "closed sym_max"), ("sym_min", "closed sym_min")),
     "rules-agree-when-unambiguous": (
-        ("floor fold", "plain fold"), ("ceil fold", "plain fold"), ("angle fold", "plain fold"),
+        ("floor fold", "plain fold"),
+        ("ceil fold", "plain fold"),
+        ("angle fold", "plain fold"),
     ),
     "classical-roundtrip": (("classical mobius", "classical zeta"),),
     "classical-unanimity-indicator": (("classical mobius", "unanimity indicator"),),
     "interval-bounds-are-solutions": (("interval", "subset fold"),),
     "interval-is-solution-set": (("interval", "brute force"),),
-    "canonical-equals-lower": (("floor canonical", "interval"), ("angle canonical", "interval")),
+    "canonical-equals-lower": (
+        ("floor canonical", "interval"), ("angle canonical", "interval"),
+    ),
     "even-odd-equals-lower": (("even-odd", "interval"),),
     "reconstruction-exact": (("interval", "reconstruct"),),
     "conjugate-reconstruction": (("conjugate interval", "conjugate reconstruct"),),
@@ -365,8 +368,8 @@ AGREEMENT = {
 
 # (law, form, form) -> the kernels the pair shares beyond the primitives
 SHARED = {
-    # the one-pass form runs the split form's chain sum, so only the pair
-    # with sipos_mobius checks the chain sum
+    # the one-pass and the split form run one chain sum, which only the
+    # pairs with a transform form check
     ("choquet-forms-agree", "choquet one-pass", "choquet split"): {
         "integrals._ascending", "integrals._chain_sum", "integrals._numerators",
         "integrals._weight",
@@ -402,7 +405,7 @@ def _name(code) -> str:
 
 @functools.lru_cache(maxsize=None)
 def reached(form: str) -> frozenset[str]:
-    """The package functions that ``FORMS[form]`` calls on every instance."""
+    """The package functions that ``FORMS[form]`` calls on the instances."""
     codes = set()
 
     def hook(frame, event, arg):
