@@ -382,15 +382,11 @@ def capacity_problems(
     top = full_set(n)
     if signed[top] != scale.one.signed:
         problems.append(f"v({subset_text(top)}) = {table[top]}, expected {scale.one}")
-    for mask in range(1, len(signed)):
-        x = signed[mask]
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if signed[mask ^ bit] > x:
+    for mask, x in enumerate(signed):
+        for cover in covers_of(mask):
+            if signed[cover] > x:
                 problems.append(
-                    f"v({subset_text(mask ^ bit)}) = {table[mask ^ bit]} exceeds "
+                    f"v({subset_text(cover)}) = {table[cover]} exceeds "
                     f"v({subset_text(mask)}) = {table[mask]}"
                 )
     return problems

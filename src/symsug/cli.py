@@ -49,7 +49,8 @@ from typing import Sequence
 from .integrals import (
     FOLD_RULES,
     _ranked_grades,
-    _variant1_grades,
+    _transform_args,
+    _variant1_kernel,
     _variant3_grades,
     choquet,
     choquet_asymmetric,
@@ -264,7 +265,7 @@ def _cmd_compute(args) -> int:
         terms["v3"] = _variant3_grades(v, f)
     if "v1" in names:
         member = interval.lower if representative == "lower" else interval.upper
-        terms["v1"] = _variant1_grades(member, f)
+        terms["v1"] = _variant1_kernel(*_transform_args(member, f))
     if any(name in CHOQUET_OUTPUTS for name in names):
         real_v = to_real_capacity(problem.capacity)
         real_f = to_real_profile(problem.profile)

@@ -18,10 +18,11 @@ result once as a scale value.  Their symmetric maxima and minima go
 through the two kernels of :mod:`~symsug.scale`, ``_sym_max_signed`` and
 ``_clip``.  The public term lists (:func:`ranked_terms`,
 :func:`variant1_terms`, :func:`variant3_terms`) wrap the grades their
-private helpers return.  Each transform form runs a private kernel on a
-member's signed weights and the profile's minima over each mask
-(:func:`_signed_minima`), which do not depend on the member; the public
-function checks its arguments, folds the minima and runs the kernel.
+private helpers return with ``scale.value``, which interns level grades.
+Each transform form runs a private kernel on a member's signed weights
+and the profile's minima over each mask (:func:`_signed_minima`), which do
+not depend on the member; the signed forms read both through
+:func:`_transform_args`, and :func:`sugeno_mobius` checks the sign first.
 """
 
 from __future__ import annotations
@@ -296,6 +297,14 @@ def _signed_minima(f: Profile) -> tuple[list[Number], list[Number]]:
     return fold_members(plus, min, top), fold_members(minus, min, top)
 
 
+def _transform_args(
+    m: SetFunction, f: Profile
+) -> tuple[list[Number], list[Number], list[Number]]:
+    """Check the pair, then read the member's weights and the profile's minima."""
+    _check_pair(m, f)
+    return (_transform_weights(m), *_signed_minima(f))
+
+
 def _parts(scores: Sequence[Number]) -> tuple[list[Number], list[Number]]:
     """The gains max(f, 0) and the losses max(-f, 0) of signed scores."""
     return [x if x > 0 else 0 for x in scores], [-x if x < 0 else 0 for x in scores]
@@ -322,7 +331,7 @@ def ranked_terms(v: Capacity, f: Profile) -> tuple[list[int], int, list[ScaleVal
     multiset of -f the exact reflection of the term multiset of f.  Returns
     the ranked player ids, the count p of negative scores, and the n terms."""
     order, p, terms = _ranked_grades(v, f)
-    return order, p, _wrap(v.scale, terms)
+    return order, p, list(map(v.scale.value, terms))
 
 
 def _ranked_grades(v: Capacity, f: Profile) -> tuple[list[int], int, list[Number]]:
@@ -371,13 +380,6 @@ def _ascending(scores: Sequence[Number]) -> list[int]:
     return sorted(range(len(scores)), key=scores.__getitem__)
 
 
-def _wrap(scale: SymmetricScale, grades: Sequence[Number]) -> list[ScaleValue]:
-    """The values of a list of signed grades on ``scale``; each distinct
-    grade is wrapped once, since a term list repeats few grades."""
-    wrapped = {grade: scale.value(grade) for grade in set(grades)}
-    return [wrapped[grade] for grade in grades]
-
-
 # the rule each Sugeno output folds its terms under; compute reads it too
 FOLD_RULES = {
     "sugeno": Rule.FLOOR, "sugeno_sym": Rule.FLOOR,
@@ -397,13 +399,7 @@ def variant1_terms(m: SetFunction, f: Profile) -> list[ScaleValue]:
     """All transform terms m(A) meet-sym [min f+ over A sym-max reflected
     min f- over A], for nonempty A in mask order, block structure
     ignored."""
-    return _wrap(m.scale, _variant1_grades(m, f))
-
-
-def _variant1_grades(m: SetFunction, f: Profile) -> list[Number]:
-    """:func:`variant1_terms` as signed grades."""
-    _check_pair(m, f)
-    return _variant1_kernel(_transform_weights(m), *_signed_minima(f))
+    return list(map(m.scale.value, _variant1_kernel(*_transform_args(m, f))))
 
 
 def _variant1_kernel(
@@ -425,10 +421,7 @@ def symmetric_mobius_blocks(
     split by where A sits: inside the nonnegative players, inside the
     negative players, or across both (that block is identically 0).  Each
     block is a sym-max fold of signed grades in mask order."""
-    _check_pair(m, f)
-    blocks = _blocks_kernel(_transform_weights(m), *_signed_minima(f))
-    value = m.scale.value
-    return value(blocks[0]), value(blocks[1]), value(blocks[2])
+    return tuple(map(m.scale.value, _blocks_kernel(*_transform_args(m, f))))
 
 
 def _blocks_kernel(
@@ -466,7 +459,8 @@ def _symmetric_mobius_grade(
 def sugeno_variant1(m: SetFunction, f: Profile) -> ScaleValue:
     """First alternative symmetric integral: fold every transform term under
     the angle rule instead of splitting into sign-homogeneous blocks."""
-    return m.scale.value(_fold_signed(_variant1_grades(m, f), FOLD_RULES["v1"]))
+    terms = _variant1_kernel(*_transform_args(m, f))
+    return m.scale.value(_fold_signed(terms, FOLD_RULES["v1"]))
 
 
 def sugeno_variant2(v: Capacity, f: Profile) -> ScaleValue:
@@ -486,7 +480,7 @@ def variant3_terms(v: Capacity, f: Profile) -> list[ScaleValue]:
     score can only raise every term, which is what the ceil fold needs to
     stay monotone; the rank-based terms of :func:`ranked_terms` lack that
     property."""
-    return _wrap(v.scale, _variant3_grades(v, f))
+    return list(map(v.scale.value, _variant3_grades(v, f)))
 
 
 def _variant3_grades(v: Capacity, f: Profile) -> list[Number]:

@@ -693,6 +693,32 @@ MUTANTS = (
         "    acc, e = _chain_sum(nums, _weight(v))\n",
         (ORACLE_INDEPENDENCE_TEST,),
     ),
+    # the one reader of the signed transform forms, and the subset walks
+    # through iter_submasks and covers_of
+    Mutant(
+        "transform-args-swap-the-minima", INTEGRALS,
+        "    return (_transform_weights(m), *_signed_minima(f))\n",
+        "    return (_transform_weights(m), *_signed_minima(f)[::-1])\n",
+        ("tests/test_integrals.py::test_transform_terms_and_blocks_match_per_mask_terms",),
+    ),
+    Mutant(
+        "solution-check-folds-the-covers", MOBIUS,
+        "for sub in iter_submasks(mask)]",
+        "for sub in covers_of(mask)]",
+        ("tests/test_mobius.py::test_interval_is_exactly_the_brute_force_solution_set",),
+    ),
+    Mutant(
+        "canonical-folds-every-submask", MOBIUS,
+        "for cover in covers_of(mask)], rule)",
+        "for cover in iter_submasks(mask)], rule)",
+        ("tests/test_mobius.py::test_canonical_transform_floor_and_angle",),
+    ),
+    Mutant(
+        "capacity-problems-reads-one-cover-fewer", CAPACITY,
+        "        for cover in covers_of(mask):\n",
+        "        for cover in list(covers_of(mask))[1:]:\n",
+        (SLICED_CHECK_TEST,),
+    ),
 )
 
 
