@@ -13,18 +13,17 @@ by subset strings are read by position when the keys come in mask order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
 from operator import eq, le
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .scale import ScaleError, ScaleValue, SymmetricScale, check_scale, sym_max
+from .scale import ScaleError, ScaleValue, SymmetricScale, _Record, check_scale, sym_max
 
 MAX_PLAYERS = 24  # dense tables; 2**24 entries is the supported ceiling
 
-RawValue = Union[ScaleValue, int, Fraction, str]
+RawValue = ScaleValue | int | Fraction | str
 
 
 class CapacityError(ValueError):
@@ -135,7 +134,7 @@ def covers_of(mask: int) -> Iterator[int]:
         rest ^= bit
 
 
-def fold_members(values: Sequence, combine: Callable, empty: Any) -> list:
+def fold_members(values: Sequence, combine: Callable, empty: object) -> list:
     """The fold of ``values[i - 1]`` over the members i of each subset, in
     mask order with ``empty`` at 0, for an associative and commutative
     ``combine``; in O(2^n) in all.  The masks whose highest member is i
@@ -205,13 +204,14 @@ def rank_sets(order: Sequence[int], p: int) -> list[int]:
 # -- set functions -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SetFunction:
+class SetFunction(_Record):
     """A dense table over all subsets of {1..n}, valued on one scale."""
 
-    n: int
-    scale: SymmetricScale
-    table: tuple[ScaleValue, ...]
+    def __init__(
+        self, n: int, scale: SymmetricScale, table: tuple[ScaleValue, ...]
+    ) -> None:
+        self.__dict__.update(n=n, scale=scale, table=table)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", _dense_table(self.n, self.table))
@@ -266,8 +266,8 @@ def _coerce_table(
 def _read_subset_table(
     n: int,
     scale: SymmetricScale,
-    entries: Mapping[str, Any],
-    coerce: Callable[[str, Any], ScaleValue],
+    entries: Mapping[str, object],
+    coerce: Callable[[str, object], ScaleValue],
     error: type[ValueError] = ValueError,
 ) -> tuple[ScaleValue, ...]:
     """The dense table of a mapping from subset strings to values, each
@@ -323,7 +323,7 @@ def _dense_table(n: int, table: Iterable) -> tuple:
     return table
 
 
-def _check_pair(a: Any, b: Any) -> None:
+def _check_pair(a: object, b: object) -> None:
     """Raise unless two tables or profiles have the same players and scale."""
     if a.n != b.n:
         raise ValueError(f"player counts differ: {a.n} and {b.n}")
@@ -334,7 +334,6 @@ def _check_pair(a: Any, b: Any) -> None:
 # -- capacities --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Capacity(SetFunction):
     """A normalized monotone set function valued in the nonnegative side."""
 

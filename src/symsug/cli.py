@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .integrals import (
     FOLD_RULES,

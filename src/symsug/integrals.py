@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
 
 from .capacity import (
     Capacity,
@@ -55,6 +54,7 @@ from .scale import (
     SymmetricScale,
     _clip,
     _exact,
+    _Record,
     _sym_max_signed,
     _trusted,
     check_scale,
@@ -62,12 +62,12 @@ from .scale import (
 )
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Record):
     """Scores of players 1..n on one scale (entry i - 1 belongs to player i)."""
 
-    scale: SymmetricScale
-    scores: tuple[ScaleValue, ...]
+    def __init__(self, scale: SymmetricScale, scores: tuple[ScaleValue, ...]) -> None:
+        self.__dict__.update(scale=scale, scores=scores)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         scores = tuple(self.scores)

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Any, Callable, Mapping, Sequence
 
 from .capacity import (
     Capacity,
@@ -44,6 +43,7 @@ from .scale import (
     ScaleValue,
     SymmetricScale,
     _format_fraction,
+    _Record,
     _trusted,
     levels_scale,
     unit_scale,
@@ -69,26 +69,31 @@ class ParseError(ValueError):
     """The document is not a well-formed problem file."""
 
 
-@dataclass(frozen=True)
-class ProblemOptions:
+class ProblemOptions(_Record):
     """Defaults stored inside a problem file; command-line flags win."""
 
-    mobius: str | None = None
-    outputs: tuple[str, ...] | None = None
+    def __init__(
+        self, mobius: str | None = None, outputs: tuple[str, ...] | None = None
+    ) -> None:
+        self.__dict__.update(mobius=mobius, outputs=outputs)
 
 
-@dataclass(frozen=True)
-class Problem:
-    scale: SymmetricScale
-    players: tuple[str, ...] | None
-    capacity: Capacity
-    profile: Profile
-    options: ProblemOptions
-    # set by load_problem; a copy made by dataclasses.replace, or a problem
-    # built by hand, starts without it and is ranked on demand
-    _ranked: tuple[Capacity, Profile] | None = field(
-        init=False, default=None, repr=False, compare=False
-    )
+class Problem(_Record):
+    # not a field: load_problem sets it; a problem built by hand ranks on demand
+    _ranked: tuple[Capacity, Profile] | None = None
+
+    def __init__(
+        self,
+        scale: SymmetricScale,
+        players: tuple[str, ...] | None,
+        capacity: Capacity,
+        profile: Profile,
+        options: ProblemOptions,
+    ) -> None:
+        self.__dict__.update(
+            scale=scale, players=players, capacity=capacity, profile=profile,
+            options=options,
+        )
 
     @property
     def n(self) -> int:
@@ -193,7 +198,7 @@ def load_problem(text: str) -> Problem:
     scale = _parse_scale(document["scale"])
     parsed: dict[str | int, ScaleValue] = {}
 
-    def parse(item: Any, raw: Any, place: str = "capacity") -> ScaleValue:
+    def parse(item: object, raw: object, place: str = "capacity") -> ScaleValue:
         # documents repeat few values many times, so each value read from
         # text or an exact int is kept, keyed by the text or the int; a
         # bool equals an int (True == 1) and a float may equal one, so
@@ -224,7 +229,7 @@ def load_problem(text: str) -> Problem:
     return problem
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     # json.loads would keep the last of repeated keys silently
     document = dict(pairs)
     if len(document) < len(pairs):
@@ -234,7 +239,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return document
 
 
-def _parse_scale(raw: Any) -> SymmetricScale:
+def _parse_scale(raw: object) -> SymmetricScale:
     if not isinstance(raw, dict):
         raise ParseError("'scale' must be an object")
     kind = raw.get("kind")
@@ -265,7 +270,7 @@ def _parse_scale(raw: Any) -> SymmetricScale:
     raise ParseError("scale 'kind' must be 'unit' or 'levels'")
 
 
-def _parse_value(scale: SymmetricScale, raw: Any, where: str) -> ScaleValue:
+def _parse_value(scale: SymmetricScale, raw: object, where: str) -> ScaleValue:
     if isinstance(raw, bool):
         raise ParseError(f"{where}: booleans are not scale values")
     if isinstance(raw, float):
@@ -285,7 +290,7 @@ def _parse_value(scale: SymmetricScale, raw: Any, where: str) -> ScaleValue:
 
 
 def _parse_profile(
-    scale: SymmetricScale, raw: Any, parse: Callable[..., ScaleValue]
+    scale: SymmetricScale, raw: object, parse: Callable[..., ScaleValue]
 ) -> Profile:
     if not isinstance(raw, list) or not raw:
         raise ParseError("'profile' must be a non-empty list of scale values")
@@ -294,7 +299,7 @@ def _parse_profile(
     )
 
 
-def _parse_players(raw: Any, n: int) -> tuple[str, ...] | None:
+def _parse_players(raw: object, n: int) -> tuple[str, ...] | None:
     if raw is None:
         return None
     if not isinstance(raw, list) or not all(isinstance(item, str) for item in raw):
@@ -309,7 +314,7 @@ def _parse_players(raw: Any, n: int) -> tuple[str, ...] | None:
 
 
 def _parse_capacity(
-    scale: SymmetricScale, n: int, raw: Any, parse: Callable[..., ScaleValue]
+    scale: SymmetricScale, n: int, raw: object, parse: Callable[..., ScaleValue]
 ) -> tuple[ScaleValue, ...]:
     """The dense capacity table of a document, each value read by
     ``parse(key, value)``, not yet validated."""
@@ -318,7 +323,7 @@ def _parse_capacity(
     return _read_subset_table(n, scale, raw, parse, ParseError)
 
 
-def _parse_options(raw: Any) -> ProblemOptions:
+def _parse_options(raw: object) -> ProblemOptions:
     if raw is None:
         return ProblemOptions()
     if not isinstance(raw, dict):
@@ -377,12 +382,12 @@ def _grade_texts(
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
-def record_line(record: Mapping[str, Any]) -> str:
+def record_line(record: Mapping[str, object]) -> str:
     """One result record as one line of JSON, key order preserved."""
     return _ENCODER.encode(record)
 
 
-def _spliced_line(head: Mapping[str, Any], encoded: Mapping[str, str]) -> str:
+def _spliced_line(head: Mapping[str, object], encoded: Mapping[str, str]) -> str:
     """:func:`record_line` of ``head`` followed by the keys of ``encoded``,
     whose values are already encoded, so a shared table is encoded once."""
     parts = [record_line(head)[:-1]]

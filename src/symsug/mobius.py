@@ -14,9 +14,8 @@ folds the signed grades of m over the submasks of each A, in O(3^n).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .capacity import (
     Capacity,
@@ -34,18 +33,18 @@ from .capacity import (
     zeta,
 )
 from .rules import Rule, _fold_signed
-from .scale import ScaleValue, _clip, _exact, _sym_max_signed, _trusted
+from .scale import ScaleValue, _clip, _exact, _Record, _sym_max_signed, _trusted
 
 
 # -- classical transform on rational tables ----------------------------------
 
 
-@dataclass(frozen=True)
-class RealSetFunction:
+class RealSetFunction(_Record):
     """A dense rational-valued table over all subsets of {1..n}."""
 
-    n: int
-    table: tuple[Fraction, ...]
+    def __init__(self, n: int, table: tuple[Fraction, ...]) -> None:
+        self.__dict__.update(n=n, table=table)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         table = tuple(_exact(x) for x in _dense_table(self.n, self.table))
@@ -75,16 +74,15 @@ def real_conjugate(v: RealSetFunction) -> RealSetFunction:
 # -- ordinal transform -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MobiusInterval:
+class MobiusInterval(_Record):
     """The interval of nonnegative ordinal Moebius transforms of a capacity.
 
     A nonnegative table m reproduces the capacity via subset folds exactly
     when lower(A) <= m(A) <= upper(A) for every subset A.
     """
 
-    lower: SetFunction
-    upper: SetFunction
+    def __init__(self, lower: SetFunction, upper: SetFunction) -> None:
+        self.__dict__.update(lower=lower, upper=upper)
 
     @property
     def n(self) -> int:

@@ -23,7 +23,7 @@ angle is not.
 from __future__ import annotations
 
 import enum
-from typing import Iterable
+from collections.abc import Iterable
 
 from .scale import (
     Number,

@@ -14,12 +14,11 @@ and :func:`_clip` (the symmetric minimum with a nonnegative operand); both
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Union
 
-Number = Union[int, Fraction]
+Number = int | Fraction
 
 LEVELS = "levels"
 UNIT = "unit"
@@ -31,6 +30,10 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 # a plain ASCII spelling, read on ints: -D, -D.D or -D/D, each D a run of
 # at most 40 digits, so such text is far inside MAX_UNIT_TEXT
 _PLAIN = re.compile(r"(-?)([0-9]{1,40})(?:([./])([0-9]{1,40}))?")
+# a scale's and a value's fields, read most, are set with this: unlike a
+# write to ``__dict__``, it keeps them in the instance's inline values,
+# which read faster
+_set = object.__setattr__
 
 
 class ScaleError(ValueError):
@@ -41,8 +44,42 @@ class OffScaleError(ScaleError):
     """A syntactically fine number that lies outside its scale's range."""
 
 
-@dataclass(frozen=True)
-class SymmetricScale:
+class _Record:
+    """An immutable record.  Its fields are the parameters of its class's
+    ``__init__``, which writes them into the instance and then calls
+    ``__post_init__`` if the class has one.  Records hash and compare on
+    ``_compared``, by default every field, and never equal one of another
+    class, a subclass included."""
+
+    _compared: tuple[str, ...] | None = None
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared or self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+
+class SymmetricScale(_Record):
     """A positive chain plus mirrored negative copies of its elements.
 
     Two kinds exist: ``levels`` (discrete grades 0..K, optionally labelled)
@@ -50,9 +87,18 @@ class SymmetricScale:
     they do not take part in equality or compatibility.
     """
 
-    kind: str
-    levels: int | None = None
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
+    _compared = ("kind", "levels")
+
+    def __init__(
+        self,
+        kind: str,
+        levels: int | None = None,
+        labels: tuple[str, ...] | None = None,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "levels", levels)
+        _set(self, "labels", labels)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in (LEVELS, UNIT):
@@ -193,16 +239,17 @@ def levels_scale(k: int, labels: tuple[str, ...] | None = None) -> SymmetricScal
     return SymmetricScale(LEVELS, k, labels)
 
 
-@dataclass(frozen=True)
-class ScaleValue:
+class ScaleValue(_Record):
     """One element of a symmetric scale, stored as a signed exact number.
 
     The numeric representation makes the scale's order the numeric order and
     collapses -0 to 0 with no normalization step.
     """
 
-    scale: SymmetricScale
-    signed: Number
+    def __init__(self, scale: SymmetricScale, signed: Number) -> None:
+        _set(self, "scale", scale)
+        _set(self, "signed", signed)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # an exact int grade or Fraction, the common case, skips the type
@@ -266,6 +313,14 @@ class ScaleValue:
     def __ge__(self, other: ScaleValue) -> bool:
         return self.signed >= self._comparable(other).signed
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.scale, self.signed) == (other.scale, other.signed)
+
+    def __hash__(self) -> int:
+        return hash((self.scale, self.signed))
+
     def __str__(self) -> str:
         return self.scale.format(self)
 
@@ -326,7 +381,7 @@ def _exact(x) -> Fraction:
         raise ScaleError(f"bad unit-scale value: {type(x).__name__}") from exc
 
 
-def _trusted(cls: type, **fields: Any) -> Any:
+def _trusted(cls: type, **fields: object) -> object:
     """A ``cls`` built from ``fields`` with no checks, for fields known to
     pass them, such as a table taken from a checked object."""
     built = object.__new__(cls)

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import le
 from random import Random
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .capacity import (
     MAX_PLAYERS,
@@ -87,6 +86,7 @@ from .scale import (
     ScaleValue,
     SymmetricScale,
     _format_fraction,
+    _Record,
     levels_scale,
     sym_max,
     sym_min,
@@ -105,15 +105,15 @@ MULTISET_SIZE = 4
 CAPACITY_CAP = 2000
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(_Record):
     """What family of instances to draw: player count, scale grades, and
     ``samples`` seeded draws, or every instance when ``samples`` is None."""
 
-    n: int = 2
-    levels: int = 3
-    samples: int | None = None
-    seed: int = 0
+    def __init__(
+        self, n: int = 2, levels: int = 3, samples: int | None = None, seed: int = 0
+    ) -> None:
+        self.__dict__.update(n=n, levels=levels, samples=samples, seed=seed)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_PLAYERS:
@@ -126,13 +126,14 @@ class VerifyConfig:
             raise ValueError("--samples must be positive")
 
 
-@dataclass(frozen=True)
-class LawResult:
-    law: str
-    kind: str  # "holds" | "violates" | "report"
-    status: str  # "pass" | "fail" | "xfail" | "xpass" | "info"
-    checks: int
-    detail: str = ""
+class LawResult(_Record):
+    # kind: holds, violates or report; status: pass, fail, xfail, xpass or info
+    def __init__(
+        self, law: str, kind: str, status: str, checks: int, detail: str = ""
+    ) -> None:
+        self.__dict__.update(
+            law=law, kind=kind, status=status, checks=checks, detail=detail
+        )
 
     @property
     def ok(self) -> bool:
@@ -154,11 +155,9 @@ class LawResult:
 LawFn = Callable[[VerifyConfig], tuple[str | None, int, str]]
 
 
-@dataclass(frozen=True)
-class Law:
-    name: str
-    kind: str
-    fn: LawFn
+class Law(_Record):
+    def __init__(self, name: str, kind: str, fn: LawFn) -> None:
+        self.__dict__.update(name=name, kind=kind, fn=fn)
 
 
 LAWS: dict[str, Law] = {}

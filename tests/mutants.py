@@ -8,7 +8,10 @@ temporary directory, checks that the snippet occurs there exactly once,
 applies the replacement and runs only the named tests against the copy.
 The mutant is killed when some named test fails and survives when they all
 pass.  First the named tests run once against an unmutated copy, which must
-pass.
+pass.  Each kill is printed with its first failing test and the type of the
+exception it raised, and the run ends with the kills whose exception is not
+an ``AssertionError``: a fault that crashes a test, rather than one that a
+check of a value catches.
 
 Run from the repository root, with pytest and hypothesis installed:
 
@@ -21,6 +24,7 @@ collect this file: its name does not start with ``test_``.
 
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 import sys
@@ -109,6 +113,10 @@ MEMBER_WEIGHTS_TEST = (
 SLICED_CHECK_TEST = (
     "tests/test_capacity.py::"
     "test_the_sliced_check_agrees_with_capacity_problems_on_broken_tables"
+)
+RECORDS_TEST = (
+    "tests/test_scale.py::"
+    "test_records_are_frozen_and_compare_and_hash_on_their_fields"
 )
 INTERVAL_KERNEL_TEST = (
     "tests/test_mobius.py::test_interval_kernel_matches_its_subset_walk_definition"
@@ -719,16 +727,49 @@ MUTANTS = (
         "        for cover in list(covers_of(mask))[1:]:\n",
         (SLICED_CHECK_TEST,),
     ),
+    # the immutable records
+    Mutant(
+        "record-eq-drops-the-class-check", SCALE,
+        "            return NotImplemented\n        return self is other or",
+        "            pass\n        return self is other or",
+        (RECORDS_TEST,),
+    ),
+    Mutant(
+        "scale-value-eq-ignores-the-scale", SCALE,
+        "return (self.scale, self.signed) == (other.scale, other.signed)",
+        "return self.signed == other.signed",
+        (RECORDS_TEST,),
+    ),
+    Mutant(
+        "record-setattr-assigns", SCALE,
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        (RECORDS_TEST,),
+    ),
 )
 
 
 def run_tests(src: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
-    """The named tests with ``src`` first on the import path."""
+    """The named tests with ``src`` first on the import path; the short
+    summary lists each failure and error."""
     command = [
-        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
         "-o", f"pythonpath={src}", *tests,
     ]
     return subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+
+
+def first_failure(stdout: str) -> tuple[str, str]:
+    """The first failing node id in pytest's short summary, and the type of
+    the exception that failed it, from the ``path:line: Type`` line that
+    ends the first traceback, or else from an exception group's header (as
+    when Hypothesis finds several distinct failures); a module that failed
+    to load shows neither."""
+    nodes = re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", stdout, re.M)
+    kinds = re.findall(r"^\S+:\d+: ([\w.]+)$", stdout, re.M) or re.findall(
+        r"^[ |]*(\w*ExceptionGroup): ", stdout, re.M
+    )
+    return nodes[0] if nodes else "?", kinds[0] if kinds else "error"
 
 
 def fresh_copy(folder: Path) -> Path:
@@ -738,21 +779,22 @@ def fresh_copy(folder: Path) -> Path:
     return src
 
 
-def check(mutant: Mutant, folder: Path) -> str:
-    """``killed``, ``survived``, or an error saying why the run means nothing."""
+def check(mutant: Mutant, folder: Path) -> tuple[str, tuple[str, str] | None]:
+    """``killed`` with the first failure, ``survived``, or an error saying
+    why the run means nothing."""
     src = fresh_copy(folder)
     target = folder / mutant.path
     text = target.read_text(encoding="utf-8")
     found = text.count(mutant.snippet)
     if found != 1:
-        return f"error: the snippet occurs {found} times in {mutant.path}"
+        return f"error: the snippet occurs {found} times in {mutant.path}", None
     target.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
     result = run_tests(src, mutant.tests)
     if result.returncode in (1, 2):  # a test failed, or a module failed to load
-        return "killed"
+        return "killed", first_failure(result.stdout)
     if result.returncode == 0:
-        return "survived"
-    return f"error: pytest exited {result.returncode}\n{result.stdout[-2000:]}"
+        return "survived", None
+    return f"error: pytest exited {result.returncode}\n{result.stdout[-2000:]}", None
 
 
 def main(names: list[str]) -> int:
@@ -771,12 +813,17 @@ def main(names: list[str]) -> int:
             print(baseline.stdout[-2000:], file=sys.stderr)
             return 2
         killed = 0
+        other_kills = []  # kills whose failure is not an AssertionError
         for mutant in mutants:
-            outcome = check(mutant, folder)
+            outcome, failure = check(mutant, folder)
             killed += outcome == "killed"
-            print(f"{outcome:8}  {mutant.name}", flush=True)
+            shown = f"  {failure[0]}  {failure[1]}" if failure else ""
+            print(f"{outcome:8}  {mutant.name}{shown}", flush=True)
+            if failure and failure[1] != "AssertionError":
+                other_kills.append(f"{mutant.name}  {failure[1]}")
     elapsed = time.perf_counter() - start
     print(f"{killed} of {len(mutants)} mutants killed in {elapsed:.0f} s")
+    print(f"{len(other_kills)} kills not by an AssertionError", *other_kills, sep="\n  ")
     return 0 if killed == len(mutants) else 1
 
 

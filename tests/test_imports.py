@@ -194,6 +194,29 @@ def test_the_command_line_still_loads_the_law_suite():
     assert "symsug.verify" in modules_after("import symsug.cli")
 
 
+# modules the library once imported only for declarations; they are most
+# of what a fresh ``import symsug.cli`` cost
+DECLARATION_MODULES = {"dataclasses", "typing", "inspect"}
+
+
+def test_the_command_line_starts_without_the_declaration_modules():
+    loaded = modules_after("import symsug.cli")
+    assert "symsug.cli" in loaded
+    assert DECLARATION_MODULES & loaded == set()
+
+
+def test_no_library_module_imports_the_declaration_modules():
+    imported = []  # (file, top-level module) for every import statement
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, a.name.split(".")[0]) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((path.name, node.module.split(".")[0]))
+    assert len(imported) > 20  # the scan sees the imports
+    assert [pair for pair in imported if pair[1] in DECLARATION_MODULES] == []
+
+
 def test_init_imports_exactly_what_it_exports():
     tree = ast.parse(INIT.read_text(encoding="utf-8"))
     imported = imported_names(tree)

@@ -91,6 +91,7 @@ INTEGRALS = "tests/test_integrals.py::"
 HERE = "tests/test_oracle_independence.py::"
 SIGNED_KERNELS = SCALE + "test_the_signed_kernels_give_what_sym_max_and_sym_min_give"
 ACCESSORS = HERE + "test_the_order_and_the_accessors_read_the_signed_numbers"
+RECORDS = SCALE + "test_records_are_frozen_and_compare_and_hash_on_their_fields"
 
 # primitive -> the test that checks it against its own definition
 PRIMITIVES = {
@@ -134,6 +135,13 @@ PRIMITIVES = {
     "scale.ScaleValue._comparable": ACCESSORS,
     "integrals.Profile.n": ACCESSORS,
     "capacity.full_set": CAPACITY + "test_subsets_is_the_full_power_set",
+    # the records' constructors and equality
+    "scale._Record.__eq__": RECORDS,
+    "scale.ScaleValue.__init__": RECORDS,
+    "scale.ScaleValue.__eq__": RECORDS,
+    "capacity.SetFunction.__init__": RECORDS,
+    "mobius.RealSetFunction.__init__": RECORDS,
+    "mobius.MobiusInterval.__init__": RECORDS,
 }
 
 # laws that do not say two forms of one quantity agree, with what they say

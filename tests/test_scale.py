@@ -1,5 +1,6 @@
 """Scale values and the signed max/min algebra."""
 
+import json
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import WORKED_DOCUMENT
 from symsug import (
     Capacity,
     OffScaleError,
+    MobiusInterval,
     Profile,
+    RealSetFunction,
     Rule,
     ScaleError,
     ScaleValue,
@@ -19,6 +23,7 @@ from symsug import (
     SymmetricScale,
     fold_sym_max,
     levels_scale,
+    load_problem,
     necessity_measure,
     ordinal_mobius_interval,
     possibility_measure,
@@ -27,6 +32,7 @@ from symsug import (
     sym_min,
     unit_scale,
 )
+from symsug.io import Problem, ProblemOptions
 from symsug.mobius import is_solution, mobius_necessity, mobius_possibility
 from symsug.rules import is_fold_unambiguous
 from symsug.scale import (
@@ -35,8 +41,10 @@ from symsug.scale import (
     _check_unit_text,
     _clip,
     _exact,
+    _Record,
     _sym_max_signed,
 )
+from symsug.verify import Law, LawResult, VerifyConfig, law_names
 
 UNIT = unit_scale()
 L3 = levels_scale(3)
@@ -525,3 +533,74 @@ def test_sym_max_association_can_fail_after_a_cancellation():
 def test_interned_grades_compare_equal_to_fresh_values():
     assert L3.value(2) is L3.value(2)
     assert L3.value(2) == ScaleValue(L3, 2)
+
+
+# -- the immutable records ---------------------------------------------------------
+
+
+def _records(keywords: bool) -> list:
+    """One record of each class, each built afresh: by position, or by its
+    field names as keywords."""
+
+    def make(cls, *args):
+        return cls(**dict(zip(cls._fields, args))) if keywords else cls(*args)
+
+    scale = make(SymmetricScale, "levels", 2, None)
+    one = make(ScaleValue, scale, 2)
+    table = (scale.zero, one)
+    lower = make(SetFunction, 1, scale, table)
+    loaded = load_problem(json.dumps(WORKED_DOCUMENT))
+    return [
+        scale,
+        one,
+        lower,
+        make(Capacity, 1, scale, table),
+        make(Profile, scale, (one,)),
+        make(RealSetFunction, 1, (0, Fraction(1, 2))),
+        make(MobiusInterval, lower, make(SetFunction, 1, scale, table)),
+        make(ProblemOptions, "lower", ("sugeno",)),
+        make(
+            Problem, loaded.scale, loaded.players, loaded.capacity, loaded.profile,
+            loaded.options,
+        ),
+        make(VerifyConfig, 2, 3, None, 0),
+        make(LawResult, "law", "holds", "pass", 1, ""),
+        make(Law, "law", "holds", law_names),
+    ]
+
+
+def test_records_are_frozen_and_compare_and_hash_on_their_fields():
+    records, copies = _records(False), _records(True)
+    subclasses, pending = set(), [_Record]
+    while pending:
+        found = pending.pop().__subclasses__()
+        subclasses.update(found)
+        pending += found
+    by_class = {type(r): r for r in records}
+    assert by_class.keys() == subclasses and len(records) == 12
+    # a capacity never equals the set function of its table
+    v = by_class[Capacity]
+    assert v != SetFunction(v.n, v.scale, v.table)
+    assert SetFunction(v.n, v.scale, v.table) != v
+    # a value belongs to its scale
+    assert levels_scale(2).value(1) != levels_scale(3).value(1)
+    for record, copy in zip(records, copies):
+        assert record is not copy and record == copy and not record != copy
+        assert hash(record) == hash(copy)
+        assert record != object() and object() != record
+        for name in (*record._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == copy
+    # labels, and the ranks a loaded problem keeps, take no part in ==
+    labelled = levels_scale(2, ("lo", "mid", "hi"))
+    assert labelled == levels_scale(2) and hash(labelled) == hash(levels_scale(2))
+    loaded = load_problem(json.dumps(WORKED_DOCUMENT))
+    assert loaded._ranked is not None and by_class[Problem]._ranked is None
+    assert loaded == by_class[Problem]
+    assert "_ranked" not in repr(loaded)
+    config = VerifyConfig()
+    assert (config.n, config.levels, config.samples, config.seed) == (2, 3, None, 0)
+    assert repr(levels_scale(2)) == "SymmetricScale(kind='levels', levels=2, labels=None)"
