@@ -210,11 +210,10 @@ class SetFunction(_Record):
     def __init__(
         self, n: int, scale: SymmetricScale, table: tuple[ScaleValue, ...]
     ) -> None:
-        self.__dict__.update(n=n, scale=scale, table=table)
+        self.__dict__.update(n=n, scale=scale, table=_dense_table(n, table))
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", _dense_table(self.n, self.table))
         check_scale(self.scale, self.table)
 
     @classmethod

@@ -66,14 +66,10 @@ class Profile(_Record):
     """Scores of players 1..n on one scale (entry i - 1 belongs to player i)."""
 
     def __init__(self, scale: SymmetricScale, scores: tuple[ScaleValue, ...]) -> None:
-        self.__dict__.update(scale=scale, scores=scores)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        scores = tuple(self.scores)
-        object.__setattr__(self, "scores", scores)
+        scores = tuple(scores)
         _check_players(len(scores))  # past the ceiling no capacity could match
-        check_scale(self.scale, scores)
+        check_scale(scale, scores)
+        self.__dict__.update(scale=scale, scores=scores)
 
     @classmethod
     def from_values(

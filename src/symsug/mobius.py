@@ -43,12 +43,8 @@ class RealSetFunction(_Record):
     """A dense rational-valued table over all subsets of {1..n}."""
 
     def __init__(self, n: int, table: tuple[Fraction, ...]) -> None:
+        table = tuple(_exact(x) for x in _dense_table(n, table))
         self.__dict__.update(n=n, table=table)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        table = tuple(_exact(x) for x in _dense_table(self.n, self.table))
-        object.__setattr__(self, "table", table)
 
     def __call__(self, mask: int) -> Fraction:
         return self.table[mask]

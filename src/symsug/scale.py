@@ -30,9 +30,11 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
 # a plain ASCII spelling, read on ints: -D, -D.D or -D/D, each D a run of
 # at most 40 digits, so such text is far inside MAX_UNIT_TEXT
 _PLAIN = re.compile(r"(-?)([0-9]{1,40})(?:([./])([0-9]{1,40}))?")
-# a scale's and a value's fields, read most, are set with this: unlike a
-# write to ``__dict__``, it keeps them in the instance's inline values,
-# which read faster
+# SymmetricScale and ScaleValue, read in every kernel, set their fields with
+# this: unlike a write to ``__dict__``, it keeps them in the instance's
+# inline values, which read faster.  The other records and _trusted update
+# ``__dict__`` once: they are read a few times per call, and writing them
+# with this made no whole compute or verify op 1% faster
 _set = object.__setattr__
 
 
@@ -46,8 +48,10 @@ class OffScaleError(ScaleError):
 
 class _Record:
     """An immutable record.  Its fields are the parameters of its class's
-    ``__init__``, which writes them into the instance and then calls
-    ``__post_init__`` if the class has one.  Records hash and compare on
+    ``__init__``, which checks and normalises them and then writes each
+    once.  Only ``ScaleValue`` and ``SetFunction`` move their checks to a
+    ``__post_init__``, since perfbench/tracing.py wraps those by name, and
+    ``Capacity`` extends its parent's.  Records hash and compare on
     ``_compared``, by default every field, and never equal one of another
     class, a subclass included."""
 
@@ -95,29 +99,20 @@ class SymmetricScale(_Record):
         levels: int | None = None,
         labels: tuple[str, ...] | None = None,
     ) -> None:
-        _set(self, "kind", kind)
-        _set(self, "levels", levels)
-        _set(self, "labels", labels)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.kind not in (LEVELS, UNIT):
-            raise ScaleError(f"unknown scale kind: {self.kind!r}")
-        if self.kind == LEVELS:
-            if type(self.levels) is not int or self.levels < 1:
+        if kind not in (LEVELS, UNIT):
+            raise ScaleError(f"unknown scale kind: {kind!r}")
+        if kind == LEVELS:
+            if type(levels) is not int or levels < 1:
                 raise ScaleError("levels scale needs a positive grade count")
-            if self.labels is not None:
-                if isinstance(self.labels, str):
+            if labels is not None:
+                if isinstance(labels, str):
                     # tuple() would split it into one label per character
                     raise ScaleError(
                         "labels must be a sequence of strings, not a string"
                     )
-                labels = tuple(self.labels)
-                object.__setattr__(self, "labels", labels)
-                if len(labels) != self.levels + 1:
-                    raise ScaleError(
-                        f"expected {self.levels + 1} labels, got {len(labels)}"
-                    )
+                labels = tuple(labels)
+                if len(labels) != levels + 1:
+                    raise ScaleError(f"expected {levels + 1} labels, got {len(labels)}")
                 for text in labels:
                     # a leading minus would collide with negative values,
                     # and parse strips surrounding whitespace
@@ -126,17 +121,17 @@ class SymmetricScale(_Record):
                         raise ScaleError(f"bad label: {text!r}")
                 if len(set(labels)) != len(labels):
                     raise ScaleError("labels must be distinct")
-        else:
-            if self.levels is not None or self.labels is not None:
-                raise ScaleError("unit scale takes no grade count or labels")
+        elif levels is not None or labels is not None:
+            raise ScaleError("unit scale takes no grade count or labels")
+        _set(self, "kind", kind)
+        _set(self, "levels", levels)
+        _set(self, "labels", labels)
         # value cache, top of the positive side, and the constants built
         # once: not fields, so eq/hash skip them
-        object.__setattr__(self, "_cache", {})
-        object.__setattr__(
-            self, "_top", self.levels if self.kind == LEVELS else Fraction(1)
-        )
-        object.__setattr__(self, "_zero", self.value(0))
-        object.__setattr__(self, "_one", self.value(self._top))
+        _set(self, "_cache", {})
+        _set(self, "_top", levels if kind == LEVELS else Fraction(1))
+        _set(self, "_zero", self.value(0))
+        _set(self, "_one", self.value(self._top))
 
     # -- canonical elements -------------------------------------------------
 
@@ -266,7 +261,7 @@ class ScaleValue(_Record):
                 if not isinstance(signed, (int, Fraction, float)):
                     raise ScaleError(f"bad unit-scale value: {type(signed).__name__}")
                 signed = _exact(signed)
-                object.__setattr__(self, "signed", signed)
+                _set(self, "signed", signed)
             # |num / den| <= 1 on the integers of the reduced ratio
             num, den = signed.as_integer_ratio()
             outside = abs(num) > den
@@ -465,19 +460,17 @@ def _format_fraction(num: int, den: int) -> str:
     unlike ``str(int)``, has no digit limit."""
     sign = "-" if num < 0 else ""
     num = abs(num)
-    rest = den
-    twos = fives = 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
+    twos = (den & -den).bit_length() - 1
+    rest = den >> twos
+    fives = 0
     while rest % 5 == 0:
         rest //= 5
         fives += 1
     if rest != 1:
-        return f"{sign}{Decimal(num)}/{Decimal(den)}"
+        return f"{sign}{Decimal(num)!s}/{Decimal(den)!s}"
     places = max(twos, fives)
     if places == 0:
-        return f"{sign}{Decimal(num)}"
+        return f"{sign}{Decimal(num)!s}"
     digits = str(Decimal(num * 10**places // den)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 

@@ -112,18 +112,15 @@ class VerifyConfig(_Record):
     def __init__(
         self, n: int = 2, levels: int = 3, samples: int | None = None, seed: int = 0
     ) -> None:
-        self.__dict__.update(n=n, levels=levels, samples=samples, seed=seed)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_PLAYERS:
+        if not 1 <= n <= MAX_PLAYERS:
             raise ValueError(f"--n must be in 1..{MAX_PLAYERS}")
-        if self.levels < 1:
+        if levels < 1:
             raise ValueError("--levels must be at least 1")
-        if self.samples is None and self.n > 3:
+        if samples is None and n > 3:
             raise ValueError("exhaustive mode needs --n at most 3; pass --samples")
-        if self.samples is not None and self.samples < 1:
+        if samples is not None and samples < 1:
             raise ValueError("--samples must be positive")
+        self.__dict__.update(n=n, levels=levels, samples=samples, seed=seed)
 
 
 class LawResult(_Record):

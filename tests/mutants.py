@@ -542,14 +542,14 @@ MUTANTS = (
     # a config checks its own bounds; reconstruction checks its mask
     Mutant(
         "config-accepts-zero-samples", VERIFY,
-        "if self.samples is not None and self.samples < 1:",
-        "if self.samples is not None and self.samples < 0:",
+        "if samples is not None and samples < 1:",
+        "if samples is not None and samples < 0:",
         (CONFIG_BOUNDS_TEST,),
     ),
     Mutant(
         "config-enumerates-four-players", VERIFY,
-        "if self.samples is None and self.n > 3:",
-        "if self.samples is None and self.n > 4:",
+        "if samples is None and n > 3:",
+        "if samples is None and n > 4:",
         (CONFIG_BOUNDS_TEST,),
     ),
     Mutant(

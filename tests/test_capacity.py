@@ -260,9 +260,20 @@ def problems_verdict(scale, table):
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
 def test_the_sliced_check_passes_every_enumerated_capacity(n, k):
     scale = levels_scale(k)
-    for v in iter_capacities(n, scale):
-        assert sliced_verdict(scale, v.table) is None
-        assert problems_verdict(scale, v.table) is None
+    size = 1 << n
+    # every capacity by its definition, each mask at least the masks it
+    # covers, and none built as a Capacity, which runs the sliced check
+    tables = []
+    for inner in product(range(k + 1), repeat=size - 2):
+        grades = (0, *inner, k)
+        below = ((m, m & ~(1 << i)) for m in range(size) for i in range(n))
+        if all(grades[m] >= grades[lower] for m, lower in below):
+            tables.append(tuple(map(scale.value, grades)))
+    for table in tables:
+        assert sliced_verdict(scale, table) is None
+        assert problems_verdict(scale, table) is None
+    enumerated = [v.table for v in iter_capacities(n, scale)]
+    assert len(enumerated) == len(tables) and set(enumerated) == set(tables)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -373,6 +384,9 @@ def test_unanimity_games_are_indicator_capacities():
 def test_possibility_is_maxitive_and_necessity_is_its_conjugate():
     pi = [UNIT.value(Fraction(1, 5)), UNIT.value(Fraction(3, 5)), UNIT.one]
     poss = possibility_measure(pi)
+    # by its definition: the largest member value, 0 on the empty set
+    members = lambda mask: [pi[i] for i in range(3) if mask >> i & 1]
+    assert poss.table == tuple(max(members(m), default=UNIT.zero) for m in range(8))
     nec = necessity_measure(pi)
     assert is_maxitive(poss)
     assert not is_maxitive(unanimity(2, 0b11, L2))

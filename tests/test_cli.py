@@ -896,6 +896,12 @@ def cli_messages_text(tmp_path) -> str:
     reason="the golden holds CPython 3.11's argparse wording",
 )
 def test_cli_messages_match_the_golden_file(tmp_path):
+    # the quiet parser hands each line on as the full parser parses it
+    with patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in MESSAGE_ARGVS:
+            assert parse_outcome(_parse, argv) == parse_outcome(
+                lambda line: _build_parser().parse_args(line), argv
+            )
     assert cli_messages_text(tmp_path) == CLI_MESSAGES_PATH.read_text(encoding="utf-8")
 
 

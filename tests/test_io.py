@@ -4,6 +4,7 @@ import json
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,7 @@ from symsug import (
 )
 from symsug.capacity import (
     MAX_PLAYERS,
+    _read_subset_table,
     _subset_keys,
     capacity_problems,
     subset_text,
@@ -37,6 +39,7 @@ from symsug.integrals import ranked_terms
 from symsug.io import (
     Problem,
     ProblemOptions,
+    _compare_ratios,
     fraction_text,
     record_line,
     set_function_record,
@@ -411,6 +414,13 @@ def rekeyed_documents(draw):
     return document, dict(document, capacity=rekeyed)
 
 
+L1 = levels_scale(1)
+
+
+def _raw(key, value):
+    return value
+
+
 def _outcome(document):
     """What ``load_problem`` makes of a document: the problem's tables and
     ranked pair with the text of every ranked value, or the error raised."""
@@ -427,6 +437,12 @@ def _outcome(document):
 @given(rekeyed_documents())
 def test_keys_read_by_position_and_by_parsing_agree(pair):
     in_mask_order, rekeyed = pair
+    # the reader itself, on the raw entries: one per subset in mask order,
+    # the empty set 0 when it has no key
+    n, capacity = len(in_mask_order["profile"]), in_mask_order["capacity"]
+    expected = tuple(capacity.get(subset_text(m), L1.zero) for m in subsets(n))
+    for document in pair:
+        assert _read_subset_table(n, L1, document["capacity"], _raw) == expected
     assert _outcome(rekeyed) == _outcome(in_mask_order)
 
 
@@ -573,9 +589,19 @@ def _sugeno_side(v, f):
 @settings(max_examples=200, deadline=None)
 @given(irregular_unit_documents())
 def test_the_ranked_scale_prints_what_the_unit_scale_computes(document):
+    # the ranking compares each two magnitudes as their Fractions do
+    texts = (*document["capacity"].values(), *document["profile"])
+    ratios = {(0, 1), (1, 1), *(abs(Fraction(t)).as_integer_ratio() for t in texts)}
+    sign = lambda x: (x > 0) - (x < 0)
+    for a, b in product(ratios, repeat=2):
+        assert sign(_compare_ratios(a, b)) == sign(Fraction(*a) - Fraction(*b))
     problem = load_problem(json.dumps(document))
     v, f = problem.ranked()
     assert v.scale.kind == "levels" and f.scale is v.scale
+    # grade i is labelled with the i-th smallest magnitude
+    assert sorted(ratios, key=lambda r: Fraction(*r)) == [
+        Fraction(label).as_integer_ratio() for label in v.scale.labels
+    ]
     # every grade is the ranked scale's interned object
     assert all(x is v.scale.value(x.signed) for x in (*v.table, *f.scores))
     # the ranked capacity is built unchecked, so check it here

@@ -122,9 +122,6 @@ PRIMITIVES = {
         "tests/test_mobius.py::"
         "test_transforms_of_an_empty_distribution_raise_the_capacity_error"
     ),
-    "mobius.RealSetFunction.__post_init__": (
-        INTEGRALS + "test_the_choquet_side_rejects_binary_floats"
-    ),
     "integrals._check_real_args": INTEGRALS + "test_a_choquet_profile_must_score_every_player",
     # wrapping and reading values
     "scale.SymmetricScale.value": SCALE + "test_interned_grades_compare_equal_to_fresh_values",

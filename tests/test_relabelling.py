@@ -15,8 +15,12 @@ by design: each has a pinned witness.  A public function of
 from __future__ import annotations
 
 import inspect
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
+from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +53,8 @@ from symsug import (
     to_real_profile,
     unit_scale,
 )
+from symsug.capacity import parse_subset_text, subset_text
+from symsug.cli import main
 from symsug.integrals import (
     choquet_symmetric_explicit,
     ranked_terms,
@@ -57,6 +63,7 @@ from symsug.integrals import (
     variant1_terms,
     variant3_terms,
 )
+from symsug.io import load_problem
 from symsug.mobius import (
     classical_zeta,
     is_k_maxitive,
@@ -67,6 +74,7 @@ from symsug.mobius import (
     reconstruct,
     reconstruct_from_conjugate,
 )
+from test_cli import CORPUS_SIZE, _grade_text, _monotone_grades, corpus_case
 
 UNIT = unit_scale()
 
@@ -315,3 +323,123 @@ def test_every_public_function_is_listed():
         if function.__module__ == module.__name__ and name[:1] != "_"
     }
     assert public - {function.__name__ for function in listed} == set()
+
+
+# -- the command line ------------------------------------------------------------
+
+
+def moved_keys(sigma, table):
+    """A table keyed by subset text, with each key renumbered."""
+    n = len(sigma)
+    return {
+        subset_text(moved_mask(sigma, parse_subset_text(key, n))): entry
+        for key, entry in table.items()
+    }
+
+
+def moved_document(sigma, document):
+    """A problem file with its players renumbered by sigma."""
+    moved = dict(document, capacity=moved_keys(sigma, document["capacity"]))
+    for key in ("profile", "players"):
+        if key in document:
+            moved[key] = moved_scores(sigma, document[key])
+    return moved
+
+
+def drawn_document(rng, n):
+    """A problem file on n players; half the time its scores have
+    distinct magnitudes, so that its ranking has no ties."""
+    top = n + rng.randint(0, 3)
+    kind = rng.choice(("unit", "levels"))
+    scale = (kind, top, None)
+    grades = _monotone_grades(rng, n, top)
+    if rng.random() < 0.5:
+        magnitudes = rng.sample(range(top + 1), n)
+    else:
+        magnitudes = [rng.choice((0, top // 2, top)) for _ in range(n)]
+    text = lambda grade: _grade_text(rng, grade, scale)
+    return {
+        "scale": {"kind": kind} if kind == "unit" else {"kind": kind, "levels": top},
+        "capacity": {subset_text(mask): text(g) for mask, g in enumerate(grades)},
+        "profile": [text(m * rng.choice((-1, 1))) for m in magnitudes],
+    }
+
+
+def printed(tmp_path, document, command):
+    """The records ``command`` prints on ``document``, and its exit code."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main([*command[:1], "--input", str(path), *command[1:]])
+    return [json.loads(line) for line in out.getvalue().splitlines()], code
+
+
+def compared(record, sigma, ranked):
+    """A ``compute --all`` record with its subset tables and players
+    renumbered by sigma (none moved when sigma is None).  v2 and the terms
+    listed by rank break ties by player number, so they are dropped unless
+    ``ranked``: the scores have distinct magnitudes."""
+    record = dict(record)
+    diagnostics = dict(record.pop("diagnostics"))
+    terms = dict(diagnostics.pop("terms"))
+    # v1 lists one term per nonempty subset in mask order, v3 one per player
+    v1, v3 = [None, *terms.pop("v1")], terms.pop("v3")
+    if sigma is not None:
+        record["mobius_interval"] = {
+            bound: moved_keys(sigma, table)
+            for bound, table in record["mobius_interval"].items()
+        }
+        v1, v3 = moved_table(sigma, v1), moved_scores(sigma, v3)
+        diagnostics["order"] = [sigma[i - 1] + 1 for i in diagnostics["order"]]
+    if not ranked:
+        record.pop("v2")
+        del diagnostics["order"]
+        terms = {}
+    return record, diagnostics, terms, v1, v3
+
+
+def cli_cases():
+    """The valid corpus documents, and drawn ones on up to ten players,
+    each with a drawn renumbering."""
+    documents = []
+    for i in range(CORPUS_SIZE):
+        try:
+            documents.append(json.loads(corpus_case(i)[0]))
+        except ValueError:  # the one document that is not JSON
+            pass
+    drawn = Random(0)
+    documents += [drawn_document(drawn, n) for n in (*range(1, 11), 8, 9, 10)]
+    for i, document in enumerate(documents):
+        if isinstance(document.get("profile"), list):
+            sigma = list(range(len(document["profile"])))
+            Random(i).shuffle(sigma)
+            yield document, sigma
+
+
+def test_renumbering_the_players_moves_each_printed_record_as_the_players(tmp_path):
+    compared_ranked = runs = 0
+    for document, sigma in cli_cases():
+        records, code = printed(tmp_path, document, ["compute", "--all"])
+        if code != 0:
+            continue
+        runs += 1
+        renumbered = moved_document(sigma, document)
+        (record,), ((moved,), code) = records, printed(
+            tmp_path, renumbered, ["compute", "--all"]
+        )
+        assert code == 0
+        scores = load_problem(json.dumps(document)).profile.scores
+        ranked = len({abs(x.signed) for x in scores}) == len(scores)
+        compared_ranked += ranked
+        assert compared(moved, None, ranked) == compared(record, sigma, ranked)
+        records, _ = printed(tmp_path, document, ["mobius"])
+        moved_records, _ = printed(tmp_path, renumbered, ["mobius"])
+        assert len(records) == 3
+        for before, after in zip(records, moved_records):
+            moved = {
+                key: moved_keys(sigma, entry) if isinstance(entry, dict) else entry
+                for key, entry in before.items()
+            }
+            assert after == moved
+    assert runs >= 200 and compared_ranked >= 50

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from random import Random
 
 import pytest
@@ -41,6 +42,7 @@ from symsug.scale import (
     _check_unit_text,
     _clip,
     _exact,
+    _format_fraction,
     _Record,
     _sym_max_signed,
 )
@@ -213,7 +215,9 @@ DIGITS_40, DIGITS_41 = "1234567890" * 4, "1234567890" * 4 + "7"
 @pytest.mark.parametrize(
     "text",
     [
-        "0", "1", "-1", "-0", "007", "0.50", "-0.250", "1/3", "-2/4", "10/10",
+        # decimals first: a plain reader that scales by the wrong power of
+        # ten misreads them, where it may fail to read a whole number at all
+        "0.50", "-0.250", "0", "1", "-1", "-0", "007", "1/3", "-2/4", "10/10",
         "0/7", "1/0", "-0/0", "+0.5", "+1/2", "1e-3", "-5E-1", "1_0/2_0",
         "0.1_5", "1.", ".5", "-.5", "\u0661", "0.\u0665", "1/\u0662", " 0.5 ",
         "\t-1/2\n",
@@ -336,6 +340,27 @@ def test_unit_format_prefers_terminating_decimals():
     assert str(UNIT.value(Fraction(3, 10))) == "0.3"
     assert str(UNIT.value(Fraction(-1, 4))) == "-0.25"
     assert str(UNIT.value(Fraction(1, 3))) == "1/3"
+
+
+# a denominator with only the primes 2 and 5, at most 10**50, or any other
+_DECIMAL_DENOMINATORS = st.builds(
+    lambda a, b: 2**a * 5**b, st.integers(0, 166), st.integers(0, 71)
+).filter(lambda den: den <= 10**50)
+
+
+@given(
+    st.integers(-(10**60), 10**60),
+    st.one_of(_DECIMAL_DENOMINATORS, st.integers(1, 10**50)),
+)
+def test_format_fraction_prints_the_ratio_exactly(num, den):
+    common = gcd(num, den)
+    num, den = num // common, den // common
+    text = _format_fraction(num, den)
+    assert Fraction(text) == Fraction(num, den)
+    # den divides a power of ten exactly when its only primes are 2 and 5,
+    # and then it divides 10**k for k its bit length
+    assert ("/" in text) == (10 ** den.bit_length() % den != 0)
+    assert "." not in text or not text.endswith("0")  # the fewest places
 
 
 @given(st.fractions(min_value=-1, max_value=1))
@@ -578,6 +603,10 @@ def test_records_are_frozen_and_compare_and_hash_on_their_fields():
         pending += found
     by_class = {type(r): r for r in records}
     assert by_class.keys() == subclasses and len(records) == 12
+    # the others check their arguments in __init__ itself; these keep the
+    # __post_init__ that perfbench/tracing.py wraps, or extend it
+    checked_later = {cls for cls in subclasses if "__post_init__" in vars(cls)}
+    assert checked_later == {ScaleValue, SetFunction, Capacity}
     # a capacity never equals the set function of its table
     v = by_class[Capacity]
     assert v != SetFunction(v.n, v.scale, v.table)
