@@ -746,6 +746,26 @@ MUTANTS = (
         "object.__setattr__(self, name, value)",
         (RECORDS_TEST,),
     ),
+    # the arguments each record normalises before it writes them
+    Mutant(
+        "scale-keeps-the-label-sequence", SCALE,
+        "                labels = tuple(labels)\n",
+        "                pass\n",
+        ("tests/test_scale.py::test_a_string_is_not_a_label_list",),
+    ),
+    Mutant(
+        "real-table-skips-the-exact-check", MOBIUS,
+        "table = tuple(_exact(x) for x in _dense_table(n, table))",
+        "table = _dense_table(n, table)",
+        ("tests/test_integrals.py::test_the_choquet_side_rejects_binary_floats",),
+    ),
+    # the terminating-decimal test of a printed fraction
+    Mutant(
+        "format-keeps-one-factor-of-two", SCALE,
+        "    rest = den >> twos\n",
+        "    rest = den >> max(twos - 1, 0)\n",
+        ("tests/test_scale.py::test_format_fraction_prints_the_ratio_exactly",),
+    ),
 )
 
 
