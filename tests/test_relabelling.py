@@ -425,17 +425,16 @@ def test_renumbering_the_players_moves_each_printed_record_as_the_players(tmp_pa
             continue
         runs += 1
         renumbered = moved_document(sigma, document)
-        (record,), ((moved,), code) = records, printed(
-            tmp_path, renumbered, ["compute", "--all"]
-        )
+        moved_records, code = printed(tmp_path, renumbered, ["compute", "--all"])
         assert code == 0
+        (record,), (moved,) = records, moved_records
         scores = load_problem(json.dumps(document)).profile.scores
         ranked = len({abs(x.signed) for x in scores}) == len(scores)
         compared_ranked += ranked
         assert compared(moved, None, ranked) == compared(record, sigma, ranked)
         records, _ = printed(tmp_path, document, ["mobius"])
         moved_records, _ = printed(tmp_path, renumbered, ["mobius"])
-        assert len(records) == 3
+        assert len(records) == len(moved_records) == 3
         for before, after in zip(records, moved_records):
             moved = {
                 key: moved_keys(sigma, entry) if isinstance(entry, dict) else entry
