@@ -256,39 +256,39 @@ def _coerce_table(
     values: Mapping[str, RawValue] | Sequence[RawValue],
 ) -> tuple[ScaleValue, ...]:
     if isinstance(values, Mapping):
-        return _read_subset_table(
-            n, scale, values, lambda key, raw: _coerce_value(scale, raw)
-        )
+        coerce = lambda keys, raws: [_coerce_value(scale, raw) for raw in raws]
+        return _read_subset_table(n, scale.zero, values, coerce)
     return tuple(_coerce_value(scale, raw) for raw in values)
 
 
 def _read_subset_table(
     n: int,
-    scale: SymmetricScale,
+    zero: object,
     entries: Mapping[str, object],
-    coerce: Callable[[str, object], ScaleValue],
+    coerce: Callable[[Sequence[str], Sequence], Sequence],
     error: type[ValueError] = ValueError,
-) -> tuple[ScaleValue, ...]:
-    """The dense table of a mapping from subset strings to values, each
-    coerced by ``coerce(key, value)`` in the mapping's order; the empty set
-    defaults to 0.  Bad, repeated or missing keys raise ``error``, naming at
-    most four missing.
+) -> tuple:
+    """The dense table of a mapping from subset strings to values, the
+    entries coerced in the mapping's order by ``coerce(keys, values)``; the
+    empty set defaults to ``zero``.  Bad, repeated or missing keys raise
+    ``error``, naming at most four missing.
 
     When the keys are exactly the strings :func:`subset_text` writes, in
-    mask order, with or without ``{}``, each key's mask is its position and
-    no key is parsed; the count is checked first, so no key table is built
-    for a mapping that cannot match.  Any other mapping is read key by key,
-    and both ways raise the same errors in the same order."""
+    mask order, with or without ``{}``, each key's mask is its position, no
+    key is parsed and all entries are coerced at once; the count is checked
+    first, so no key table is built for a mapping that cannot match.  Any
+    other mapping is read key by key, and both ways raise the same errors
+    in the same order."""
     _check_players(n)
     skipped = (1 << n) - len(entries)
     if skipped in (0, 1) and all(
         map(eq, entries, islice(_subset_keys(n), skipped, None))
     ):
-        values = [coerce(key, raw) for key, raw in entries.items()]
+        values = list(coerce(list(entries), list(entries.values())))
         if skipped:
-            values.insert(0, scale.zero)
+            values.insert(0, zero)
         return tuple(values)
-    table: dict[int, ScaleValue] = {}
+    table: dict[int, object] = {}
     for key, raw in entries.items():
         try:
             mask = parse_subset_text(key, n)
@@ -296,7 +296,7 @@ def _read_subset_table(
             raise error(f"capacity key {key!r}: {exc}") from exc
         if mask in table:
             raise error(f"capacity repeats the subset {subset_text(mask)}")
-        table[mask] = coerce(key, raw)
+        table[mask] = coerce((key,), (raw,))[0]
     missing = list(islice((m for m in range(1, 1 << n) if m not in table), 5))
     if missing:
         shown = ", ".join(subset_text(mask) for mask in missing[:4])
@@ -304,7 +304,7 @@ def _read_subset_table(
             shown += ", ..."
         raise error(f"capacity is missing {shown}")
     if 0 not in table:
-        table[0] = scale.zero
+        table[0] = zero
     return tuple(table[mask] for mask in subsets(n))
 
 

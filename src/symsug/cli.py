@@ -18,17 +18,18 @@ On the unit scale, ``compute`` and ``mobius`` evaluate the Sugeno side
 canonical forms) on the ranks of the values the instance uses, through
 :meth:`Problem.ranked`.  That is exact, since those outputs depend only on
 order, signs and opposites, and the ranked scale prints every grade as the
-value it stands for.  The Choquet family stays on rationals.  The capacity
-is validated once, on loading, on its ranks: the rank map is strictly
-increasing, odd, and sends 0 and 1 to the ends of the ranked scale, so the
-ranks keep the capacity axioms exactly when the values do.
+value it stands for.  The capacity is validated once, on loading, on its
+ranks: the rank map is strictly increasing, odd, and sends 0 and 1 to the
+ends of the ranked scale, so the ranks keep the capacity axioms exactly
+when the values do.  Neither command builds a unit-scale value: signs are
+read from the ranks, and the Choquet family computes on one ``Fraction``
+per distinct value, decoded from its rank.
 
-From loading to printing, both commands work on int grades, wrapped and
-checked only where the document is read.  ``compute`` builds each Sugeno
-output's term list as grades (the kernels of ``ranked_terms``,
-``variant1_terms`` and ``variant3_terms``), folds it with
-``rules._fold_signed`` under its rule in ``integrals.FOLD_RULES``, which
-the library reads too, and formats each distinct grade once.
+From loading to printing, both commands work on int grades.  ``compute``
+builds each Sugeno output's term list as grades (the kernels of
+``ranked_terms``, ``variant1_terms`` and ``variant3_terms``), folds it
+with ``rules._fold_signed`` under its rule in ``integrals.FOLD_RULES``,
+which the library reads too, and formats each distinct grade once.
 ``sugeno_sym`` and ``sugeno`` fold the explicit-form terms, which is exact
 by the law ``symmetric-sugeno-forms-agree``.
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from fractions import Fraction
 
 from .integrals import (
     FOLD_RULES,
@@ -55,8 +57,6 @@ from .integrals import (
     choquet,
     choquet_asymmetric,
     choquet_symmetric,
-    to_real_capacity,
-    to_real_profile,
 )
 from .io import (
     MOBIUS_REPRESENTATIVES,
@@ -70,8 +70,9 @@ from .io import (
     read_problem,
     record_line,
 )
-from .mobius import ordinal_mobius_interval
+from .mobius import RealSetFunction, ordinal_mobius_interval
 from .rules import Rule, _fold_signed
+from .scale import _trusted
 from .verify import VerifyConfig, law_names, run_laws
 
 CHOQUET_OUTPUTS = {
@@ -219,7 +220,7 @@ def _inapplicable(name: str, problem: Problem) -> str | None:
     """Why output ``name`` is not defined on the instance, or None."""
     if name in CHOQUET_OUTPUTS and problem.scale.kind != "unit":
         return f"{name} needs the unit scale"
-    if name in NONNEGATIVE_ONLY and not problem.profile.is_nonnegative:
+    if name in NONNEGATIVE_ONLY and not problem.ranked()[1].is_nonnegative:
         return f"{name} needs a nonnegative profile"
     return None
 
@@ -267,8 +268,8 @@ def _cmd_compute(args) -> int:
         member = interval.lower if representative == "lower" else interval.upper
         terms["v1"] = _variant1_kernel(*_transform_args(member, f))
     if any(name in CHOQUET_OUTPUTS for name in names):
-        real_v = to_real_capacity(problem.capacity)
-        real_f = to_real_profile(problem.profile)
+        table, real_f = problem._unit_values(Fraction)
+        real_v = _trusted(RealSetFunction, n=v.n, table=table)
 
     texts: dict[int, str] = {}  # every grade of the record is formatted once
     record: dict[str, object] = {}

@@ -7,11 +7,11 @@ values travel as exact text (fractions or terminating decimals); binary
 floats are rejected so that every number survives a round trip.  No
 object may repeat a key.  Capacity keys listed in mask order are read by
 position, and any other listing key by key (``capacity._read_subset_table``).
-Each distinct value of a document, in its profile or its capacity, is
-parsed and wrapped once.  A capacity is validated once, on its signed
-grades (``capacity._check_capacity``): a unit-scale one on the ranks that
-:meth:`Problem.ranked` returns, which are built on loading, so both
-capacities are built with no second check.
+Each distinct value text or int of a document is read once, in the order
+first seen (profile, then capacity): unit-scale text as a reduced integer
+pair, levels text as a grade.  A unit-scale document is then ranked
+(:meth:`Problem.ranked`) and validated once, on its ranks; its capacity
+and profile of unit-scale values are built only when first read.
 
 Malformed documents raise :class:`ParseError`; documents that parse but
 describe an invalid instance (an off-scale value, a non-monotone
@@ -25,26 +25,28 @@ import json
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 
 from .capacity import (
     Capacity,
     SetFunction,
     _check_capacity,
+    _check_players,
     _read_subset_table,
     _subset_keys,
 )
 from .integrals import Profile
 from .scale import (
+    LEVELS,
     UNIT,
     Number,
     OffScaleError,
     ScaleError,
-    ScaleValue,
     SymmetricScale,
     _format_fraction,
     _Record,
     _trusted,
+    _unit_ratio,
     levels_scale,
     unit_scale,
 )
@@ -79,8 +81,11 @@ class ProblemOptions(_Record):
 
 
 class Problem(_Record):
-    # not a field: load_problem sets it; a problem built by hand ranks on demand
+    # not fields: a loaded unit-scale problem keeps its ranks and their
+    # magnitudes, and builds its capacity and profile from them on first
+    # read; a problem built by hand ranks on demand
     _ranked: tuple[Capacity, Profile] | None = None
+    _magnitudes: tuple[tuple[int, int], ...] = ()
 
     def __init__(
         self,
@@ -95,9 +100,19 @@ class Problem(_Record):
             options=options,
         )
 
+    def __getattr__(self, name: str) -> object:
+        # reached only for a field that a loaded unit-scale problem lacks
+        if name not in ("capacity", "profile") or not self._magnitudes:
+            raise AttributeError(f"'Problem' object has no attribute {name!r}")
+        scale, (v, _) = self.scale, self._ranked
+        table, scores = self._unit_values(lambda *pair: scale.value(Fraction(*pair)))
+        self.__dict__["capacity"] = _trusted(Capacity, n=v.n, scale=scale, table=table)
+        self.__dict__["profile"] = _trusted(Profile, scale=scale, scores=scores)
+        return self.__dict__[name]
+
     @property
     def n(self) -> int:
-        return self.profile.n
+        return (self._ranked[1] if self._ranked else self.profile).n
 
     def ranked(self) -> tuple[Capacity, Profile]:
         """The capacity and profile on an order-isomorphic levels scale.
@@ -118,8 +133,21 @@ class Problem(_Record):
             return self._ranked
         if self.scale.kind != UNIT:
             return self.capacity, self.profile
-        table, scores = self.capacity.table, self.profile.scores
-        return _ranked_unit(self.n, table, scores, (*table, *scores))
+        table = [x.signed for x in self.capacity.table]
+        scores = [x.signed for x in self.profile.scores]
+        scale, grades, _ = _rank({q: q.as_integer_ratio() for q in (*table, *scores)})
+        return _tables(self.n, scale, grades, table, scores)
+
+    def _unit_values(self, make: Callable[[int, int], object]) -> tuple[tuple, tuple]:
+        """The capacity table and scores of a loaded unit-scale problem, each
+        distinct value made once, as ``make`` of its reduced ratio."""
+        v, f = self._ranked
+        table, scores = [x.signed for x in v.table], [x.signed for x in f.scores]
+        made = {}
+        for grade in {*table, *scores}:
+            num, den = self._magnitudes[abs(grade)]
+            made[grade] = make(-num if grade < 0 else num, den)
+        return tuple(map(made.__getitem__, table)), tuple(map(made.__getitem__, scores))
 
 
 def _compare_ratios(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -132,42 +160,43 @@ def _compare_ratios(a: tuple[int, int], b: tuple[int, int]) -> int:
 _BY_RATIO = cmp_to_key(_compare_ratios)
 
 
-def _ranked_unit(
-    n: int,
-    table: Sequence[ScaleValue],
-    scores: Sequence[ScaleValue],
-    values: Sequence[ScaleValue],
-) -> tuple[Capacity, Profile]:
-    """The ranked capacity and profile of :meth:`Problem.ranked` for a dense
-    table and scores on the unit scale, which hold no value object missing
-    from ``values``; the capacity is validated here, on its grades.
+def _rank(readings: Mapping) -> tuple[SymmetricScale, dict, tuple]:
+    """The ranked scale of :meth:`Problem.ranked` for values given as
+    reduced signed (numerator, denominator) pairs, the signed rank of each
+    value, and the magnitude of each rank as its pair.
 
     The rank map is strictly increasing, odd and fixes 0 and 1, even when
-    the table lacks them, so every negativity, boundary and cover check of
+    the values lack them, so every negativity, boundary and cover check of
     the capacity axioms gives the same verdict on the grades as on the
     values, in the same order; and each grade prints as its value, so the
     messages are the same too."""
-    # values parsed from the same text are one object, so each object is
-    # read once, keyed by id; magnitudes are keyed by (numerator,
-    # denominator), since hashing a Fraction calls pow()
-    distinct = dict(zip(map(id, values), values))
-    ratios = {key: x.signed.as_integer_ratio() for key, x in distinct.items()}
-    # each magnitude once, as its reduced (numerator, denominator) pair, in
-    # first-seen order: a table listed in mask order comes nearly sorted
+    # each magnitude once, as its reduced pair, in first-seen order: a table
+    # listed in mask order comes nearly sorted
     magnitudes = dict.fromkeys([(0, 1), (1, 1)])
-    magnitudes.update(dict.fromkeys((abs(num), den) for num, den in ratios.values()))
+    magnitudes.update(dict.fromkeys((abs(num), den) for num, den in readings.values()))
     ordered = sorted(magnitudes, key=_BY_RATIO)
     rank = {pair: i for i, pair in enumerate(ordered)}
-    labels = tuple(_format_fraction(num, den) for num, den in ordered)
-    scale = levels_scale(len(ordered) - 1, labels)
-    grade = {}
-    for key, (num, den) in ratios.items():
-        i = rank[abs(num), den]
-        grade[key] = scale.value(-i if num < 0 else i)
-    ranked = tuple(map(grade.__getitem__, map(id, table)))
-    _check_capacity(n, scale, ranked)
-    capacity = _trusted(Capacity, n=n, scale=scale, table=ranked)
-    return capacity, Profile(scale, tuple(map(grade.__getitem__, map(id, scores))))
+    grades = {
+        x: -rank[-p, q] if p < 0 else rank[p, q] for x, (p, q) in readings.items()
+    }
+    # levels_scale(K, labels), but the labels, distinct magnitudes formatted
+    # just now, are not checked again
+    scale = object.__new__(SymmetricScale)
+    labels = tuple(_format_fraction(*pair) for pair in ordered)
+    scale._fill(LEVELS, len(labels) - 1, labels)
+    return scale, grades, tuple(ordered)
+
+
+def _tables(
+    n: int, scale: SymmetricScale, grades: Mapping, table: Sequence, scores: Sequence
+) -> tuple[Capacity, Profile]:
+    """The capacity, not yet validated, and the profile on ``scale`` of the
+    grades that ``grades`` gives the keys in ``table`` and ``scores``."""
+    values = dict(zip(grades, map(scale.value, grades.values()))).__getitem__
+    return (
+        _trusted(Capacity, n=n, scale=scale, table=tuple(map(values, table))),
+        _trusted(Profile, scale=scale, scores=tuple(map(values, scores))),
+    )
 
 
 def read_problem(path: str) -> Problem:
@@ -196,37 +225,31 @@ def load_problem(text: str) -> Problem:
             raise ParseError(f"missing problem key: {key!r}")
 
     scale = _parse_scale(document["scale"])
-    parsed: dict[str | int, ScaleValue] = {}
-
-    def parse(item: object, raw: object, place: str = "capacity") -> ScaleValue:
-        # documents repeat few values many times, so each value read from
-        # text or an exact int is kept, keyed by the text or the int; a
-        # bool equals an int (True == 1) and a float may equal one, so
-        # neither is kept and each raises its own error, as errors do
-        if type(raw) is str or type(raw) is int:
-            hit = parsed.get(raw)
-            if hit is None:
-                hit = parsed[raw] = _parse_value(scale, raw, f"{place}[{item!r}]")
-            return hit
-        return _parse_value(scale, raw, f"{place}[{item!r}]")
-
-    profile = _parse_profile(scale, document["profile"], parse)
-    players = _parse_players(document.get("players"), profile.n)
-    table = _parse_capacity(scale, profile.n, document["capacity"], parse)
-    # the capacity is validated once: on ranks for the unit scale, whose
-    # checked ranked capacity vouches for the unit-scale one
+    scores = document["profile"]
+    if not isinstance(scores, list) or not scores:
+        raise ParseError("'profile' must be a non-empty list of scale values")
+    # the reading of each distinct value, the empty set's default 0 first
+    readings = {0: _reading(scale, 0)}
+    _read_values(scale, readings, "profile", range(len(scores)), scores)
+    n = len(scores)
+    _check_players(n)  # past the ceiling no capacity could match
+    players = _parse_players(document.get("players"), n)
+    if not isinstance(document["capacity"], dict):
+        raise ParseError("'capacity' must map subset strings to scale values")
+    read = partial(_read_values, scale, readings, "capacity")
+    table = _read_subset_table(n, 0, document["capacity"], read, ParseError)
     if scale.kind == UNIT:
-        # every value is one the parsers kept, or the empty set's default 0
-        values = (*parsed.values(), table[0])
-        ranked = _ranked_unit(profile.n, table, profile.scores, values)
+        ranked, grades, magnitudes = _rank(readings)
     else:
-        ranked = None
-        _check_capacity(profile.n, scale, table)
-    capacity = _trusted(Capacity, n=profile.n, scale=scale, table=table)
+        ranked, grades, magnitudes = scale, readings, ()
+    v, f = _tables(n, ranked, grades, table, scores)
+    # validated once, a unit-scale capacity on its ranks, which vouch for it
+    _check_capacity(n, ranked, v.table)
     options = _parse_options(document.get("options"))
-    problem = Problem(scale, players, capacity, profile, options)
-    object.__setattr__(problem, "_ranked", ranked)
-    return problem
+    if not magnitudes:
+        return Problem(scale, players, v, f, options)
+    unit = {"_ranked": (v, f), "_magnitudes": magnitudes}
+    return _trusted(Problem, scale=scale, players=players, options=options, **unit)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -270,33 +293,49 @@ def _parse_scale(raw: object) -> SymmetricScale:
     raise ParseError("scale 'kind' must be 'unit' or 'levels'")
 
 
-def _parse_value(scale: SymmetricScale, raw: object, where: str) -> ScaleValue:
-    if isinstance(raw, bool):
-        raise ParseError(f"{where}: booleans are not scale values")
-    if isinstance(raw, float):
-        raise ParseError(
-            f"{where}: binary floats are not exact; write the value as a string"
-        )
-    try:
-        if isinstance(raw, str):
-            return scale.parse(raw)
-        if isinstance(raw, int):
-            return scale.value(raw)
-    except OffScaleError:
-        raise
-    except ScaleError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-    raise ParseError(f"{where}: expected a string or integer, got {type(raw).__name__}")
+# the types a document value may have, and why two others are refused
+_READABLE = {str, int}
+_REFUSED = {
+    bool: "booleans are not scale values",
+    float: "binary floats are not exact; write the value as a string",
+}
 
 
-def _parse_profile(
-    scale: SymmetricScale, raw: object, parse: Callable[..., ScaleValue]
-) -> Profile:
-    if not isinstance(raw, list) or not raw:
-        raise ParseError("'profile' must be a non-empty list of scale values")
-    return Profile(
-        scale, tuple(parse(i, item, "profile") for i, item in enumerate(raw))
-    )
+def _read_values(
+    scale: SymmetricScale, readings: dict, place: str, names: Sequence, raws: Sequence
+) -> Sequence:
+    """Read each distinct value of ``raws`` missing from ``readings`` into
+    it once, in first-seen order, by :func:`_reading`; return ``raws``.
+    Errors name value i ``place[names[i]]``.  A value neither text nor int
+    raises its own error after those of the values before it: a bool or a
+    float equals an int (True == 1, 1.0 == 1), so none is ever a key."""
+    if not set(map(type, raws)) <= _READABLE:
+        first = next(i for i, raw in enumerate(raws) if type(raw) not in _READABLE)
+        _read_values(scale, readings, place, names, raws[:first])
+        kind = type(raws[first])
+        why = _REFUSED.get(kind, f"expected a string or integer, got {kind.__name__}")
+        raise ParseError(f"{place}[{names[first]!r}]: {why}")
+    for raw in dict.fromkeys(raws):
+        if raw not in readings:
+            try:
+                readings[raw] = _reading(scale, raw)
+            except OffScaleError:
+                raise
+            except ScaleError as exc:
+                name = names[raws.index(raw)]
+                raise ParseError(f"{place}[{name!r}]: {exc}") from exc
+    return raws
+
+
+def _reading(scale: SymmetricScale, raw: str | int) -> tuple[int, int] | int:
+    """Document text or an int as its reduced signed (numerator,
+    denominator) pair on the unit scale, as its grade on a levels scale."""
+    if scale.kind != UNIT:
+        return (scale.parse(raw) if type(raw) is str else scale.value(raw)).signed
+    num, den = _unit_ratio(raw.strip()) if type(raw) is str else (raw, 1)
+    if abs(num) > den:
+        scale.value(Fraction(num, den))  # raises the library's OffScaleError
+    return num, den
 
 
 def _parse_players(raw: object, n: int) -> tuple[str, ...] | None:
@@ -311,16 +350,6 @@ def _parse_players(raw: object, n: int) -> tuple[str, ...] | None:
     if len(set(raw)) != len(raw) or not all(name.strip() for name in raw):
         raise ParseError("player names must be distinct and non-empty")
     return tuple(raw)
-
-
-def _parse_capacity(
-    scale: SymmetricScale, n: int, raw: object, parse: Callable[..., ScaleValue]
-) -> tuple[ScaleValue, ...]:
-    """The dense capacity table of a document, each value read by
-    ``parse(key, value)``, not yet validated."""
-    if not isinstance(raw, dict):
-        raise ParseError("'capacity' must map subset strings to scale values")
-    return _read_subset_table(n, scale, raw, parse, ParseError)
 
 
 def _parse_options(raw: object) -> ProblemOptions:
@@ -374,7 +403,7 @@ def _grade_texts(
     """The text of each signed number's value on ``scale``, formatting each
     distinct number once into ``texts``, shared by values on that scale."""
     for grade in set(grades).difference(texts):
-        texts[grade] = str(scale.value(grade))
+        texts[grade] = scale._text(grade)
     return list(map(texts.__getitem__, grades))
 
 

@@ -17,6 +17,7 @@ import re
 from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 Number = int | Fraction
 
@@ -123,6 +124,9 @@ class SymmetricScale(_Record):
                     raise ScaleError("labels must be distinct")
         elif levels is not None or labels is not None:
             raise ScaleError("unit scale takes no grade count or labels")
+        self._fill(kind, levels, labels)
+
+    def _fill(self, kind: str, levels: int | None, labels: tuple | None) -> None:
         _set(self, "kind", kind)
         _set(self, "levels", levels)
         _set(self, "labels", labels)
@@ -186,12 +190,16 @@ class SymmetricScale(_Record):
 
     def format(self, a: ScaleValue) -> str:
         check_scale(self, (a,))
+        return self._text(a.signed)
+
+    def _text(self, signed: Number) -> str:
+        """:meth:`format` of the value on this scale of the number ``signed``."""
         if self.kind == UNIT:
-            return _format_fraction(*a.signed.as_integer_ratio())
+            return _format_fraction(*signed.as_integer_ratio())
         if self.labels is None:
-            return str(a.signed)
-        text = self.labels[abs(a.signed)]
-        return "-" + text if a.sign < 0 else text
+            return str(signed)
+        text = self.labels[abs(signed)]
+        return "-" + text if signed < 0 else text
 
     def parse(self, text: str) -> ScaleValue:
         """Inverse of :meth:`format`; accepts any exact decimal or p/q string
@@ -203,7 +211,7 @@ class SymmetricScale(_Record):
         if self.kind == UNIT:
             # well-formed but out of range raises OffScaleError, a
             # validation error rather than a syntax error
-            return self.value(_read_unit_text(text))
+            return self.value(Fraction(*_unit_ratio(text)))
         negative = text.startswith("-")
         grade = self._grade(text[1:] if negative else text)
         if grade is None:
@@ -334,8 +342,9 @@ def _check_unit_text(text: str) -> None:
         )
 
 
-def _read_unit_text(text: str) -> Fraction:
-    """Unit-scale text as a Fraction.  A plain ASCII spelling (``_PLAIN``)
+def _unit_ratio(text: str) -> tuple[int, int]:
+    """Unit-scale text as the reduced (numerator, denominator) pair of its
+    value, the denominator positive.  A plain ASCII spelling (``_PLAIN``)
     with a nonzero denominator is read on ints; any other text is bounded
     by :func:`_check_unit_text` and read by ``Fraction``, the reference the
     plain reading agrees with, and text it cannot read raises ScaleError
@@ -348,10 +357,11 @@ def _read_unit_text(text: str) -> Fraction:
         else:
             num, den = int(whole + part), 10 ** len(part)
         if den:
-            return Fraction(-num if sign else num, den)
+            common = gcd(num, den)
+            return (-num if sign else num) // common, den // common
     _check_unit_text(text)
     try:
-        return Fraction(text)
+        return Fraction(text).as_integer_ratio()
     except (ValueError, ZeroDivisionError) as exc:
         raise ScaleError(f"bad unit-scale value: {text!r}") from exc
 
@@ -359,13 +369,13 @@ def _read_unit_text(text: str) -> Fraction:
 def _exact(x) -> Fraction:
     """``x`` as a Fraction; a bool raises ScaleError, being no number, and
     so does a binary float, since its value is almost never the decimal it
-    was written as.  Text is read by :func:`_read_unit_text`, as
+    was written as.  Text is read by :func:`_unit_ratio`, as
     :meth:`SymmetricScale.parse` reads unit-scale text.  Anything else
     ``Fraction`` cannot read raises ScaleError too, naming the type."""
     if type(x) is Fraction:
         return x
     if isinstance(x, str):
-        return _read_unit_text(x)
+        return Fraction(*_unit_ratio(x))
     if isinstance(x, bool):
         raise ScaleError("bad unit-scale value: bool")
     if isinstance(x, float):

@@ -7,8 +7,11 @@ Computer 11(4), 1978).  For every mutant the script copies ``src/`` to a
 temporary directory, checks that the snippet occurs there exactly once,
 applies the replacement and runs only the named tests against the copy.
 The mutant is killed when some named test fails and survives when they all
-pass.  First the named tests run once against an unmutated copy, which must
-pass.  Each kill is printed with its first failing test and the type of the
+pass.  First each mutant's named tests run once against an unmutated copy,
+which must pass; a mutated run that takes ``TIMEOUT_FACTOR`` times as long
+is stopped and reported as timed out, which counts as detected, as a
+mutant that makes a kernel loop forever would otherwise hang the whole
+run.  Each kill is printed with its first failing test and the type of the
 exception it raised, and the run ends with the kills whose exception is not
 an ``AssertionError``: a fault that crashes a test, rather than one that a
 check of a value catches.
@@ -18,7 +21,7 @@ Run from the repository root, with pytest and hypothesis installed:
     python tests/mutants.py           # every mutant
     python tests/mutants.py NAME ...  # only the named mutants
 
-The exit status is 0 when every mutant run is killed.  Pytest does not
+The exit status is 0 when every mutant run is killed or timed out.  Pytest does not
 collect this file: its name does not start with ``test_``.
 """
 
@@ -34,6 +37,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# a mutant's tests may run this many times as long as on the unmutated code
+# before the run is stopped and the mutant counted as detected
+TIMEOUT_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,9 @@ MEMBER_WEIGHTS_TEST = (
     "tests/test_verify.py::"
     "test_member_weights_yield_the_per_profile_members_in_draw_order"
 )
+
+READER_PROPERTY_TEST = "tests/test_io.py::test_keys_read_by_position_and_by_parsing_agree"
+SPELLINGS_TEST = "tests/test_io.py::test_spellings_of_one_value_are_one_rank"
 
 SLICED_CHECK_TEST = (
     "tests/test_capacity.py::"
@@ -317,7 +326,7 @@ MUTANTS = (
     ),
     Mutant(
         "keys-by-position-drop-the-empty-set-default", CAPACITY,
-        "            values.insert(0, scale.zero)\n",
+        "            values.insert(0, zero)\n",
         "            pass\n",
         (
             "tests/test_io.py::test_keys_read_by_position_and_by_parsing_agree",
@@ -616,8 +625,8 @@ MUTANTS = (
     ),
     Mutant(
         "memo-lets-true-share-the-entry-of-1", IO,
-        "if type(raw) is str or type(raw) is int:",
-        "if isinstance(raw, (str, int)):",
+        "if not set(map(type, raws)) <= _READABLE:",
+        "if not all(isinstance(raw, (str, int)) for raw in raws):",
         ("tests/test_io.py::test_a_value_equal_to_a_parsed_int_keeps_its_own_error",),
     ),
     Mutant(
@@ -629,8 +638,8 @@ MUTANTS = (
     # the plain unit-text reader, the checked unit parse and the ranked grades
     Mutant(
         "plain-reader-drops-the-sign", SCALE,
-        "return Fraction(-num if sign else num, den)",
-        "return Fraction(num, den)",
+        "return (-num if sign else num) // common, den // common",
+        "return num // common, den // common",
         UNIT_TEXT_TESTS,
     ),
     Mutant(
@@ -641,20 +650,20 @@ MUTANTS = (
     ),
     Mutant(
         "plain-reader-accepts-a-zero-denominator", SCALE,
-        "        if den:\n            return Fraction(",
-        "        if True:\n            return Fraction(",
+        "        if den:\n            common = gcd(num, den)\n",
+        "        if True:\n            common = gcd(num, den)\n",
         UNIT_TEXT_TESTS,
     ),
     Mutant(
         "parse-wraps-off-scale-values", SCALE,
-        "return self.value(_read_unit_text(text))",
-        "return _trusted(ScaleValue, scale=self, signed=_read_unit_text(text))",
+        "return self.value(Fraction(*_unit_ratio(text)))",
+        "return _trusted(ScaleValue, scale=self, signed=Fraction(*_unit_ratio(text)))",
         UNIT_TEXT_TESTS,
     ),
     Mutant(
         "ranked-unit-wraps-the-magnitude-of-a-negative-rank", IO,
-        "grade[key] = scale.value(-i if num < 0 else i)",
-        "grade[key] = scale.value(i)",
+        "x: -rank[-p, q] if p < 0 else rank[p, q] for x, (p, q) in readings.items()",
+        "x: rank[abs(p), q] for x, (p, q) in readings.items()",
         (RANKED_SCALE_TEST,),
     ),
     Mutant(
@@ -766,17 +775,81 @@ MUTANTS = (
         "    rest = den >> max(twos - 1, 0)\n",
         ("tests/test_scale.py::test_format_fraction_prints_the_ratio_exactly",),
     ),
+    # the document reader: each distinct value read once, and the
+    # signed-grade formatter that prints what it read
+    Mutant(
+        "distinct-values-merge-true-with-1", IO,
+        "_READABLE = {str, int}",
+        "_READABLE = {str, int, bool}",
+        (
+            "tests/test_io.py::test_a_value_equal_to_a_parsed_int_keeps_its_own_error",
+            READER_PROPERTY_TEST,
+        ),
+    ),
+    Mutant(
+        "two-spellings-of-one-value-rank-apart", SCALE,
+        "            common = gcd(num, den)\n",
+        "            common = 1\n",
+        (SPELLINGS_TEST, READER_PROPERTY_TEST),
+    ),
+    Mutant(
+        "magnitudes-ranked-on-numerators-first", IO,
+        "ordered = sorted(magnitudes, key=_BY_RATIO)",
+        "ordered = sorted(magnitudes)",
+        (RANKED_SCALE_TEST,),
+    ),
+    Mutant(
+        "mask-ordered-capacities-go-unchecked", IO,
+        "    _check_capacity(n, ranked, v.table)\n",
+        "    listed = list(document['capacity'])\n"
+        "    if listed != list(_subset_keys(n)[-len(listed):]):\n"
+        "        _check_capacity(n, ranked, v.table)\n",
+        ("tests/test_io.py::test_invalid_capacities_keep_their_own_error",),
+    ),
+    Mutant(
+        "signed-grade-text-drops-the-minus", SCALE,
+        'return "-" + text if signed < 0 else text',
+        "return text",
+        ("tests/test_cli.py::test_compute_all_emits_the_documented_golden_record",),
+    ),
 )
 
 
-def run_tests(src: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+def run_tests(
+    src: Path, tests: tuple[str, ...], timeout: float | None = None
+) -> subprocess.CompletedProcess | None:
     """The named tests with ``src`` first on the import path; the short
-    summary lists each failure and error."""
+    summary lists each failure and error.  None when the run outlasts
+    ``timeout`` seconds."""
     command = [
         sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
         "-o", f"pythonpath={src}", *tests,
     ]
-    return subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+    return run(command, timeout)
+
+
+def run(command: list[str], timeout: float | None) -> subprocess.CompletedProcess | None:
+    """``command`` run from the repository root, or None when it outlasts
+    ``timeout`` seconds, and is then killed."""
+    try:
+        return subprocess.run(
+            command, cwd=ROOT, capture_output=True, text=True, timeout=timeout
+        )
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def outcome(result: subprocess.CompletedProcess | None) -> tuple[str, tuple[str, str] | None]:
+    """``killed`` with the first failure, ``timed out`` (a mutant that makes
+    a test loop, which counts as detected), ``survived``, or an error
+    saying why the run means nothing."""
+    if result is None:
+        return "timed out", None
+    if result.returncode in (1, 2):  # a test failed, or a module failed to load
+        return "killed", first_failure(result.stdout)
+    if result.returncode == 0:
+        return "survived", None
+    return f"error: pytest exited {result.returncode}\n{result.stdout[-2000:]}", None
 
 
 def first_failure(stdout: str) -> tuple[str, str]:
@@ -799,9 +872,11 @@ def fresh_copy(folder: Path) -> Path:
     return src
 
 
-def check(mutant: Mutant, folder: Path) -> tuple[str, tuple[str, str] | None]:
-    """``killed`` with the first failure, ``survived``, or an error saying
-    why the run means nothing."""
+def check(
+    mutant: Mutant, folder: Path, timeout: float
+) -> tuple[str, tuple[str, str] | None]:
+    """The :func:`outcome` of the mutant's tests on a mutated copy, stopped
+    after ``timeout`` seconds."""
     src = fresh_copy(folder)
     target = folder / mutant.path
     text = target.read_text(encoding="utf-8")
@@ -809,12 +884,7 @@ def check(mutant: Mutant, folder: Path) -> tuple[str, tuple[str, str] | None]:
     if found != 1:
         return f"error: the snippet occurs {found} times in {mutant.path}", None
     target.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
-    result = run_tests(src, mutant.tests)
-    if result.returncode in (1, 2):  # a test failed, or a module failed to load
-        return "killed", first_failure(result.stdout)
-    if result.returncode == 0:
-        return "survived", None
-    return f"error: pytest exited {result.returncode}\n{result.stdout[-2000:]}", None
+    return outcome(run_tests(src, mutant.tests, timeout))
 
 
 def main(names: list[str]) -> int:
@@ -826,25 +896,33 @@ def main(names: list[str]) -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         folder = Path(tmp)
-        tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
-        baseline = run_tests(fresh_copy(folder), tests)
-        if baseline.returncode != 0:
-            print("the named tests fail on the unmutated source:", file=sys.stderr)
-            print(baseline.stdout[-2000:], file=sys.stderr)
-            return 2
-        killed = 0
+        src = fresh_copy(folder)
+        timeouts = {}  # per test tuple, a multiple of its unmutated run's time
+        for tests in dict.fromkeys(m.tests for m in mutants):
+            began = time.perf_counter()
+            baseline = run_tests(src, tests)
+            if baseline.returncode != 0:
+                print("the named tests fail on the unmutated source:", file=sys.stderr)
+                print(baseline.stdout[-2000:], file=sys.stderr)
+                return 2
+            timeouts[tests] = TIMEOUT_FACTOR * (time.perf_counter() - began)
+        detected = timed_out = 0
         other_kills = []  # kills whose failure is not an AssertionError
         for mutant in mutants:
-            outcome, failure = check(mutant, folder)
-            killed += outcome == "killed"
+            result, failure = check(mutant, folder, timeouts[mutant.tests])
+            detected += result in ("killed", "timed out")
+            timed_out += result == "timed out"
             shown = f"  {failure[0]}  {failure[1]}" if failure else ""
-            print(f"{outcome:8}  {mutant.name}{shown}", flush=True)
+            print(f"{result:9}  {mutant.name}{shown}", flush=True)
             if failure and failure[1] != "AssertionError":
                 other_kills.append(f"{mutant.name}  {failure[1]}")
     elapsed = time.perf_counter() - start
-    print(f"{killed} of {len(mutants)} mutants killed in {elapsed:.0f} s")
+    print(
+        f"{detected} of {len(mutants)} mutants detected in {elapsed:.0f} s"
+        f" ({timed_out} by a timeout)"
+    )
     print(f"{len(other_kills)} kills not by an AssertionError", *other_kills, sep="\n  ")
-    return 0 if killed == len(mutants) else 1
+    return 0 if detected == len(mutants) else 1
 
 
 if __name__ == "__main__":

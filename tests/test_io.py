@@ -334,6 +334,48 @@ def test_invalid_capacities_keep_their_own_error():
     table["{1,2,3}"] = "0.9"
     with pytest.raises(CapacityError):
         load_problem(dumps(capacity=table))
+    # listed in mask order, with and without {}, on either scale, the same
+    # tables are refused with the same message
+    grades = {"{1}": 1, "{2}": 2, "{1,2}": 1, "{3}": 0, "{1,3}": 1, "{2,3}": 2}
+    levels = {"scale": {"kind": "levels", "levels": 2}, "profile": [0, 1, 2]}
+    for document in (
+        json.loads(dumps(capacity=dict(WORKED_DOCUMENT["capacity"], **{"{1,2}": "0.1"}))),
+        json.loads(dumps(capacity=table)),
+        dict(levels, capacity=dict(grades, **{"{1,2,3}": 2})),
+    ):
+        with pytest.raises(CapacityError) as by_size:
+            load_problem(json.dumps(document))
+        capacity = document["capacity"]
+        in_mask_order = {key: capacity.get(key, 0) for key in _subset_keys(3)}
+        for listed in (in_mask_order, dict(list(in_mask_order.items())[1:])):
+            with pytest.raises(CapacityError) as by_position:
+                load_problem(json.dumps(dict(document, capacity=listed)))
+            assert str(by_position.value) == str(by_size.value)
+
+
+def test_spellings_of_one_value_are_one_rank():
+    # each value spelled several ways, ints included, reads as one value of
+    # one rank, printed in its canonical text
+    spelled = {
+        "scale": {"kind": "unit"},
+        "capacity": {
+            "{}": "-0", "{1}": "1/2", "{2}": " 0.5", "{1,2}": "2/3",
+            "{3}": "0.50", "{1,3}": "4/6", "{2,3}": "0.5", "{1,2,3}": 1,
+        },
+        "profile": ["-2/4", "1.0", "0"],
+    }
+    plain = {
+        "scale": {"kind": "unit"},
+        "capacity": {
+            "{}": "0", "{1}": "0.5", "{2}": "0.5", "{1,2}": "2/3",
+            "{3}": "0.5", "{1,3}": "2/3", "{2,3}": "0.5", "{1,2,3}": "1",
+        },
+        "profile": ["-0.5", "1", "0"],
+    }
+    assert _outcome(spelled) == _outcome(plain)
+    assert load_problem(json.dumps(spelled)).ranked()[0].scale.labels == (
+        "0", "0.5", "2/3", "1",
+    )
 
 
 # -- files ---------------------------------------------------------------------
@@ -394,31 +436,112 @@ def _respelled(key):
     return " " + key
 
 
+# why the reader refuses a value of each type it cannot read
+REFUSALS = {
+    bool: "booleans are not scale values",
+    float: "binary floats are not exact; write the value as a string",
+    list: "expected a string or integer, got list",
+}
+
+
+def _spellings(scale, value):
+    """Spellings that a document on ``scale`` may give its ``value``, each
+    read as the same value: the value itself, its canonical text, with a
+    leading space, and as an int, an unreduced fraction or "-0" where
+    those exist."""
+    if scale["kind"] == "unit":
+        q = Fraction(value)
+        doubled = f"{2 * q.numerator}/{2 * q.denominator}"
+        spelled = [value, fraction_text(q), f" {value}", doubled]
+        return spelled + [int(q)] * (q.denominator == 1) + ["-0"] * (q == 0)
+    labels = scale.get("labels")
+    if isinstance(value, int):
+        grade = value
+    elif labels:
+        grade = labels.index(value.lstrip("-")) * (-1 if value[0] == "-" else 1)
+    else:
+        grade = int(value)
+    text = labels[abs(grade)] if labels else str(abs(grade))
+    signed = "-" * (grade < 0) + text
+    return [value, grade, signed, f" {signed}"] + [f"-{text}"] * (grade == 0)
+
+
+@st.composite
+def _spoiler(draw, scale, value):
+    """A replacement for a document value and why the reader refuses it,
+    or None for another spelling of the value: True beside 1, a float, or
+    a list."""
+    how = draw(st.sampled_from(("spelling", "spelling", bool, float, list)))
+    if how == "spelling":
+        return draw(st.sampled_from(_spellings(scale, value))), None
+    if how is bool:
+        return draw(st.booleans()), REFUSALS[bool]
+    if how is float:  # 1.0 == 1 and 0.0 == 0
+        return draw(st.sampled_from((1.0, 0.0, -1.0, 0.5))), REFUSALS[float]
+    return [value], REFUSALS[list]
+
+
 @st.composite
 def rekeyed_documents(draw):
-    """A generated document, whose keys are in mask order, and the same
-    document with its capacity keys shuffled and some of them respelled.
-    Maybe one capacity value, the same in both and under the same key,
-    is replaced by any JSON value."""
+    """A generated document, whose keys are in mask order, its twin with
+    the capacity keys shuffled and some of them respelled, the document
+    unspoiled, and the spoils: for up to two capacity values or a profile
+    value, and maybe the player list, the reason each is refused, or None
+    for a value spelled otherwise.  Spoiled capacity values are the same in
+    both documents and under the same key.  Or else one capacity value,
+    whose spoil is not known, is replaced by any JSON value."""
     document = draw(documents())
-    capacity = document["capacity"]
-    spoiled = draw(st.none() | st.sampled_from(sorted(capacity)))
-    if spoiled is not None:
-        capacity[spoiled] = draw(json_values)
+    unspoiled = json.loads(json.dumps(document))
+    capacity, scores = document["capacity"], document["profile"]
+    spoils = {"profile": {}, "players": None, "capacity": {}}
+    if draw(st.sampled_from((False, False, False, False, True))):
+        spoils = None
+        capacity[draw(st.sampled_from(sorted(capacity)))] = draw(json_values)
+    else:
+        places = [("capacity", key) for key in capacity]
+        places += [("profile", i) for i in range(len(scores))]
+        spoiled = draw(st.lists(st.sampled_from(places), max_size=2, unique=True))
+        for part, name in spoiled:
+            table = capacity if part == "capacity" else scores
+            spoiler = _spoiler(document["scale"], table[name])
+            table[name], spoils[part][name] = draw(spoiler)
+        if draw(st.sampled_from((False, False, False, True))):
+            n = len(scores)
+            document["players"], spoils["players"] = draw(st.sampled_from((
+                ("p1", "'players' must be a list of names"),
+                (
+                    [f"p{i}" for i in range(n + 1)],
+                    f"'players' lists {n + 1} names but the profile has {n} scores",
+                ),
+            )))
     order = draw(st.permutations(list(capacity)))
+    kept = spoils["capacity"] if spoils else capacity
     spelling = {
-        key: _respelled(key) if key != spoiled and draw(st.booleans()) else key
+        key: _respelled(key) if key not in kept and draw(st.booleans()) else key
         for key in order
     }
     rekeyed = {spelling[key]: capacity[key] for key in order}
-    return document, dict(document, capacity=rekeyed)
+    return document, dict(document, capacity=rekeyed), unspoiled, spoils
+
+
+def _first_refusal(document, spoils):
+    """The error of a document's first refused value, in document order
+    (profile, players, capacity), or None when it has none."""
+    profile, capacity = spoils["profile"], spoils["capacity"]
+    refused = [(f"profile[{i}]", profile.get(i)) for i in range(len(document["profile"]))]
+    refused.append((None, spoils["players"]))
+    refused += [(f"capacity[{key!r}]", capacity.get(key)) for key in document["capacity"]]
+    for place, why in refused:
+        if why:
+            return ParseError, f"{place}: {why}" if place else why
+    return None
 
 
 L1 = levels_scale(1)
 
 
-def _raw(key, value):
-    return value
+def _raw(keys, values):
+    return values
 
 
 def _outcome(document):
@@ -435,15 +558,23 @@ def _outcome(document):
 
 @settings(max_examples=300, deadline=None)
 @given(rekeyed_documents())
-def test_keys_read_by_position_and_by_parsing_agree(pair):
-    in_mask_order, rekeyed = pair
+def test_keys_read_by_position_and_by_parsing_agree(case):
+    in_mask_order, rekeyed, unspoiled, spoils = case
     # the reader itself, on the raw entries: one per subset in mask order,
     # the empty set 0 when it has no key
     n, capacity = len(in_mask_order["profile"]), in_mask_order["capacity"]
     expected = tuple(capacity.get(subset_text(m), L1.zero) for m in subsets(n))
-    for document in pair:
-        assert _read_subset_table(n, L1, document["capacity"], _raw) == expected
-    assert _outcome(rekeyed) == _outcome(in_mask_order)
+    for document in (in_mask_order, rekeyed):
+        assert _read_subset_table(n, L1.zero, document["capacity"], _raw) == expected
+    if spoils is None:
+        assert _outcome(rekeyed) == _outcome(in_mask_order)
+        return
+    # each twin raises the error of its own first refused value, or loads as
+    # the unspoiled document
+    for document in (in_mask_order, rekeyed):
+        assert _outcome(document) == (
+            _first_refusal(document, spoils) or _outcome(unspoiled)
+        )
 
 
 def test_only_keys_in_mask_order_are_read_by_position(monkeypatch):
@@ -606,6 +737,14 @@ def test_the_ranked_scale_prints_what_the_unit_scale_computes(document):
     assert all(x is v.scale.value(x.signed) for x in (*v.table, *f.scores))
     # the ranked capacity is built unchecked, so check it here
     assert capacity_problems(v.n, v.scale, v.table) == []
+    # the unit-scale values, built from the ranks, are the document's
+    capacity = document["capacity"]
+    assert [x.signed for x in problem.capacity.table] == [
+        Fraction(capacity[subset_text(m)]) for m in subsets(v.n)
+    ]
+    assert [x.signed for x in problem.profile.scores] == list(
+        map(Fraction, document["profile"])
+    )
     assert [str(x) for x in v.table] == [str(x) for x in problem.capacity.table]
     assert [str(x) for x in f.scores] == [str(x) for x in problem.profile.scores]
     assert _sugeno_side(v, f) == _sugeno_side(problem.capacity, problem.profile)
