@@ -36,7 +36,7 @@ from symsug import (
 from symsug.capacity import full_set, subset_text
 from symsug.cli import _build_parser, _parse, main
 from symsug.io import record_line, set_function_record
-from symsug.scale import SymmetricScale
+from symsug.scale import ScaleValue, SymmetricScale
 from symsug.verify import law_names
 from conftest import WORKED_DOCUMENT, count_calls, documents, mutated_documents
 
@@ -126,6 +126,25 @@ def test_compute_validates_the_capacity_once(worked_file, capsys, monkeypatch):
     assert code == 0
     assert len(checks) == 1  # on loading; the ranked capacity is not checked again
     assert problems == []  # the messages are listed only for a failing table
+
+
+def test_compute_and_mobius_build_no_unit_scale_value(worked_file, capsys, monkeypatch):
+    # both work on the ranks; the Choquet family reads one Fraction per value
+    built = []
+    original = ScaleValue.__init__
+
+    def counted(self, scale, signed):
+        built.extend([signed] if scale.kind == "unit" else [])
+        original(self, scale, signed)
+
+    monkeypatch.setattr(ScaleValue, "__init__", counted)
+    for command in ("compute", "--all"), ("mobius",):
+        code, _, _ = run(capsys, command[0], "--input", str(worked_file), *command[1:])
+        assert code == 0
+    assert built == []
+    # a loaded problem builds them when its capacity or profile is read
+    assert load_problem(json.dumps(WORKED_DOCUMENT)).profile.scores[0].signed == -1
+    assert len(built) == 8  # one per distinct value of the document
 
 
 def test_compute_tabulates_no_conjugate(worked_file, capsys, monkeypatch):

@@ -72,6 +72,8 @@ def test_documented_instance_round_trips(worked):
     assert problem.profile == f
     assert problem.options.mobius is None
     assert problem.options.outputs is None
+    with pytest.raises(AttributeError, match="'Problem' object has no attribute 'm'"):
+        problem.m
 
 
 def test_levels_documents_accept_integer_grades():
