@@ -7,11 +7,12 @@ Computer 11(4), 1978).  For every mutant the script copies ``src/`` to a
 temporary directory, checks that the snippet occurs there exactly once,
 applies the replacement and runs only the named tests against the copy.
 The mutant is killed when some named test fails and survives when they all
-pass.  First each mutant's named tests run once against an unmutated copy,
-which must pass; a mutated run that takes ``TIMEOUT_FACTOR`` times as long
-is stopped and reported as timed out, which counts as detected, as a
-mutant that makes a kernel loop forever would otherwise hang the whole
-run.  Each kill is printed with its first failing test and the type of the
+pass.  First all the named tests run once against an unmutated copy,
+which must pass, and their durations give each mutant's tests their time
+unmutated; a mutated run that takes ``TIMEOUT_FACTOR`` times as long is
+stopped and reported as timed out, which counts as detected, as a mutant
+that makes a kernel loop forever would otherwise hang the whole run.
+Each kill is printed with its first failing test and the type of the
 exception it raised, and the run ends with the kills whose exception is not
 an ``AssertionError``: a fault that crashes a test, rather than one that a
 check of a value catches.
@@ -34,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -819,16 +821,43 @@ MUTANTS = (
 
 
 def run_tests(
-    src: Path, tests: tuple[str, ...], timeout: float | None = None
+    src: Path, tests: tuple[str, ...], timeout: float | None = None, *options: str
 ) -> subprocess.CompletedProcess | None:
-    """The named tests with ``src`` first on the import path; the short
-    summary lists each failure and error.  None when the run outlasts
-    ``timeout`` seconds."""
+    """The named tests with ``src`` first on the import path, and pytest's
+    ``options``; the short summary lists each failure and error.  None when
+    the run outlasts ``timeout`` seconds."""
     command = [
         sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
-        "-o", f"pythonpath={src}", *tests,
+        "-o", f"pythonpath={src}", *options, *tests,
     ]
     return run(command, timeout)
+
+
+def timeouts(src: Path, mutants: list[Mutant]) -> dict[tuple[str, ...], float] | None:
+    """Each mutant's tests' timeout: ``TIMEOUT_FACTOR`` times their time on
+    the unmutated ``src``, from one run of all the named tests, as pytest's
+    start-up (the run's wall time less its tests' durations) plus the
+    durations of the set's own tests.  None, after printing the failures,
+    when the unmutated tests fail."""
+    named = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+    began = time.perf_counter()
+    baseline = run_tests(src, named, None, "--durations=0", "--durations-min=0")
+    wall = time.perf_counter() - began
+    if baseline.returncode != 0:
+        print("the named tests fail on the unmutated source:", file=sys.stderr)
+        print(baseline.stdout[-2000:], file=sys.stderr)
+        return None
+    took = Counter()  # setup, call and teardown of each test case
+    for seconds, node in re.findall(r"^([\d.]+)s +\w+ +(.+)$", baseline.stdout, re.M):
+        took[node] += float(seconds)
+    start_up = wall - sum(took.values())
+    return {
+        tests: TIMEOUT_FACTOR * (start_up + sum(
+            seconds for node, seconds in took.items()
+            if node in tests or node.split("[")[0] in tests
+        ))
+        for tests in dict.fromkeys(m.tests for m in mutants)
+    }
 
 
 def run(command: list[str], timeout: float | None) -> subprocess.CompletedProcess | None:
@@ -899,22 +928,15 @@ def main(names: list[str]) -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         folder = Path(tmp)
-        src = fresh_copy(folder)
-        timeouts = {}  # per test tuple, a multiple of its unmutated run's time
-        for tests in dict.fromkeys(m.tests for m in mutants):
-            began = time.perf_counter()
-            baseline = run_tests(src, tests)
-            if baseline.returncode != 0:
-                print("the named tests fail on the unmutated source:", file=sys.stderr)
-                print(baseline.stdout[-2000:], file=sys.stderr)
-                return 2
-            timeouts[tests] = TIMEOUT_FACTOR * (time.perf_counter() - began)
+        limits = timeouts(fresh_copy(folder), mutants)
+        if limits is None:
+            return 2
         took = time.perf_counter() - start
-        print(f"{len(timeouts)} sets of tests timed unmutated in {took:.0f} s", flush=True)
+        print(f"{len(limits)} sets of tests timed unmutated in {took:.0f} s", flush=True)
         detected = timed_out = 0
         other_kills = []  # kills whose failure is not an AssertionError
         for mutant in mutants:
-            result, failure = check(mutant, folder, timeouts[mutant.tests])
+            result, failure = check(mutant, folder, limits[mutant.tests])
             detected += result in ("killed", "timed out")
             timed_out += result == "timed out"
             shown = f"  {failure[0]}  {failure[1]}" if failure else ""
