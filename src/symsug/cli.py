@@ -23,7 +23,7 @@ ranks: the rank map is strictly increasing, odd, and sends 0 and 1 to the
 ends of the ranked scale, so the ranks keep the capacity axioms exactly
 when the values do.  Neither command builds a unit-scale value: signs are
 read from the ranks, and the Choquet family computes on one ``Fraction``
-per distinct value, decoded from its rank.
+per distinct value, decoded from its rank (:meth:`Problem.choquet_inputs`).
 
 From loading to printing, both commands work on int grades.  ``compute``
 builds each Sugeno output's term list as grades (the kernels of
@@ -46,7 +46,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .integrals import (
     FOLD_RULES,
@@ -70,9 +69,8 @@ from .io import (
     read_problem,
     record_line,
 )
-from .mobius import RealSetFunction, ordinal_mobius_interval
+from .mobius import ordinal_mobius_interval
 from .rules import Rule, _fold_signed
-from .scale import _trusted
 from .verify import VerifyConfig, law_names, run_laws
 
 CHOQUET_OUTPUTS = {
@@ -268,8 +266,7 @@ def _cmd_compute(args) -> int:
         member = interval.lower if representative == "lower" else interval.upper
         terms["v1"] = _variant1_kernel(*_transform_args(member, f))
     if any(name in CHOQUET_OUTPUTS for name in names):
-        table, real_f = problem._unit_values(Fraction)
-        real_v = _trusted(RealSetFunction, n=v.n, table=table)
+        real_v, real_f = problem.choquet_inputs()
 
     texts: dict[int, str] = {}  # every grade of the record is formatted once
     record: dict[str, object] = {}

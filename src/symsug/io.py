@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cmp_to_key, partial
 
@@ -35,7 +35,8 @@ from .capacity import (
     _read_subset_table,
     _subset_keys,
 )
-from .integrals import Profile
+from .integrals import Profile, to_real_capacity, to_real_profile
+from .mobius import RealSetFunction
 from .scale import (
     LEVELS,
     UNIT,
@@ -83,7 +84,7 @@ class ProblemOptions(_Record):
 class Problem(_Record):
     # not fields: a loaded unit-scale problem keeps its ranks and their
     # magnitudes, and builds its capacity and profile from them on first
-    # read; a problem built by hand ranks on demand
+    # read; a problem built by hand ranks, and validates, on demand
     _ranked: tuple[Capacity, Profile] | None = None
     _magnitudes: tuple[tuple[int, int], ...] = ()
 
@@ -104,11 +105,12 @@ class Problem(_Record):
         # reached only for a field that a loaded unit-scale problem lacks
         if name not in ("capacity", "profile") or not self._magnitudes:
             raise AttributeError(f"'Problem' object has no attribute {name!r}")
-        scale, (v, _) = self.scale, self._ranked
-        table, scores = self._unit_values(lambda *pair: scale.value(Fraction(*pair)))
-        self.__dict__["capacity"] = _trusted(Capacity, n=v.n, scale=scale, table=table)
-        self.__dict__["profile"] = _trusted(Profile, scale=scale, scores=scores)
-        return self.__dict__[name]
+        (real_v, real_f), scale = self.choquet_inputs(), self.scale
+        value = {q: scale.value(q) for q in {*real_v.table, *real_f}}.__getitem__
+        table, scores = tuple(map(value, real_v.table)), tuple(map(value, real_f))
+        vars(self)["capacity"] = _trusted(Capacity, n=self.n, scale=scale, table=table)
+        vars(self)["profile"] = _trusted(Profile, scale=scale, scores=scores)
+        return vars(self)[name]
 
     @property
     def n(self) -> int:
@@ -138,16 +140,20 @@ class Problem(_Record):
         scale, grades, _ = _rank({q: q.as_integer_ratio() for q in (*table, *scores)})
         return _tables(self.n, scale, grades, table, scores)
 
-    def _unit_values(self, make: Callable[[int, int], object]) -> tuple[tuple, tuple]:
-        """The capacity table and scores of a loaded unit-scale problem, each
-        distinct value made once, as ``make`` of its reduced ratio."""
+    def choquet_inputs(self) -> tuple[RealSetFunction, tuple[Fraction, ...]]:
+        """The capacity and the profile as ``to_real_capacity`` and
+        ``to_real_profile`` give them; a loaded unit-scale problem decodes
+        its ranks, each distinct value into one Fraction."""
+        if not self._magnitudes:
+            return to_real_capacity(self.capacity), to_real_profile(self.profile)
         v, f = self._ranked
         table, scores = [x.signed for x in v.table], [x.signed for x in f.scores]
         made = {}
         for grade in {*table, *scores}:
             num, den = self._magnitudes[abs(grade)]
-            made[grade] = make(-num if grade < 0 else num, den)
-        return tuple(map(made.__getitem__, table)), tuple(map(made.__getitem__, scores))
+            made[grade] = Fraction(-num if grade < 0 else num, den)
+        table, scores = map(made.__getitem__, table), map(made.__getitem__, scores)
+        return _trusted(RealSetFunction, n=v.n, table=tuple(table)), tuple(scores)
 
 
 def _compare_ratios(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -190,13 +196,12 @@ def _rank(readings: Mapping) -> tuple[SymmetricScale, dict, tuple]:
 def _tables(
     n: int, scale: SymmetricScale, grades: Mapping, table: Sequence, scores: Sequence
 ) -> tuple[Capacity, Profile]:
-    """The capacity, not yet validated, and the profile on ``scale`` of the
+    """The capacity, validated here, and the profile on ``scale`` of the
     grades that ``grades`` gives the keys in ``table`` and ``scores``."""
     values = dict(zip(grades, map(scale.value, grades.values()))).__getitem__
-    return (
-        _trusted(Capacity, n=n, scale=scale, table=tuple(map(values, table))),
-        _trusted(Profile, scale=scale, scores=tuple(map(values, scores))),
-    )
+    v = _trusted(Capacity, n=n, scale=scale, table=tuple(map(values, table)))
+    _check_capacity(n, scale, v.table)
+    return v, _trusted(Profile, scale=scale, scores=tuple(map(values, scores)))
 
 
 def read_problem(path: str) -> Problem:
@@ -243,8 +248,6 @@ def load_problem(text: str) -> Problem:
     else:
         ranked, grades, magnitudes = scale, readings, ()
     v, f = _tables(n, ranked, grades, table, scores)
-    # validated once, a unit-scale capacity on its ranks, which vouch for it
-    _check_capacity(n, ranked, v.table)
     options = _parse_options(document.get("options"))
     if not magnitudes:
         return Problem(scale, players, v, f, options)

@@ -285,6 +285,17 @@ MUTANTS = (
         "readings = {}",
         ("tests/test_cli.py::test_unit_capacities_off_their_bounds_exit_2",),
     ),
+    # a problem built by hand has no loader to read 0 first, so the seed
+    # ranks it, and a table whose empty set is above 0 is still refused
+    Mutant(
+        "rank-map-without-the-seeded-0", IO,
+        "magnitudes = dict.fromkeys([(0, 1), (1, 1)])",
+        "magnitudes = dict.fromkeys([(1, 1)])",
+        (
+            "tests/test_io.py::"
+            "test_a_set_function_built_into_a_problem_by_hand_is_checked_when_ranked",
+        ),
+    ),
     # unit-scale arithmetic on ints
     Mutant(
         "ratio-comparison-drops-a-cross-factor", IO,
@@ -805,10 +816,16 @@ MUTANTS = (
     ),
     Mutant(
         "mask-ordered-capacities-go-unchecked", IO,
-        "    _check_capacity(n, ranked, v.table)\n",
+        "    v, f = _tables(n, ranked, grades, table, scores)\n",
         "    listed = list(document['capacity'])\n"
-        "    if listed != list(_subset_keys(n)[-len(listed):]):\n"
-        "        _check_capacity(n, ranked, v.table)\n",
+        "    if listed == list(_subset_keys(n)[-len(listed):]):\n"
+        "        values = dict(zip(grades, map(ranked.value, grades.values())))\n"
+        "        v = _trusted(Capacity, n=n, scale=ranked,\n"
+        "                     table=tuple(map(values.__getitem__, table)))\n"
+        "        f = _trusted(Profile, scale=ranked,\n"
+        "                     scores=tuple(map(values.__getitem__, scores)))\n"
+        "    else:\n"
+        "        v, f = _tables(n, ranked, grades, table, scores)\n",
         ("tests/test_io.py::test_invalid_capacities_keep_their_own_error",),
     ),
     Mutant(

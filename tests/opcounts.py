@@ -5,7 +5,8 @@ The script builds a workload's ops with ``perfbench/workloads.py`` for a
 seed, runs one pass untraced and then one pass with every frame of
 ``src/symsug`` traced opcode by opcode (``frame.f_trace_opcodes``), each
 op with the library's caches cleared, as ``perfbench/run.py`` runs it.
-It prints the opcodes executed per module and per code object.  Given two
+It prints the opcodes executed per module and for the largest code
+objects.  Given two
 checkouts or exports, it runs the same ops on each one's ``src`` and
 prints both counts and their difference.
 
@@ -37,6 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("compute_small", "compute_large", "verify_laws")
+# every module is listed; code objects, the largest first, up to this many
+CODE_OBJECT_ROWS = 15
 
 
 def count(src: Path, workload: str, seed: int) -> Counter:
@@ -109,21 +112,24 @@ def by_module(counts: Counter) -> Counter:
     return modules
 
 
-def report(counts: Counter, top: int) -> None:
+def report(counts: Counter) -> None:
     total = sum(counts.values())
     print(f"total {total:,} opcodes")
-    for title, table in (("module", by_module(counts)), ("code object", counts)):
+    for title, table, top in (
+        ("module", by_module(counts), None),
+        ("code object", counts, CODE_OBJECT_ROWS),
+    ):
         print(f"\nper {title}:")
         for name, n in table.most_common(top):
             print(f"  {n:>12,}  {n / total:6.1%}  {name}")
 
 
-def compare(first: Counter, second: Counter, top: int) -> None:
+def compare(first: Counter, second: Counter) -> None:
     total_a, total_b = sum(first.values()), sum(second.values())
     print(f"total {total_a:,} -> {total_b:,} ({total_b - total_a:+,})")
-    for title, a, b in (
-        ("module", by_module(first), by_module(second)),
-        ("code object", first, second),
+    for title, a, b, top in (
+        ("module", by_module(first), by_module(second), None),
+        ("code object", first, second, CODE_OBJECT_ROWS),
     ):
         print(f"\nper {title} (first, second, difference), largest changes first:")
         names = sorted(a.keys() | b.keys(), key=lambda name: -abs(b[name] - a[name]))
@@ -135,7 +141,6 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--top", type=int, default=15, help="rows per table")
     parser.add_argument(
         "checkouts", nargs="*", type=Path,
         help="two checkouts or exports to compare (default: count this one)",
@@ -147,12 +152,12 @@ def main(argv: list[str]) -> int:
         print(json.dumps(count(args.child, args.workload, args.seed)))
         return 0
     if not args.checkouts:
-        report(counted(ROOT, args.workload, args.seed), args.top)
+        report(counted(ROOT, args.workload, args.seed))
         return 0
     if len(args.checkouts) != 2:
         parser.error("give no checkout or two")
     first, second = (counted(path, args.workload, args.seed) for path in args.checkouts)
-    compare(first, second, args.top)
+    compare(first, second)
     return 0
 
 

@@ -29,13 +29,15 @@ from symsug import (
 )
 from symsug.capacity import (
     MAX_PLAYERS,
+    Capacity,
+    SetFunction,
     _read_subset_table,
     _subset_keys,
     capacity_problems,
     subset_text,
     subsets,
 )
-from symsug.integrals import ranked_terms
+from symsug.integrals import Profile, ranked_terms
 from symsug.io import (
     Problem,
     ProblemOptions,
@@ -496,7 +498,7 @@ def rekeyed_documents(draw):
     unspoiled = json.loads(json.dumps(document))
     capacity, scores = document["capacity"], document["profile"]
     spoils = {"profile": {}, "players": None, "capacity": {}}
-    if draw(st.sampled_from((False, False, False, False, True))):
+    if draw(st.booleans()):
         spoils = None
         capacity[draw(st.sampled_from(sorted(capacity)))] = draw(json_values)
     else:
@@ -558,7 +560,7 @@ def _outcome(document):
     return problem.capacity.table, problem.profile.scores, (v, f), texts
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(rekeyed_documents())
 def test_keys_read_by_position_and_by_parsing_agree(case):
     in_mask_order, rekeyed, unspoiled, spoils = case
@@ -614,6 +616,26 @@ def test_a_replaced_capacity_is_ranked_afresh():
     )
     assert replaced.ranked() == other.ranked()
     assert replaced.ranked() != loaded.ranked()
+
+
+def test_a_set_function_built_into_a_problem_by_hand_is_checked_when_ranked():
+    # Problem checks nothing on construction; ranking a unit-scale one checks
+    # its capacity on the ranks, with the message the values raise.  Every
+    # value but the empty set's is at least 0.2, so the last table is caught
+    # only because 0 is ranked too.
+    loaded = load_problem(dumps())
+    profile = loaded.profile
+    for changes in ({"{1,2}": "0.1"}, {"{1,2,3}": "0.9"}, {"{}": "0.2", "{1}": "0.3"}):
+        table = dict(WORKED_DOCUMENT["capacity"], **changes)
+        if "{}" in changes:
+            profile = Profile.from_values(loaded.scale, ["0.3", "0.5", "1"])
+        with pytest.raises(CapacityError) as by_value:
+            Capacity.from_values(3, loaded.scale, table)
+        v = SetFunction.from_values(3, loaded.scale, table)
+        built = Problem(loaded.scale, None, v, profile, ProblemOptions())
+        with pytest.raises(CapacityError) as by_rank:
+            built.ranked()
+        assert str(by_rank.value) == str(by_value.value)
 
 
 def test_record_line_is_deterministic_json():
