@@ -604,6 +604,7 @@ def test_a_problem_built_by_hand_is_ranked_like_a_loaded_one(worked):
     assert [str(x) for x in built.ranked()[0].table] == [
         str(x) for x in loaded.ranked()[0].table
     ]
+    assert built.choquet_inputs() == loaded.choquet_inputs()
 
 
 def test_a_replaced_capacity_is_ranked_afresh():
